@@ -39,12 +39,17 @@
 #                 open-loop run against a real loopback serving tier
 #                 (p50/p99/p999 over the socket) plus a closed-loop
 #                 capacity search (max sustainable req/s under the p99
-#                 SLO), and archives the results as BENCH_PR10.json (via
-#                 cmd/benchjson).
+#                 SLO), and archives the results as $(BENCH_SNAPSHOT)
+#                 (default BENCH_PR12.json, via cmd/benchjson).
 #   bench-compare — diffs the previous archived snapshot against the
 #                 current one (via cmd/benchjson -compare); warns and
 #                 succeeds when either snapshot is missing, so fresh
 #                 clones and CI runs without archives don't fail.
+#   fuzzcheck   — tier-2 fuzzing pass: runs each fuzz target with the
+#                 fuzzing engine for FUZZTIME (default 10s) instead of
+#                 only its seed corpus — the GET-path decoder, the
+#                 Expect-Staple report decoder, the store record codec,
+#                 and CreateResponse against its encoding/asn1 reference.
 #   racecheck   — focused race-detector pass over the concurrent hot-path
 #                 packages (serving tier, load generator, responder,
 #                 scanner, store, engine core) under -short, so the
@@ -63,7 +68,7 @@ GO ?= go
 RACE_PKGS = ./internal/ocspserver ./internal/loadgen ./internal/responder \
 	./internal/scanner ./internal/store ./internal/core ./internal/expectstaple
 
-.PHONY: all tier1 tier2 loadcheck capacitycheck staplecheck memcheck racecheck bench-guard bench bench-snapshot bench-compare crash-recovery vet fmt fmt-check lint
+.PHONY: all tier1 tier2 loadcheck capacitycheck staplecheck memcheck racecheck fuzzcheck bench-guard bench bench-snapshot bench-compare crash-recovery vet fmt fmt-check lint
 
 all: tier1
 
@@ -71,13 +76,23 @@ tier1: vet fmt-check lint
 	$(GO) build ./...
 	$(GO) test ./...
 
-tier2: vet lint racecheck loadcheck capacitycheck staplecheck memcheck
+tier2: vet lint racecheck fuzzcheck loadcheck capacitycheck staplecheck memcheck
 	$(GO) test -race ./...
 
 # racecheck is the quick race gate: -short keeps each package's suite to
 # its fast paths, so the whole pass stays well under the full -race run.
 racecheck:
 	$(GO) test -race -short $(RACE_PKGS)
+
+# fuzzcheck runs the fuzzing engine on every fuzz target for FUZZTIME
+# each; `go test ./...` runs only their seed corpora. The engine takes
+# one target per invocation.
+FUZZTIME ?= 10s
+fuzzcheck:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGETPath$$' -fuzztime $(FUZZTIME) ./internal/ocsp
+	$(GO) test -run '^$$' -fuzz '^FuzzCreateResponse$$' -fuzztime $(FUZZTIME) ./internal/ocsp
+	$(GO) test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime $(FUZZTIME) ./internal/expectstaple
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/store
 
 # loadcheck boots a self-contained serving tier (own CA, loopback
 # listener) and drives a 2s open-loop burst; -check fails the run on
@@ -144,10 +159,11 @@ bench-snapshot:
 	  $(GO) run ./cmd/ocspload -selfserve -capacity -slo 25ms -probe-duration 2s \
 		-start-rate 1000 -max-rate 65536 -bench ServingTierCapacity ; \
 	  $(GO) run ./cmd/staplereport -ingestcheck -reports 200000 -workers 8 \
-		-min-rate 0 -max-heap-mb 0 -bench StapleIngest ; } | $(GO) run ./cmd/benchjson > BENCH_PR10.json
+		-min-rate 0 -max-heap-mb 0 -bench StapleIngest ; } | $(GO) run ./cmd/benchjson > $(BENCH_SNAPSHOT)
 
-BENCH_BASE ?= BENCH_PR8.json
-BENCH_HEAD ?= BENCH_PR10.json
+BENCH_SNAPSHOT ?= BENCH_PR12.json
+BENCH_BASE ?= BENCH_PR10.json
+BENCH_HEAD ?= $(BENCH_SNAPSHOT)
 
 bench-compare:
 	@if [ ! -f "$(BENCH_BASE)" ] || [ ! -f "$(BENCH_HEAD)" ]; then \

@@ -82,20 +82,21 @@ func (c CertID) SameIssuer(o CertID) bool {
 		bytes.Equal(c.IssuerKeyHash, o.IssuerKeyHash)
 }
 
-func (c CertID) toASN1() (certIDASN1, error) {
-	alg, err := pkixutil.HashAlgorithmIdentifier(c.HashAlgorithm)
+// appendCertID appends the DER CertID.
+func appendCertID(b []byte, id *CertID) ([]byte, error) {
+	alg, err := pkixutil.HashAlgorithmIdentifierDER(id.HashAlgorithm)
 	if err != nil {
-		return certIDASN1{}, err
+		return b, err
 	}
-	if c.Serial == nil {
-		return certIDASN1{}, fmt.Errorf("ocsp: CertID has nil serial")
+	if id.Serial == nil {
+		return b, fmt.Errorf("ocsp: CertID has nil serial")
 	}
-	return certIDASN1{
-		HashAlgorithm:  alg,
-		IssuerNameHash: c.IssuerNameHash,
-		IssuerKeyHash:  c.IssuerKeyHash,
-		Serial:         c.Serial,
-	}, nil
+	b, seq := pkixutil.Begin(b, pkixutil.TagSequence)
+	b = append(b, alg...)
+	b = pkixutil.AppendElement(b, pkixutil.TagOctetString, id.IssuerNameHash)
+	b = pkixutil.AppendElement(b, pkixutil.TagOctetString, id.IssuerKeyHash)
+	b = pkixutil.AppendInteger(b, id.Serial)
+	return pkixutil.End(b, seq), nil
 }
 
 func certIDFromASN1(w certIDASN1) (CertID, error) {
@@ -117,6 +118,21 @@ type extensionASN1 struct {
 	ID       asn1.ObjectIdentifier
 	Critical bool `asn1:"optional"`
 	Value    []byte
+}
+
+// appendNonceExtensions appends an extensions list, explicitly tagged
+// [tag], holding only the nonce extension. Its value is the nonce as an
+// OCTET STRING, and the non-critical flag is the default and omitted.
+func appendNonceExtensions(b []byte, tag byte, nonce []byte) []byte {
+	b, exts := pkixutil.Begin(b, pkixutil.TagContextExplicit|tag)
+	b, list := pkixutil.Begin(b, pkixutil.TagSequence)
+	b, ext := pkixutil.Begin(b, pkixutil.TagSequence)
+	b = append(b, pkixutil.OIDOCSPNonceDER...)
+	b = pkixutil.AppendHeader(b, pkixutil.TagOctetString, pkixutil.HeaderLen(len(nonce))+len(nonce))
+	b = pkixutil.AppendElement(b, pkixutil.TagOctetString, nonce)
+	b = pkixutil.End(b, ext)
+	b = pkixutil.End(b, list)
+	return pkixutil.End(b, exts)
 }
 
 func findNonce(exts []extensionASN1) []byte {

@@ -1,9 +1,10 @@
 // Package ocsp is a from-scratch implementation of the Online Certificate
-// Status Protocol (RFC 6960) on top of encoding/asn1. It provides request
-// and response encoding/decoding, response signing and verification
-// (including OCSP signature authority delegation), the nonce extension,
-// multi-certificate requests and responses, and the HTTP GET/POST transport
-// encodings.
+// Status Protocol (RFC 6960). It provides request and response
+// encoding/decoding, response signing and verification (including OCSP
+// signature authority delegation), the nonce extension, multi-certificate
+// requests and responses, and the HTTP GET/POST transport encodings.
+// Encoding uses internal/pkixutil's DER writer; parsing uses
+// encoding/asn1.
 //
 // Unlike golang.org/x/crypto/ocsp (which this module deliberately does not
 // use), this package supports multiple single requests per OCSP request and

@@ -64,26 +64,24 @@ func (r *Request) Marshal() ([]byte, error) {
 	if len(r.CertIDs) == 0 {
 		return nil, errors.New("ocsp: request has no CertIDs")
 	}
-	var tbs tbsRequestASN1
-	for _, id := range r.CertIDs {
-		w, err := id.toASN1()
-		if err != nil {
+	b, req := pkixutil.Begin(nil, pkixutil.TagSequence)
+	b, tbs := pkixutil.Begin(b, pkixutil.TagSequence)
+	b, list := pkixutil.Begin(b, pkixutil.TagSequence)
+	for i := range r.CertIDs {
+		var single int
+		var err error
+		b, single = pkixutil.Begin(b, pkixutil.TagSequence)
+		if b, err = appendCertID(b, &r.CertIDs[i]); err != nil {
 			return nil, err
 		}
-		tbs.RequestList = append(tbs.RequestList, singleRequestASN1{CertID: w})
+		b = pkixutil.End(b, single)
 	}
+	b = pkixutil.End(b, list)
 	if len(r.Nonce) > 0 {
-		nonceDER, err := asn1.Marshal(r.Nonce)
-		if err != nil {
-			return nil, fmt.Errorf("ocsp: marshal nonce: %w", err)
-		}
-		tbs.Extensions = []extensionASN1{{ID: pkixutil.OIDOCSPNonce, Value: nonceDER}}
+		b = appendNonceExtensions(b, 2, r.Nonce)
 	}
-	der, err := asn1.Marshal(ocspRequestASN1{TBSRequest: tbs})
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: marshal request: %w", err)
-	}
-	return der, nil
+	b = pkixutil.End(b, tbs)
+	return pkixutil.End(b, req), nil
 }
 
 // ParseRequest decodes a DER OCSP request.

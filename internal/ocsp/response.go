@@ -151,17 +151,17 @@ type ResponderTemplate struct {
 	// it is computed once and reused across every response the template
 	// signs.
 	ridOnce sync.Once
-	rid     asn1.RawValue
+	rid     []byte
 	ridErr  error
 }
 
-// responderID returns the memoized ResponderID: the byKey arm hashes the
-// responder certificate's public key (or byName wraps its subject), which
-// never changes over a template's lifetime.
-func (t *ResponderTemplate) responderID() (asn1.RawValue, error) {
+// responderID returns the memoized ResponderID DER: the byKey arm hashes
+// the responder certificate's public key (or byName wraps its subject),
+// which never changes over a template's lifetime.
+func (t *ResponderTemplate) responderID() ([]byte, error) {
 	t.ridOnce.Do(func() {
 		if t.ByName {
-			t.rid, t.ridErr = marshalExplicit(1, t.Certificate.RawSubject)
+			t.rid = pkixutil.AppendElement(nil, pkixutil.TagContextExplicit|1, t.Certificate.RawSubject)
 			return
 		}
 		keyHash, err := pkixutil.IssuerKeyHash(t.Certificate, crypto.SHA1)
@@ -169,23 +169,21 @@ func (t *ResponderTemplate) responderID() (asn1.RawValue, error) {
 			t.ridErr = err
 			return
 		}
-		keyDER, err := asn1.Marshal(keyHash)
-		if err != nil {
-			t.ridErr = err
-			return
-		}
-		t.rid, t.ridErr = marshalExplicit(2, keyDER)
+		b, byKey := pkixutil.Begin(nil, pkixutil.TagContextExplicit|2)
+		b = pkixutil.AppendElement(b, pkixutil.TagOctetString, keyHash)
+		t.rid = pkixutil.End(b, byKey)
 	})
 	return t.rid, t.ridErr
 }
 
-// singlesPool recycles the wire-format single-response slices built per
-// CreateResponse call; the slice is dead once the TBS bytes are marshalled.
-var singlesPool = sync.Pool{New: func() any { s := make([]singleResponseASN1, 0, 8); return &s }}
-
 // CreateResponse builds and signs a successful BasicOCSPResponse asserting
 // the given single responses, produced at producedAt, echoing nonce if
 // non-empty.
+//
+// The ResponseData is written into pooled scratch and signed from there;
+// the BasicOCSPResponse and OCSPResponse envelopes around it then go into
+// one allocation of exactly the response's size, because caches keep
+// every response they are handed (DESIGN.md §17).
 func CreateResponse(tmpl *ResponderTemplate, producedAt time.Time, singles []SingleResponse, nonce []byte) ([]byte, error) {
 	if tmpl == nil || tmpl.Signer == nil || tmpl.Certificate == nil {
 		return nil, errors.New("ocsp: incomplete responder template")
@@ -193,61 +191,133 @@ func CreateResponse(tmpl *ResponderTemplate, producedAt time.Time, singles []Sin
 	if len(singles) == 0 {
 		return nil, errors.New("ocsp: no single responses")
 	}
-
-	var rd responseDataASN1
-	rd.ProducedAt = producedAt.UTC().Truncate(time.Second)
-
 	rid, err := tmpl.responderID()
 	if err != nil {
 		return nil, err
 	}
-	rd.ResponderID = rid
 
-	sp := singlesPool.Get().(*[]singleResponseASN1)
-	rd.Responses = (*sp)[:0]
-	defer func() { *sp = rd.Responses[:0]; singlesPool.Put(sp) }()
-	for _, s := range singles {
-		w, err := singleToASN1(s)
-		if err != nil {
-			return nil, err
-		}
-		rd.Responses = append(rd.Responses, w)
-	}
-
-	if len(nonce) > 0 {
-		nonceDER, err := asn1.Marshal(nonce)
-		if err != nil {
-			return nil, err
-		}
-		rd.Extensions = []extensionASN1{{ID: pkixutil.OIDOCSPNonce, Value: nonceDER}}
-	}
-
-	tbs, err := asn1.Marshal(rd)
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: marshal responseData: %w", err)
-	}
-
-	sigAlg, sig, err := pkixutil.SignTBS(tmpl.Rand, tmpl.Signer, tbs)
+	scratch := pkixutil.GetBytes()
+	defer pkixutil.PutBytes(scratch)
+	tbs, err := appendResponseData(*scratch, rid, producedAt, singles, nonce)
+	*scratch = tbs[:0] // the pool keeps the grown array
 	if err != nil {
 		return nil, err
 	}
-
-	basic := basicResponseASN1{
-		TBSResponseData:    asn1.RawValue{FullBytes: tbs},
-		SignatureAlgorithm: sigAlg,
-		Signature:          asn1.BitString{Bytes: sig, BitLength: len(sig) * 8},
-	}
-	for _, c := range tmpl.IncludeCertificates {
-		basic.Certificates = append(basic.Certificates, asn1.RawValue{FullBytes: c.Raw})
-	}
-
-	basicDER, err := asn1.Marshal(basic)
+	sigAlg, sig, err := pkixutil.SignTBSDER(tmpl.Rand, tmpl.Signer, tbs)
 	if err != nil {
-		return nil, fmt.Errorf("ocsp: marshal basicResponse: %w", err)
+		return nil, err
 	}
-
-	return wrapResponseBytes(StatusSuccessful, basicDER)
+	return envelope(tbs, sigAlg, sig, tmpl.IncludeCertificates), nil
 }
+
+// appendResponseData appends the DER ResponseData (RFC 6960 §4.2.1). The
+// version is the default v1 and is omitted, as DER requires.
+func appendResponseData(b, rid []byte, producedAt time.Time, singles []SingleResponse, nonce []byte) ([]byte, error) {
+	b, rd := pkixutil.Begin(b, pkixutil.TagSequence)
+	b = append(b, rid...)
+	b, err := pkixutil.AppendGeneralizedTime(b, producedAt.UTC().Truncate(time.Second))
+	if err != nil {
+		return b, err
+	}
+	b, list := pkixutil.Begin(b, pkixutil.TagSequence)
+	for i := range singles {
+		if b, err = appendSingleResponse(b, &singles[i]); err != nil {
+			return b, err
+		}
+	}
+	b = pkixutil.End(b, list)
+	if len(nonce) > 0 {
+		b = appendNonceExtensions(b, 1, nonce)
+	}
+	return pkixutil.End(b, rd), nil
+}
+
+// appendSingleResponse appends one SingleResponse. A revocation without a
+// reason code carries no reason field at all.
+func appendSingleResponse(b []byte, s *SingleResponse) ([]byte, error) {
+	b, sr := pkixutil.Begin(b, pkixutil.TagSequence)
+	b, err := appendCertID(b, &s.CertID)
+	if err != nil {
+		return b, err
+	}
+	switch s.Status {
+	case Good:
+		b = append(b, pkixutil.TagContextPrimitive|0, 0)
+	case Unknown:
+		b = append(b, pkixutil.TagContextPrimitive|2, 0)
+	case Revoked:
+		// revokedInfo is a SEQUENCE implicitly tagged [1].
+		var ri int
+		b, ri = pkixutil.Begin(b, pkixutil.TagContextExplicit|1)
+		if b, err = pkixutil.AppendGeneralizedTime(b, s.RevokedAt.UTC().Truncate(time.Second)); err != nil {
+			return b, err
+		}
+		if s.Reason != pkixutil.ReasonAbsent {
+			var rc int
+			b, rc = pkixutil.Begin(b, pkixutil.TagContextExplicit|0)
+			b = pkixutil.AppendEnumerated(b, int64(s.Reason))
+			b = pkixutil.End(b, rc)
+		}
+		b = pkixutil.End(b, ri)
+	default:
+		return b, fmt.Errorf("ocsp: unsupported cert status %v", s.Status)
+	}
+	if b, err = pkixutil.AppendGeneralizedTime(b, s.ThisUpdate.UTC().Truncate(time.Second)); err != nil {
+		return b, err
+	}
+	// A zero nextUpdate is the blank one (§5.4) and is omitted.
+	if next := s.NextUpdate.UTC().Truncate(time.Second); !next.IsZero() {
+		var nu int
+		b, nu = pkixutil.Begin(b, pkixutil.TagContextExplicit|0)
+		if b, err = pkixutil.AppendGeneralizedTime(b, next); err != nil {
+			return b, err
+		}
+		b = pkixutil.End(b, nu)
+	}
+	return pkixutil.End(b, sr), nil
+}
+
+// envelope wraps signed ResponseData in the BasicOCSPResponse and the
+// successful OCSPResponse around it, sizing everything first so the result
+// is one exact-size allocation.
+func envelope(tbs, sigAlg, sig []byte, certs []*x509.Certificate) []byte {
+	basicLen := len(tbs) + len(sigAlg) + pkixutil.HeaderLen(1+len(sig)) + 1 + len(sig)
+	certsLen := 0
+	if len(certs) > 0 {
+		for _, c := range certs {
+			certsLen += len(c.Raw)
+		}
+		seqLen := pkixutil.HeaderLen(certsLen) + certsLen
+		basicLen += pkixutil.HeaderLen(seqLen) + seqLen
+	}
+	basicTLV := pkixutil.HeaderLen(basicLen) + basicLen
+	bytesLen := len(pkixutil.OIDOCSPBasicDER) + pkixutil.HeaderLen(basicTLV) + basicTLV
+	bytesTLV := pkixutil.HeaderLen(bytesLen) + bytesLen
+	outerLen := len(successfulStatus) + pkixutil.HeaderLen(bytesTLV) + bytesTLV
+
+	out := make([]byte, 0, pkixutil.HeaderLen(outerLen)+outerLen)
+	out = pkixutil.AppendHeader(out, pkixutil.TagSequence, outerLen)
+	out = append(out, successfulStatus...)
+	out = pkixutil.AppendHeader(out, pkixutil.TagContextExplicit|0, bytesTLV)
+	out = pkixutil.AppendHeader(out, pkixutil.TagSequence, bytesLen)
+	out = append(out, pkixutil.OIDOCSPBasicDER...)
+	out = pkixutil.AppendHeader(out, pkixutil.TagOctetString, basicTLV)
+	out = pkixutil.AppendHeader(out, pkixutil.TagSequence, basicLen)
+	out = append(out, tbs...)
+	out = append(out, sigAlg...)
+	out = pkixutil.AppendBitString(out, sig)
+	if len(certs) > 0 {
+		out = pkixutil.AppendHeader(out, pkixutil.TagContextExplicit|0, pkixutil.HeaderLen(certsLen)+certsLen)
+		out = pkixutil.AppendHeader(out, pkixutil.TagSequence, certsLen)
+		for _, c := range certs {
+			out = append(out, c.Raw...)
+		}
+	}
+	return out
+}
+
+// successfulStatus is the DER ENUMERATED responseStatus successful(0).
+var successfulStatus = []byte{pkixutil.TagEnumerated, 1, byte(StatusSuccessful)}
 
 // CreateErrorResponse builds an unsigned OCSP error response (tryLater,
 // internalError, ...) — these have no responseBytes at all per RFC 6960.
@@ -255,95 +325,9 @@ func CreateErrorResponse(status ResponseStatus) ([]byte, error) {
 	if status == StatusSuccessful {
 		return nil, errors.New("ocsp: successful responses need CreateResponse")
 	}
-	// Marshal just the status; the optional responseBytes is omitted.
-	type errorResponse struct {
-		Status asn1.Enumerated
-	}
-	der, err := asn1.Marshal(errorResponse{Status: asn1.Enumerated(status)})
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: marshal error response: %w", err)
-	}
-	return der, nil
-}
-
-func wrapResponseBytes(status ResponseStatus, basicDER []byte) ([]byte, error) {
-	w := ocspResponseASN1{
-		Status: asn1.Enumerated(status),
-		ResponseBytes: responseBytesASN1{
-			ResponseType: pkixutil.OIDOCSPBasic,
-			Response:     basicDER,
-		},
-	}
-	der, err := asn1.Marshal(w)
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: marshal response: %w", err)
-	}
-	return der, nil
-}
-
-func singleToASN1(s SingleResponse) (singleResponseASN1, error) {
-	idW, err := s.CertID.toASN1()
-	if err != nil {
-		return singleResponseASN1{}, err
-	}
-	w := singleResponseASN1{
-		CertID:     idW,
-		ThisUpdate: s.ThisUpdate.UTC().Truncate(time.Second),
-	}
-	if !s.NextUpdate.IsZero() {
-		w.NextUpdate = s.NextUpdate.UTC().Truncate(time.Second)
-	}
-	switch s.Status {
-	case Good:
-		w.CertStatus = asn1.RawValue{Class: asn1.ClassContextSpecific, Tag: 0}
-	case Unknown:
-		w.CertStatus = asn1.RawValue{Class: asn1.ClassContextSpecific, Tag: 2}
-	case Revoked:
-		// Reason defaults to the ReasonAbsent sentinel, which matches
-		// the struct tag's default and is therefore omitted from the
-		// encoding — revocations without a reason code carry none.
-		ri := revokedInfoASN1{
-			RevocationTime: s.RevokedAt.UTC().Truncate(time.Second),
-			Reason:         asn1.Enumerated(pkixutil.ReasonAbsent),
-		}
-		if s.Reason != pkixutil.ReasonAbsent {
-			ri.Reason = asn1.Enumerated(s.Reason)
-		}
-		riDER, err := asn1.Marshal(ri)
-		if err != nil {
-			return singleResponseASN1{}, fmt.Errorf("ocsp: marshal revokedInfo: %w", err)
-		}
-		// Re-tag the SEQUENCE as implicit [1]: keep the contents,
-		// replace the outer tag.
-		var raw asn1.RawValue
-		if _, err := asn1.Unmarshal(riDER, &raw); err != nil {
-			return singleResponseASN1{}, err
-		}
-		w.CertStatus = asn1.RawValue{
-			Class:      asn1.ClassContextSpecific,
-			Tag:        1,
-			IsCompound: true,
-			Bytes:      raw.Bytes,
-		}
-	default:
-		return singleResponseASN1{}, fmt.Errorf("ocsp: unsupported cert status %v", s.Status)
-	}
-	return w, nil
-}
-
-// marshalExplicit wraps already-DER-encoded inner bytes in an explicit
-// context-specific tag.
-func marshalExplicit(tag int, inner []byte) (asn1.RawValue, error) {
-	b, err := asn1.Marshal(asn1.RawValue{
-		Class:      asn1.ClassContextSpecific,
-		Tag:        tag,
-		IsCompound: true,
-		Bytes:      inner,
-	})
-	if err != nil {
-		return asn1.RawValue{}, err
-	}
-	return asn1.RawValue{FullBytes: b}, nil
+	b, seq := pkixutil.Begin(nil, pkixutil.TagSequence)
+	b = pkixutil.AppendEnumerated(b, int64(status))
+	return pkixutil.End(b, seq), nil
 }
 
 // ParseResponse decodes a DER OCSP response. It performs structural

@@ -20,6 +20,7 @@ import (
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"encoding/asn1"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/big"
@@ -87,9 +88,8 @@ func deterministicP256Key(rand io.Reader) (*DeterministicSigner, error) {
 		return nil, fmt.Errorf("pki: read key material: %w", err)
 	}
 	curve := elliptic.P256()
-	nMinus1 := new(big.Int).Sub(curve.Params().N, big.NewInt(1))
 	d := new(big.Int).SetBytes(buf[:])
-	d.Mod(d, nMinus1)
+	d.Mod(d, p256NMinus1)
 	d.Add(d, big.NewInt(1))
 	priv := &ecdsa.PrivateKey{D: d}
 	priv.Curve = curve
@@ -108,10 +108,9 @@ type DeterministicSigner struct {
 	*ecdsa.PrivateKey
 }
 
-// ecdsaSignature is the SEQUENCE { r INTEGER, s INTEGER } signature form.
-type ecdsaSignature struct {
-	R, S *big.Int
-}
+// p256NMinus1 is N−1 of P-256: key and nonce scalars are reduced modulo
+// it and shifted into [1, N−1].
+var p256NMinus1 = new(big.Int).Sub(elliptic.P256().Params().N, big.NewInt(1))
 
 // Sign implements crypto.Signer with a derived nonce. digest must already
 // be hashed; opts' hash function is not consulted (matching how ECDSA
@@ -119,33 +118,37 @@ type ecdsaSignature struct {
 func (k *DeterministicSigner) Sign(_ io.Reader, digest []byte, _ crypto.SignerOpts) ([]byte, error) {
 	curve := k.Curve
 	N := curve.Params().N
+	nMinus1 := p256NMinus1
+	if curve != elliptic.P256() {
+		nMinus1 = new(big.Int).Sub(N, big.NewInt(1))
+	}
 	z := hashToInt(digest, N)
 	// Nonce stream: SHA-512(len(d) || d || digest || counter), widened to
 	// 40 bytes and reduced like the key scalar. Same (key, digest) always
 	// yields the same k; distinct digests decouple immediately in the
-	// hash, so nonces never repeat across messages.
-	dBytes := k.D.Bytes()
-	nMinus1 := new(big.Int).Sub(N, big.NewInt(1))
+	// hash, so nonces never repeat across messages. The input is built
+	// once, on the stack for the usual sizes, and only the counter changes.
+	dLen := (k.D.BitLen() + 7) / 8
+	var stack [1 + 66 + 64 + 4]byte
+	msg := append(stack[:0], byte(dLen))
+	msg = append(msg, make([]byte, dLen)...)
+	k.D.FillBytes(msg[1:])
+	msg = append(msg, digest...)
+	msg = append(msg, 0, 0, 0, 0)
+	ctrAt := len(msg) - 4
+	// ScalarBaseMult takes the nonce at the order's full width, the form
+	// it would otherwise pad a minimal encoding to.
+	var scalar [66]byte
+	kBytes := scalar[:(N.BitLen()+7)/8]
 	for ctr := uint32(0); ; ctr++ {
-		h := sha512.New()
-		var lenByte [1]byte
-		lenByte[0] = byte(len(dBytes))
-		h.Write(lenByte[:])
-		h.Write(dBytes)
-		h.Write(digest)
-		var ctrBytes [4]byte
-		ctrBytes[0] = byte(ctr >> 24)
-		ctrBytes[1] = byte(ctr >> 16)
-		ctrBytes[2] = byte(ctr >> 8)
-		ctrBytes[3] = byte(ctr)
-		h.Write(ctrBytes[:])
-		sum := h.Sum(nil)
+		binary.BigEndian.PutUint32(msg[ctrAt:], ctr)
+		sum := sha512.Sum512(msg)
 
 		kInt := new(big.Int).SetBytes(sum[:40])
 		kInt.Mod(kInt, nMinus1)
 		kInt.Add(kInt, big.NewInt(1))
 
-		rx, _ := curve.ScalarBaseMult(kInt.Bytes())
+		rx, _ := curve.ScalarBaseMult(kInt.FillBytes(kBytes))
 		r := new(big.Int).Mod(rx, N)
 		if r.Sign() == 0 {
 			continue
@@ -161,8 +164,19 @@ func (k *DeterministicSigner) Sign(_ io.Reader, digest []byte, _ crypto.SignerOp
 		if s.Sign() == 0 {
 			continue
 		}
-		return asn1.Marshal(ecdsaSignature{R: r, S: s})
+		return marshalSignature(r, s), nil
 	}
+}
+
+// marshalSignature encodes the SEQUENCE { r INTEGER, s INTEGER } signature
+// form in one exact-size allocation.
+func marshalSignature(r, s *big.Int) []byte {
+	rLen, sLen := pkixutil.IntegerLen(r), pkixutil.IntegerLen(s)
+	n := pkixutil.HeaderLen(rLen) + rLen + pkixutil.HeaderLen(sLen) + sLen
+	out := make([]byte, 0, pkixutil.HeaderLen(n)+n)
+	out = pkixutil.AppendHeader(out, pkixutil.TagSequence, n)
+	out = pkixutil.AppendInteger(out, r)
+	return pkixutil.AppendInteger(out, s)
 }
 
 // hashToInt converts a digest to an integer the way ECDSA does: truncate to

@@ -4,9 +4,12 @@
 // revocation reason codes, and the issuer name/key hashing used by OCSP
 // CertIDs.
 //
-// Everything here is built on the standard library only (encoding/asn1 and
-// the crypto tree); no golang.org/x/crypto dependency is used anywhere in
-// this module.
+// The OCSP encoders are built on this package's append-style DER writer
+// (der.go), which emits the same bytes encoding/asn1 would without
+// reflection. The parsers, the CRL codec and the one-time setup of
+// precomputed identifiers still use encoding/asn1. Everything is standard
+// library only; no golang.org/x/crypto dependency is used anywhere in this
+// module.
 package pkixutil
 
 import (
@@ -106,16 +109,24 @@ func HashFromOID(oid asn1.ObjectIdentifier) (crypto.Hash, error) {
 	return 0, fmt.Errorf("pkixutil: unknown hash OID %v", oid)
 }
 
-// HashAlgorithmIdentifier builds the AlgorithmIdentifier for a hash OID as
-// used inside OCSP CertIDs. RFC 6960 encodes the SHA-1 identifier with an
-// explicit NULL parameter, matching OpenSSL; we do the same for
-// compatibility.
-func HashAlgorithmIdentifier(h crypto.Hash) (AlgorithmIdentifier, error) {
-	oid, err := HashOID(h)
-	if err != nil {
-		return AlgorithmIdentifier{}, err
+// hashAlgorithmIDs holds the DER AlgorithmIdentifier of each hash
+// HashOID supports, as used inside OCSP CertIDs.
+var hashAlgorithmIDs = map[crypto.Hash][]byte{
+	crypto.SHA1:   mustDER(AlgorithmIdentifier{Algorithm: OIDSHA1, Parameters: asn1NULL}),
+	crypto.SHA256: mustDER(AlgorithmIdentifier{Algorithm: OIDSHA256, Parameters: asn1NULL}),
+	crypto.SHA384: mustDER(AlgorithmIdentifier{Algorithm: OIDSHA384, Parameters: asn1NULL}),
+	crypto.SHA512: mustDER(AlgorithmIdentifier{Algorithm: OIDSHA512, Parameters: asn1NULL}),
+}
+
+// HashAlgorithmIdentifierDER returns the DER AlgorithmIdentifier for a
+// hash as used inside OCSP CertIDs. RFC 6960 encodes the SHA-1 identifier
+// with an explicit NULL parameter, matching OpenSSL; we do the same for
+// every hash, for compatibility. The slice is shared: do not modify it.
+func HashAlgorithmIdentifierDER(h crypto.Hash) ([]byte, error) {
+	if der, ok := hashAlgorithmIDs[h]; ok {
+		return der, nil
 	}
-	return AlgorithmIdentifier{Algorithm: oid, Parameters: asn1NULL}, nil
+	return nil, fmt.Errorf("pkixutil: unsupported hash %v", h)
 }
 
 // SignatureAlgorithm describes a signature scheme supported by SignTBS and
@@ -148,19 +159,46 @@ func SignatureAlgorithmByOID(oid asn1.ObjectIdentifier) (SignatureAlgorithm, err
 	return SignatureAlgorithm{}, fmt.Errorf("pkixutil: unsupported signature algorithm %v", oid)
 }
 
+// signScheme is a signature scheme SignTBS signs with: SHA-256 with the
+// signer's key family, its AlgorithmIdentifier as a struct (for the
+// encoding/asn1 CRL codec) and as precomputed DER (for the DER writer).
+type signScheme struct {
+	family string
+	id     AlgorithmIdentifier
+	der    []byte
+}
+
+var (
+	schemeRSA   = newSignScheme("RSA", AlgorithmIdentifier{Algorithm: OIDSignatureSHA256WithRSA, Parameters: asn1NULL})
+	schemeECDSA = newSignScheme("ECDSA", AlgorithmIdentifier{Algorithm: OIDSignatureECDSAWithSHA256})
+)
+
+func newSignScheme(family string, id AlgorithmIdentifier) *signScheme {
+	return &signScheme{family: family, id: id, der: mustDER(id)}
+}
+
+// schemeForKey picks the scheme for the signer's key family.
+func schemeForKey(signer crypto.Signer) (*signScheme, error) {
+	switch signer.Public().(type) {
+	case *rsa.PublicKey:
+		return schemeRSA, nil
+	case *ecdsa.PublicKey:
+		return schemeECDSA, nil
+	default:
+		return nil, fmt.Errorf("pkixutil: unsupported key type %T", signer.Public())
+	}
+}
+
 // SignatureAlgorithmForKey returns the AlgorithmIdentifier SignTBS will use
 // for the given signer's key family, without signing anything. CRL encoding
 // needs this because the inner tbsCertList carries a copy of the signature
 // algorithm that must be fixed before signing.
 func SignatureAlgorithmForKey(signer crypto.Signer) (AlgorithmIdentifier, error) {
-	switch signer.Public().(type) {
-	case *rsa.PublicKey:
-		return AlgorithmIdentifier{Algorithm: OIDSignatureSHA256WithRSA, Parameters: asn1NULL}, nil
-	case *ecdsa.PublicKey:
-		return AlgorithmIdentifier{Algorithm: OIDSignatureECDSAWithSHA256}, nil
-	default:
-		return AlgorithmIdentifier{}, fmt.Errorf("pkixutil: unsupported key type %T", signer.Public())
+	s, err := schemeForKey(signer)
+	if err != nil {
+		return AlgorithmIdentifier{}, err
 	}
+	return s.id, nil
 }
 
 // SignTBS signs the DER encoding of a to-be-signed structure with the given
@@ -168,23 +206,35 @@ func SignatureAlgorithmForKey(signer crypto.Signer) (AlgorithmIdentifier, error)
 // ECDSA). It returns the AlgorithmIdentifier to embed alongside the
 // signature.
 func SignTBS(rand io.Reader, signer crypto.Signer, tbs []byte) (AlgorithmIdentifier, []byte, error) {
-	digest := sha256.Sum256(tbs)
-	switch signer.Public().(type) {
-	case *rsa.PublicKey:
-		sig, err := signer.Sign(rand, digest[:], crypto.SHA256)
-		if err != nil {
-			return AlgorithmIdentifier{}, nil, fmt.Errorf("pkixutil: RSA sign: %w", err)
-		}
-		return AlgorithmIdentifier{Algorithm: OIDSignatureSHA256WithRSA, Parameters: asn1NULL}, sig, nil
-	case *ecdsa.PublicKey:
-		sig, err := signer.Sign(rand, digest[:], crypto.SHA256)
-		if err != nil {
-			return AlgorithmIdentifier{}, nil, fmt.Errorf("pkixutil: ECDSA sign: %w", err)
-		}
-		return AlgorithmIdentifier{Algorithm: OIDSignatureECDSAWithSHA256}, sig, nil
-	default:
-		return AlgorithmIdentifier{}, nil, fmt.Errorf("pkixutil: unsupported key type %T", signer.Public())
+	s, sig, err := signTBS(rand, signer, tbs)
+	if err != nil {
+		return AlgorithmIdentifier{}, nil, err
 	}
+	return s.id, sig, nil
+}
+
+// SignTBSDER is SignTBS for the DER writer: it returns the
+// AlgorithmIdentifier as precomputed DER. The slice is shared: do not
+// modify it.
+func SignTBSDER(rand io.Reader, signer crypto.Signer, tbs []byte) ([]byte, []byte, error) {
+	s, sig, err := signTBS(rand, signer, tbs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.der, sig, nil
+}
+
+func signTBS(rand io.Reader, signer crypto.Signer, tbs []byte) (*signScheme, []byte, error) {
+	s, err := schemeForKey(signer)
+	if err != nil {
+		return nil, nil, err
+	}
+	digest := sha256.Sum256(tbs)
+	sig, err := signer.Sign(rand, digest[:], crypto.SHA256)
+	if err != nil {
+		return nil, nil, fmt.Errorf("pkixutil: %s sign: %w", s.family, err)
+	}
+	return s, sig, nil
 }
 
 // VerifyTBS verifies a signature over a TBS blob produced by SignTBS or any

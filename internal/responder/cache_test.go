@@ -2,12 +2,14 @@ package responder
 
 import (
 	"bytes"
+	"context"
 	"crypto"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/netmeasure/muststaple/internal/clock"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/pki"
 	"github.com/netmeasure/muststaple/internal/pkixutil"
@@ -155,6 +157,47 @@ func TestOnDemandSigningBypassesCache(t *testing.T) {
 	}
 	if hits, misses := r.CacheStats(); hits != 0 || misses != 0 {
 		t.Errorf("cache stats = %d/%d, want 0/0 with on-demand signing", hits, misses)
+	}
+}
+
+// TestOnDemandMemoSkippedOnWallClock: an on-demand responder keys its memo
+// on the exact instant, which the wall clock never repeats, so it must
+// store nothing there — while under a simulated clock the same-tick
+// fan-out across vantages is still served from the memo.
+func TestOnDemandMemoSkippedOnWallClock(t *testing.T) {
+	f := newFixture(t)
+	reqDER, _ := f.request(t)
+	entries := func(r *Responder) int {
+		n := 0
+		for i := range r.cache.shards {
+			n += len(r.cache.shards[i].m)
+		}
+		return n
+	}
+	wall := New("ocsp.resp.test", f.ca, f.db, clock.Real{}, Profile{})
+	for i := 0; i < 5; i++ {
+		res, err := wall.Respond(context.Background(), reqDER)
+		if err != nil || res.Source != SourceSigned {
+			t.Fatalf("wall clock: Respond = %v, %v; want a fresh signature", res.Source, err)
+		}
+	}
+	if n := entries(wall); n != 0 {
+		t.Errorf("wall clock: memo holds %d entries, want 0", n)
+	}
+
+	r := New("ocsp.resp.test", f.ca, f.db, f.clk, Profile{})
+	for vantage := 0; vantage < 6; vantage++ {
+		res, err := r.Respond(context.Background(), reqDER)
+		want := SourceCache
+		if vantage == 0 {
+			want = SourceSigned
+		}
+		if err != nil || res.Source != want {
+			t.Fatalf("simulated clock, vantage %d: Respond = %v, %v; want %v", vantage, res.Source, err, want)
+		}
+	}
+	if n := entries(r); n != 1 {
+		t.Errorf("simulated clock: memo holds %d entries, want 1", n)
 	}
 }
 

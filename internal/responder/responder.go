@@ -586,22 +586,27 @@ func (r *Responder) respond(reqDER []byte) (der []byte, meta Meta, hasMeta, ok b
 // their update window (a pre-generated response serves its whole window,
 // revocations included — §2.2); on-demand responders key on the exact
 // instant plus the database's status generation, memoizing only the
-// same-tick fan-out across vantage points.
+// same-tick fan-out across vantage points. That fan-out exists only under
+// a simulated clock: on the wall clock an instant never repeats, so an
+// on-demand responder there stores nothing — every entry would be dead
+// weight on the heap (DESIGN.md §17).
 //
 //lint:allocfree
 func (r *Responder) cacheKeyFor(reqDER []byte, now time.Time) (respKey, bool) {
 	if r.onDemandSign {
 		return respKey{}, false
 	}
-	h := fnv64(reqDER)
 	if r.Profile.CacheResponses {
-		return respKey{hash: h, epoch: r.windowStart(now).UnixNano()}, true
+		return respKey{hash: fnv64(reqDER), epoch: r.windowStart(now).UnixNano()}, true
+	}
+	if _, wall := r.Clock.(clock.Real); wall {
+		return respKey{}, false
 	}
 	var gen uint64
 	if r.DB != nil {
 		gen = r.DB.Generation()
 	}
-	return respKey{hash: h, epoch: now.UnixNano(), gen: gen}, true
+	return respKey{hash: fnv64(reqDER), epoch: now.UnixNano(), gen: gen}, true
 }
 
 // shouldCache reports whether a freshly generated response may be stored.
