@@ -6,6 +6,11 @@
 #   tier2       — static analysis (vet + repolint) plus the full suite
 #                 under the race detector (the pipelined campaign engine
 #                 is concurrent; this is the tier that guards it).
+#   benchcheck  — builds and tests the repository benchmark (bench/, a
+#                 module of its own that `go test ./...` at the root does
+#                 not reach): its short run of every workload plus its
+#                 lint, so an API change the harness compiles against
+#                 fails here rather than at benchmark time.
 #   bench-guard — asserts the pipelined engine is not slower than the
 #                 legacy round-barrier engine, the parallel world build is
 #                 not slower than the serial reference (each reports a
@@ -35,12 +40,12 @@
 #   bench-snapshot — runs the guard benchmarks plus the world-scale memory
 #                 sweep (heap-peak-bytes at 1× and 10×), the OCSP/CRL
 #                 codec, CRL Find, responder hot-path, scan-client cache,
-#                 and observation-store micro-benchmarks, then an ocspload
+#                 window-cached scan, and observation-store micro-benchmarks, then an ocspload
 #                 open-loop run against a real loopback serving tier
 #                 (p50/p99/p999 over the socket) plus a closed-loop
 #                 capacity search (max sustainable req/s under the p99
 #                 SLO), and archives the results as $(BENCH_SNAPSHOT)
-#                 (default BENCH_PR12.json, via cmd/benchjson).
+#                 (default BENCH_PR13.json, via cmd/benchjson).
 #   bench-compare — diffs the previous archived snapshot against the
 #                 current one (via cmd/benchjson -compare); warns and
 #                 succeeds when either snapshot is missing, so fresh
@@ -68,7 +73,7 @@ GO ?= go
 RACE_PKGS = ./internal/ocspserver ./internal/loadgen ./internal/responder \
 	./internal/scanner ./internal/store ./internal/core ./internal/expectstaple
 
-.PHONY: all tier1 tier2 loadcheck capacitycheck staplecheck memcheck racecheck fuzzcheck bench-guard bench bench-snapshot bench-compare crash-recovery vet fmt fmt-check lint
+.PHONY: all tier1 tier2 benchcheck loadcheck capacitycheck staplecheck memcheck racecheck fuzzcheck bench-guard bench bench-snapshot bench-compare crash-recovery vet fmt fmt-check lint
 
 all: tier1
 
@@ -76,8 +81,14 @@ tier1: vet fmt-check lint
 	$(GO) build ./...
 	$(GO) test ./...
 
-tier2: vet lint racecheck fuzzcheck loadcheck capacitycheck staplecheck memcheck
+tier2: vet lint racecheck fuzzcheck loadcheck capacitycheck staplecheck memcheck benchcheck
 	$(GO) test -race ./...
+
+# benchcheck runs the benchmark module's own tests (~17s): bench/ builds
+# against the scanner, netsim, serving and store APIs, and no other target
+# compiles it.
+benchcheck:
+	cd bench && $(GO) test ./...
 
 # racecheck is the quick race gate: -short keeps each package's suite to
 # its fast paths, so the whole pass stays well under the full -race run.
@@ -154,14 +165,14 @@ bench-snapshot:
 	  $(GO) test -run - -bench '^(BenchmarkStoreAppend|BenchmarkStoreScan)$$' -benchtime 100x . ; \
 	  $(GO) test -run - -bench '^BenchmarkServeGETHot$$' . ; \
 	  $(GO) test -run - -bench '^BenchmarkCRLFindMiss$$' ./internal/crl ; \
-	  $(GO) test -run - -bench BenchmarkClientCaches ./internal/scanner ; \
+	  $(GO) test -run - -bench '^(BenchmarkClientCaches|BenchmarkScanCached)$$' ./internal/scanner ; \
 	  $(GO) run ./cmd/ocspload -selfserve -rate 2000 -duration 5s -bench ServingTierLoad ; \
 	  $(GO) run ./cmd/ocspload -selfserve -capacity -slo 25ms -probe-duration 2s \
 		-start-rate 1000 -max-rate 65536 -bench ServingTierCapacity ; \
 	  $(GO) run ./cmd/staplereport -ingestcheck -reports 200000 -workers 8 \
 		-min-rate 0 -max-heap-mb 0 -bench StapleIngest ; } | $(GO) run ./cmd/benchjson > $(BENCH_SNAPSHOT)
 
-BENCH_SNAPSHOT ?= BENCH_PR12.json
+BENCH_SNAPSHOT ?= BENCH_PR13.json
 BENCH_BASE ?= BENCH_PR10.json
 BENCH_HEAD ?= $(BENCH_SNAPSHOT)
 

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sort"
 	"sync"
 	"time"
@@ -127,6 +126,7 @@ type Rule struct {
 	HTTPStatus int
 }
 
+//lint:allocfree
 func (r *Rule) matches(host, backend, vantage string, at time.Time) bool {
 	if r.Host != "" && r.Host != host {
 		return false
@@ -165,17 +165,36 @@ type hostEntry struct {
 	backend string
 }
 
+// indexedRule is a rule with its installation sequence number, which
+// orders rules across the host and backend indexes.
+type indexedRule struct {
+	seq  int
+	rule *Rule
+}
+
 // Network is the simulated Internet: a host registry plus failure rules.
+//
+// Rules are indexed by the name they target: byHost holds every rule that
+// names a host (including rules that also name a backend), byBackend every
+// backend-only rule, each in installation order. An exchange visits only
+// the rules under its host and its host's backend, so its cost does not
+// grow with the size of the failure schedule.
 type Network struct {
 	mu        sync.RWMutex
 	hosts     map[string]hostEntry
-	rules     []*Rule
+	byHost    map[string][]indexedRule
+	byBackend map[string][]indexedRule
+	nrules    int
 	serveCost func(http.Header) time.Duration
 }
 
 // New returns an empty network.
 func New() *Network {
-	return &Network{hosts: make(map[string]hostEntry)}
+	return &Network{
+		hosts:     make(map[string]hostEntry),
+		byHost:    make(map[string][]indexedRule),
+		byBackend: make(map[string][]indexedRule),
+	}
 }
 
 // RegisterHost attaches a handler to a hostname. backend groups hosts that
@@ -190,11 +209,21 @@ func (n *Network) RegisterHost(host, backend string, h http.Handler) {
 	n.hosts[host] = hostEntry{handler: h, backend: backend}
 }
 
-// AddRule installs a failure rule.
+// AddRule installs a failure rule. When several rules match an exchange,
+// the one installed first wins. The rule is indexed by its Host (or, for a
+// backend-only rule, its Backend) at installation, so it must not be
+// modified afterwards. A rule naming neither never matches and is dropped.
 func (n *Network) AddRule(r *Rule) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.rules = append(n.rules, r)
+	ir := indexedRule{seq: n.nrules, rule: r}
+	n.nrules++
+	switch {
+	case r.Host != "":
+		n.byHost[r.Host] = append(n.byHost[r.Host], ir)
+	case r.Backend != "":
+		n.byBackend[r.Backend] = append(n.byBackend[r.Backend], ir)
+	}
 }
 
 // SetServeCost installs an optional server-side processing-delay model:
@@ -251,15 +280,16 @@ func (n *Network) Do(vantage Vantage, at time.Time, req *http.Request) (*Result,
 	host := req.URL.Host
 	n.mu.RLock()
 	entry, registered := n.hosts[host]
-	rules := n.rules
+	// AddRule only appends, so these slices stay valid after unlocking.
+	hostRules := n.byHost[host]
+	var backendRules []indexedRule
+	if entry.backend != "" {
+		backendRules = n.byBackend[entry.backend]
+	}
 	serveCost := n.serveCost
 	n.mu.RUnlock()
 
-	backend := entry.backend
-	for _, r := range rules {
-		if !r.matches(host, backend, vantage.Name, at) {
-			continue
-		}
+	if r := firstMatch(hostRules, backendRules, host, entry.backend, vantage.Name, at); r != nil {
 		switch r.Kind {
 		case FailDNS, FailTCP, FailTLS:
 			return nil, &Error{Kind: r.Kind, Host: host, Vantage: vantage.Name}
@@ -287,20 +317,40 @@ func (n *Network) Do(vantage Vantage, at time.Time, req *http.Request) (*Result,
 	return &Result{Status: rec.status, Body: rec.body.Bytes(), Headers: rec.header, Latency: lat}, nil
 }
 
+// firstMatch returns the earliest-installed rule among a host's and its
+// backend's rules that matches the exchange, or nil. Both lists are in
+// installation order, so a merge by sequence number visits the candidates
+// in the order a scan of every rule would.
+//
+//lint:allocfree
+func firstMatch(hostRules, backendRules []indexedRule, host, backend, vantage string, at time.Time) *Rule {
+	i, j := 0, 0
+	for i < len(hostRules) || j < len(backendRules) {
+		var next indexedRule
+		if j == len(backendRules) || (i < len(hostRules) && hostRules[i].seq < backendRules[j].seq) {
+			next = hostRules[i]
+			i++
+		} else {
+			next = backendRules[j]
+			j++
+		}
+		if next.rule.matches(host, backend, vantage, at) {
+			return next.rule
+		}
+	}
+	return nil
+}
+
 // DoSimple is a convenience for POST-style bodies without building an
 // http.Request by hand.
 func (n *Network) DoSimple(vantage Vantage, at time.Time, method, rawURL string, contentType string, body []byte) (*Result, error) {
-	u, err := url.Parse(rawURL)
-	if err != nil {
-		return nil, fmt.Errorf("netsim: parse URL: %w", err)
-	}
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequest(method, u.String(), rd)
+	req, err := http.NewRequest(method, rawURL, rd)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("netsim: build request: %w", err)
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
@@ -311,21 +361,41 @@ func (n *Network) DoSimple(vantage Vantage, at time.Time, method, rawURL string,
 // latency derives a deterministic per-(vantage, host, hour) latency: the
 // vantage RTT floor plus a stable pseudo-random jitter. Deterministic so
 // repeated runs of a seeded world produce identical figures.
+//
+//lint:allocfree
 func (n *Network) latency(v Vantage, host string, at time.Time) time.Duration {
-	h := fnv64(v.Name + "|" + host + "|" + at.Truncate(time.Hour).Format(time.RFC3339))
-	jitter := time.Duration(h%20) * time.Millisecond
+	jitter := time.Duration(latencyHash(v.Name, host, at)%20) * time.Millisecond
 	return v.BaseRTT + jitter
 }
 
-func fnv64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+// FNV-1a parameters (64-bit).
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// latencyHash is FNV-1a over vantage + "|" + host + "|" + the RFC 3339
+// form of at's hour. The pieces are fed in turn and the timestamp is
+// formatted into a stack buffer, so no key string is built; the value
+// equals the hash of the concatenated key.
+//
+//lint:allocfree
+func latencyHash(vantage, host string, at time.Time) uint64 {
+	var stamp [64]byte
+	h := fnvString(fnvOffset, vantage)
+	h = (h ^ '|') * fnvPrime
+	h = fnvString(h, host)
+	h = (h ^ '|') * fnvPrime
+	for _, c := range at.Truncate(time.Hour).AppendFormat(stamp[:0], time.RFC3339) {
+		h = (h ^ uint64(c)) * fnvPrime
+	}
+	return h
+}
+
+//lint:allocfree
+func fnvString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
+		h = (h ^ uint64(s[i])) * fnvPrime
 	}
 	return h
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"math/rand"
 	"net/http"
 	"testing"
 	"time"
@@ -279,5 +280,266 @@ func TestServeCostHook(t *testing.T) {
 	}
 	if again.Latency != base.Latency {
 		t.Errorf("after clearing hook latency = %v, want %v", again.Latency, base.Latency)
+	}
+}
+
+// outcome is the comparable result of one exchange: the failure kind of a
+// transport error, or the HTTP status of a response.
+type outcome struct {
+	kind   FailureKind
+	status int
+}
+
+func exchange(t *testing.T, n *Network, v Vantage, at time.Time, host string) outcome {
+	t.Helper()
+	res, err := n.DoSimple(v, at, http.MethodGet, "http://"+host+"/", "", nil)
+	if err != nil {
+		var ne *Error
+		if !errors.As(err, &ne) {
+			t.Fatalf("%s: unexpected error %v", host, err)
+		}
+		return outcome{kind: ne.Kind}
+	}
+	return outcome{status: res.Status}
+}
+
+// TestRuleIndexFirstMatchWins interleaves host and backend rules and
+// checks that the rule installed first wins, for registered hosts (which
+// see both indexes) and unregistered ones (host rules only).
+func TestRuleIndexFirstMatchWins(t *testing.T) {
+	paris := PaperVantages()[3]
+	tcp := outcome{kind: FailTCP}
+	dns := outcome{kind: FailDNS}
+	tls := outcome{kind: FailTLS}
+	ok := outcome{status: http.StatusOK}
+	status := func(code int) outcome { return outcome{status: code} }
+	type probe struct {
+		host    string
+		vantage Vantage
+		at      time.Time
+		want    outcome
+	}
+	cases := []struct {
+		name   string
+		rules  []Rule
+		probes []probe
+	}{
+		{
+			name: "backend before host",
+			rules: []Rule{
+				{Backend: "grp", Kind: FailTCP},
+				{Host: "a.test", Kind: FailDNS},
+			},
+			probes: []probe{
+				{"a.test", oregon(), t0, tcp},
+				{"b.test", oregon(), t0, tcp},
+				{"solo.test", oregon(), t0, ok},
+			},
+		},
+		{
+			name: "host before backend",
+			rules: []Rule{
+				{Host: "a.test", Kind: FailHTTP, HTTPStatus: http.StatusNotFound},
+				{Backend: "grp", Kind: FailTCP},
+			},
+			probes: []probe{
+				{"a.test", oregon(), t0, status(http.StatusNotFound)},
+				{"b.test", oregon(), t0, tcp},
+			},
+		},
+		{
+			name: "vantage-scoped host rule falls through to a later backend rule",
+			rules: []Rule{
+				{Host: "a.test", Vantages: []string{"Seoul"}, Kind: FailDNS},
+				{Backend: "grp", Vantages: []string{"Seoul", "Oregon"}, Kind: FailTLS},
+				{Host: "a.test", Kind: FailHTTP, HTTPStatus: http.StatusBadGateway},
+			},
+			probes: []probe{
+				{"a.test", seoul(), t0, dns},
+				{"a.test", oregon(), t0, tls},
+				{"a.test", paris, t0, status(http.StatusBadGateway)},
+				{"b.test", paris, t0, ok},
+			},
+		},
+		{
+			name: "windowed backend rule ahead of a persistent host rule",
+			rules: []Rule{
+				{Backend: "grp", Windows: []Window{{From: t0, To: t0.Add(time.Hour)}}, Kind: FailTCP},
+				{Host: "b.test", Kind: FailHTTP, HTTPStatus: http.StatusServiceUnavailable},
+				{Backend: "grp", Windows: []Window{{From: t0.Add(4 * time.Hour)}}, Kind: FailDNS},
+			},
+			probes: []probe{
+				{"b.test", oregon(), t0, tcp},
+				{"b.test", oregon(), t0.Add(2 * time.Hour), status(http.StatusServiceUnavailable)},
+				{"a.test", oregon(), t0.Add(2 * time.Hour), ok},
+				{"a.test", oregon(), t0.Add(5 * time.Hour), dns},
+			},
+		},
+		{
+			name: "host and backend on one rule must both match",
+			rules: []Rule{
+				{Host: "a.test", Backend: "other", Kind: FailDNS},
+				{Host: "a.test", Backend: "grp", Kind: FailTLS},
+				{Backend: "other", Kind: FailTCP},
+			},
+			probes: []probe{
+				{"a.test", oregon(), t0, tls},
+				{"b.test", oregon(), t0, ok},
+			},
+		},
+		{
+			name: "unregistered hosts see host rules only",
+			rules: []Rule{
+				{Backend: "grp", Kind: FailHTTP},
+				{Host: "ghost.test", Vantages: []string{"Seoul"}, Kind: FailTLS},
+				{Host: "ghost.test", Backend: "grp", Kind: FailTCP},
+			},
+			probes: []probe{
+				{"ghost.test", seoul(), t0, tls},
+				{"ghost.test", oregon(), t0, dns}, // no rule matches: NXDOMAIN
+				{"a.test", seoul(), t0, status(http.StatusInternalServerError)},
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := New()
+			n.RegisterHost("a.test", "grp", okHandler("ok"))
+			n.RegisterHost("b.test", "grp", okHandler("ok"))
+			n.RegisterHost("solo.test", "", okHandler("ok"))
+			for i := range tc.rules {
+				n.AddRule(&tc.rules[i])
+			}
+			for _, p := range tc.probes {
+				if got := exchange(t, n, p.vantage, p.at, p.host); got != p.want {
+					t.Errorf("%s from %s at %v: got %+v, want %+v", p.host, p.vantage.Name, p.at, got, p.want)
+				}
+			}
+		})
+	}
+}
+
+// TestRuleIndexMatchesLinearScan checks the index against the definition
+// it replaces: the first rule, in installation order, whose matches
+// reports true. Rules and exchanges are drawn from a fixed seed; most
+// rules are windowed and vantage-scoped, so exchanges are decided by host
+// rules, by backend rules ahead of matching host rules, and by no rule.
+func TestRuleIndexMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	hosts := []string{"a.test", "b.test", "c.test", "d.test", "ghost.test"}
+	backendOf := map[string]string{"a.test": "grp1", "b.test": "grp1", "c.test": "grp2", "d.test": ""}
+	backendNames := []string{"grp1", "grp2", "d.test", "nowhere"}
+	vantages := PaperVantages()
+	n := New()
+	for h, b := range backendOf {
+		n.RegisterHost(h, b, okHandler("ok"))
+	}
+	var rules []*Rule
+	for i := 0; i < 120; i++ {
+		r := &Rule{Kind: FailureKind(1 + rng.Intn(4)), HTTPStatus: 500 + rng.Intn(4)}
+		switch k := rng.Intn(10); {
+		case k < 3:
+			r.Host = hosts[rng.Intn(len(hosts))]
+		case k < 7:
+			r.Backend = backendNames[rng.Intn(len(backendNames))]
+		case k < 9:
+			r.Host = hosts[rng.Intn(len(hosts))]
+			r.Backend = backendNames[rng.Intn(len(backendNames))]
+		}
+		if rng.Intn(3) > 0 {
+			r.Vantages = []string{vantages[rng.Intn(len(vantages))].Name}
+		}
+		if rng.Intn(10) > 0 {
+			from := t0.Add(time.Duration(rng.Intn(48)) * time.Hour)
+			r.Windows = []Window{{From: from, To: from.Add(time.Duration(1+rng.Intn(6)) * time.Hour)}}
+		}
+		rules = append(rules, r)
+		n.AddRule(r)
+	}
+	var byBackend int
+	for i := 0; i < 2000; i++ {
+		host := hosts[rng.Intn(len(hosts))]
+		v := vantages[rng.Intn(len(vantages))]
+		at := t0.Add(time.Duration(rng.Intn(50*60)) * time.Minute)
+		backend, registered := backendOf[host]
+		if registered && backend == "" {
+			backend = host
+		}
+		want := outcome{status: http.StatusOK}
+		if !registered {
+			want = outcome{kind: FailDNS}
+		}
+		for _, r := range rules {
+			if !r.matches(host, backend, v.Name, at) {
+				continue
+			}
+			if r.Host == "" {
+				byBackend++
+			}
+			if r.Kind == FailHTTP {
+				want = outcome{status: r.HTTPStatus}
+			} else {
+				want = outcome{kind: r.Kind}
+			}
+			break
+		}
+		if got := exchange(t, n, v, at, host); got != want {
+			t.Fatalf("%s from %s at %v: got %+v, want %+v", host, v.Name, at, got, want)
+		}
+	}
+	if byBackend == 0 {
+		t.Fatal("no exchange was decided by a backend rule")
+	}
+}
+
+// fnv64 is FNV-1a over a string: the hash the latency model was first
+// defined with, kept here as the oracle for latencyHash.
+func fnv64(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// TestLatencyHashMatchesKeyString pins latencyHash to the hash of the
+// concatenated key it replaced, over every vantage, several hosts, and UTC
+// and non-UTC instants, so the latency model (and every figure built on
+// it) is unchanged; building no key, it must not allocate.
+func TestLatencyHashMatchesKeyString(t *testing.T) {
+	hosts := []string{"", "a.test", "ocsp.comodoca.test:8080", "statush.digitalcertvalidation.test"}
+	zones := []*time.Location{
+		time.UTC,
+		time.FixedZone("IST", 5*3600+1800),
+		time.FixedZone("PDT", -7*3600),
+		time.FixedZone("LMT", 37),
+	}
+	instants := []time.Time{
+		t0,
+		t0.Add(19*time.Hour + 37*time.Minute + 5*time.Second),
+		time.Date(2018, 9, 4, 23, 59, 59, 999, time.UTC),
+		time.Date(1999, 12, 31, 23, 30, 0, 0, time.UTC),
+	}
+	n := New()
+	for _, v := range PaperVantages() {
+		for _, host := range hosts {
+			for _, loc := range zones {
+				for _, base := range instants {
+					at := base.In(loc)
+					want := fnv64(v.Name + "|" + host + "|" + at.Truncate(time.Hour).Format(time.RFC3339))
+					if got := latencyHash(v.Name, host, at); got != want {
+						t.Fatalf("latencyHash(%s, %q, %v) = %#x, want %#x", v.Name, host, at, got, want)
+					}
+					if got, want := n.latency(v, host, at), v.BaseRTT+time.Duration(want%20)*time.Millisecond; got != want {
+						t.Fatalf("latency(%s, %q, %v) = %v, want %v", v.Name, host, at, got, want)
+					}
+				}
+			}
+		}
+	}
+	at := instants[1].In(zones[1])
+	if allocs := testing.AllocsPerRun(100, func() { latencyHash("Sao-Paulo", hosts[3], at) }); allocs != 0 {
+		t.Errorf("latencyHash allocates %v times per call, want 0", allocs)
 	}
 }

@@ -70,7 +70,7 @@ type Handler struct {
 	// readable through FastPathStats), so the hot path never branches on
 	// instrumentation.
 	cRequests, cGET, cPost *metrics.Counter
-	cSourceCache           *metrics.Counter
+	cSource                [numSources]*metrics.Counter
 	cFastHit, cFastMiss    *metrics.Counter
 	cFastEvict             *metrics.Counter
 }
@@ -86,7 +86,9 @@ func (h *Handler) initCounters() {
 	h.cRequests = counter("ocspserver.requests")
 	h.cGET = counter("ocspserver.get")
 	h.cPost = counter("ocspserver.post")
-	h.cSourceCache = counter("ocspserver.source.cache")
+	for src := range h.cSource {
+		h.cSource[src] = counter("ocspserver.source." + responder.ServeSource(src).String())
+	}
 	h.cFastHit = counter("ocspserver.fastpath.hit")
 	h.cFastMiss = counter("ocspserver.fastpath.miss")
 	h.cFastEvict = counter("ocspserver.fastpath.evict")
@@ -198,14 +200,30 @@ func (h *Handler) servePOST(w http.ResponseWriter, req *http.Request) {
 	h.respond(w, req, buf.Bytes(), "")
 }
 
-// Precomputed header values for the fast path: direct map assignment
-// with already-canonical keys skips http.Header.Set's per-call slice
-// allocation and key canonicalization. "Etag" is ETag's canonical MIME
-// form (what Set("ETag", ...) stores), so both paths share one map key.
+// Precomputed header values: direct map assignment with already-canonical
+// keys skips http.Header.Set's per-call slice allocation and key
+// canonicalization. Every response shares these slices, so they must
+// never be mutated. "Etag" is ETag's canonical MIME form (what
+// Set("ETag", ...) stores), so both paths share one map key.
 var (
 	contentTypeResponseVal = []string{ocsp.ContentTypeResponse}
-	sourceCacheVal         = []string{responder.SourceCache.String()}
+	sourceVals             = [numSources][]string{
+		responder.SourceStatic: {responder.SourceStatic.String()},
+		responder.SourceCache:  {responder.SourceCache.String()},
+		responder.SourceSigned: {responder.SourceSigned.String()},
+	}
 )
+
+// numSources is the number of responder.ServeSource values.
+const numSources = int(responder.SourceSigned) + 1
+
+// setResponseHeaders assigns the two headers every OCSP response carries.
+//
+//lint:allocfree
+func setResponseHeaders(hdr http.Header, src responder.ServeSource) {
+	hdr["Content-Type"] = contentTypeResponseVal
+	hdr[responder.SourceHeader] = sourceVals[src]
+}
 
 func (h *Handler) serveGET(w http.ResponseWriter, req *http.Request) {
 	// The escaped path keeps percent-escapes intact, so an escaped '/'
@@ -278,10 +296,9 @@ func (h *Handler) serveFast(w http.ResponseWriter, raw string) bool {
 		return false
 	}
 	h.cFastHit.Inc()
-	h.cSourceCache.Inc()
+	h.cSource[responder.SourceCache].Inc()
 	hdr := w.Header()
-	hdr["Content-Type"] = contentTypeResponseVal
-	hdr[responder.SourceHeader] = sourceCacheVal
+	setResponseHeaders(hdr, responder.SourceCache)
 	secs := (e.nextUpdate - nowNano) / int64(time.Second)
 	cc := e.cc.Load()
 	if cc == nil || cc.secs != secs {
@@ -334,14 +351,9 @@ func (h *Handler) respond(w http.ResponseWriter, req *http.Request, reqDER []byt
 		h.count("ocspserver.canceled")
 		return
 	}
-	if res.Source == responder.SourceCache {
-		h.cSourceCache.Inc()
-	} else {
-		h.count("ocspserver.source." + res.Source.String())
-	}
+	h.cSource[res.Source].Inc()
 	hdr := w.Header()
-	hdr.Set("Content-Type", ocsp.ContentTypeResponse)
-	hdr.Set(responder.SourceHeader, res.Source.String())
+	setResponseHeaders(hdr, res.Source)
 	// RFC 5019 §6: GET responses from well-behaved responders carry
 	// standard HTTP caching headers derived from the validity window, so
 	// intermediate caches (and CDNs fronting responders, §5.2) can serve
@@ -406,9 +418,8 @@ func (h *Handler) route(reqDER []byte) (*responder.Responder, bool) {
 
 // writeStatic frames an unsigned static OCSP body (error responses).
 func (h *Handler) writeStatic(w http.ResponseWriter, der []byte) {
-	h.count("ocspserver.source." + responder.SourceStatic.String())
-	w.Header().Set("Content-Type", ocsp.ContentTypeResponse)
-	w.Header().Set(responder.SourceHeader, responder.SourceStatic.String())
+	h.cSource[responder.SourceStatic].Inc()
+	setResponseHeaders(w.Header(), responder.SourceStatic)
 	w.Write(der)
 }
 

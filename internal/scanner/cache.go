@@ -3,11 +3,12 @@ package scanner
 import "sync"
 
 // Sharded client caches. The campaign engine runs dozens of concurrent
-// workers through one Client, and with a single mutex over the three
-// memoization maps every scan serialized on the same lock. The caches are
-// instead split across a power-of-two number of shards selected by the
-// entry's content hash: each shard has its own mutex and its own bounded
-// map, so concurrent scans contend only when they land on the same shard.
+// workers through one Client, and with a single mutex over its
+// memoization maps every scan serialized on the same lock. The two caches
+// (parsed responses and signature verdicts) are instead split across a
+// power-of-two number of shards selected by the response body's hash:
+// each shard has its own mutex and its own bounded map, so concurrent
+// scans contend only when they land on the same shard.
 //
 // Eviction is bounded per shard: when a shard exceeds its budget it drops
 // roughly half of its entries (Go's randomized map iteration order picks
@@ -18,8 +19,10 @@ import "sync"
 // See DESIGN.md §8.
 const cacheShards = 64 // power of two: shard index is a hash mask
 
-// Per-shard entry budgets. 64 shards × budget reproduces the seed's global
-// bounds (2^17 parsed bodies, 2^18 verification verdicts).
+// Per-shard entry budgets of the two caches. 64 shards × budget reproduces
+// the seed's global bounds (2^17 parsed bodies, 2^18 verification
+// verdicts). Request DER needs no cache: it lives in the per-target probes
+// a campaign run builds once (scanner.go).
 const (
 	parseShardBudget  = 1 << 11
 	verifyShardBudget = 1 << 12
@@ -53,17 +56,16 @@ func (c *shardedCache[K, V]) get(h uint64, key K) (V, bool) {
 	return v, ok
 }
 
-// put inserts key under the shard selected by h. A budget > 0 bounds the
-// shard: on overflow the shard is trimmed to half the budget before the
-// insert, so the map never exceeds budget+1 entries. budget <= 0 means
-// unbounded (for caches whose key space is bounded by construction).
+// put inserts key under the shard selected by h, bounding the shard by
+// budget: on overflow the shard is trimmed to half the budget before the
+// insert, so the map never exceeds budget+1 entries.
 func (c *shardedCache[K, V]) put(h uint64, key K, v V, budget int) {
 	s := c.shardFor(h)
 	s.mu.Lock()
 	if s.m == nil {
 		s.m = make(map[K]V)
 	}
-	if budget > 0 && len(s.m) >= budget {
+	if len(s.m) >= budget {
 		keep := budget / 2
 		for k := range s.m {
 			if len(s.m) <= keep {

@@ -36,8 +36,7 @@ func responseBody(t testing.TB, w *world) []byte {
 // TestParseCacheCollision forces two distinct equal-length bodies onto the
 // same (hash, length) cache key and demands that neither is served the
 // other's parse. Real FNV-64 collisions are infeasible to construct, so the
-// test injects the hash through parseResponseHashed — the exact path
-// parseResponse takes after hashing.
+// test hands parseResponse the same hash for both bodies.
 func TestParseCacheCollision(t *testing.T) {
 	w := newWorld(t, responder.Profile{})
 	good := responseBody(t, w)
@@ -52,21 +51,21 @@ func TestParseCacheCollision(t *testing.T) {
 	c := &Client{Transport: w.net}
 	h := fnvSum(good)
 
-	resp, err := c.parseResponseHashed(h, good)
+	resp, err := c.parseResponse(h, good)
 	if err != nil || resp == nil {
 		t.Fatalf("parse of valid body: resp=%v err=%v", resp, err)
 	}
 
 	// The colliding body must be parsed on its own merits, not served the
 	// cached result for `good`.
-	collResp, collErr := c.parseResponseHashed(h, bad)
+	collResp, collErr := c.parseResponse(h, bad)
 	if collErr == nil {
 		t.Fatalf("collision served the cached parse: resp=%v", collResp)
 	}
 
 	// The collision overwrote the slot; the original body must again
 	// parse correctly rather than inherit the corrupted entry.
-	resp2, err2 := c.parseResponseHashed(h, good)
+	resp2, err2 := c.parseResponse(h, good)
 	if err2 != nil || resp2 == nil {
 		t.Fatalf("re-parse of valid body after collision: resp=%v err=%v", resp2, err2)
 	}
@@ -97,9 +96,9 @@ func TestShardedCacheEviction(t *testing.T) {
 	}
 }
 
-// TestClientCacheStress hammers all three client caches from many
-// goroutines — including the forced-collision parse path — so the race
-// detector (tier 2) can observe any unsynchronized access.
+// TestClientCacheStress hammers both client caches from many goroutines —
+// including the forced-collision parse path — so the race detector (tier
+// 2) can observe any unsynchronized access.
 func TestClientCacheStress(t *testing.T) {
 	w := newWorld(t, responder.Profile{})
 	good := responseBody(t, w)
@@ -109,26 +108,23 @@ func TestClientCacheStress(t *testing.T) {
 	h := fnvSum(good)
 
 	c := &Client{Transport: w.net}
+	p := c.newProbe(w.target)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if _, _, err := c.requestFor(w.target); err != nil {
-					t.Errorf("requestFor: %v", err)
-					return
-				}
-				resp, err := c.parseResponseHashed(h, good)
+				resp, err := c.parseResponse(h, good)
 				if err != nil {
 					t.Errorf("parse good: %v", err)
 					return
 				}
-				if _, err := c.parseResponseHashed(h, bad); err == nil {
+				if _, err := c.parseResponse(h, bad); err == nil {
 					t.Error("collision body parsed cleanly")
 					return
 				}
-				if !c.checkSignature(resp, w.ca.Certificate) {
+				if !c.checkSignature(h, resp, &p) {
 					t.Error("signature rejected")
 					return
 				}
@@ -143,16 +139,17 @@ func TestClientCacheStress(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkClientCaches drives the three memoization caches from all
-// procs at once: the all-hit steady state a campaign settles into, where
-// the seed's single client mutex serialized every worker.
+// BenchmarkClientCaches drives the parse and verify caches from all procs
+// at once: the all-hit steady state a campaign settles into, where the
+// seed's single client mutex serialized every worker.
 func BenchmarkClientCaches(b *testing.B) {
 	w := newWorld(b, responder.Profile{})
 
 	// A spread of distinct bodies/targets so shards see mixed traffic.
 	const variants = 32
 	bodies := make([][]byte, variants)
-	targets := make([]Target, variants)
+	c := &Client{Transport: w.net}
+	probes := make([]probe, variants)
 	for i := range bodies {
 		leaf, err := w.ca.IssueLeaf(pki.LeafOptions{
 			DNSNames:  []string{fmt.Sprintf("bench%02d.scan.test", i)},
@@ -164,12 +161,11 @@ func BenchmarkClientCaches(b *testing.B) {
 		w.db.AddIssued(leaf.Certificate.SerialNumber, leaf.Certificate.NotAfter)
 		tgt := w.target
 		tgt.Serial = leaf.Certificate.SerialNumber
-		targets[i] = tgt
+		probes[i] = c.newProbe(tgt)
 		wl := &world{ca: w.ca, db: w.db, clk: clock.NewSimulated(t0), leaf: leaf}
 		bodies[i] = responseBody(b, wl)
 	}
 
-	c := &Client{Transport: w.net}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -177,14 +173,12 @@ func BenchmarkClientCaches(b *testing.B) {
 		for pb.Next() {
 			v := i % variants
 			i++
-			if _, _, err := c.requestFor(targets[v]); err != nil {
-				b.Fatal(err)
-			}
-			resp, err := c.parseResponse(bodies[v])
+			h := fnvSum(bodies[v]) // once per lookup, as scanOnce does
+			resp, err := c.parseResponse(h, bodies[v])
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !c.checkSignature(resp, w.ca.Certificate) {
+			if !c.checkSignature(h, resp, &probes[v]) {
 				b.Fatal("signature rejected")
 			}
 		}

@@ -74,16 +74,28 @@ func (c *Campaign) campaignRetry() RetryPolicy {
 	return p
 }
 
+// newProbes builds one probe per target. A run builds them when it
+// starts, so the work stays out of campaign construction and is done once
+// per run rather than once per lookup.
+func (c *Campaign) newProbes() []probe {
+	probes := make([]probe, len(c.targets))
+	for i, tgt := range c.targets {
+		probes[i] = c.client.newProbe(tgt)
+	}
+	return probes
+}
+
 // roundJobs builds the (vantage, target) pairs probed at virtual time at,
 // dropping expired certificates (§5.1, footnote 9).
-func (c *Campaign) roundJobs(at time.Time, pairs []scanPair) []scanPair {
+func (c *Campaign) roundJobs(at time.Time, probes []probe, pairs []scanPair) []scanPair {
 	pairs = pairs[:0]
 	for _, v := range c.vantages {
-		for _, tgt := range c.targets {
-			if !tgt.Expiry.IsZero() && at.After(tgt.Expiry) {
+		for i := range probes {
+			p := &probes[i]
+			if !p.tgt.Expiry.IsZero() && at.After(p.tgt.Expiry) {
 				continue
 			}
-			pairs = append(pairs, scanPair{vantage: v, target: tgt})
+			pairs = append(pairs, scanPair{vantage: v, probe: p})
 		}
 	}
 	return pairs
@@ -91,7 +103,7 @@ func (c *Campaign) roundJobs(at time.Time, pairs []scanPair) []scanPair {
 
 type scanPair struct {
 	vantage netsim.Vantage
-	target  Target
+	probe   *probe
 }
 
 type scanJob struct {
@@ -176,6 +188,7 @@ func measuredOnly(obs []Observation) []Observation {
 
 func (c *Campaign) runPipelined(ctx context.Context, start, end time.Time, aggs []Aggregator) (int, error) {
 	retry := c.campaignRetry()
+	probes := c.newProbes()
 
 	jobs := make(chan scanJob, c.workers*2)
 	scanDone := make(chan *roundBlock, 1)
@@ -185,7 +198,7 @@ func (c *Campaign) runPipelined(ctx context.Context, start, end time.Time, aggs 
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				j.block.obs[j.slot] = c.client.ScanWithPolicy(ctx, retry, j.pair.vantage, j.at, j.pair.target)
+				j.block.obs[j.slot] = c.client.scanProbe(ctx, retry, j.pair.vantage, j.at, j.pair.probe)
 				if j.block.pending.Add(-1) == 0 {
 					scanDone <- j.block
 				}
@@ -225,7 +238,7 @@ func (c *Campaign) runPipelined(ctx context.Context, start, end time.Time, aggs 
 				}
 			}
 			c.clk.Set(at)
-			pairs = c.roundJobs(at, pairs)
+			pairs = c.roundJobs(at, probes, pairs)
 			if len(pairs) == 0 {
 				roundsCtr.Inc()
 				if sw != nil {
@@ -312,6 +325,7 @@ func (c *Campaign) feedReplay(pipe *aggPipeline, roundsCtr *metrics.Counter) err
 // It is kept as the benchmark baseline and a debugging fallback.
 func (c *Campaign) runBarrier(ctx context.Context, start, end time.Time, aggs []Aggregator) (int, error) {
 	retry := c.campaignRetry()
+	probes := c.newProbes()
 	counters := newObsCounters(c.reg)
 	roundsCtr := c.reg.Counter("campaign_rounds_total")
 
@@ -344,7 +358,7 @@ func (c *Campaign) runBarrier(ctx context.Context, start, end time.Time, aggs []
 			return total, err
 		}
 		c.clk.Set(at)
-		pairs = c.roundJobs(at, pairs)
+		pairs = c.roundJobs(at, probes, pairs)
 		if cap(results) < len(pairs) {
 			results = make([]Observation, len(pairs))
 		}
@@ -362,7 +376,7 @@ func (c *Campaign) runBarrier(ctx context.Context, start, end time.Time, aggs []
 					if i >= len(pairs) {
 						return
 					}
-					results[i] = c.client.ScanWithPolicy(ctx, retry, pairs[i].vantage, at, pairs[i].target)
+					results[i] = c.client.scanProbe(ctx, retry, pairs[i].vantage, at, pairs[i].probe)
 				}
 			}()
 		}

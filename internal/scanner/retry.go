@@ -120,7 +120,14 @@ func (o Observation) Transient() bool {
 // classification and response fields describe the first attempt; retries
 // are visible only via Attempts, FinalClass, and Salvaged.
 func (c *Client) ScanWithPolicy(ctx context.Context, policy RetryPolicy, vantage netsim.Vantage, at time.Time, tgt Target) Observation {
-	first := c.attempt(ctx, policy, vantage, at, tgt)
+	p := c.newProbe(tgt)
+	return c.scanProbe(ctx, policy, vantage, at, &p)
+}
+
+// scanProbe is ScanWithPolicy for a prepared probe: the path every lookup
+// takes, and the only one a campaign takes.
+func (c *Client) scanProbe(ctx context.Context, policy RetryPolicy, vantage netsim.Vantage, at time.Time, p *probe) Observation {
+	first := c.attempt(ctx, policy, vantage, at, p)
 	first.Attempts = 1
 	first.FinalClass = first.Class
 
@@ -131,12 +138,12 @@ func (c *Client) ScanWithPolicy(ctx context.Context, policy RetryPolicy, vantage
 		}
 		retryAt := at
 		for retry := 1; first.Attempts < policy.Attempts; retry++ {
-			delay := policy.Backoff(retry, vantage.Name, tgt)
+			delay := policy.Backoff(retry, vantage.Name, p.tgt)
 			if err := sleep(ctx, delay); err != nil {
 				break
 			}
 			retryAt = retryAt.Add(delay)
-			obs := c.attempt(ctx, policy, vantage, retryAt, tgt)
+			obs := c.attempt(ctx, policy, vantage, retryAt, p)
 			first.Attempts++
 			first.FinalClass = obs.Class
 			if obs.Class == ClassCanceled {
@@ -159,13 +166,13 @@ func (c *Client) ScanWithPolicy(ctx context.Context, policy RetryPolicy, vantage
 }
 
 // attempt runs one attempt under the policy's per-attempt deadline.
-func (c *Client) attempt(ctx context.Context, policy RetryPolicy, vantage netsim.Vantage, at time.Time, tgt Target) Observation {
+func (c *Client) attempt(ctx context.Context, policy RetryPolicy, vantage netsim.Vantage, at time.Time, p *probe) Observation {
 	if policy.PerAttemptTimeout > 0 {
 		attemptCtx, cancel := context.WithTimeout(ctx, policy.PerAttemptTimeout)
 		defer cancel()
-		return c.scanOnce(attemptCtx, vantage, at, tgt)
+		return c.scanOnce(attemptCtx, vantage, at, p)
 	}
-	return c.scanOnce(ctx, vantage, at, tgt)
+	return c.scanOnce(ctx, vantage, at, p)
 }
 
 func (c *Client) recordMetrics(o Observation) {

@@ -23,15 +23,24 @@
 // the paper's single-attempt methodology — with retry outcomes reported
 // separately via Attempts, FinalClass, Salvaged, and Campaign.Stats().
 // See DESIGN.md §6 for the engine diagram.
+//
+// Everything about a target that stays fixed across lookups — the request
+// DER, the decimal serial, the issuer's identity — is computed once into a
+// probe: per campaign run for every target, per call for Scan. The client
+// then keeps two sharded memoization caches, both keyed by the response
+// body's hash (computed once per lookup): parsed responses and signature
+// verdicts. See DESIGN.md §8 and §18.
 package scanner
 
 import (
 	"bytes"
 	"context"
 	"crypto"
+	"crypto/sha256"
 	"crypto/x509"
 	"errors"
 	"fmt"
+	"io"
 	"math/big"
 	"net"
 	"net/http"
@@ -219,20 +228,18 @@ func (t *RealTransport) Do(_ netsim.Vantage, _ time.Time, req *http.Request) (*n
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body := make([]byte, 0, 4096)
-	buf := make([]byte, 4096)
-	for {
-		n, rerr := resp.Body.Read(buf)
-		body = append(body, buf[:n]...)
-		if rerr != nil {
-			break
-		}
-		if len(body) > 1<<20 {
-			break
-		}
+	// A body cut off mid-transfer is a transport failure, not a short
+	// body: the read error is returned and classifies as ClassTCP. A body
+	// over the cap is truncated just past it and left to the parser.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+	if err != nil {
+		return nil, err
 	}
 	return &netsim.Result{Status: resp.StatusCode, Body: body, Headers: resp.Header, Latency: clk.Now().Sub(start)}, nil
 }
+
+// maxBodyBytes caps how much of a live response body RealTransport reads.
+const maxBodyBytes = 1 << 20
 
 // Client is the measurement client.
 type Client struct {
@@ -248,23 +255,57 @@ type Client struct {
 	// Metrics, when non-nil, receives per-scan instrumentation (scans
 	// issued, retries, salvages, per-class counts).
 	Metrics *metrics.Registry
-	// DisableVerifyCache turns off signature-verification memoization.
-	// By default the client remembers the verdict for byte-identical
-	// (response, issuer) pairs — responders legitimately serve cached
-	// identical bytes for hours, and re-running public-key verification
-	// on identical input cannot change the outcome.
-	DisableVerifyCache bool
 
 	// The memoization caches are sharded by content hash (cache.go) so
-	// concurrent campaign workers don't serialize on one mutex.
+	// concurrent campaign workers don't serialize on one mutex. Both are
+	// keyed by the FNV-64 hash of the response body, computed once per
+	// lookup.
 	verifyCache shardedCache[verifyKey, bool]
 	parseCache  shardedCache[parseKey, parsedEntry]
-	reqCache    shardedCache[string, requestEntry]
+}
+
+// probe holds what a lookup of one target needs that does not change
+// between lookups. A campaign run builds one per target before its first
+// round; Scan and ScanWithPolicy build one per call.
+type probe struct {
+	tgt Target
+	// der is the encoded OCSP request and certID its only CertID; err
+	// records a target whose request cannot be built (every lookup of it
+	// classifies as ClassASN1).
+	der    []byte
+	certID ocsp.CertID
+	err    error
+	// serial is tgt.Serial in decimal, for Observation.Serial.
+	serial string
+	// issuerKey is the SHA-256 of the issuer certificate's DER: the
+	// issuer identity that signature verdicts are cached under.
+	issuerKey [sha256.Size]byte
+}
+
+// newProbe builds the probe for tgt with the client's CertID hash.
+func (c *Client) newProbe(tgt Target) probe {
+	p := probe{tgt: tgt}
+	if tgt.Serial != nil {
+		p.serial = tgt.Serial.String()
+	}
+	if tgt.Issuer != nil {
+		p.issuerKey = sha256.Sum256(tgt.Issuer.Raw)
+	}
+	req, err := ocsp.NewRequestForSerial(tgt.Serial, tgt.Issuer, c.hash())
+	if err == nil {
+		p.der, err = req.Marshal()
+	}
+	if err != nil {
+		p.err = err
+		return p
+	}
+	p.certID = req.CertIDs[0]
+	return p
 }
 
 // parseKey identifies a response body by (FNV-64 hash, length). The length
 // disambiguates most accidental collisions cheaply; the stored body makes
-// the check exact (see parseResponseHashed).
+// the check exact (see parseResponse).
 type parseKey struct {
 	hash   uint64
 	length int
@@ -279,46 +320,14 @@ type parsedEntry struct {
 	body []byte
 }
 
-type requestEntry struct {
-	req *ocsp.Request
-	der []byte
-	err error
-}
-
-// requestFor builds (and memoizes) the OCSP request for a target —
-// campaigns probe the same (issuer, serial) thousands of times and the
-// request bytes never change.
-func (c *Client) requestFor(tgt Target) (*ocsp.Request, []byte, error) {
-	key := tgt.Responder + "|" + tgt.Serial.String()
-	h := fnvSumString(key)
-	if e, ok := c.reqCache.get(h, key); ok {
-		return e.req, e.der, e.err
-	}
-
-	req, err := ocsp.NewRequestForSerial(tgt.Serial, tgt.Issuer, c.hash())
-	var der []byte
-	if err == nil {
-		der, err = req.Marshal()
-	}
-	// Unbounded: the key space is the target list, fixed per campaign.
-	c.reqCache.put(h, key, requestEntry{req: req, der: der, err: err}, 0)
-	return req, der, err
-}
-
-// parseResponse parses with memoization: pre-generating responders serve
-// byte-identical bodies for hours, and re-parsing identical DER cannot
-// change the result. Callers must treat the shared *ocsp.Response as
-// read-only.
-func (c *Client) parseResponse(body []byte) (*ocsp.Response, error) {
-	return c.parseResponseHashed(fnvSum(body), body)
-}
-
-// parseResponseHashed is the hash-injectable core of parseResponse,
-// separated so the regression test can force a cache-key collision (a real
-// FNV-64 collision is infeasible to construct). A hit is served only when
-// the stored body matches the request bytes exactly; a colliding body is
-// parsed fresh and overwrites the slot.
-func (c *Client) parseResponseHashed(h uint64, body []byte) (*ocsp.Response, error) {
+// parseResponse parses body, whose FNV-64 hash is h, with memoization:
+// pre-generating responders serve byte-identical bodies for hours, and
+// re-parsing identical DER cannot change the result. Callers must treat
+// the shared *ocsp.Response as read-only. A hit is served only when the
+// stored body matches body exactly; a colliding body is parsed fresh and
+// overwrites the slot. The hash is a parameter so the regression test can
+// force a collision (a real FNV-64 collision is infeasible to construct).
+func (c *Client) parseResponse(h uint64, body []byte) (*ocsp.Response, error) {
 	key := parseKey{hash: h, length: len(body)}
 	if e, ok := c.parseCache.get(h, key); ok && bytes.Equal(e.body, body) {
 		return e.resp, e.err
@@ -331,26 +340,25 @@ func (c *Client) parseResponseHashed(h uint64, body []byte) (*ocsp.Response, err
 }
 
 type verifyKey struct {
-	bodyHash     uint64
-	bodyLen      int
-	issuerSerial string
+	bodyHash  uint64
+	bodyLen   int
+	issuerKey [sha256.Size]byte
 }
 
-// checkSignature verifies resp against issuer with memoization. Unlike the
-// parse cache a collision here cannot cross response boundaries in
-// practice — the key also carries the body length and the issuer serial —
-// and a false hit only re-reports a boolean for an equal-length
-// same-issuer body, so the verdict is not re-confirmed against the bytes.
-func (c *Client) checkSignature(resp *ocsp.Response, issuer *x509.Certificate) bool {
-	if c.DisableVerifyCache {
-		return resp.CheckSignatureFrom(issuer) == nil
-	}
-	h := fnvSum(resp.Raw)
-	key := verifyKey{bodyHash: h, bodyLen: len(resp.Raw), issuerSerial: issuer.SerialNumber.String()}
+// checkSignature verifies resp, whose body hashes to h, against the
+// probe's issuer with memoization. Verdicts are keyed by the issuer
+// certificate's SHA-256, not its serial: distinct CAs share serials (every
+// root pki.NewRootCA creates has serial 1). Unlike the parse cache a
+// collision here cannot cross response boundaries in practice — the key
+// also carries the body length and the issuer — and a false hit only
+// re-reports a boolean for an equal-length same-issuer body, so the
+// verdict is not re-confirmed against the bytes.
+func (c *Client) checkSignature(h uint64, resp *ocsp.Response, p *probe) bool {
+	key := verifyKey{bodyHash: h, bodyLen: len(resp.Raw), issuerKey: p.issuerKey}
 	if ok, hit := c.verifyCache.get(h, key); hit {
 		return ok
 	}
-	ok := resp.CheckSignatureFrom(issuer) == nil
+	ok := resp.CheckSignatureFrom(p.tgt.Issuer) == nil
 	c.verifyCache.put(h, key, ok, verifyShardBudget)
 	return ok
 }
@@ -363,21 +371,6 @@ func fnvSum(b []byte) uint64 {
 	h := uint64(offset)
 	for _, c := range b {
 		h ^= uint64(c)
-		h *= prime
-	}
-	return h
-}
-
-// fnvSumString is fnvSum over a string without the []byte conversion
-// allocation on the request-cache hot path.
-func fnvSumString(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
 		h *= prime
 	}
 	return h
@@ -407,30 +400,27 @@ func (c *Client) Scan(ctx context.Context, vantage netsim.Vantage, at time.Time,
 }
 
 // scanOnce performs a single classified attempt.
-func (c *Client) scanOnce(ctx context.Context, vantage netsim.Vantage, at time.Time, tgt Target) Observation {
+func (c *Client) scanOnce(ctx context.Context, vantage netsim.Vantage, at time.Time, p *probe) Observation {
 	obs := Observation{
 		Vantage:      vantage.Name,
-		Responder:    tgt.Responder,
-		Domain:       tgt.Domain,
-		DomainWeight: max(tgt.DomainWeight, 1),
+		Responder:    p.tgt.Responder,
+		Domain:       p.tgt.Domain,
+		DomainWeight: max(p.tgt.DomainWeight, 1),
+		Serial:       p.serial,
 		At:           at,
 		Reason:       pkixutil.ReasonAbsent,
 		CacheMaxAge:  -1,
-	}
-	if tgt.Serial != nil {
-		obs.Serial = tgt.Serial.String()
 	}
 	if ctx.Err() != nil {
 		obs.Class = ClassCanceled
 		return obs
 	}
 
-	req, reqDER, err := c.requestFor(tgt)
-	if err != nil {
+	if p.err != nil {
 		obs.Class = ClassASN1
 		return obs
 	}
-	httpReq, err := ocsp.NewHTTPRequest(ctx, c.method(), tgt.ResponderURL, reqDER)
+	httpReq, err := ocsp.NewHTTPRequest(ctx, c.method(), p.tgt.ResponderURL, p.der)
 	if err != nil {
 		obs.Class = ClassDNS
 		return obs
@@ -449,7 +439,8 @@ func (c *Client) scanOnce(ctx context.Context, vantage netsim.Vantage, at time.T
 		return obs
 	}
 
-	resp, err := c.parseResponse(res.Body)
+	h := fnvSum(res.Body)
+	resp, err := c.parseResponse(h, res.Body)
 	if err != nil {
 		obs.Class = ClassASN1
 		return obs
@@ -464,7 +455,7 @@ func (c *Client) scanOnce(ctx context.Context, vantage netsim.Vantage, at time.T
 	obs.NumCerts = len(resp.Certificates)
 	obs.NumSerials = len(resp.Responses)
 
-	single := resp.Find(req.CertIDs[0])
+	single := resp.Find(p.certID)
 	if single == nil {
 		obs.Class = ClassSerialUnmatch
 		return obs
@@ -476,7 +467,7 @@ func (c *Client) scanOnce(ctx context.Context, vantage netsim.Vantage, at time.T
 	obs.RevokedAt = single.RevokedAt
 	obs.Reason = single.Reason
 
-	if !c.checkSignature(resp, tgt.Issuer) {
+	if !c.checkSignature(h, resp, p) {
 		obs.Class = ClassSignature
 		return obs
 	}
@@ -485,15 +476,17 @@ func (c *Client) scanOnce(ctx context.Context, vantage netsim.Vantage, at time.T
 }
 
 // parseMaxAge extracts max-age from a Cache-Control header, -1 if absent.
+// Directive names compare case-insensitively (RFC 9111 §5.2).
 func parseMaxAge(h http.Header) int {
 	cc := h.Get("Cache-Control")
 	if cc == "" {
 		return -1
 	}
+	const directive = "max-age="
 	for _, part := range strings.Split(cc, ",") {
 		part = strings.TrimSpace(part)
-		if rest, ok := strings.CutPrefix(part, "max-age="); ok {
-			if n, err := strconv.Atoi(rest); err == nil {
+		if len(part) > len(directive) && strings.EqualFold(part[:len(directive)], directive) {
+			if n, err := strconv.Atoi(part[len(directive):]); err == nil {
 				return n
 			}
 		}
