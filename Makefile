@@ -54,7 +54,8 @@
 #                 fuzzing engine for FUZZTIME (default 10s) instead of
 #                 only its seed corpus — the GET-path decoder, the
 #                 Expect-Staple report decoder, the store record codec,
-#                 and CreateResponse against its encoding/asn1 reference.
+#                 the store's frame scan over every segment kind, and
+#                 CreateResponse against its encoding/asn1 reference.
 #   racecheck   — focused race-detector pass over the concurrent hot-path
 #                 packages (serving tier, load generator, responder,
 #                 scanner, store, engine core) under -short, so the
@@ -62,7 +63,8 @@
 #                 runs in minutes, not the full-suite tier-2 budget.
 #   crash-recovery — end-to-end durability check: runs a campaign, kills
 #                 a second run mid-round via the store failpoint, resumes
-#                 it, and asserts the resumed figures match
+#                 it, and asserts the resumed figures, segment bytes
+#                 and `storedump -keys` listing match
 #                 (scripts/crash_recovery.sh).
 
 GO ?= go
@@ -104,6 +106,7 @@ fuzzcheck:
 	$(GO) test -run '^$$' -fuzz '^FuzzCreateResponse$$' -fuzztime $(FUZZTIME) ./internal/ocsp
 	$(GO) test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime $(FUZZTIME) ./internal/expectstaple
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime $(FUZZTIME) ./internal/store
 
 # loadcheck boots a self-contained serving tier (own CA, loopback
 # listener) and drives a 2s open-loop burst; -check fails the run on

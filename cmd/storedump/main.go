@@ -12,7 +12,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/report"
@@ -24,7 +26,7 @@ func main() {
 	verbose := flag.Bool("v", false, "stream every observation as its canonical line")
 	analyze := flag.Bool("analyze", false, "stream the log through the paper's aggregators and render figures")
 	compact := flag.Bool("compact", false, "merge under-full sealed segments and drop superseded checkpoints")
-	keys := flag.Bool("keys", false, "list every (round, responder, vantage) index key")
+	keys := flag.Bool("keys", false, "list every distinct (round, responder, vantage) key")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: storedump [-v] [-analyze] [-compact] [-keys] <store-dir>")
@@ -40,7 +42,9 @@ func main() {
 
 	summary(os.Stdout, st)
 	if *keys {
-		dumpKeys(os.Stdout, st)
+		if err := dumpKeys(os.Stdout, st); err != nil {
+			fail("keys: %v", err)
+		}
 	}
 	if *compact {
 		cs, err := st.Compact()
@@ -68,8 +72,8 @@ func main() {
 
 func summary(w *os.File, st *store.Store) {
 	stats := st.Stats()
-	fmt.Fprintf(w, "store: %d record(s) across %d round(s), %d segment(s), %d bytes, %d index key(s)\n",
-		stats.Records, stats.Rounds, stats.Segments, stats.Bytes, stats.IndexKeys)
+	fmt.Fprintf(w, "store: %d record(s) across %d round(s), %d segment(s), %d bytes\n",
+		stats.Records, stats.Rounds, stats.Segments, stats.Bytes)
 	for _, seg := range st.Segments() {
 		span := "empty"
 		if seg.Records > 0 {
@@ -88,11 +92,39 @@ func summary(w *os.File, st *store.Store) {
 	}
 }
 
-func dumpKeys(w *os.File, st *store.Store) {
-	// Keys() is already sorted by (round, responder, vantage).
-	for _, k := range st.Keys() {
-		fmt.Fprintf(w, "  %s %s %s\n", time.Unix(0, k.Round).UTC().Format(time.RFC3339), k.Responder, k.Vantage)
+// dumpKeys prints every distinct (round, responder, vantage) triple,
+// sorted. The log holds rounds in ascending order, so it streams: one
+// round's keys are collected, sorted and printed before the next.
+func dumpKeys(w io.Writer, st *store.Store) error {
+	type key struct{ responder, vantage string }
+	var round time.Time
+	seen := make(map[key]bool)
+	flush := func() {
+		keys := make([]key, 0, len(seen))
+		for k := range seen {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool {
+			if keys[i].responder != keys[j].responder {
+				return keys[i].responder < keys[j].responder
+			}
+			return keys[i].vantage < keys[j].vantage
+		})
+		for _, k := range keys {
+			fmt.Fprintf(w, "  %s %s %s\n", round.Format(time.RFC3339), k.responder, k.vantage)
+		}
+		clear(seen)
 	}
+	err := st.Reader().Scan(func(o scanner.Observation) error {
+		if !o.At.Equal(round) {
+			flush()
+			round = o.At
+		}
+		seen[key{o.Responder, o.Vantage}] = true
+		return nil
+	})
+	flush()
+	return err
 }
 
 // runAnalyses re-derives the paper's campaign figures by streaming the

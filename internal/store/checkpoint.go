@@ -4,11 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 )
 
 // Checkpoint files are named ckpt-NNNNNNNNNNNNNNNN.ckpt (seq, zero-padded
@@ -18,15 +16,11 @@ import (
 //	8-byte magic "MSOBSCK1" | u32 LE version | u64 LE seq |
 //	i64 LE round | i64 LE rounds | i64 LE scans |
 //	u32 LE payload length | payload | u32 LE CRC32-C of everything above
-const (
-	ckptMagic   = "MSOBSCK1"
-	ckptVersion = 1
-	ckptPrefix  = "ckpt-"
-	ckptSuffix  = ".ckpt"
-	// maxCheckpointPayload bounds the opaque snapshot carried inside a
-	// checkpoint; anything larger is a corrupt length field.
-	maxCheckpointPayload = 8 << 20
-)
+//
+// The magic, version and name pattern live in ckptKind (segment.go).
+// maxCheckpointPayload bounds the opaque snapshot carried inside a
+// checkpoint; anything larger is a corrupt length field.
+const maxCheckpointPayload = 8 << 20
 
 // Checkpoint records the store's durable high-water mark after a fully
 // persisted round. Resume truncates the log back to Round and replays it;
@@ -44,25 +38,10 @@ type Checkpoint struct {
 	Payload []byte
 }
 
-func checkpointName(seq uint64) string {
-	return fmt.Sprintf("%s%016d%s", ckptPrefix, seq, ckptSuffix)
-}
-
-func parseCheckpointName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptSuffix) {
-		return 0, false
-	}
-	seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptSuffix), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return seq, true
-}
-
 func encodeCheckpoint(ck Checkpoint) []byte {
 	b := make([]byte, 0, 48+len(ck.Payload))
-	b = append(b, ckptMagic...)
-	b = binary.LittleEndian.AppendUint32(b, ckptVersion)
+	b = append(b, ckptKind.magic...)
+	b = binary.LittleEndian.AppendUint32(b, ckptKind.version)
 	b = binary.LittleEndian.AppendUint64(b, ck.Seq)
 	b = binary.LittleEndian.AppendUint64(b, uint64(ck.Round))
 	b = binary.LittleEndian.AppendUint64(b, uint64(ck.Rounds))
@@ -77,11 +56,11 @@ func decodeCheckpoint(b []byte) (Checkpoint, error) {
 	if len(b) < 52 {
 		return ck, fmt.Errorf("store: checkpoint too short (%d bytes)", len(b))
 	}
-	if string(b[:8]) != ckptMagic {
+	if string(b[:8]) != ckptKind.magic {
 		return ck, fmt.Errorf("store: bad checkpoint magic %q", b[:8])
 	}
-	if v := binary.LittleEndian.Uint32(b[8:]); v != ckptVersion {
-		return ck, fmt.Errorf("store: checkpoint version %d, want %d", v, ckptVersion)
+	if v := binary.LittleEndian.Uint32(b[8:]); v != ckptKind.version {
+		return ck, fmt.Errorf("store: checkpoint version %d, want %d", v, ckptKind.version)
 	}
 	ck.Seq = binary.LittleEndian.Uint64(b[12:])
 	ck.Round = int64(binary.LittleEndian.Uint64(b[20:]))
@@ -103,28 +82,12 @@ func decodeCheckpoint(b []byte) (Checkpoint, error) {
 
 // writeCheckpoint atomically writes ck into dir.
 func writeCheckpoint(dir string, ck Checkpoint, noSync bool) error {
-	tmp, err := os.CreateTemp(dir, "ckpt-*.tmp")
-	if err != nil {
+	b := encodeCheckpoint(ck)
+	if err := writeFileAtomic(dir, ckptKind.name(ck.Seq), !noSync, func(w io.Writer) error {
+		_, err := w.Write(b)
 		return err
-	}
-	cleanup := func(err error) error {
-		tmp.Close()           //lint:allow errcheck-hot original error already being returned
-		os.Remove(tmp.Name()) //lint:allow errcheck-hot best-effort temp cleanup on an error path
+	}); err != nil {
 		return err
-	}
-	if _, err := tmp.Write(encodeCheckpoint(ck)); err != nil {
-		return cleanup(err)
-	}
-	if !noSync {
-		if err := tmp.Sync(); err != nil {
-			return cleanup(err)
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		return cleanup(err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, checkpointName(ck.Seq))); err != nil {
-		return cleanup(err)
 	}
 	if noSync {
 		return nil
@@ -132,41 +95,11 @@ func writeCheckpoint(dir string, ck Checkpoint, noSync bool) error {
 	return syncDir(dir)
 }
 
-// syncDir fsyncs a directory so renames within it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// listCheckpoints returns the checkpoint sequence numbers present in dir,
-// ascending.
-func listCheckpoints(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var seqs []uint64
-	for _, e := range entries {
-		if seq, ok := parseCheckpointName(e.Name()); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
-}
-
 // loadLatestCheckpoint returns the newest checkpoint that decodes intact
 // (nil when none exists) plus the highest sequence number present on
 // disk, intact or not, so new checkpoints never reuse a sequence.
 func loadLatestCheckpoint(dir string) (*Checkpoint, uint64, error) {
-	seqs, err := listCheckpoints(dir)
+	seqs, err := ckptKind.list(dir)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -175,7 +108,7 @@ func loadLatestCheckpoint(dir string) (*Checkpoint, uint64, error) {
 		maxSeq = seqs[len(seqs)-1]
 	}
 	for i := len(seqs) - 1; i >= 0; i-- {
-		b, err := os.ReadFile(filepath.Join(dir, checkpointName(seqs[i])))
+		b, err := os.ReadFile(filepath.Join(dir, ckptKind.name(seqs[i])))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -193,7 +126,7 @@ func loadLatestCheckpoint(dir string) (*Checkpoint, uint64, error) {
 // pruneCheckpoints deletes superseded checkpoints, keeping the newest
 // `keep` files at or below seq.
 func pruneCheckpoints(dir string, seq uint64, keep int) error {
-	seqs, err := listCheckpoints(dir)
+	seqs, err := ckptKind.list(dir)
 	if err != nil {
 		return err
 	}
@@ -210,7 +143,7 @@ func pruneCheckpoints(dir string, seq uint64, keep int) error {
 			// sequencing bug would be worse than keeping a file.
 			continue
 		}
-		if err := os.Remove(filepath.Join(dir, checkpointName(seqs[i]))); err != nil {
+		if err := os.Remove(filepath.Join(dir, ckptKind.name(seqs[i]))); err != nil {
 			return err
 		}
 	}
@@ -221,12 +154,12 @@ func pruneCheckpoints(dir string, seq uint64, keep int) error {
 // mark lies past round, plus any that no longer decode — the truncation
 // path's way of keeping only checkpoints that still describe real data.
 func removeCheckpointsAfter(dir string, round int64) error {
-	seqs, err := listCheckpoints(dir)
+	seqs, err := ckptKind.list(dir)
 	if err != nil {
 		return err
 	}
 	for _, seq := range seqs {
-		path := filepath.Join(dir, checkpointName(seq))
+		path := filepath.Join(dir, ckptKind.name(seq))
 		b, err := os.ReadFile(path)
 		if err != nil {
 			return err

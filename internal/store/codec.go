@@ -3,32 +3,12 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/pkixutil"
 	"github.com/netmeasure/muststaple/internal/scanner"
 )
-
-// Record framing. Every observation is one record:
-//
-//	u32 LE payload length | u32 LE CRC32-C of payload | payload
-//
-// The length comes first so recovery can skip to the checksum without
-// decoding, and the CRC covers only the payload — a torn header is
-// detected by the length/size bounds, a torn payload by the checksum.
-const (
-	recordHeaderSize = 8
-	// maxRecordSize bounds a single encoded observation. Observations are
-	// a few hundred bytes; anything past this is a corrupt length field,
-	// not a real record.
-	maxRecordSize = 1 << 20
-)
-
-// crcTable is the Castagnoli polynomial, hardware-accelerated on amd64
-// and arm64.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // codecVersion is the observation payload format version, stored in each
 // segment header. Bump when the field list below changes.

@@ -107,19 +107,6 @@ func TestDecodeRecordAt(t *testing.T) {
 	}
 }
 
-func TestDecodeIndexKey(t *testing.T) {
-	o := fullObservation()
-	payload := appendObservation(nil, &o)
-	at, vantage, responder, err := decodeIndexKey(payload)
-	if err != nil {
-		t.Fatalf("decodeIndexKey: %v", err)
-	}
-	if at != o.At.UnixNano() || vantage != o.Vantage || responder != o.Responder {
-		t.Fatalf("decodeIndexKey = (%d, %q, %q), want (%d, %q, %q)",
-			at, vantage, responder, o.At.UnixNano(), o.Vantage, o.Responder)
-	}
-}
-
 // FuzzRecordRoundTrip feeds arbitrary bytes through the decoder (it must
 // never panic, and every accepted payload must re-encode byte-identically)
 // and seeds the corpus with real encodings.

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"io"
 	"os"
 )
@@ -29,7 +28,7 @@ func (s *Store) Compact() (CompactStats, error) {
 	if s.closed {
 		return st, ErrClosed
 	}
-	if err := s.w.Flush(); err != nil {
+	if err := s.w.flush(); err != nil {
 		return st, err
 	}
 	s.flushed = s.segs[len(s.segs)-1].size
@@ -66,7 +65,7 @@ func (s *Store) Compact() (CompactStats, error) {
 
 	// Superseded checkpoints: keep only the newest intact one.
 	if s.ckpt != nil {
-		seqs, err := listCheckpoints(s.dir)
+		seqs, err := ckptKind.list(s.dir)
 		if err != nil {
 			return st, err
 		}
@@ -74,7 +73,7 @@ func (s *Store) Compact() (CompactStats, error) {
 		if err := pruneCheckpoints(s.dir, s.ckpt.Seq, 1); err != nil {
 			return st, err
 		}
-		seqs, err = listCheckpoints(s.dir)
+		seqs, err = ckptKind.list(s.dir)
 		if err != nil {
 			return st, err
 		}
@@ -85,10 +84,9 @@ func (s *Store) Compact() (CompactStats, error) {
 		return st, nil
 	}
 	// The segment list changed on disk; rebuild everything from it.
-	if err := s.active.Close(); err != nil {
+	if err := s.w.close(false); err != nil {
 		return st, err
 	}
-	s.active = nil
 	if err := s.load(); err != nil {
 		return st, err
 	}
@@ -105,32 +103,21 @@ func (s *Store) Compact() (CompactStats, error) {
 // or the finished merge — never a half-written segment with live data
 // missing.
 func (s *Store) mergeSegments(group []*segment) error {
-	first := group[0]
-	tmp, err := os.CreateTemp(s.dir, "merge-*.tmp")
+	first := uint64(group[0].index)
+	err := writeFileAtomic(s.dir, obsKind.name(first), !s.opt.NoSync, func(w io.Writer) error {
+		h := obsKind.header(first)
+		if _, err := w.Write(h[:]); err != nil {
+			return err
+		}
+		for _, seg := range group {
+			if err := copySegmentRecords(w, seg.path); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
-	}
-	cleanup := func(err error) error {
-		return errors.Join(err, tmp.Close(), os.Remove(tmp.Name()))
-	}
-	if _, err := tmp.Write(encodeSegmentHeader(first.index)); err != nil {
-		return cleanup(err)
-	}
-	for _, seg := range group {
-		if err := copySegmentRecords(tmp, seg.path); err != nil {
-			return cleanup(err)
-		}
-	}
-	if !s.opt.NoSync {
-		if err := tmp.Sync(); err != nil {
-			return cleanup(err)
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		return errors.Join(err, os.Remove(tmp.Name()))
-	}
-	if err := os.Rename(tmp.Name(), first.path); err != nil {
-		return errors.Join(err, os.Remove(tmp.Name()))
 	}
 	for _, seg := range group[1:] {
 		if err := os.Remove(seg.path); err != nil {

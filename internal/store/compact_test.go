@@ -12,23 +12,22 @@ import (
 // tiny sealed segments pile up, then closes it. Reopening with the normal
 // (larger) threshold leaves those segments under-full — the shape Compact
 // exists to clean up.
-func buildFragmented(t *testing.T) (dir string, want []Key) {
+func buildFragmented(t *testing.T) string {
 	t.Helper()
-	dir = t.TempDir()
+	dir := t.TempDir()
 	s, err := Open(dir, Options{SegmentSize: 512, NoSync: true, CheckpointEvery: 1})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	appendRounds(t, s, 8, 4)
-	want = s.Keys()
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	return dir, want
+	return dir
 }
 
 func TestCompactMergesAndPreservesStream(t *testing.T) {
-	dir, wantKeys := buildFragmented(t)
+	dir := buildFragmented(t)
 	s, err := Open(dir, Options{SegmentSize: 16 << 10, NoSync: true, CheckpointEvery: 1})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -39,7 +38,7 @@ func TestCompactMergesAndPreservesStream(t *testing.T) {
 	if segsBefore < 4 {
 		t.Fatalf("fixture produced only %d segments; compaction needs several", segsBefore)
 	}
-	ckptsBefore := countFiles(t, dir, ckptSuffix)
+	ckptsBefore := countFiles(t, dir, ckptKind.suffix)
 	if ckptsBefore < 2 {
 		t.Fatalf("fixture holds %d checkpoints, want at least 2", ckptsBefore)
 	}
@@ -57,22 +56,13 @@ func TestCompactMergesAndPreservesStream(t *testing.T) {
 	if got := len(s.Segments()); got >= segsBefore {
 		t.Fatalf("still %d segments after compaction (was %d)", got, segsBefore)
 	}
-	if n := countFiles(t, dir, ckptSuffix); n != 1 {
+	if n := countFiles(t, dir, ckptKind.suffix); n != 1 {
 		t.Fatalf("%d checkpoint files after compaction, want 1", n)
 	}
 
-	// The observation stream and index are exactly what they were.
+	// The observation stream is exactly what it was.
 	if after := collectStream(t, s); !reflect.DeepEqual(after, before) {
 		t.Fatalf("stream changed: %d obs before, %d after", len(before), len(after))
-	}
-	if got := s.Keys(); !reflect.DeepEqual(got, wantKeys) {
-		t.Fatalf("index changed: %d keys before, %d after", len(wantKeys), len(got))
-	}
-	at := round0.Add(2 * time.Hour)
-	probe := obsAt(at, 1, 1)
-	got, err := s.Lookup(probe.Responder, at.UnixNano(), probe.Vantage)
-	if err != nil || len(got) != 1 || !reflect.DeepEqual(got[0], probe) {
-		t.Fatalf("Lookup after compaction = %+v, %v", got, err)
 	}
 
 	// The store keeps appending and a reopen sees the merged layout.
@@ -83,7 +73,7 @@ func TestCompactMergesAndPreservesStream(t *testing.T) {
 }
 
 func TestCompactSurvivesReopen(t *testing.T) {
-	dir, _ := buildFragmented(t)
+	dir := buildFragmented(t)
 	s, err := Open(dir, Options{SegmentSize: 16 << 10, NoSync: true})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)

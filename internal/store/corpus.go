@@ -1,39 +1,26 @@
 package store
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 )
 
-// Corpus segments hold a spilled synthetic certificate corpus — the
-// census generator's output, streamed to disk shard by shard so a
-// paper-scale (hundreds of millions of certificates) world never has to
-// live in memory. They sit alongside the observation log and reuse its
-// framing discipline:
-//
-//	cor-NNNNNN.seg: 8-byte magic "MSCORSG1" | u32 LE codec version |
-//	                u32 LE segment index, then records framed as
-//	                u32 LE payload length | u32 LE CRC32-C | payload.
-//
-// One segment per generator shard, with the exact Must-Staple tier as
-// the final segment, so segment order is stream order. Unlike the
-// observation log, the corpus is derived data regenerated from a seed:
-// a torn or corrupt record is a hard error (re-spill to repair), never a
-// recoverable tail, and nothing is fsynced on the write path.
+// Corpus segments (corpusKind: cor-NNNNNN.seg) hold a spilled synthetic
+// certificate corpus — the census generator's output, streamed to disk
+// shard by shard so a paper-scale (hundreds of millions of certificates)
+// world never has to live in memory. One segment per generator shard,
+// with the exact Must-Staple tier as the final segment, so segment order
+// is stream order. Unlike the observation log, the corpus is derived data
+// regenerated from a seed: a torn or corrupt record is a hard error
+// (re-spill to repair), never a recoverable tail, and nothing is fsynced
+// on the write path. The meta file is the commit point, and it names
+// exactly which segments belong to the corpus.
 const (
-	corpusMagic    = "MSCORSG1"
 	corpusVersion  = 1
-	corpusPrefix   = "cor-"
-	corpusSuffix   = ".seg"
 	corpusMetaName = "corpus.json"
 )
 
@@ -63,17 +50,21 @@ type CorpusMeta struct {
 
 // WriteCorpusMeta commits the meta file via temp-file + rename, the same
 // atomicity discipline as checkpoints: readers see the old meta or the
-// new one, never a torn write.
+// new one, never a torn write. Segments past m's last (index Shards) are
+// removed first: an interrupted spill of a larger corpus can leave them,
+// and they are not part of this one.
 func WriteCorpusMeta(dir string, m CorpusMeta) error {
 	data, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("store: corpus meta: %w", err)
 	}
-	tmp := filepath.Join(dir, corpusMetaName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := corpusKind.removeFrom(dir, uint64(m.Shards)+1); err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(dir, corpusMetaName))
+	return writeFileAtomic(dir, corpusMetaName, false, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // ReadCorpusMeta reads the spill directory's meta file. ok is false when
@@ -95,32 +86,9 @@ func ReadCorpusMeta(dir string) (m CorpusMeta, ok bool, err error) {
 	return m, true, nil
 }
 
-func corpusSegmentName(index int) string {
-	return fmt.Sprintf("%s%06d%s", corpusPrefix, index, corpusSuffix)
-}
-
-func parseCorpusSegmentName(name string) (int, bool) {
-	if !strings.HasPrefix(name, corpusPrefix) || !strings.HasSuffix(name, corpusSuffix) {
-		return 0, false
-	}
-	digits := strings.TrimSuffix(strings.TrimPrefix(name, corpusPrefix), corpusSuffix)
-	if digits == "" {
-		return 0, false
-	}
-	n := 0
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
-}
-
 // CorpusWriter appends records to one corpus segment.
 type CorpusWriter struct {
-	f       *os.File
-	bw      *bufio.Writer
+	w       *frameWriter
 	scratch []byte
 	records int64
 }
@@ -132,36 +100,17 @@ func CreateCorpusSegment(dir string, index int) (*CorpusWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	path := filepath.Join(dir, corpusSegmentName(index))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := corpusKind.create(dir, uint64(index), os.O_TRUNC)
 	if err != nil {
 		return nil, err
 	}
-	w := &CorpusWriter{f: f, bw: bufio.NewWriterSize(f, 64<<10)}
-	h := make([]byte, segHeaderSize)
-	copy(h, corpusMagic)
-	binary.LittleEndian.PutUint32(h[8:], corpusVersion)
-	binary.LittleEndian.PutUint32(h[12:], uint32(index))
-	if _, err := w.bw.Write(h); err != nil {
-		return nil, errors.Join(err, f.Close())
-	}
-	return w, nil
+	return &CorpusWriter{w: newFrameWriter(f, segHeaderSize, 64<<10)}, nil
 }
 
 // Append writes one framed record.
 func (w *CorpusWriter) Append(rec CorpusRecord) error {
-	payload := appendCorpusRecord(w.scratch[:0], rec)
-	w.scratch = payload
-	if len(payload) > maxRecordSize {
-		return fmt.Errorf("store: corpus record of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [recordHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.bw.Write(payload); err != nil {
+	w.scratch = appendCorpusRecord(w.scratch[:0], rec)
+	if err := w.w.append(w.scratch); err != nil {
 		return err
 	}
 	w.records++
@@ -174,99 +123,30 @@ func (w *CorpusWriter) Records() int64 { return w.records }
 // Close flushes and closes the segment. No fsync: the corpus is derived
 // data, and the meta file is the commit point.
 func (w *CorpusWriter) Close() error {
-	ferr := w.bw.Flush()
-	return errors.Join(ferr, w.f.Close())
-}
-
-// ScanCorpusSegment streams every record of one segment through fn.
-// Corruption anywhere — bad header, bad CRC, torn tail — is a hard
-// error: corpus segments are written in full and committed by the meta
-// file, so a damaged one means the spill must be regenerated.
-func ScanCorpusSegment(path string, index int, fn func(CorpusRecord) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close() //lint:allow errcheck-hot read-only handle, nothing to flush
-
-	br := bufio.NewReaderSize(f, 64<<10)
-	h := make([]byte, segHeaderSize)
-	if _, err := io.ReadFull(br, h); err != nil {
-		return fmt.Errorf("store: corpus segment header: %w", err)
-	}
-	if string(h[:8]) != corpusMagic {
-		return fmt.Errorf("store: bad corpus segment magic %q", h[:8])
-	}
-	if v := binary.LittleEndian.Uint32(h[8:]); v != corpusVersion {
-		return fmt.Errorf("store: corpus segment version %d, want %d", v, corpusVersion)
-	}
-	if idx := int(binary.LittleEndian.Uint32(h[12:])); idx != index {
-		return fmt.Errorf("store: corpus segment header index %d does not match name index %d", idx, index)
-	}
-
-	hdr := make([]byte, recordHeaderSize)
-	var buf []byte
-	for {
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("store: %s: torn record header: %w", path, err)
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:])
-		sum := binary.LittleEndian.Uint32(hdr[4:])
-		if length == 0 || length > maxRecordSize {
-			return fmt.Errorf("store: %s: corrupt record length %d", path, length)
-		}
-		if int(length) > cap(buf) {
-			buf = make([]byte, length)
-		}
-		payload := buf[:length]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return fmt.Errorf("store: %s: torn record payload: %w", path, err)
-		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			return fmt.Errorf("store: %s: record CRC mismatch", path)
-		}
-		rec, err := decodeCorpusRecord(payload)
-		if err != nil {
-			return fmt.Errorf("store: %s: %w", path, err)
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
+	return w.w.close(false)
 }
 
 // ScanCorpus streams every record of a committed spill directory through
 // fn, segments in index order — which is the generator's stream order.
+// It reads exactly the segments 0..Shards that the meta commits: a
+// missing or extra segment, or any damaged record, is a hard error, since
+// corpus segments are written in full and a damaged spill must be
+// regenerated.
 func ScanCorpus(dir string, fn func(CorpusRecord) error) error {
-	entries, err := os.ReadDir(dir)
+	meta, ok, err := ReadCorpusMeta(dir)
 	if err != nil {
 		return err
 	}
-	type seg struct {
-		index int
-		path  string
+	if !ok {
+		return fmt.Errorf("store: %s holds no committed corpus (missing %s)", dir, corpusMetaName)
 	}
-	var segs []seg
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
+	return corpusKind.scanLog(dir, meta.Shards+1, func(payload []byte) error {
+		rec, err := decodeCorpusRecord(payload)
+		if err != nil {
+			return fmt.Errorf("store: %s: %w", dir, err)
 		}
-		idx, ok := parseCorpusSegmentName(e.Name())
-		if !ok {
-			continue
-		}
-		segs = append(segs, seg{index: idx, path: filepath.Join(dir, e.Name())})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].index < segs[j].index })
-	for _, s := range segs {
-		if err := ScanCorpusSegment(s.path, s.index, fn); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(rec)
+	})
 }
 
 // Corpus record payload: uvarint CA length | CA bytes | flag byte

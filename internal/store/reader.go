@@ -1,13 +1,8 @@
 package store
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 
 	"github.com/netmeasure/muststaple/internal/scanner"
 )
@@ -54,72 +49,30 @@ func (s *Store) Reader() *Reader {
 // order within a segment) to fn, decoding one record at a time. A fn
 // error stops the scan and is returned, except ErrStop which stops it
 // successfully. Unlike recovery, a scan does not tolerate torn records:
-// everything inside the snapshot limits was durably committed, so a
-// framing or checksum failure here is data corruption and an error.
+// everything inside the snapshot limits was durably committed, so damage
+// there — or a segment ending short of its limit — is an error.
 func (r *Reader) Scan(fn func(scanner.Observation) error) error {
-	// Scan-level scratch, shared by every segment: one payload buffer,
-	// one record-header buffer, and one string intern table, so steady
-	// state decoding allocates only for values the scan has never seen.
-	scratch := scanScratch{
-		hdr:    make([]byte, recordHeaderSize),
-		intern: newInternTable(),
-	}
+	// Scan-level scratch, shared by every segment: one payload buffer and
+	// one string intern table, so steady state decoding allocates only
+	// for values the scan has never seen.
+	var buf []byte
+	intern := newInternTable()
 	for _, seg := range r.segs {
-		if err := scanReaderSegment(seg, &scratch, fn); err != nil {
-			if errors.Is(err, ErrStop) {
-				return nil
+		committed, err := obsKind.scanFile(seg.path, uint64(seg.index), seg.limit, &buf, func(payload []byte, off int64) error {
+			o, err := decodeObservationInterned(payload, intern)
+			if err != nil {
+				return fmt.Errorf("store: %s offset %d: %w", seg.path, off, err)
 			}
-			return err
+			return fn(o)
+		})
+		if errors.Is(err, ErrStop) {
+			return nil
 		}
-	}
-	return nil
-}
-
-type scanScratch struct {
-	buf    []byte
-	hdr    []byte
-	intern *internTable
-}
-
-func scanReaderSegment(seg readerSeg, scratch *scanScratch, fn func(scanner.Observation) error) error {
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return err
-	}
-	defer f.Close() //lint:allow errcheck-hot read-only handle, nothing to flush
-
-	lr := bufio.NewReaderSize(io.LimitReader(f, seg.limit), 64<<10)
-	if err := checkSegmentHeader(lr, seg.index); err != nil {
-		return err
-	}
-	off := int64(segHeaderSize)
-	hdr := scratch.hdr
-	for off < seg.limit {
-		if _, err := io.ReadFull(lr, hdr); err != nil {
-			return fmt.Errorf("store: %s offset %d: truncated record header inside committed range: %w", seg.path, off, err)
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:])
-		sum := binary.LittleEndian.Uint32(hdr[4:])
-		if length == 0 || length > maxRecordSize {
-			return fmt.Errorf("store: %s offset %d: impossible record length %d", seg.path, off, length)
-		}
-		if int(length) > cap(scratch.buf) {
-			scratch.buf = make([]byte, length)
-		}
-		payload := scratch.buf[:length]
-		if _, err := io.ReadFull(lr, payload); err != nil {
-			return fmt.Errorf("store: %s offset %d: truncated record inside committed range: %w", seg.path, off, err)
-		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			return fmt.Errorf("store: %s offset %d: record failed its checksum", seg.path, off)
-		}
-		o, err := decodeObservationInterned(payload, scratch.intern)
 		if err != nil {
-			return fmt.Errorf("store: %s offset %d: %w", seg.path, off, err)
-		}
-		off += recordHeaderSize + int64(length)
-		if err := fn(o); err != nil {
 			return err
+		}
+		if committed < seg.limit {
+			return fmt.Errorf("store: %s ends at offset %d, inside its committed %d bytes", seg.path, committed, seg.limit)
 		}
 	}
 	return nil

@@ -65,17 +65,7 @@ func TestReportLogRotation(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs := 0
-	for _, e := range entries {
-		if _, ok := parseReportSegmentName(e.Name()); ok {
-			segs++
-		}
-	}
-	if segs < 2 {
+	if segs := countFiles(t, dir, reportKind.suffix); segs < 2 {
 		t.Fatalf("expected rotation to produce >= 2 segments, got %d", segs)
 	}
 	count := 0
@@ -94,7 +84,8 @@ func TestReportLogRotation(t *testing.T) {
 }
 
 func TestReportLogRejectsBadAppends(t *testing.T) {
-	l, err := CreateReportLog(t.TempDir())
+	dir := t.TempDir()
+	l, err := CreateReportLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,6 +95,22 @@ func TestReportLogRejectsBadAppends(t *testing.T) {
 	}
 	if err := l.Append(make([]byte, maxRecordSize+1)); err == nil {
 		t.Fatal("oversized payload accepted")
+	}
+	// At the rotation threshold a rejected payload must not rotate: that
+	// would leave an empty segment behind.
+	for l.w.size < reportSegmentMaxBytes {
+		if err := l.Append(make([]byte, 64<<10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Append(nil); err == nil {
+		t.Fatal("empty payload accepted at the rotation threshold")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := countFiles(t, dir, reportKind.suffix); n != 1 {
+		t.Fatalf("a rejected append left %d segments, want 1", n)
 	}
 }
 
@@ -124,7 +131,7 @@ func TestReportLogCorruptionIsHardError(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, reportSegmentName(0))
+	path := filepath.Join(dir, reportKind.name(0))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -196,26 +203,35 @@ func TestCreateReportLogClearsStaleSegments(t *testing.T) {
 	}
 }
 
-func TestParseReportSegmentName(t *testing.T) {
-	cases := []struct {
-		name string
-		idx  int
-		ok   bool
-	}{
-		{"rpt-000000.seg", 0, true},
-		{"rpt-000042.seg", 42, true},
-		{"rpt-.seg", 0, false},
-		{"rpt-12ab.seg", 0, false},
-		{"obs-000000.seg", 0, false},
-		{"rpt-000000.tmp", 0, false},
+// TestReportLogRejectsGap: the report log is never compacted, so a
+// missing segment is lost data, not a shorter log.
+func TestReportLogRejectsGap(t *testing.T) {
+	dir := t.TempDir()
+	l, err := CreateReportLog(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		idx, ok := parseReportSegmentName(c.name)
-		if ok != c.ok || (ok && idx != c.idx) {
-			t.Errorf("parseReportSegmentName(%q) = %d,%v want %d,%v", c.name, idx, ok, c.idx, c.ok)
+	payload := bytes.Repeat([]byte{0xcd}, 64<<10)
+	for i := 0; i < 200; i++ {
+		if err := l.Append(payload); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if got := reportSegmentName(7); got != "rpt-000007.seg" {
-		t.Errorf("reportSegmentName(7) = %q", got)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := countFiles(t, dir, reportKind.suffix); n != 4 {
+		t.Fatalf("fixture wrote %d segments, want 4", n)
+	}
+	if err := os.Remove(filepath.Join(dir, reportKind.name(1))); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	err = ScanReportLog(dir, func([]byte) error {
+		n++
+		return nil
+	})
+	if err == nil {
+		t.Fatalf("scan of a log missing segment 1 returned %d payloads and no error", n)
 	}
 }

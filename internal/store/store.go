@@ -1,11 +1,11 @@
 // Package store is the durable observation store behind `-store` /
 // `-resume`: a dependency-free embedded segmented append-only log holding
 // one record per scanner.Observation, with CRC32-C checksummed record
-// framing, an in-memory index keyed by (responder, round, vantage)
-// rebuilt on open, crash-safe recovery that truncates a torn tail record,
-// and periodic campaign checkpoints that let an interrupted campaign
-// resume exactly where it stopped. See DESIGN.md §11 for the on-disk
-// format and the recovery rules.
+// framing, crash-safe recovery that truncates a torn tail record, and
+// periodic campaign checkpoints that let an interrupted campaign resume
+// exactly where it stopped. The Expect-Staple report log and the corpus
+// spill share its segment layer (segment.go). See DESIGN.md §11 for the
+// on-disk format and the recovery rules.
 //
 // Concurrency: a Store has a single writer (the campaign engine's
 // dedicated store goroutine calls AppendRound) and any number of Readers;
@@ -13,13 +13,10 @@
 package store
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"sort"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -65,20 +62,19 @@ type Options struct {
 	CrashAfterRounds int
 }
 
-// Key identifies one index cell: all observations of one responder from
-// one vantage in one round.
-type Key struct {
-	Responder string
-	// Round is the round's virtual timestamp as UnixNano.
-	Round   int64
-	Vantage string
-}
+// DefaultSegmentSize is the rotation threshold when Options.SegmentSize
+// is zero. Small enough that compaction and truncation touch little data,
+// large enough that a paper-scale campaign stays in tens of files.
+const DefaultSegmentSize = 4 << 20
 
-// recordRef locates one record inside a segment file.
-type recordRef struct {
-	seg int   // segment index (not slice position)
-	off int64 // file offset of the record header
-	n   int32 // payload length
+// segment is the in-memory description of one observation segment file.
+type segment struct {
+	index   int
+	path    string
+	size    int64 // committed bytes, header included
+	records int
+	firstAt int64 // round of the first/last record (UnixNano);
+	lastAt  int64 // meaningful only when records > 0
 }
 
 // Store is an open observation store. Create with Open.
@@ -91,11 +87,9 @@ type Store struct {
 	closed  bool
 	failed  error // sticky first write failure; all later writes return it
 	segs    []*segment
-	active  *os.File // last segment, open for append
-	w       *bufio.Writer
-	flushed int64 // bytes of the active segment durable enough to read
-	index   map[Key][]recordRef
-	rounds  []int64 // distinct record round timestamps, ascending
+	w       *frameWriter // appends to the last segment
+	flushed int64        // bytes of the active segment durable enough to read
+	rounds  []int64      // distinct record round timestamps, ascending
 	// roundCount includes empty rounds (every target expired), which
 	// leave no records — the checkpoint carries their count across
 	// reopens. lastRound/hasRound track the append high-water mark.
@@ -109,7 +103,6 @@ type Store struct {
 	payload    func() []byte // optional engine snapshot for checkpoints
 
 	encBuf  []byte // reusable observation encode buffer
-	hdrBuf  [recordHeaderSize]byte
 	scanBuf []byte // reusable segment-scan payload buffer
 
 	mSegments *metrics.Gauge
@@ -121,8 +114,8 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the store in dir. Opening scans every
-// segment to rebuild the index, truncates a torn tail record left by a
-// crash, and loads the newest intact checkpoint.
+// segment, truncates a torn tail left by a crash, and loads the newest
+// intact checkpoint.
 func Open(dir string, opt Options) (*Store, error) {
 	if opt.SegmentSize <= 0 {
 		opt.SegmentSize = DefaultSegmentSize
@@ -157,24 +150,23 @@ func Open(dir string, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// load rebuilds the in-memory state — segment list, index, round list,
-// checkpoint — from the files in s.dir, truncating a torn tail record of
-// the final segment. It does not open the active segment for writing.
+// load rebuilds the in-memory state — segment list, round list,
+// checkpoint — from the files in s.dir, dropping a torn tail of the final
+// segment. It does not open the active segment for writing.
 func (s *Store) load() error {
-	segs, err := listSegments(s.dir)
+	idx, err := obsKind.list(s.dir)
 	if err != nil {
 		return err
 	}
-	s.segs = segs
-	s.index = make(map[Key][]recordRef)
+	s.segs = make([]*segment, 0, len(idx))
 	s.rounds = nil
 	s.scans = 0
 
 	var lastRound int64
-	for i, seg := range segs {
-		seg.records, seg.firstAt, seg.lastAt = 0, 0, 0
-		committed, buf, err := scanSegment(seg.path, seg.index, s.scanBuf, func(payload []byte, off int64) error {
-			at, vantage, responder, err := decodeIndexKey(payload)
+	for i, n := range idx {
+		seg := &segment{index: int(n), path: filepath.Join(s.dir, obsKind.name(n))}
+		committed, err := obsKind.scanFile(seg.path, n, -1, &s.scanBuf, func(payload []byte, off int64) error {
+			at, err := decodeRecordAt(payload)
 			if err != nil {
 				return fmt.Errorf("store: %s offset %d: %w", seg.path, off, err)
 			}
@@ -185,8 +177,6 @@ func (s *Store) load() error {
 				s.rounds = append(s.rounds, at)
 				lastRound = at
 			}
-			key := Key{Responder: responder, Round: at, Vantage: vantage}
-			s.index[key] = append(s.index[key], recordRef{seg: seg.index, off: off, n: int32(len(payload))})
 			if seg.records == 0 {
 				seg.firstAt = at
 			}
@@ -195,26 +185,34 @@ func (s *Store) load() error {
 			s.scans++
 			return nil
 		})
-		s.scanBuf = buf
-		if err != nil {
-			return err
-		}
-		info, err := os.Stat(seg.path)
-		if err != nil {
-			return err
-		}
-		if committed < info.Size() {
-			if i != len(segs)-1 {
-				return fmt.Errorf("store: segment %s is corrupt mid-stream (%d of %d bytes intact); only the final segment may carry a torn tail", seg.path, committed, info.Size())
+		if errors.Is(err, errDamaged) {
+			if i != len(idx)-1 {
+				return fmt.Errorf("store: sealed segment %s is damaged (%d bytes intact); only the final segment may carry a torn tail: %w", seg.path, committed, err)
 			}
-			// Crash recovery: drop the torn tail record so the segment
-			// ends on a clean record boundary.
-			if err := os.Truncate(seg.path, committed); err != nil {
+			// Crash recovery: an interrupted append. Cut the segment back
+			// to its last intact frame, or drop it whole when even its
+			// header is torn.
+			info, err := os.Stat(seg.path)
+			if err != nil {
+				return err
+			}
+			if committed == 0 {
+				err = os.Remove(seg.path)
+			} else {
+				err = os.Truncate(seg.path, committed)
+			}
+			if err != nil {
 				return err
 			}
 			s.mRecov.Add(info.Size() - committed)
+			if committed == 0 {
+				break
+			}
+		} else if err != nil {
+			return err
 		}
 		seg.size = committed
+		s.segs = append(s.segs, seg)
 	}
 
 	s.roundCount = int64(len(s.rounds))
@@ -253,37 +251,43 @@ func (s *Store) load() error {
 // openActive opens the last segment for appending, sealing it and
 // starting a fresh one when it is already at the rotation threshold.
 func (s *Store) openActive() error {
-	if len(s.segs) == 0 || s.segs[len(s.segs)-1].size >= s.opt.SegmentSize {
-		next := 0
-		if n := len(s.segs); n > 0 {
-			next = s.segs[n-1].index + 1
+	var f *os.File
+	var err error
+	if n := len(s.segs); n == 0 || s.segs[n-1].size >= s.opt.SegmentSize {
+		f, err = s.startSegment()
+	} else if f, err = os.OpenFile(s.segs[n-1].path, os.O_WRONLY, 0); err == nil {
+		if _, serr := f.Seek(s.segs[n-1].size, 0); serr != nil {
+			err = errors.Join(serr, f.Close())
 		}
-		seg, f, err := createSegment(s.dir, next)
-		if err != nil {
-			return err
-		}
-		s.segs = append(s.segs, seg)
-		s.active = f
-		s.reg.Counter("store_segments_created_total").Inc()
-	} else {
-		seg := s.segs[len(s.segs)-1]
-		f, err := os.OpenFile(seg.path, os.O_WRONLY, 0)
-		if err != nil {
-			return err
-		}
-		if _, err := f.Seek(seg.size, 0); err != nil {
-			return errors.Join(err, f.Close())
-		}
-		s.active = f
 	}
+	if err != nil {
+		return err
+	}
+	size := s.segs[len(s.segs)-1].size
 	if s.w == nil {
-		s.w = bufio.NewWriterSize(s.active, 256<<10)
+		s.w = newFrameWriter(f, size, 256<<10)
 	} else {
-		s.w.Reset(s.active)
+		s.w.reset(f, size)
 	}
-	s.flushed = s.segs[len(s.segs)-1].size
+	s.flushed = size
 	s.publishGauges()
 	return nil
+}
+
+// startSegment creates the segment after the last one and appends it to
+// s.segs.
+func (s *Store) startSegment() (*os.File, error) {
+	next := 0
+	if n := len(s.segs); n > 0 {
+		next = s.segs[n-1].index + 1
+	}
+	f, err := obsKind.create(s.dir, uint64(next), os.O_EXCL)
+	if err != nil {
+		return nil, err
+	}
+	s.segs = append(s.segs, &segment{index: next, path: f.Name(), size: segHeaderSize})
+	s.reg.Counter("store_segments_created_total").Inc()
+	return f, nil
 }
 
 func (s *Store) publishGauges() {
@@ -293,19 +297,6 @@ func (s *Store) publishGauges() {
 		bytes += seg.size
 	}
 	s.mBytes.Set(bytes)
-}
-
-// decodeIndexKey reads the three leading fields of an encoded
-// observation — At, Vantage, Responder — which are exactly the index key.
-func decodeIndexKey(payload []byte) (at int64, vantage, responder string, err error) {
-	d := decoder{b: payload}
-	t := d.time()
-	vantage = d.string()
-	responder = d.string()
-	if d.err != nil {
-		return 0, "", "", d.err
-	}
-	return t.UnixNano(), vantage, responder, nil
 }
 
 // AppendRound durably appends one completed round: every observation is
@@ -350,7 +341,7 @@ func (s *Store) AppendRound(at time.Time, obs []scanner.Observation) error {
 	}
 
 	stop := s.reg.Timer("store_flush_seconds", flushLatencyBounds...)
-	if err := s.w.Flush(); err != nil {
+	if err := s.w.flush(); err != nil {
 		s.failed = err
 		return err
 	}
@@ -379,58 +370,37 @@ func (s *Store) AppendRound(at time.Time, obs []scanner.Observation) error {
 // appendRecord frames and buffers one observation, rotating the active
 // segment first when it has reached the size threshold.
 func (s *Store) appendRecord(round int64, o *scanner.Observation) error {
-	seg := s.segs[len(s.segs)-1]
-	if seg.size >= s.opt.SegmentSize {
+	if s.w.size >= s.opt.SegmentSize {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}
-		seg = s.segs[len(s.segs)-1]
 	}
 	s.encBuf = appendObservation(s.encBuf[:0], o)
-	payload := s.encBuf
-	binary.LittleEndian.PutUint32(s.hdrBuf[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(s.hdrBuf[4:], crc32.Checksum(payload, crcTable))
-	if _, err := s.w.Write(s.hdrBuf[:]); err != nil {
+	if err := s.w.append(s.encBuf); err != nil {
 		return err
 	}
-	if _, err := s.w.Write(payload); err != nil {
-		return err
-	}
-	off := seg.size
-	seg.size += recordHeaderSize + int64(len(payload))
+	seg := s.segs[len(s.segs)-1]
+	seg.size = s.w.size
 	if seg.records == 0 {
 		seg.firstAt = round
 	}
 	seg.lastAt = round
 	seg.records++
-	key := Key{Responder: o.Responder, Round: round, Vantage: o.Vantage}
-	s.index[key] = append(s.index[key], recordRef{seg: seg.index, off: off, n: int32(len(payload))})
 	return nil
 }
 
 // rotateLocked seals the active segment (flush, fsync, close) and starts
 // the next one.
 func (s *Store) rotateLocked() error {
-	if err := s.w.Flush(); err != nil {
+	if err := s.w.close(!s.opt.NoSync); err != nil {
 		return err
 	}
-	if !s.opt.NoSync {
-		if err := s.active.Sync(); err != nil {
-			return err
-		}
-	}
-	if err := s.active.Close(); err != nil {
-		return err
-	}
-	seg, f, err := createSegment(s.dir, s.segs[len(s.segs)-1].index+1)
+	f, err := s.startSegment()
 	if err != nil {
 		return err
 	}
-	s.segs = append(s.segs, seg)
-	s.active = f
-	s.w.Reset(f)
-	s.flushed = seg.size
-	s.reg.Counter("store_segments_created_total").Inc()
+	s.w.reset(f, segHeaderSize)
+	s.flushed = segHeaderSize
 	return nil
 }
 
@@ -441,25 +411,24 @@ func (s *Store) rotateLocked() error {
 // checkpoint.
 func (s *Store) simulateCrash(obs []scanner.Observation, written int) error {
 	if len(obs) > 0 {
-		torn := &obs[written%len(obs)]
-		s.encBuf = appendObservation(s.encBuf[:0], torn)
-		payload := s.encBuf
-		binary.LittleEndian.PutUint32(s.hdrBuf[0:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(s.hdrBuf[4:], crc32.Checksum(payload, crcTable))
-		if _, err := s.w.Write(s.hdrBuf[:]); err != nil {
-			return err
-		}
-		if _, err := s.w.Write(payload[:len(payload)/2]); err != nil {
+		s.encBuf = appendObservation(s.encBuf[:0], &obs[written%len(obs)])
+		if err := s.w.append(s.encBuf); err != nil {
 			return err
 		}
 	}
-	if err := s.w.Flush(); err != nil {
+	if err := s.w.flush(); err != nil {
 		return err
 	}
-	if !s.opt.NoSync {
-		if err := s.active.Sync(); err != nil {
+	if len(obs) > 0 {
+		// Tear the frame just written: keep its header and the first
+		// half of its payload.
+		lost := int64(len(s.encBuf) - len(s.encBuf)/2)
+		if err := s.w.f.Truncate(s.w.size - lost); err != nil {
 			return err
 		}
+	}
+	if !s.opt.NoSync {
+		return s.w.f.Sync()
 	}
 	return nil
 }
@@ -488,7 +457,7 @@ func (s *Store) LastCheckpoint() (Checkpoint, bool) {
 // recording the round high-water mark.
 func (s *Store) checkpointLocked() error {
 	if !s.opt.NoSync {
-		if err := s.active.Sync(); err != nil {
+		if err := s.w.f.Sync(); err != nil {
 			return err
 		}
 	}
@@ -514,21 +483,17 @@ func (s *Store) checkpointLocked() error {
 
 // TruncateAfter removes every record whose round is later than round
 // (UnixNano) — the resume path's way of discarding a partially persisted
-// round beyond the last checkpoint — then rewrites the checkpoint to
-// match the new tail and rebuilds the index.
+// round beyond the last checkpoint — then drops the checkpoints past the
+// new tail and reloads.
 func (s *Store) TruncateAfter(round int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if err := s.w.Flush(); err != nil {
+	if err := s.w.close(false); err != nil {
 		return err
 	}
-	if err := s.active.Close(); err != nil {
-		return err
-	}
-	s.active = nil
 
 	cut := -1 // first segment slice position to delete entirely
 	for i, seg := range s.segs {
@@ -542,21 +507,18 @@ func (s *Store) TruncateAfter(round int64) error {
 		// The boundary segment: find the offset of the first record
 		// past the cut and truncate there.
 		var cutOff int64 = -1
-		committed, buf, err := scanSegment(seg.path, seg.index, s.scanBuf, func(payload []byte, off int64) error {
-			if cutOff >= 0 {
-				return nil
-			}
+		committed, err := obsKind.scanFile(seg.path, uint64(seg.index), -1, &s.scanBuf, func(payload []byte, off int64) error {
 			at, err := decodeRecordAt(payload)
 			if err != nil {
 				return err
 			}
 			if at > round {
 				cutOff = off
+				return ErrStop
 			}
 			return nil
 		})
-		s.scanBuf = buf
-		if err != nil {
+		if err != nil && !errors.Is(err, ErrStop) {
 			return err
 		}
 		if cutOff < 0 {
@@ -602,89 +564,12 @@ func (s *Store) Rounds() []int64 {
 	return append([]int64(nil), s.rounds...)
 }
 
-// Keys returns every index key, sorted by (Round, Responder, Vantage) so
-// iteration order is deterministic.
-func (s *Store) Keys() []Key {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Key, 0, len(s.index))
-	for k := range s.index {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Round != b.Round {
-			return a.Round < b.Round
-		}
-		if a.Responder != b.Responder {
-			return a.Responder < b.Responder
-		}
-		return a.Vantage < b.Vantage
-	})
-	return out
-}
-
-// Lookup returns the observations recorded for one index key, in append
-// order, reading only those records from disk.
-func (s *Store) Lookup(responder string, round int64, vantage string) ([]scanner.Observation, error) {
-	s.mu.Lock()
-	refs := append([]recordRef(nil), s.index[Key{Responder: responder, Round: round, Vantage: vantage}]...)
-	paths := make(map[int]string, len(s.segs))
-	for _, seg := range s.segs {
-		paths[seg.index] = seg.path
-	}
-	s.mu.Unlock()
-
-	var out []scanner.Observation
-	var f *os.File
-	open := -1
-	defer func() {
-		if f != nil {
-			f.Close() //lint:allow errcheck-hot read-only handle, nothing to flush
-		}
-	}()
-	buf := make([]byte, 0, 512)
-	for _, ref := range refs {
-		if open != ref.seg {
-			if f != nil {
-				if err := f.Close(); err != nil {
-					return nil, err
-				}
-			}
-			var err error
-			f, err = os.Open(paths[ref.seg])
-			if err != nil {
-				return nil, err
-			}
-			open = ref.seg
-		}
-		if cap(buf) < int(ref.n)+recordHeaderSize {
-			buf = make([]byte, int(ref.n)+recordHeaderSize)
-		}
-		rec := buf[:int(ref.n)+recordHeaderSize]
-		if _, err := f.ReadAt(rec, ref.off); err != nil {
-			return nil, err
-		}
-		payload := rec[recordHeaderSize:]
-		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rec[4:]) {
-			return nil, fmt.Errorf("store: record at %s offset %d failed its checksum", paths[ref.seg], ref.off)
-		}
-		o, err := decodeObservation(payload)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, o)
-	}
-	return out, nil
-}
-
 // Stats summarizes the store for inspection tools.
 type Stats struct {
-	Segments  int
-	Records   int64
-	Rounds    int
-	Bytes     int64
-	IndexKeys int
+	Segments int
+	Records  int64
+	Rounds   int
+	Bytes    int64
 	// Checkpoint is the newest intact checkpoint; HasCheckpoint reports
 	// whether one exists.
 	Checkpoint    Checkpoint
@@ -696,10 +581,9 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Segments:  len(s.segs),
-		Records:   s.scans,
-		Rounds:    int(s.roundCount),
-		IndexKeys: len(s.index),
+		Segments: len(s.segs),
+		Records:  s.scans,
+		Rounds:   int(s.roundCount),
 	}
 	for _, seg := range s.segs {
 		st.Bytes += seg.size
@@ -747,18 +631,5 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.active == nil {
-		return nil
-	}
-	err := s.w.Flush()
-	if !s.opt.NoSync {
-		if serr := s.active.Sync(); err == nil {
-			err = serr
-		}
-	}
-	if cerr := s.active.Close(); err == nil {
-		err = cerr
-	}
-	s.active = nil
-	return err
+	return s.w.close(!s.opt.NoSync)
 }

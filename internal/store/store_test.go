@@ -199,40 +199,6 @@ func TestRotation(t *testing.T) {
 	}
 }
 
-func TestIndexLookupAndKeys(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{SegmentSize: 512, NoSync: true})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer s.Close()
-	appendRounds(t, s, 4, 3)
-
-	keys := s.Keys()
-	if len(keys) == 0 {
-		t.Fatal("no index keys")
-	}
-	for i := 1; i < len(keys); i++ {
-		a, b := keys[i-1], keys[i]
-		if a.Round > b.Round || (a.Round == b.Round && a.Responder > b.Responder) ||
-			(a.Round == b.Round && a.Responder == b.Responder && a.Vantage >= b.Vantage) {
-			t.Fatalf("keys not strictly sorted at %d: %+v then %+v", i, a, b)
-		}
-	}
-
-	at := round0.Add(2 * time.Hour)
-	want := obsAt(at, 1, 1)
-	got, err := s.Lookup(want.Responder, at.UnixNano(), want.Vantage)
-	if err != nil {
-		t.Fatalf("Lookup: %v", err)
-	}
-	if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
-		t.Fatalf("Lookup = %+v, want exactly %+v", got, want)
-	}
-	if got, err := s.Lookup("nobody", at.UnixNano(), "vp-0"); err != nil || len(got) != 0 {
-		t.Fatalf("Lookup(miss) = %v, %v", got, err)
-	}
-}
-
 func TestMonotonicRounds(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{NoSync: true})
 	if err != nil {
@@ -262,7 +228,7 @@ func TestCheckpointRetention(t *testing.T) {
 	}
 	defer s.Close()
 	appendRounds(t, s, 5, 2)
-	if n := countFiles(t, dir, ckptSuffix); n != 2 {
+	if n := countFiles(t, dir, ckptKind.suffix); n != 2 {
 		t.Fatalf("%d checkpoint files on disk, want 2 (newest plus one predecessor)", n)
 	}
 	ck, ok := s.LastCheckpoint()
@@ -390,8 +356,10 @@ func TestTruncateAfter(t *testing.T) {
 
 func TestRecoveryTornTailCorpus(t *testing.T) {
 	// Build a single-segment store with no checkpoints, then replay every
-	// possible torn-tail length and check recovery keeps exactly the
-	// records that were fully written.
+	// possible torn-tail length — including a header cut short, which a
+	// crash between creating a segment and writing its header leaves —
+	// and check recovery keeps exactly the records that were fully
+	// written and counts every byte it drops.
 	src := t.TempDir()
 	s, err := Open(src, Options{NoSync: true, CheckpointEvery: 1 << 20})
 	if err != nil {
@@ -401,27 +369,18 @@ func TestRecoveryTornTailCorpus(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	segPath := filepath.Join(src, segmentName(0))
-	full, err := os.ReadFile(segPath)
+	full, err := os.ReadFile(filepath.Join(src, obsKind.name(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Record boundaries: ends[i] is the offset just past record i.
-	var ends []int64
-	if _, _, err := scanSegment(segPath, 0, nil, func(payload []byte, off int64) error {
-		ends = append(ends, off+recordHeaderSize+int64(len(payload)))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	ends := frameEnds(t, obsKind, full)
 	if len(ends) != len(all) {
-		t.Fatalf("scanSegment saw %d records, appended %d", len(ends), len(all))
+		t.Fatalf("scan saw %d records, appended %d", len(ends), len(all))
 	}
 
-	for cut := int64(segHeaderSize); cut < int64(len(full)); cut++ {
+	for cut := int64(0); cut < int64(len(full)); cut++ {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segmentName(0)), full[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, obsKind.name(0)), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		intact := 0
@@ -430,7 +389,17 @@ func TestRecoveryTornTailCorpus(t *testing.T) {
 				intact++
 			}
 		}
-		s2, err := Open(dir, Options{NoSync: true})
+		// kept is what recovery leaves of the torn file: nothing when
+		// the header itself is torn (Open then starts a fresh segment).
+		var kept int64
+		switch {
+		case intact > 0:
+			kept = ends[intact-1]
+		case cut >= segHeaderSize:
+			kept = segHeaderSize
+		}
+		reg := metrics.NewRegistry()
+		s2, err := Open(dir, Options{NoSync: true, Metrics: reg})
 		if err != nil {
 			t.Fatalf("cut=%d: Open after torn tail: %v", cut, err)
 		}
@@ -442,19 +411,41 @@ func TestRecoveryTornTailCorpus(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("cut=%d: recovered %d obs, want the first %d", cut, len(got), intact)
 		}
-		info, err := os.Stat(filepath.Join(dir, segmentName(0)))
+		if n := reg.Snapshot().Counters["store_recovered_truncated_bytes_total"]; n != cut-kept {
+			t.Fatalf("cut=%d: recovery counted %d truncated bytes, want %d", cut, n, cut-kept)
+		}
+		info, err := os.Stat(filepath.Join(dir, obsKind.name(0)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wantSize int64 = segHeaderSize
-		if intact > 0 {
-			wantSize = ends[intact-1]
-		}
-		if info.Size() != wantSize {
+		if wantSize := max(kept, segHeaderSize); info.Size() != wantSize {
 			t.Fatalf("cut=%d: segment is %d bytes after recovery, want %d", cut, info.Size(), wantSize)
 		}
 		if err := s2.Close(); err != nil {
 			t.Fatalf("cut=%d: Close: %v", cut, err)
+		}
+	}
+}
+
+// TestOpenRejectsForeignFinalSegment: only a strict prefix of the
+// expected header is a torn write; any other short or mislabelled final
+// segment is not something a crash leaves, so Open refuses it.
+func TestOpenRejectsForeignFinalSegment(t *testing.T) {
+	wrongMagic, wrongIndex, otherKind := obsKind.header(0), obsKind.header(1), reportKind.header(0)
+	copy(wrongMagic[:], "MSXXXXX1")
+	for name, data := range map[string][]byte{
+		"wrong magic":          wrongMagic[:],
+		"short, not a prefix":  []byte("garbage"),
+		"prefix, wrong index":  wrongIndex[:14],
+		"header of other kind": otherKind[:],
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, obsKind.name(0)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := Open(dir, Options{NoSync: true}); err == nil {
+			s.Close()
+			t.Errorf("%s: Open succeeded", name)
 		}
 	}
 }
@@ -470,7 +461,7 @@ func TestRecoveryCorruptFinalRecord(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	reg := metrics.NewRegistry()
-	segPath := filepath.Join(src, segmentName(0))
+	segPath := filepath.Join(src, obsKind.name(0))
 	b, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
@@ -508,7 +499,7 @@ func TestMidStreamCorruptionIsFatal(t *testing.T) {
 	// Corrupt a record in the FIRST segment: that data is supposed to be
 	// sealed and durable, so recovery must refuse rather than silently
 	// dropping everything after it.
-	segPath := filepath.Join(src, segmentName(0))
+	segPath := filepath.Join(src, obsKind.name(0))
 	b, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
@@ -534,7 +525,7 @@ func TestCheckpointCorruptionFallsBack(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	// Corrupt the newest checkpoint; the predecessor must take over.
-	newest := filepath.Join(dir, checkpointName(ck.Seq))
+	newest := filepath.Join(dir, ckptKind.name(ck.Seq))
 	b, err := os.ReadFile(newest)
 	if err != nil {
 		t.Fatal(err)

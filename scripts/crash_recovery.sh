@@ -10,7 +10,9 @@
 # and then asserts the resumed run rendered byte-identical figures to the
 # uninterrupted one. Wall-clock-dependent lines (the "[...]" timing lines
 # and the engine stats line with real scan latencies) are filtered before
-# diffing; everything derived from observations must match exactly.
+# diffing; everything derived from observations must match exactly. The
+# resumed store must also hold byte-identical observation segments, and
+# `storedump -keys` must list the same keys over both stores.
 set -eu
 
 GO=${GO:-go}
@@ -52,4 +54,33 @@ if ! diff -u "$WORK/full.flt" "$WORK/resumed.flt"; then
     echo "crash-recovery: FAIL — resumed figures differ from uninterrupted run" >&2
     exit 1
 fi
-echo "crash-recovery: OK — resumed run reproduced the uninterrupted figures"
+
+$GO build -o "$WORK/storedump" ./cmd/storedump
+keys() {
+    "$WORK/storedump" -keys "$1" | grep '^  [0-9]'
+}
+for full in "$WORK/full"/*/; do
+    name=$(basename "$full")
+    resumed="$WORK/crashed/$name"
+    echo "crash-recovery: comparing $name segments"
+    nfull=0
+    for seg in "$full"seg-*.log; do
+        if ! cmp "$seg" "$resumed/$(basename "$seg")"; then
+            echo "crash-recovery: FAIL — $name/$(basename "$seg") differs from the uninterrupted run" >&2
+            exit 1
+        fi
+        nfull=$((nfull + 1))
+    done
+    nresumed=$(ls "$resumed"/seg-*.log | wc -l)
+    if [ "$nresumed" -ne "$nfull" ]; then
+        echo "crash-recovery: FAIL — $name holds $nresumed segment(s) after resume, want $nfull" >&2
+        exit 1
+    fi
+    keys "$full" > "$WORK/full.keys"
+    keys "$resumed" > "$WORK/resumed.keys"
+    if [ ! -s "$WORK/full.keys" ] || ! diff -u "$WORK/full.keys" "$WORK/resumed.keys"; then
+        echo "crash-recovery: FAIL — storedump -keys differs (or is empty) for $name" >&2
+        exit 1
+    fi
+done
+echo "crash-recovery: OK — resumed run reproduced the uninterrupted figures, segments and keys"
