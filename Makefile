@@ -58,9 +58,10 @@
 #                 CreateResponse against its encoding/asn1 reference.
 #   racecheck   — focused race-detector pass over the concurrent hot-path
 #                 packages (serving tier, load generator, responder,
-#                 scanner, store, engine core) under -short, so the
-#                 data-race gate on the paths the lint contracts annotate
-#                 runs in minutes, not the full-suite tier-2 budget.
+#                 scanner, store, engine core, memo table) under -short,
+#                 so the data-race gate on the paths the lint contracts
+#                 annotate runs in minutes, not the full-suite tier-2
+#                 budget.
 #   crash-recovery — end-to-end durability check: runs a campaign, kills
 #                 a second run mid-round via the store failpoint, resumes
 #                 it, and asserts the resumed figures, segment bytes
@@ -73,7 +74,8 @@ GO ?= go
 # request path, drives load at it, or feeds it. racecheck and the
 # //lint:allocfree contracts (DESIGN.md §15) cover the same surface.
 RACE_PKGS = ./internal/ocspserver ./internal/loadgen ./internal/responder \
-	./internal/scanner ./internal/store ./internal/core ./internal/expectstaple
+	./internal/scanner ./internal/store ./internal/core ./internal/expectstaple \
+	./internal/memo
 
 .PHONY: all tier1 tier2 benchcheck loadcheck capacitycheck staplecheck memcheck racecheck fuzzcheck bench-guard bench bench-snapshot bench-compare crash-recovery vet fmt fmt-check lint
 

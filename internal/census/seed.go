@@ -1,6 +1,10 @@
 package census
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"github.com/netmeasure/muststaple/internal/hashx"
+)
 
 // Child-seed derivation, mirroring internal/world's scheme (DESIGN.md §8):
 // each generator phase owns a stream tag, and each shard within a phase
@@ -16,23 +20,9 @@ const (
 	streamAlexaMustStaple
 )
 
-// childSeed mixes (seed, stream, index) through the splitmix64 finalizer —
-// a full-avalanche permutation, so adjacent shard indices yield
-// uncorrelated seeds.
-func childSeed(seed int64, stream, index uint64) int64 {
-	x := uint64(seed)
-	for _, w := range [2]uint64{stream, index} {
-		x += 0x9E3779B97F4A7C15 * (w + 1)
-		x ^= x >> 30
-		x *= 0xBF58476D1CE4E5B9
-		x ^= x >> 27
-		x *= 0x94D049BB133111EB
-		x ^= x >> 31
-	}
-	return int64(x)
-}
-
-// childRNG returns the dedicated RNG for one (stream, index) cell.
+// childRNG returns the dedicated RNG for one (stream, index) cell, seeded
+// by folding (seed, stream, index) through hashx.Mix: adjacent shard
+// indices yield uncorrelated seeds.
 func childRNG(seed int64, stream, index uint64) *rand.Rand {
-	return rand.New(rand.NewSource(childSeed(seed, stream, index)))
+	return rand.New(rand.NewSource(int64(hashx.Mix(uint64(seed), stream, index))))
 }

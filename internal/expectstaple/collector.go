@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/metrics"
 	"github.com/netmeasure/muststaple/internal/pkixutil"
 )
@@ -237,7 +238,7 @@ func (c *Collector) ingest(w http.ResponseWriter, payload []byte) {
 		http.Error(w, "collector closed", http.StatusServiceUnavailable)
 		return
 	}
-	shard := c.shards[int(fnv64str(rep.Host)%uint64(len(c.shards)))]
+	shard := c.shards[int(hashx.Sum64(rep.Host)%uint64(len(c.shards)))]
 	select { //lint:allow locksafe non-blocking send under RLock; Close holds the write lock before closing the shard channels, so this can neither block nor hit a closed channel
 	case shard <- rep:
 	default:
@@ -306,16 +307,4 @@ func reportMediaTypeOK(ct string) bool {
 		ct = ct[:i]
 	}
 	return strings.EqualFold(strings.TrimSpace(ct), ContentTypeReport)
-}
-
-// fnv64str is FNV-1a over a string, allocation-free.
-//
-//lint:allocfree
-func fnv64str(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/netmeasure/muststaple/internal/browser"
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/webserver"
 )
@@ -111,7 +112,7 @@ func RunSim(clk *clock.Simulated, net *netsim.Network, sites []*Site, cfg SimCon
 	vantages := netsim.PaperVantages()
 	clients := make([]*client, cfg.Clients)
 	for i := range clients {
-		draw := mix(uint64(cfg.Seed), streamClient, uint64(i))
+		draw := hashx.Mix(uint64(cfg.Seed), streamClient, uint64(i))
 		clients[i] = &client{
 			id:      uint64(i),
 			vantage: vantages[int(draw%uint64(len(vantages)))],
@@ -182,7 +183,7 @@ func RunSim(clk *clock.Simulated, net *netsim.Network, sites []*Site, cfg SimCon
 					for ci := lo; ci < hi; ci++ {
 						cl := clients[ci]
 						for si, site := range sites {
-							draw := mix(uint64(cfg.Seed), streamVisit, uint64(round), cl.id, uint64(si))
+							draw := hashx.Mix(uint64(cfg.Seed), streamVisit, uint64(round), cl.id, uint64(si))
 							if float64(draw>>11)/float64(1<<53) >= cfg.VisitFraction {
 								continue
 							}
@@ -256,24 +257,9 @@ func roundTimes(start, end time.Time, stride time.Duration) []time.Time {
 	return out
 }
 
-// Per-phase stream tags for mix, mirroring the world builder's child-seed
-// discipline (DESIGN.md §8).
+// Per-phase stream tags for hashx.Mix, mirroring the world builder's
+// child-seed discipline (DESIGN.md §8).
 const (
 	streamClient uint64 = 1 + iota
 	streamVisit
 )
-
-// mix folds words through the splitmix64 finalizer — full avalanche, so
-// adjacent rounds/clients/sites draw uncorrelated values.
-func mix(seed uint64, words ...uint64) uint64 {
-	x := seed
-	for _, w := range words {
-		x += 0x9E3779B97F4A7C15 * (w + 1)
-		x ^= x >> 30
-		x *= 0xBF58476D1CE4E5B9
-		x ^= x >> 27
-		x *= 0x94D049BB133111EB
-		x ^= x >> 31
-	}
-	return x
-}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/ocspserver"
 	"github.com/netmeasure/muststaple/internal/pki"
@@ -179,7 +180,7 @@ func TestSimVantageAssignmentStable(t *testing.T) {
 	}
 	counts := make(map[string]int)
 	for i := 0; i < 6000; i++ {
-		v := vantages[mix(42, streamClient, uint64(i))%uint64(len(vantages))]
+		v := vantages[hashx.Mix(42, streamClient, uint64(i))%uint64(len(vantages))]
 		counts[v.Name]++
 	}
 	for name, n := range counts {
@@ -190,7 +191,7 @@ func TestSimVantageAssignmentStable(t *testing.T) {
 	// The stream is keyed: a different seed must repartition.
 	same := 0
 	for i := 0; i < 1000; i++ {
-		if mix(42, streamClient, uint64(i))%6 == mix(43, streamClient, uint64(i))%6 {
+		if hashx.Mix(42, streamClient, uint64(i))%6 == hashx.Mix(43, streamClient, uint64(i))%6 {
 			same++
 		}
 	}

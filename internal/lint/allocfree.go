@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
+	"slices"
 )
 
 // The allocfree analyzer enforces per-request zero-allocation contracts
@@ -30,6 +32,12 @@ import (
 //     result does not escape), appends with no capacity evidence (growth
 //     is not an escape and prints no verdict), fmt calls (format state
 //     and variadic boxing), and go statements (a new goroutine stack).
+//
+// A generic function's body is compiled only inside the packages that
+// instantiate it, so its verdicts are read from the compiler output of
+// the in-scope packages that import its package, at its own lines. A
+// generic contract no in-scope package instantiates gets the AST layer
+// only.
 //
 // Calls to functions that themselves carry //lint:allocfree are trusted:
 // the contract composes, and each annotated callee is checked at its own
@@ -72,10 +80,60 @@ func runAllocFree(pass *Pass) error {
 	if err != nil {
 		return err
 	}
+	var imported []*EscapeFacts
 	for _, fn := range targets {
-		checkAllocFree(pass, fn, facts, annotated)
+		fnFacts := facts
+		if isGeneric(pass.Info, fn) {
+			if imported == nil {
+				if imported, err = pass.ImporterEscapeFacts(); err != nil {
+					return err
+				}
+			}
+			if fnFacts, err = instantiatedFacts(pass, fn, imported); err != nil {
+				return err
+			}
+		}
+		checkAllocFree(pass, fn, fnFacts, annotated)
 	}
 	return nil
+}
+
+// isGeneric reports whether fn has type parameters of its own or through
+// its receiver.
+func isGeneric(info *types.Info, fn *ast.FuncDecl) bool {
+	obj, ok := info.Defs[fn.Name].(*types.Func)
+	if !ok {
+		return false
+	}
+	sig := obj.Type().(*types.Signature)
+	return sig.TypeParams().Len() > 0 || sig.RecvTypeParams().Len() > 0
+}
+
+// instantiatedFacts gathers the verdicts the importers' compiles report
+// inside the generic function fn. Its body is compiled once per
+// instantiation shape and importer, so a verdict repeated at one column
+// is kept once.
+func instantiatedFacts(pass *Pass, fn *ast.FuncDecl, imported []*EscapeFacts) (*EscapeFacts, error) {
+	start := pass.Fset.Position(fn.Pos())
+	end := pass.Fset.Position(fn.Body.End())
+	file, err := filepath.Abs(start.Filename)
+	if err != nil {
+		return nil, err
+	}
+	merged := &EscapeFacts{byLine: make(map[string][]EscapeVerdict)}
+	for line := start.Line; line <= end.Line; line++ {
+		key := lineFactKey(filepath.Base(file), line)
+		for _, f := range imported {
+			for _, v := range f.In(file, line) {
+				if !slices.ContainsFunc(merged.byLine[key], func(w EscapeVerdict) bool {
+					return w.Col == v.Col && w.Escapes == v.Escapes
+				}) {
+					merged.byLine[key] = append(merged.byLine[key], v)
+				}
+			}
+		}
+	}
+	return merged, nil
 }
 
 // checkAllocFree applies both layers to one annotated function.

@@ -25,3 +25,12 @@ func TestAllocFreeClean(t *testing.T) {
 func TestAllocFreeRegression(t *testing.T) {
 	linttest.Run(t, lint.AllocFreeAnalyzer, "testdata/allocfree/regression", "example.com/repo/internal/ocspserver")
 }
+
+// TestAllocFreeGeneric: a generic contract is checked through the
+// compiler output of a package that instantiates it; the escape planted in
+// the annotated method is reported once, although two instantiations
+// report it.
+func TestAllocFreeGeneric(t *testing.T) {
+	linttest.Run(t, lint.AllocFreeAnalyzer, "testdata/allocfree/generic/table", "example.com/repo/internal/memo",
+		"testdata/allocfree/generic/user")
+}

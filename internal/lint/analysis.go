@@ -56,6 +56,9 @@ type Pass struct {
 
 	report  func(Diagnostic)
 	escapes func() (*EscapeFacts, error)
+	// importerEscapes yields the escape facts of the in-scope packages
+	// that import this one.
+	importerEscapes func() ([]*EscapeFacts, error)
 }
 
 // Reportf records a finding at pos.
@@ -87,6 +90,14 @@ func (p *Pass) EscapeFacts() (*EscapeFacts, error) {
 		return nil, fmt.Errorf("lint: no escape-analysis source configured for %s", p.Pkg.Path())
 	}
 	return p.escapes()
+}
+
+// ImporterEscapeFacts returns the escape-analysis verdicts of each
+// in-scope package that imports the package under analysis. A generic
+// function's body is compiled only inside the packages that instantiate
+// it, so its verdicts appear only in their compiler output.
+func (p *Pass) ImporterEscapeFacts() ([]*EscapeFacts, error) {
+	return p.importerEscapes()
 }
 
 // ModulePass carries every in-scope package to a module-wide analyzer.

@@ -32,13 +32,19 @@ type EscapeVerdict struct {
 	// Escapes is true for "escapes to heap"/"moved to heap" verdicts,
 	// false for "does not escape".
 	Escapes bool
+	// File is the verdict's path as the compiler output spells it.
+	File string
 }
 
 // EscapeFacts is the parsed escape-analysis output of one package,
-// keyed by (file basename, line). Basenames suffice: facts are consulted
-// per package, and a Go package cannot contain two files with one name.
+// keyed by (file basename, line). Basenames suffice for the package's own
+// files: a Go package cannot contain two files with one name. Verdicts
+// in other packages' files (the bodies of generic functions the package
+// instantiates) are told apart by path, see In.
 type EscapeFacts struct {
 	byLine map[string][]EscapeVerdict
+	// dir is the absolute directory the package was compiled in.
+	dir string
 }
 
 func lineFactKey(base string, line int) string {
@@ -52,6 +58,36 @@ func (f *EscapeFacts) At(file string, line int) []EscapeVerdict {
 		return nil
 	}
 	return f.byLine[lineFactKey(filepath.Base(file), line)]
+}
+
+// In returns the verdicts at line of file, an absolute path, matching
+// each verdict's spelled path rather than its basename. The go command
+// spells a path relative to the directory it ran in when it compiled the
+// package: the package's own directory on a fresh build ("../memo/memo.go"),
+// or the directory of the build whose output the cache replays
+// ("internal/memo/memo.go" from the module root). A relative spelling
+// therefore names file when it resolves to file from the package's
+// directory or from one of that directory's ancestors.
+func (f *EscapeFacts) In(file string, line int) []EscapeVerdict {
+	var out []EscapeVerdict
+	for _, v := range f.At(file, line) {
+		if filepath.IsAbs(v.File) {
+			if filepath.Clean(v.File) == file {
+				out = append(out, v)
+			}
+			continue
+		}
+		for dir := f.dir; ; dir = filepath.Dir(dir) {
+			if filepath.Join(dir, v.File) == file {
+				out = append(out, v)
+				break
+			}
+			if dir == filepath.Dir(dir) {
+				break
+			}
+		}
+	}
+	return out
 }
 
 // NoEscapeAt reports whether the compiler proved at least one site on
@@ -119,7 +155,7 @@ func parseEscapeOutput(out []byte) *EscapeFacts {
 		msg := strings.TrimSpace(rest[k+1:])
 		key := lineFactKey(filepath.Base(file), lineNo)
 		facts.byLine[key] = append(facts.byLine[key], EscapeVerdict{
-			Line: lineNo, Col: col, Text: msg, Escapes: escapes,
+			Line: lineNo, Col: col, Text: msg, Escapes: escapes, File: file,
 		})
 	}
 	return facts
@@ -163,6 +199,7 @@ func (l *Loader) EscapeFacts(dir string) (*EscapeFacts, error) {
 		r.err = &escapeError{dir: dir, detail: strings.TrimSpace(stderr.String())}
 	} else {
 		r.facts = parseEscapeOutput(stderr.Bytes())
+		r.facts.dir, r.err = filepath.Abs(dir)
 	}
 
 	l.escMu.Lock()

@@ -42,7 +42,7 @@ func runGlobalRand(pass *Pass) error {
 			}
 			for _, pkg := range []string{"math/rand", "math/rand/v2"} {
 				if name, ok := funcIn(pass.Info, sel, pkg, globalRandFns...); ok {
-					pass.Reportf(sel.Pos(), "rand.%s draws from the process-global stream; derive a child generator from the config seed (world.childSeed-style) instead", name)
+					pass.Reportf(sel.Pos(), "rand.%s draws from the process-global stream; derive a child generator from the config seed (fold it through hashx.Mix) instead", name)
 					return true
 				}
 			}

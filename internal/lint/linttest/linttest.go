@@ -53,7 +53,10 @@ type expectation struct {
 // and `// want` expectations. The import path matters only to analyzers
 // that inspect it; fixtures conventionally use paths under example.com/
 // shaped like the real tree (e.g. example.com/internal/world).
-func Run(t *testing.T, a *lint.Analyzer, dir, importPath string) {
+// importerDirs name sibling fixture packages that import the fixture by
+// its module path; they are only compiled, for the escape facts of the
+// generic functions they instantiate.
+func Run(t *testing.T, a *lint.Analyzer, dir, importPath string, importerDirs ...string) {
 	t.Helper()
 	ld, err := sharedLoader()
 	if err != nil {
@@ -108,7 +111,11 @@ func Run(t *testing.T, a *lint.Analyzer, dir, importPath string) {
 		Pkg:        pkg,
 		Info:       info,
 	}
-	diags, err := lint.Analyze(ld, loaded, []*lint.Analyzer{a}, nil)
+	var importers []*lint.LoadedPackage
+	for _, d := range importerDirs {
+		importers = append(importers, &lint.LoadedPackage{Dir: d})
+	}
+	diags, err := lint.Analyze(ld, loaded, importers, []*lint.Analyzer{a}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,15 @@ func RunWithOptions(dir string, analyzers []*Analyzer, cfg *Config, opts *RunOpt
 	var raw []Diagnostic
 	report := func(d Diagnostic) { raw = append(raw, d) }
 
+	importers := make(map[string][]*LoadedPackage)
+	for _, q := range pkgs {
+		for _, imp := range q.Pkg.Imports() {
+			importers[imp.Path()] = append(importers[imp.Path()], q)
+		}
+	}
 	// Per-package analyzers.
 	for _, p := range pkgs {
-		if err := runPackageAnalyzers(loader, p, analyzers, cfg, report, opts); err != nil {
+		if err := runPackageAnalyzers(loader, p, importers[p.ImportPath], analyzers, cfg, report, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -79,8 +85,9 @@ func RunWithOptions(dir string, analyzers []*Analyzer, cfg *Config, opts *RunOpt
 }
 
 // runPackageAnalyzers applies the per-package analyzers to p, reporting
-// raw (unsuppressed) diagnostics.
-func runPackageAnalyzers(loader *Loader, p *LoadedPackage, analyzers []*Analyzer, cfg *Config, report func(Diagnostic), opts *RunOptions) error {
+// raw (unsuppressed) diagnostics. importers are the loaded packages that
+// import p; each analyzer sees those its configuration admits.
+func runPackageAnalyzers(loader *Loader, p *LoadedPackage, importers []*LoadedPackage, analyzers []*Analyzer, cfg *Config, report func(Diagnostic), opts *RunOptions) error {
 	for _, a := range analyzers {
 		if a.Run == nil || !cfg.includes(a.Name, p.ImportPath) {
 			continue
@@ -95,6 +102,20 @@ func runPackageAnalyzers(loader *Loader, p *LoadedPackage, analyzers []*Analyzer
 			Dir:      p.Dir,
 			report:   report,
 			escapes:  func() (*EscapeFacts, error) { return loader.EscapeFacts(p.Dir) },
+			importerEscapes: func() ([]*EscapeFacts, error) {
+				var out []*EscapeFacts
+				for _, q := range importers {
+					if !cfg.includes(a.Name, q.ImportPath) {
+						continue
+					}
+					facts, err := loader.EscapeFacts(q.Dir)
+					if err != nil {
+						return nil, err
+					}
+					out = append(out, facts)
+				}
+				return out, nil
+			},
 		}
 		if err := a.Run(pass); err != nil {
 			return fmt.Errorf("lint: %s on %s: %v", a.Name, p.ImportPath, err)
@@ -111,16 +132,18 @@ func recordTiming(opts *RunOptions, name string, start time.Time) {
 }
 
 // Analyze applies the enabled analyzers to one loaded package and filters
-// the findings through the package's //lint:allow directives. Module-wide
-// analyzers run over a module consisting of just this package. The
-// returned order is the analyzers' reporting order; Run sorts across
-// packages. It is exported for the linttest fixture harness.
-func Analyze(loader *Loader, p *LoadedPackage, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, error) {
+// the findings through the package's //lint:allow directives. importers
+// are the packages that import p; only their directories are read, to
+// compile them for escape facts. Module-wide analyzers run over a module
+// consisting of just this package. The returned order is the analyzers'
+// reporting order; Run sorts across packages. It is exported for the
+// linttest fixture harness.
+func Analyze(loader *Loader, p *LoadedPackage, importers []*LoadedPackage, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, error) {
 	// A nil cfg enables every analyzer on every package (the fixture
 	// harness's contract); Run, by contrast, defaults to DefaultConfig.
 	var raw []Diagnostic
 	report := func(d Diagnostic) { raw = append(raw, d) }
-	if err := runPackageAnalyzers(loader, p, analyzers, cfg, report, nil); err != nil {
+	if err := runPackageAnalyzers(loader, p, importers, analyzers, cfg, report, nil); err != nil {
 		return nil, err
 	}
 	for _, a := range analyzers {

@@ -4,7 +4,7 @@ package clean
 
 import "math/rand"
 
-// childSeed is a stand-in for world.childSeed.
+// childSeed is a stand-in for hashx.Mix.
 func childSeed(seed int64, index uint64) int64 {
 	x := uint64(seed) + 0x9E3779B97F4A7C15*(index+1)
 	x ^= x >> 30

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 )
 
@@ -95,14 +96,6 @@ func (r *Result) Throughput() float64 {
 		return 0
 	}
 	return float64(r.Completed) / r.Elapsed.Seconds()
-}
-
-// splitmix64 is the repo's standard cheap deterministic mixer.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 type job struct {
@@ -199,7 +192,7 @@ func Run(ctx context.Context, cfg Config, targets []Target) (*Result, error) {
 			defer wg.Done()
 			slot := &results[w]
 			for j := range jobs {
-				draw := splitmix64(cfg.Seed ^ j.index)
+				draw := hashx.Mix(cfg.Seed^j.index, 0)
 				tgt := pick(draw >> 32)
 				isGET := tgt.ContentType == "" && float64(draw&0xffffffff)/float64(1<<32) < cfg.GETFraction
 

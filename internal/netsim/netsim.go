@@ -19,6 +19,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"github.com/netmeasure/muststaple/internal/hashx"
 )
 
 // Vantage is a measurement client location.
@@ -368,12 +370,6 @@ func (n *Network) latency(v Vantage, host string, at time.Time) time.Duration {
 	return v.BaseRTT + jitter
 }
 
-// FNV-1a parameters (64-bit).
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
 // latencyHash is FNV-1a over vantage + "|" + host + "|" + the RFC 3339
 // form of at's hour. The pieces are fed in turn and the timestamp is
 // formatted into a stack buffer, so no key string is built; the value
@@ -382,22 +378,9 @@ const (
 //lint:allocfree
 func latencyHash(vantage, host string, at time.Time) uint64 {
 	var stamp [64]byte
-	h := fnvString(fnvOffset, vantage)
-	h = (h ^ '|') * fnvPrime
-	h = fnvString(h, host)
-	h = (h ^ '|') * fnvPrime
-	for _, c := range at.Truncate(time.Hour).AppendFormat(stamp[:0], time.RFC3339) {
-		h = (h ^ uint64(c)) * fnvPrime
-	}
-	return h
-}
-
-//lint:allocfree
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
-	}
-	return h
+	h := hashx.Add64(hashx.Sum64(vantage), "|")
+	h = hashx.Add64(hashx.Add64(h, host), "|")
+	return hashx.Add64(h, at.Truncate(time.Hour).AppendFormat(stamp[:0], time.RFC3339))
 }
 
 // recorder is a minimal in-memory http.ResponseWriter, avoiding a

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"github.com/netmeasure/muststaple/internal/hashx"
 )
 
 var t0 = time.Date(2018, 4, 25, 0, 0, 0, 0, time.UTC)
@@ -492,17 +494,6 @@ func TestRuleIndexMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// fnv64 is FNV-1a over a string: the hash the latency model was first
-// defined with, kept here as the oracle for latencyHash.
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // TestLatencyHashMatchesKeyString pins latencyHash to the hash of the
 // concatenated key it replaced, over every vantage, several hosts, and UTC
 // and non-UTC instants, so the latency model (and every figure built on
@@ -527,7 +518,7 @@ func TestLatencyHashMatchesKeyString(t *testing.T) {
 			for _, loc := range zones {
 				for _, base := range instants {
 					at := base.In(loc)
-					want := fnv64(v.Name + "|" + host + "|" + at.Truncate(time.Hour).Format(time.RFC3339))
+					want := hashx.Sum64(v.Name + "|" + host + "|" + at.Truncate(time.Hour).Format(time.RFC3339))
 					if got := latencyHash(v.Name, host, at); got != want {
 						t.Fatalf("latencyHash(%s, %q, %v) = %#x, want %#x", v.Name, host, at, got, want)
 					}

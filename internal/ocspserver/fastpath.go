@@ -1,7 +1,6 @@
 package ocspserver
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"github.com/netmeasure/muststaple/internal/responder"
@@ -15,8 +14,9 @@ import (
 // responder's signed-response cache, one layer further out:
 //
 //   - Keying: FNV-1a over the raw escaped path (http.Request.URL
-//     .EscapedPath), confirmed by comparing the stored path string, so a
-//     hash collision costs a refill, never a wrong response.
+//     .EscapedPath) is both the memo.Table hash and its key, confirmed by
+//     comparing the stored path string, so a hash collision costs a
+//     refill, never a wrong response.
 //   - Epoch awareness: each entry records the tenant's serving epoch
 //     (update-window start + DB generation, responder.ServingEpoch) at
 //     fill time and its response's NextUpdate instant. A hit requires
@@ -32,10 +32,9 @@ import (
 // single-instance, well-formed profiles); everything else takes the slow
 // path, which PR 3 already made cheap.
 
-const (
-	fastShards      = 16
-	fastShardBudget = 512
-)
+// fastShardBudget bounds each of the memo's 64 shards, 8,192 entries in
+// all.
+const fastShardBudget = 128
 
 // ccVal is a formatted Cache-Control value pinned to one whole-second
 // max-age. The header is the only per-epoch header that changes between
@@ -62,76 +61,4 @@ type fastEntry struct {
 	lastMod     []string
 	etag        []string
 	cc          atomic.Pointer[ccVal]
-}
-
-type fastShard struct {
-	mu sync.Mutex
-	m  map[uint64]*fastEntry
-	_  [40]byte // pad to a cache line, mirroring the responder cache
-}
-
-type fastCache struct {
-	shards [fastShards]fastShard
-}
-
-func newFastCache() *fastCache {
-	c := &fastCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]*fastEntry)
-	}
-	return c
-}
-
-//lint:allocfree
-func (c *fastCache) shardFor(h uint64) *fastShard {
-	return &c.shards[(h^(h>>32))&(fastShards-1)]
-}
-
-// get returns the entry stored under h whose path matches exactly.
-// Validity (epoch match, NextUpdate) is the caller's check — it needs
-// the tenant clock, which the cache does not own.
-//
-//lint:allocfree
-func (c *fastCache) get(h uint64, path string) *fastEntry {
-	s := c.shardFor(h)
-	s.mu.Lock()
-	e := s.m[h]
-	s.mu.Unlock()
-	if e != nil && e.path == path {
-		return e
-	}
-	return nil
-}
-
-// put stores e under h, half-evicting the shard at budget like every
-// other cache in this repo, and returns how many entries were evicted.
-func (c *fastCache) put(h uint64, e *fastEntry) (evicted int64) {
-	s := c.shardFor(h)
-	s.mu.Lock()
-	if len(s.m) >= fastShardBudget {
-		drop := fastShardBudget / 2
-		for k := range s.m {
-			delete(s.m, k)
-			evicted++
-			if drop--; drop <= 0 {
-				break
-			}
-		}
-	}
-	s.m[h] = e
-	s.mu.Unlock()
-	return evicted
-}
-
-// fnv64str is fnv64 for strings (FNV-1a, the repo's shared constants),
-// avoiding a []byte conversion on the per-request path.
-//
-//lint:allocfree
-func fnv64str(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/metrics"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/responder"
@@ -250,35 +251,55 @@ func TestFastPathMultiTenant(t *testing.T) {
 	}
 }
 
-// TestFastCacheByteConfirmation (white-box): a hash collision must be
-// rejected by the stored-path comparison, never served.
+// TestFastCacheByteConfirmation: serveFast serves an entry only for the
+// path stored in it. An entry stored under the path's hash with a
+// different path, as a hash collision would leave it, is a miss.
 func TestFastCacheByteConfirmation(t *testing.T) {
-	c := newFastCache()
-	e := &fastEntry{path: "real-path"}
-	h := fnv64str(e.path)
-	c.put(h, e)
-	if got := c.get(h, e.path); got != e {
-		t.Fatal("exact-path get missed")
+	f := newFixture(t)
+	h := NewHandler(f.responder(cachedProfile))
+	reqDER, _ := f.request(t)
+	u, err := url.Parse("http://ocsp.tier.test/" + ocsp.EncodeGETPath(reqDER))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := c.get(h, "impostor-path"); got != nil {
-		t.Fatal("colliding hash with different path bytes was served")
+	raw := u.RawPath
+	if raw == "" {
+		raw = u.Path
+	}
+	getRecorder(t, h, reqDER) // the slow path fills the memo
+	if !h.serveFast(httptest.NewRecorder(), raw) {
+		t.Fatal("exact-path lookup missed")
+	}
+	hash := hashx.Sum64(raw)
+	h.fast.Put(hash, hash, &fastEntry{path: "impostor-path"}, fastShardBudget)
+	rec := httptest.NewRecorder()
+	if h.serveFast(rec, raw) || rec.Body.Len() != 0 {
+		t.Fatal("entry stored for a different path was served on a hash match")
+	}
+	if hits, misses, _ := h.FastPathStats(); hits != 1 || misses != 2 {
+		t.Fatalf("hits, misses = %d, %d; want 1, 2", hits, misses)
 	}
 }
 
-// TestFastCacheEviction (white-box): shards half-evict at budget and
-// report the eviction count.
+// TestFastCacheEviction (white-box): a shard of the handler's fast-path
+// memo half-evicts at fastShardBudget and reports the eviction count.
 func TestFastCacheEviction(t *testing.T) {
-	c := newFastCache()
-	var evicted int64
-	// Hashes 16*i all land in shard 0 ((h^(h>>32))&15 == 0 for small h).
+	var h Handler
+	var evicted int
+	// Hashes i<<6 all land in shard 0 (low six bits zero, high word zero).
 	for i := 0; i < fastShardBudget+1; i++ {
-		evicted += c.put(uint64(16*i), &fastEntry{path: fmt.Sprintf("p%d", i)})
+		hash := uint64(i) << 6
+		evicted += h.fast.Put(hash, hash, &fastEntry{path: fmt.Sprintf("p%d", i)}, fastShardBudget)
 	}
 	if evicted != fastShardBudget/2 {
 		t.Fatalf("evicted = %d, want %d", evicted, fastShardBudget/2)
 	}
-	if n := len(c.shards[0].m); n > fastShardBudget {
+	if n := h.fast.Len(); n > fastShardBudget {
 		t.Fatalf("shard grew past budget: %d", n)
+	}
+	last := uint64(fastShardBudget) << 6
+	if e, ok := h.fast.Get(last, last); !ok || e.path != fmt.Sprintf("p%d", fastShardBudget) {
+		t.Fatal("entry inserted at the budget was evicted")
 	}
 }
 

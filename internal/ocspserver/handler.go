@@ -21,6 +21,7 @@
 package ocspserver
 
 import (
+	"bytes"
 	"crypto/sha1"
 	"encoding/hex"
 	"io"
@@ -31,6 +32,8 @@ import (
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/hashx"
+	"github.com/netmeasure/muststaple/internal/memo"
 	"github.com/netmeasure/muststaple/internal/metrics"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/pkixutil"
@@ -56,8 +59,10 @@ const (
 type Handler struct {
 	single  *responder.Responder
 	tenants *Registry
-	routes  *routeCache
-	fast    *fastCache
+	// routes is the route memo, allocated only by NewMultiTenantHandler:
+	// a single-tenant handler never routes.
+	routes *memo.Table[uint64, routeEntry]
+	fast   memo.Table[uint64, *fastEntry]
 
 	clk             clock.Clock
 	reg             *metrics.Registry
@@ -123,7 +128,7 @@ func WithClock(clk clock.Clock) HandlerOption {
 
 // NewHandler fronts a single responder core.
 func NewHandler(r *responder.Responder, opts ...HandlerOption) *Handler {
-	h := &Handler{single: r, fast: newFastCache(), maxRequestBytes: DefaultMaxRequestBytes}
+	h := &Handler{single: r, maxRequestBytes: DefaultMaxRequestBytes}
 	for _, o := range opts {
 		o(h)
 	}
@@ -134,7 +139,7 @@ func NewHandler(r *responder.Responder, opts ...HandlerOption) *Handler {
 // NewMultiTenantHandler fronts a registry of per-CA tenants, routing
 // each request by its issuer hash.
 func NewMultiTenantHandler(reg *Registry, opts ...HandlerOption) *Handler {
-	h := &Handler{tenants: reg, routes: newRouteCache(), fast: newFastCache(), maxRequestBytes: DefaultMaxRequestBytes}
+	h := &Handler{tenants: reg, routes: new(memo.Table[uint64, routeEntry]), maxRequestBytes: DefaultMaxRequestBytes}
 	for _, o := range opts {
 		o(h)
 	}
@@ -281,8 +286,9 @@ func (h *Handler) serveGET(w http.ResponseWriter, req *http.Request) {
 //
 //lint:allocfree
 func (h *Handler) serveFast(w http.ResponseWriter, raw string) bool {
-	e := h.fast.get(fnv64str(raw), raw)
-	if e == nil {
+	hash := hashx.Sum64(raw)
+	e, _ := h.fast.Get(hash, hash)
+	if e == nil || e.path != raw {
 		h.cFastMiss.Inc()
 		return false
 	}
@@ -321,7 +327,7 @@ func cacheControlValue(secs int64) string {
 // result. rawPath is the escaped GET path for memoizable requests, ""
 // for POSTs (whose responses RFC 5019 §6 forbids caching anyway).
 func (h *Handler) respond(w http.ResponseWriter, req *http.Request, reqDER []byte, rawPath string) {
-	r, ok := h.route(reqDER)
+	r, final, ok := h.route(reqDER)
 	if !ok {
 		h.count("ocspserver.malformed")
 		h.writeStatic(w, staticError(ocsp.StatusMalformedRequest))
@@ -336,7 +342,7 @@ func (h *Handler) respond(w http.ResponseWriter, req *http.Request, reqDER []byt
 	// update window rolls (or a revocation lands) while Respond runs,
 	// the result is served but not memoized — an entry must never be
 	// published under an epoch it was not generated in.
-	memo := rawPath != "" && r.FastServeEligible()
+	memo := rawPath != "" && final && r.FastServeEligible()
 	var (
 		memoWin int64
 		memoGen uint64
@@ -386,7 +392,8 @@ func (h *Handler) respond(w http.ResponseWriter, req *http.Request, reqDER []byt
 						etag:        []string{etag},
 					}
 					e.cc.Store(&ccVal{secs: secs, vals: []string{ccStr}})
-					h.cFastEvict.Add(h.fast.put(fnv64str(rawPath), e))
+					hash := hashx.Sum64(rawPath)
+					h.cFastEvict.Add(int64(h.fast.Put(hash, hash, e, fastShardBudget)))
 				}
 			}
 		}
@@ -396,24 +403,25 @@ func (h *Handler) respond(w http.ResponseWriter, req *http.Request, reqDER []byt
 
 // route resolves the tenant for raw request bytes. ok is false when the
 // request DER does not parse (multi-tenant mode must parse to route); a
-// nil tenant with ok true means no registered CA matches.
-func (h *Handler) route(reqDER []byte) (*responder.Responder, bool) {
+// nil tenant with ok true means no registered CA matches. final reports a
+// route no later Register can change, the only kind either memo keeps.
+func (h *Handler) route(reqDER []byte) (r *responder.Responder, final, ok bool) {
 	if h.single != nil {
-		return h.single, true
+		return h.single, true, true
 	}
-	hash := fnv64(reqDER)
-	if r, hit := h.routes.get(hash, reqDER); hit {
-		return r, true
+	hash := hashx.Sum64(reqDER)
+	if e, hit := h.routes.Get(hash, hash); hit && bytes.Equal(e.reqDER, reqDER) {
+		return e.r, true, true
 	}
 	req, err := ocsp.ParseRequest(reqDER)
 	if err != nil {
-		return nil, false
+		return nil, false, false
 	}
-	r := h.tenants.RouteRequest(req)
-	if r != nil {
-		h.routes.put(hash, reqDER, r)
+	r, final = h.tenants.route(req)
+	if r != nil && final {
+		h.routes.Put(hash, hash, routeEntry{reqDER: append([]byte(nil), reqDER...), r: r}, routeShardBudget)
 	}
-	return r, true
+	return r, final, true
 }
 
 // writeStatic frames an unsigned static OCSP body (error responses).

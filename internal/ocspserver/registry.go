@@ -39,9 +39,12 @@ func NewRegistry() *Registry {
 var registryHashes = []crypto.Hash{crypto.SHA1, crypto.SHA256}
 
 // Register adds a tenant, indexing it under its CA's issuer hashes. A
-// second tenant for the same issuer replaces the first (same semantics
-// as netsim.RegisterHost); distinct tenants sharing a host name are
-// rejected.
+// distinct tenant for an issuer key that is already registered is
+// rejected, as is one sharing a host name: a key hash routes to one
+// tenant for the registry's lifetime, which is what lets the handler's
+// memos keep key-hash routes without invalidation. A name hash is a
+// fallback the last tenant registered under it takes over, so routes
+// found through one are never memoized.
 func (g *Registry) Register(r *responder.Responder) error {
 	keys := make([]string, 0, len(registryHashes))
 	names := make([]string, 0, len(registryHashes))
@@ -62,6 +65,11 @@ func (g *Registry) Register(r *responder.Responder) error {
 	if prev, ok := g.hosts[r.Host]; ok && prev != r {
 		return fmt.Errorf("ocspserver: tenant host %s already registered", r.Host)
 	}
+	for _, key := range keys {
+		if prev, ok := g.byKey[key]; ok && prev != r {
+			return fmt.Errorf("ocspserver: issuer of %s already served by tenant %s", r.Host, prev.Host)
+		}
+	}
 	for i := range keys {
 		g.byKey[keys[i]] = r
 		g.byName[names[i]] = r
@@ -81,16 +89,24 @@ func hashKey(h crypto.Hash, sum []byte) string {
 // and the routed tenant's own issuer check marks foreign serials
 // unknown, which is what RFC 6960 prescribes.
 func (g *Registry) RouteRequest(req *ocsp.Request) *responder.Responder {
+	r, _ := g.route(req)
+	return r
+}
+
+// route is RouteRequest that also reports whether the issuer key hash
+// decided the route. Only such a route is final: a tenant registered
+// later may own the key hash behind a name-hash fallback.
+func (g *Registry) route(req *ocsp.Request) (r *responder.Responder, final bool) {
 	if len(req.CertIDs) == 0 {
-		return nil
+		return nil, false
 	}
 	id := req.CertIDs[0]
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	if r, ok := g.byKey[hashKey(id.HashAlgorithm, id.IssuerKeyHash)]; ok {
-		return r
+		return r, true
 	}
-	return g.byName[hashKey(id.HashAlgorithm, id.IssuerNameHash)]
+	return g.byName[hashKey(id.HashAlgorithm, id.IssuerNameHash)], false
 }
 
 // Responders returns the registered tenants sorted by host, for
@@ -120,89 +136,18 @@ func (g *Registry) Len() int {
 // The route memo caches (request hash → tenant) so the multi-tenant hot
 // path skips re-parsing byte-identical requests — the same observation
 // the responder's signed-response cache exploits, applied one layer up.
-// Entries are confirmed against the stored request bytes, so an FNV
-// collision costs a re-parse, never a mis-route. Tenancy is fixed after
-// startup in every deployment this repo models, so entries never need
-// invalidation; shards are bounded by half-eviction regardless.
+// The request's FNV-64 is both the memo.Table hash and its key, and
+// entries are confirmed against the stored request bytes, so an FNV
+// collision costs a re-parse, never a mis-route. Only final routes, those
+// an issuer key hash decided, are memoized; Register never changes them,
+// so entries never need invalidation. Shards are bounded by half-eviction
+// regardless.
 
-const (
-	routeShards      = 8
-	routeShardBudget = 512
-)
-
-type routeShard struct {
-	mu sync.Mutex
-	m  map[uint64]routeEntry
-	_  [40]byte // pad to a cache line, mirroring the responder cache
-}
+// routeShardBudget bounds each of the memo's 64 shards, 4,096 entries in
+// all.
+const routeShardBudget = 64
 
 type routeEntry struct {
 	reqDER []byte
 	r      *responder.Responder
-}
-
-type routeCache struct {
-	shards [routeShards]routeShard
-}
-
-func newRouteCache() *routeCache {
-	c := &routeCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]routeEntry)
-	}
-	return c
-}
-
-func (c *routeCache) shardFor(h uint64) *routeShard {
-	return &c.shards[(h^(h>>32))&(routeShards-1)]
-}
-
-func (c *routeCache) get(h uint64, reqDER []byte) (*responder.Responder, bool) {
-	s := c.shardFor(h)
-	s.mu.Lock()
-	e, ok := s.m[h]
-	s.mu.Unlock()
-	if ok && bytesEqual(e.reqDER, reqDER) {
-		return e.r, true
-	}
-	return nil, false
-}
-
-func (c *routeCache) put(h uint64, reqDER []byte, r *responder.Responder) {
-	e := routeEntry{reqDER: append([]byte(nil), reqDER...), r: r}
-	s := c.shardFor(h)
-	s.mu.Lock()
-	if len(s.m) >= routeShardBudget {
-		drop := routeShardBudget / 2
-		for k := range s.m {
-			delete(s.m, k)
-			if drop--; drop <= 0 {
-				break
-			}
-		}
-	}
-	s.m[h] = e
-	s.mu.Unlock()
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// fnv64 hashes raw request bytes (FNV-1a, the repo's shared constants).
-func fnv64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -139,6 +140,102 @@ func TestRegistryRejectsDuplicateHost(t *testing.T) {
 	// Re-registering the same tenant is idempotent.
 	if err := reg.Register(a.r); err != nil {
 		t.Errorf("re-register same tenant: %v", err)
+	}
+}
+
+// TestRegistryRejectsIssuerReplacement: a second tenant for a registered
+// issuer is rejected. The route and GET memos are never invalidated, so
+// the same POST and GET must keep answering as the tenant the registry
+// routes to.
+func TestRegistryRejectsIssuerReplacement(t *testing.T) {
+	clk := clock.NewSimulated(t0)
+	a := newTenant(t, "ocsp.first.test", clk)
+	first := responder.New(a.r.Host, a.ca, a.r.DB, clk, cachedProfile)
+	reg := NewRegistry()
+	if err := reg.Register(first); err != nil {
+		t.Fatal(err)
+	}
+	h := NewMultiTenantHandler(reg)
+	post := func() ocsp.ResponseStatus {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(a.reqDER))
+		req.Header.Set("Content-Type", ocsp.ContentTypeRequest)
+		h.ServeHTTP(rec, req)
+		return mustParse(t, rec.Body.Bytes()).Status
+	}
+	get := func() ocsp.ResponseStatus {
+		return mustParse(t, getRecorder(t, h, a.reqDER).Body.Bytes()).Status
+	}
+	if p, g := post(), get(); p != ocsp.StatusSuccessful || g != ocsp.StatusSuccessful {
+		t.Fatalf("first tenant: POST %v, GET %v; want successful", p, g)
+	}
+
+	tryLater := responder.New("ocsp.second.test", a.ca, a.r.DB, clk, responder.Profile{ErrorStatus: ocsp.StatusTryLater})
+	if err := reg.Register(tryLater); err == nil {
+		t.Error("a second tenant for a registered issuer was accepted")
+	}
+	parsed, err := ocsp.ParseRequest(a.reqDER)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ocsp.StatusSuccessful
+	if reg.RouteRequest(parsed) != first {
+		want = ocsp.StatusTryLater
+	}
+	if got := post(); got != want {
+		t.Errorf("POST answered %v, but the registry routes to a tenant answering %v", got, want)
+	}
+	if got := get(); got != want {
+		t.Errorf("GET answered %v, but the registry routes to a tenant answering %v", got, want)
+	}
+}
+
+// TestMemosSkipNameFallbackRoutes: a request whose issuer key hash matches
+// no tenant routes by its name hash, here to a tenant whose CA shares the
+// name. The tenant that owns the key may register later, so neither memo
+// may keep that route: once it registers, the same POST and GET must
+// reach it.
+func TestMemosSkipNameFallbackRoutes(t *testing.T) {
+	fa, fb := newFixture(t), newFixture(t) // two CAs, one subject name
+	reg := NewRegistry()
+	if err := reg.Register(fa.responder(cachedProfile)); err != nil {
+		t.Fatal(err)
+	}
+	h := NewMultiTenantHandler(reg)
+	reqB, idB := fb.request(t)
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(reqB))
+		req.Header.Set("Content-Type", ocsp.ContentTypeRequest)
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	status := func(method string, rec *httptest.ResponseRecorder) ocsp.CertStatus {
+		single := mustParse(t, rec.Body.Bytes()).Find(idB)
+		if single == nil {
+			t.Fatalf("%s: response misses the requested serial", method)
+		}
+		return single.Status
+	}
+	for range 2 {
+		if st := status("POST", post()); st != ocsp.Unknown {
+			t.Fatalf("before its tenant registers: POST status %v, want unknown", st)
+		}
+		if st := status("GET", getRecorder(t, h, reqB)); st != ocsp.Unknown {
+			t.Fatalf("before its tenant registers: GET status %v, want unknown", st)
+		}
+	}
+
+	if err := reg.Register(responder.New("ocsp.other.test", fb.ca, fb.db, fb.clk, cachedProfile)); err != nil {
+		t.Fatal(err)
+	}
+	for method, rec := range map[string]*httptest.ResponseRecorder{"POST": post(), "GET": getRecorder(t, h, reqB)} {
+		if st := status(method, rec); st != ocsp.Good {
+			t.Errorf("%s after its tenant registered: status %v, want good", method, st)
+		}
+		if err := mustParse(t, rec.Body.Bytes()).CheckSignatureFrom(fb.ca.Certificate); err != nil {
+			t.Errorf("%s after its tenant registered: not signed by its CA: %v", method, err)
+		}
 	}
 }
 

@@ -2,8 +2,9 @@ package responder
 
 import (
 	"bytes"
-	"sync"
 	"sync/atomic"
+
+	"github.com/netmeasure/muststaple/internal/memo"
 )
 
 // The signed-response cache exploits the paper's §2.2 observation that
@@ -19,25 +20,19 @@ import (
 // a Revoke between ticks forces regeneration. Stale keys are reclaimed by
 // the per-shard half-eviction when a shard exceeds its budget.
 //
-// The shard layout mirrors internal/scanner's shardedCache: power-of-two
-// shard count indexed by a folded FNV-64 of the raw request DER, one mutex
-// per shard (vantage goroutines hammering one responder no longer contend
-// on a single lock), and cache-line padding between shards. Hash keys are
-// confirmed against the stored request bytes, so an FNV collision costs a
-// regeneration instead of serving the wrong certificate's status.
+// The table is a memo.Table keyed by the FNV-64 of the raw request DER.
+// Hash keys are confirmed against the stored request bytes, so an FNV
+// collision costs a regeneration instead of serving the wrong
+// certificate's status.
 
-const (
-	respCacheShards = 64
-	// respShardBudget bounds a shard before half-eviction; the whole
-	// cache therefore holds at most 64×256 responses (~16 MB at the
-	// typical ~1 KB response size), far above one responder's working
-	// set of live windows.
-	respShardBudget = 256
-)
+// respShardBudget bounds a shard before half-eviction; the whole cache
+// therefore holds at most 64×256 responses (~16 MB at the typical ~1 KB
+// response size), far above one responder's working set of live windows.
+const respShardBudget = 256
 
 // respKey is the epoch-scoped cache key.
 type respKey struct {
-	hash  uint64 // folded FNV-64 of the raw request DER
+	hash  uint64 // FNV-64 of the raw request DER
 	epoch int64  // window start (cached mode) or scan instant (on-demand), UnixNano
 	gen   uint64 // DB status generation (on-demand memoization; 0 in cached mode)
 }
@@ -48,29 +43,10 @@ type respEntry struct {
 	meta   Meta
 }
 
-type respShard struct {
-	mu sync.Mutex
-	m  map[respKey]*respEntry
-	_  [40]byte // pad to a cache line: adjacent shard locks must not false-share
-}
-
 type responseCache struct {
-	shards [respCacheShards]respShard
+	table  memo.Table[respKey, *respEntry]
 	hits   atomic.Uint64
 	misses atomic.Uint64
-}
-
-func newResponseCache() *responseCache {
-	c := &responseCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[respKey]*respEntry)
-	}
-	return c
-}
-
-//lint:allocfree
-func (c *responseCache) shardFor(h uint64) *respShard {
-	return &c.shards[(h^(h>>32))&(respCacheShards-1)]
 }
 
 // get returns the cached response for key, confirming the stored request
@@ -78,10 +54,7 @@ func (c *responseCache) shardFor(h uint64) *respShard {
 //
 //lint:allocfree
 func (c *responseCache) get(key respKey, reqDER []byte) ([]byte, Meta, bool) {
-	s := c.shardFor(key.hash)
-	s.mu.Lock()
-	e := s.m[key]
-	s.mu.Unlock()
+	e, _ := c.table.Get(key.hash, key)
 	if e != nil && bytes.Equal(e.reqDER, reqDER) {
 		c.hits.Add(1)
 		return e.der, e.meta, true
@@ -94,34 +67,5 @@ func (c *responseCache) get(key respKey, reqDER []byte) ([]byte, Meta, bool) {
 // buffer may be pooled and reused).
 func (c *responseCache) put(key respKey, reqDER, der []byte, meta Meta) {
 	e := &respEntry{reqDER: append([]byte(nil), reqDER...), der: der, meta: meta}
-	s := c.shardFor(key.hash)
-	s.mu.Lock()
-	if len(s.m) >= respShardBudget {
-		// Over budget: drop about half the shard. Map iteration order
-		// is effectively random, so live epochs survive on average and
-		// dead ones drain — cheaper than tracking per-entry expiry on
-		// the hot path.
-		drop := respShardBudget / 2
-		for k := range s.m {
-			delete(s.m, k)
-			if drop--; drop <= 0 {
-				break
-			}
-		}
-	}
-	s.m[key] = e
-	s.mu.Unlock()
-}
-
-// fnv64 hashes the raw request bytes (FNV-1a, same constants as
-// internal/netsim and internal/scanner use for their deterministic hashes).
-//
-//lint:allocfree
-func fnv64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= 1099511628211
-	}
-	return h
+	c.table.Put(key.hash, key, e, respShardBudget)
 }

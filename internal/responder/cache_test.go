@@ -167,13 +167,6 @@ func TestOnDemandSigningBypassesCache(t *testing.T) {
 func TestOnDemandMemoSkippedOnWallClock(t *testing.T) {
 	f := newFixture(t)
 	reqDER, _ := f.request(t)
-	entries := func(r *Responder) int {
-		n := 0
-		for i := range r.cache.shards {
-			n += len(r.cache.shards[i].m)
-		}
-		return n
-	}
 	wall := New("ocsp.resp.test", f.ca, f.db, clock.Real{}, Profile{})
 	for i := 0; i < 5; i++ {
 		res, err := wall.Respond(context.Background(), reqDER)
@@ -181,7 +174,7 @@ func TestOnDemandMemoSkippedOnWallClock(t *testing.T) {
 			t.Fatalf("wall clock: Respond = %v, %v; want a fresh signature", res.Source, err)
 		}
 	}
-	if n := entries(wall); n != 0 {
+	if n := wall.cache.table.Len(); n != 0 {
 		t.Errorf("wall clock: memo holds %d entries, want 0", n)
 	}
 
@@ -196,7 +189,7 @@ func TestOnDemandMemoSkippedOnWallClock(t *testing.T) {
 			t.Fatalf("simulated clock, vantage %d: Respond = %v, %v; want %v", vantage, res.Source, err, want)
 		}
 	}
-	if n := entries(r); n != 1 {
+	if n := r.cache.table.Len(); n != 1 {
 		t.Errorf("simulated clock: memo holds %d entries, want 1", n)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/pki"
 	"github.com/netmeasure/muststaple/internal/pkixutil"
@@ -340,7 +341,7 @@ type Responder struct {
 	// counterpart proving the cache changes no observable bytes.
 	onDemandSign bool
 
-	cache *responseCache
+	cache responseCache
 
 	// phase is the responder's update-window phase offset, derived once
 	// from the host name (see windowStart).
@@ -388,7 +389,6 @@ func New(host string, ca *pki.CA, db *DB, clk clock.Clock, profile Profile, opts
 		Clock:   clk,
 		DB:      db,
 		Profile: profile,
-		cache:   newResponseCache(),
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -484,24 +484,12 @@ func (r *Responder) servesIssuer(id ocsp.CertID) bool {
 	r.initHashes()
 	switch id.HashAlgorithm {
 	case crypto.SHA1:
-		return bytesEqual(id.IssuerNameHash, r.sha1Name) && bytesEqual(id.IssuerKeyHash, r.sha1Key)
+		return bytes.Equal(id.IssuerNameHash, r.sha1Name) && bytes.Equal(id.IssuerKeyHash, r.sha1Key)
 	case crypto.SHA256:
-		return bytesEqual(id.IssuerNameHash, r.sha256Name) && bytesEqual(id.IssuerKeyHash, r.sha256Key)
+		return bytes.Equal(id.IssuerNameHash, r.sha256Name) && bytes.Equal(id.IssuerKeyHash, r.sha256Key)
 	default:
 		return false
 	}
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Result is the outcome of one OCSP exchange at the responder core: the
@@ -597,7 +585,7 @@ func (r *Responder) cacheKeyFor(reqDER []byte, now time.Time) (respKey, bool) {
 		return respKey{}, false
 	}
 	if r.Profile.CacheResponses {
-		return respKey{hash: fnv64(reqDER), epoch: r.windowStart(now).UnixNano()}, true
+		return respKey{hash: hashx.Sum64(reqDER), epoch: r.windowStart(now).UnixNano()}, true
 	}
 	if _, wall := r.Clock.(clock.Real); wall {
 		return respKey{}, false
@@ -606,7 +594,7 @@ func (r *Responder) cacheKeyFor(reqDER []byte, now time.Time) (respKey, bool) {
 	if r.DB != nil {
 		gen = r.DB.Generation()
 	}
-	return respKey{hash: fnv64(reqDER), epoch: now.UnixNano(), gen: gen}, true
+	return respKey{hash: hashx.Sum64(reqDER), epoch: now.UnixNano(), gen: gen}, true
 }
 
 // shouldCache reports whether a freshly generated response may be stored.
@@ -628,7 +616,7 @@ func (r *Responder) shouldCache(req *ocsp.Request) bool {
 // responders as on-demand.
 func (r *Responder) windowStart(now time.Time) time.Time {
 	interval := r.Profile.updateInterval()
-	r.phaseOnce.Do(func() { r.phase = time.Duration(fnv32(r.Host)) % interval })
+	r.phaseOnce.Do(func() { r.phase = time.Duration(hashx.Sum32(r.Host)) % interval })
 	ws := now.Add(-r.phase).Truncate(interval).Add(r.phase)
 	if ws.After(now) {
 		ws = ws.Add(-interval)
@@ -691,7 +679,7 @@ func (r *Responder) generateFor(req *ocsp.Request, now time.Time) ([]byte, Meta,
 		// Pick a pseudo-random farm instance; its generation time is
 		// skewed back by its index, so producedAt can regress between
 		// consecutive fetches.
-		idx := int(fnv32(instanceKey(req)+now.Format(time.RFC3339)) % uint32(r.Profile.Instances))
+		idx := int(hashx.Sum32(instanceKey(req)+now.Format(time.RFC3339)) % uint32(r.Profile.Instances))
 		skew := r.Profile.InstanceSkew
 		if skew == 0 {
 			skew = time.Minute
@@ -710,15 +698,6 @@ func instanceKey(req *ocsp.Request) string {
 		key += id.Serial.String() + "|"
 	}
 	return key
-}
-
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // generate builds and signs a fresh response. genTime is the nominal

@@ -1,6 +1,7 @@
 package scanner
 
 import (
+	"bytes"
 	"context"
 	"crypto"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/pki"
 	"github.com/netmeasure/muststaple/internal/responder"
@@ -49,7 +51,7 @@ func TestParseCacheCollision(t *testing.T) {
 	bad[0] ^= 0xFF
 
 	c := &Client{Transport: w.net}
-	h := fnvSum(good)
+	h := hashx.Sum64(good)
 
 	resp, err := c.parseResponse(h, good)
 	if err != nil || resp == nil {
@@ -75,24 +77,62 @@ func TestParseCacheCollision(t *testing.T) {
 	}
 }
 
-// TestShardedCacheEviction checks the bounded per-shard eviction: a shard
-// over budget is trimmed to half, never wholesale-reset, and the
-// just-inserted entry always survives.
+// TestShardedCacheEviction checks the bounded per-shard eviction of the
+// client's parse cache: a shard over budget is trimmed to half, never
+// wholesale-reset, and the just-inserted entry always survives.
 func TestShardedCacheEviction(t *testing.T) {
-	var c shardedCache[int, int]
-	const budget = 100
+	var c Client
+	const budget = parseShardBudget
 	// Hashes i<<6 all select shard 0 (low six bits zero, high word zero).
 	for i := 0; i < 3*budget; i++ {
-		c.put(uint64(i)<<6, i, i, budget)
-		if v, ok := c.get(uint64(i)<<6, i); !ok || v != i {
+		h := uint64(i) << 6
+		c.parseCache.Put(h, parseKey{hash: h, length: i}, parsedEntry{body: []byte{byte(i)}}, budget)
+		if e, ok := c.parseCache.Get(h, parseKey{hash: h, length: i}); !ok || e.body[0] != byte(i) {
 			t.Fatalf("entry %d missing immediately after insert", i)
 		}
 	}
-	if n := c.size(); n > budget+1 {
-		t.Fatalf("shard grew past its budget: %d entries > %d", n, budget+1)
+	if n := c.parseCache.Len(); n > budget {
+		t.Fatalf("shard grew past its budget: %d entries > %d", n, budget)
 	}
-	if n := c.size(); n < budget/2 {
+	if n := c.parseCache.Len(); n < budget/2 {
 		t.Fatalf("eviction dropped too much: %d entries < %d", n, budget/2)
+	}
+}
+
+// TestVerifyCacheCollision forces one hash for a validly signed body and
+// for a copy whose last signature byte is flipped. The copy still parses
+// but fails signature validation, so it must not be served the verdict
+// cached for the original; the original's verdict must survive the
+// collision's refill.
+func TestVerifyCacheCollision(t *testing.T) {
+	w := newWorld(t, responder.Profile{})
+	good := responseBody(t, w)
+	forged := bytes.Clone(good)
+	forged[len(forged)-1] ^= 0x01
+
+	goodResp, err := ocsp.ParseResponse(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forgedResp, err := ocsp.ParseResponse(forged)
+	if err != nil {
+		t.Fatalf("forged body must still parse: %v", err)
+	}
+	if err := forgedResp.CheckSignatureFrom(w.ca.Certificate); err == nil {
+		t.Fatal("flipping the last byte left the signature valid")
+	}
+
+	c := &Client{Transport: w.net}
+	p := c.newProbe(w.target)
+	h := hashx.Sum64(good)
+	if !c.checkSignature(h, goodResp, &p) {
+		t.Fatal("valid signature rejected")
+	}
+	if c.checkSignature(h, forgedResp, &p) {
+		t.Fatal("forged body was served the valid body's cached verdict")
+	}
+	if !c.checkSignature(h, goodResp, &p) {
+		t.Fatal("valid signature rejected after the collision")
 	}
 }
 
@@ -105,7 +145,7 @@ func TestClientCacheStress(t *testing.T) {
 	bad := make([]byte, len(good))
 	copy(bad, good)
 	bad[0] ^= 0xFF
-	h := fnvSum(good)
+	h := hashx.Sum64(good)
 
 	c := &Client{Transport: w.net}
 	p := c.newProbe(w.target)
@@ -173,7 +213,7 @@ func BenchmarkClientCaches(b *testing.B) {
 		for pb.Next() {
 			v := i % variants
 			i++
-			h := fnvSum(bodies[v]) // once per lookup, as scanOnce does
+			h := hashx.Sum64(bodies[v]) // once per lookup, as scanOnce does
 			resp, err := c.parseResponse(h, bodies[v])
 			if err != nil {
 				b.Fatal(err)

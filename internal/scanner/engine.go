@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/metrics"
 	"github.com/netmeasure/muststaple/internal/netsim"
 )
@@ -543,5 +544,5 @@ func newAggPipeline(aggs []Aggregator, shards int, reg *metrics.Registry) *aggPi
 // responder's observations land on one shard, preserving per-responder
 // observation order — the ShardedAggregator contract.
 func shardOf(responder string, shards int) int {
-	return int(fnvSum([]byte(responder)) % uint64(shards))
+	return int(hashx.Sum64(responder) % uint64(shards))
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 )
@@ -72,7 +73,7 @@ func (p RetryPolicy) Backoff(retry int, vantage string, tgt Target) time.Duratio
 		if tgt.Serial != nil {
 			serial = tgt.Serial.String()
 		}
-		h := fnvSum([]byte(vantage + "|" + tgt.Responder + "|" + serial + "|" + string(rune('0'+retry))))
+		h := hashx.Sum64(vantage + "|" + tgt.Responder + "|" + serial + "|" + string(rune('0'+retry)))
 		frac := float64(h%1000) / 1000 // stable in [0, 1)
 		d += time.Duration(p.Jitter * frac * float64(d))
 	}

@@ -49,6 +49,8 @@ import (
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/hashx"
+	"github.com/netmeasure/muststaple/internal/memo"
 	"github.com/netmeasure/muststaple/internal/metrics"
 	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/ocsp"
@@ -256,13 +258,21 @@ type Client struct {
 	// issued, retries, salvages, per-class counts).
 	Metrics *metrics.Registry
 
-	// The memoization caches are sharded by content hash (cache.go) so
-	// concurrent campaign workers don't serialize on one mutex. Both are
-	// keyed by the FNV-64 hash of the response body, computed once per
-	// lookup.
-	verifyCache shardedCache[verifyKey, bool]
-	parseCache  shardedCache[parseKey, parsedEntry]
+	// The memoization caches are sharded by content hash so concurrent
+	// campaign workers don't serialize on one mutex. Both are keyed by
+	// the FNV-64 hash of the response body, computed once per lookup.
+	verifyCache memo.Table[verifyKey, verifyEntry]
+	parseCache  memo.Table[parseKey, parsedEntry]
 }
+
+// Per-shard entry budgets of the two caches. 64 shards × budget reproduces
+// the seed's global bounds (2^17 parsed bodies, 2^18 verification
+// verdicts). Request DER needs no cache: it lives in the per-target probes
+// a campaign run builds once.
+const (
+	parseShardBudget  = 1 << 11
+	verifyShardBudget = 1 << 12
+)
 
 // probe holds what a lookup of one target needs that does not change
 // between lookups. A campaign run builds one per target before its first
@@ -329,13 +339,13 @@ type parsedEntry struct {
 // force a collision (a real FNV-64 collision is infeasible to construct).
 func (c *Client) parseResponse(h uint64, body []byte) (*ocsp.Response, error) {
 	key := parseKey{hash: h, length: len(body)}
-	if e, ok := c.parseCache.get(h, key); ok && bytes.Equal(e.body, body) {
+	if e, ok := c.parseCache.Get(h, key); ok && bytes.Equal(e.body, body) {
 		return e.resp, e.err
 	}
 	resp, err := ocsp.ParseResponse(body)
 	stored := make([]byte, len(body))
 	copy(stored, body)
-	c.parseCache.put(h, key, parsedEntry{resp: resp, err: err, body: stored}, parseShardBudget)
+	c.parseCache.Put(h, key, parsedEntry{resp: resp, err: err, body: stored}, parseShardBudget)
 	return resp, err
 }
 
@@ -345,35 +355,28 @@ type verifyKey struct {
 	issuerKey [sha256.Size]byte
 }
 
+type verifyEntry struct {
+	// raw is the response body the verdict was computed for (the
+	// verified response's Raw, not a copy): a hit is served only when it
+	// equals the body being checked.
+	raw []byte
+	ok  bool
+}
+
 // checkSignature verifies resp, whose body hashes to h, against the
 // probe's issuer with memoization. Verdicts are keyed by the issuer
 // certificate's SHA-256, not its serial: distinct CAs share serials (every
-// root pki.NewRootCA creates has serial 1). Unlike the parse cache a
-// collision here cannot cross response boundaries in practice — the key
-// also carries the body length and the issuer — and a false hit only
-// re-reports a boolean for an equal-length same-issuer body, so the
-// verdict is not re-confirmed against the bytes.
+// root pki.NewRootCA creates has serial 1). Like a parse, a verdict is
+// served only for the exact bytes it was computed for: a body that
+// collides with a validly signed one must not inherit its verdict.
 func (c *Client) checkSignature(h uint64, resp *ocsp.Response, p *probe) bool {
 	key := verifyKey{bodyHash: h, bodyLen: len(resp.Raw), issuerKey: p.issuerKey}
-	if ok, hit := c.verifyCache.get(h, key); hit {
-		return ok
+	if e, hit := c.verifyCache.Get(h, key); hit && bytes.Equal(e.raw, resp.Raw) {
+		return e.ok
 	}
 	ok := resp.CheckSignatureFrom(p.tgt.Issuer) == nil
-	c.verifyCache.put(h, key, ok, verifyShardBudget)
+	c.verifyCache.Put(h, key, verifyEntry{raw: resp.Raw, ok: ok}, verifyShardBudget)
 	return ok
-}
-
-func fnvSum(b []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
 }
 
 func (c *Client) method() string {
@@ -439,7 +442,7 @@ func (c *Client) scanOnce(ctx context.Context, vantage netsim.Vantage, at time.T
 		return obs
 	}
 
-	h := fnvSum(res.Body)
+	h := hashx.Sum64(res.Body)
 	resp, err := c.parseResponse(h, res.Body)
 	if err != nil {
 		obs.Class = ClassASN1
