@@ -12,16 +12,17 @@
 #                 lint, so an API change the harness compiles against
 #                 fails here rather than at benchmark time.
 #   bench-guard — asserts the pipelined engine is not slower than the
-#                 legacy round-barrier engine, the parallel world build is
-#                 not slower than the serial reference (each reports a
-#                 "speedup" metric; both redesigns target >= 1.5x on
+#                 legacy round-barrier engine (skipped below 4 CPUs), the
+#                 parallel world build is not slower than the serial
+#                 reference (skipped below 2 CPUs; each reports a
+#                 "speedup" metric, and both redesigns target >= 1.5x on
 #                 >= 4 cores), and the responder signed-response cache hot
 #                 path beats per-scan signing by >= 3x ns/op and >= 5x
 #                 allocs/op (no core gate; the win is eliminated work).
 #   loadcheck   — tier-2 serving-tier smoke: boots the OCSP serving tier
 #                 on a loopback socket and fires a short open-loop
 #                 ocspload burst at it, failing on zero throughput, any
-#                 5xx, or any transport error.
+#                 non-2xx status, or any transport error.
 #   capacitycheck — tier-2 closed-loop capacity gate: ocspload -capacity
 #                 probes the loopback tier (double then bisect the
 #                 offered rate until the p99 SLO breaks) and fails when
@@ -37,19 +38,6 @@
 #                 cmd/repro pipeline at -world-scale 1 and 10 and fails if
 #                 the 10× world's heap high-water mark exceeds ~1.5× the 1×
 #                 run's (scripts/memcheck.sh; see DESIGN.md §13).
-#   bench-snapshot — runs the guard benchmarks plus the world-scale memory
-#                 sweep (heap-peak-bytes at 1× and 10×), the OCSP/CRL
-#                 codec, CRL Find, responder hot-path, scan-client cache,
-#                 window-cached scan, and observation-store micro-benchmarks, then an ocspload
-#                 open-loop run against a real loopback serving tier
-#                 (p50/p99/p999 over the socket) plus a closed-loop
-#                 capacity search (max sustainable req/s under the p99
-#                 SLO), and archives the results as $(BENCH_SNAPSHOT)
-#                 (default BENCH_PR13.json, via cmd/benchjson).
-#   bench-compare — diffs the previous archived snapshot against the
-#                 current one (via cmd/benchjson -compare); warns and
-#                 succeeds when either snapshot is missing, so fresh
-#                 clones and CI runs without archives don't fail.
 #   fuzzcheck   — tier-2 fuzzing pass: runs each fuzz target with the
 #                 fuzzing engine for FUZZTIME (default 10s) instead of
 #                 only its seed corpus — the GET-path decoder, the
@@ -58,10 +46,10 @@
 #                 CreateResponse against its encoding/asn1 reference.
 #   racecheck   — focused race-detector pass over the concurrent hot-path
 #                 packages (serving tier, load generator, responder,
-#                 scanner, store, engine core, memo table) under -short,
-#                 so the data-race gate on the paths the lint contracts
-#                 annotate runs in minutes, not the full-suite tier-2
-#                 budget.
+#                 scanner, store, engine core, memo table, metrics
+#                 timers) under -short, so the data-race gate on the
+#                 paths the lint contracts annotate runs in minutes, not
+#                 the full-suite tier-2 budget.
 #   crash-recovery — end-to-end durability check: runs a campaign, kills
 #                 a second run mid-round via the store failpoint, resumes
 #                 it, and asserts the resumed figures, segment bytes
@@ -75,9 +63,9 @@ GO ?= go
 # //lint:allocfree contracts (DESIGN.md §15) cover the same surface.
 RACE_PKGS = ./internal/ocspserver ./internal/loadgen ./internal/responder \
 	./internal/scanner ./internal/store ./internal/core ./internal/expectstaple \
-	./internal/memo
+	./internal/memo ./internal/metrics
 
-.PHONY: all tier1 tier2 benchcheck loadcheck capacitycheck staplecheck memcheck racecheck fuzzcheck bench-guard bench bench-snapshot bench-compare crash-recovery vet fmt fmt-check lint
+.PHONY: all tier1 tier2 benchcheck loadcheck capacitycheck staplecheck memcheck racecheck fuzzcheck bench-guard bench crash-recovery vet fmt fmt-check lint
 
 all: tier1
 
@@ -112,7 +100,7 @@ fuzzcheck:
 
 # loadcheck boots a self-contained serving tier (own CA, loopback
 # listener) and drives a 2s open-loop burst; -check fails the run on
-# zero completed requests, any HTTP 5xx, or any transport error.
+# zero completed requests, any non-2xx status, or any transport error.
 loadcheck:
 	$(GO) run ./cmd/ocspload -selfserve -rate 500 -duration 2s -check
 
@@ -162,31 +150,6 @@ bench-guard:
 
 bench:
 	$(GO) test -run - -bench . -benchtime 1x .
-
-bench-snapshot:
-	{ $(GO) test -run - -bench 'BenchmarkCampaignEngineGuard|BenchmarkWorldBuildGuard|BenchmarkResponderRespondGuard' -benchtime 1x . ; \
-	  $(GO) test -run - -bench '^BenchmarkWorldScaleSweep$$' -benchtime 1x . ; \
-	  $(GO) test -run - -bench '^(BenchmarkOCSPCreateResponse|BenchmarkOCSPParseResponse|BenchmarkCRLCreateAndParse|BenchmarkResponderRespond)$$' . ; \
-	  $(GO) test -run - -bench '^(BenchmarkStoreAppend|BenchmarkStoreScan)$$' -benchtime 100x . ; \
-	  $(GO) test -run - -bench '^BenchmarkServeGETHot$$' . ; \
-	  $(GO) test -run - -bench '^BenchmarkCRLFindMiss$$' ./internal/crl ; \
-	  $(GO) test -run - -bench '^(BenchmarkClientCaches|BenchmarkScanCached)$$' ./internal/scanner ; \
-	  $(GO) run ./cmd/ocspload -selfserve -rate 2000 -duration 5s -bench ServingTierLoad ; \
-	  $(GO) run ./cmd/ocspload -selfserve -capacity -slo 25ms -probe-duration 2s \
-		-start-rate 1000 -max-rate 65536 -bench ServingTierCapacity ; \
-	  $(GO) run ./cmd/staplereport -ingestcheck -reports 200000 -workers 8 \
-		-min-rate 0 -max-heap-mb 0 -bench StapleIngest ; } | $(GO) run ./cmd/benchjson > $(BENCH_SNAPSHOT)
-
-BENCH_SNAPSHOT ?= BENCH_PR13.json
-BENCH_BASE ?= BENCH_PR10.json
-BENCH_HEAD ?= $(BENCH_SNAPSHOT)
-
-bench-compare:
-	@if [ ! -f "$(BENCH_BASE)" ] || [ ! -f "$(BENCH_HEAD)" ]; then \
-		echo "bench-compare: snapshot missing ($(BENCH_BASE) and/or $(BENCH_HEAD)); run 'make bench-snapshot' to create one — skipping comparison"; \
-	else \
-		$(GO) run ./cmd/benchjson -compare $(BENCH_BASE) $(BENCH_HEAD); \
-	fi
 
 crash-recovery:
 	./scripts/crash_recovery.sh

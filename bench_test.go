@@ -128,7 +128,9 @@ func BenchmarkCampaignEngine(b *testing.B) {
 // (The redesign targets ≥1.5× on ≥4 cores; the guard only enforces ≥1.0×
 // so shared CI machines do not flake.) The comparison is meaningless
 // without parallelism — both engines degenerate to one goroutine doing
-// scan-then-aggregate — so the guard requires at least 4 CPUs.
+// scan-then-aggregate — so the guard requires at least 4 CPUs. At 2 CPUs
+// the pipelined engine measures slower than the barrier engine
+// (0.84–0.87×; see EXPERIMENTS.md), which is why the floor stays at 4.
 func BenchmarkCampaignEngineGuard(b *testing.B) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		b.Skipf("guard needs >= 4 CPUs, have %d", runtime.GOMAXPROCS(0))
@@ -183,11 +185,11 @@ func BenchmarkWorldBuild(b *testing.B) {
 // world serially and in parallel and fails if the parallel build is slower
 // than the serial reference it replaced. (The refactor targets ≥1.5× on
 // ≥4 cores; the guard only enforces ≥1.0× so shared CI machines do not
-// flake.) With fewer than 4 CPUs both builds degenerate to nearly the same
-// schedule, so the guard requires at least 4.
+// flake.) With one CPU both builds run the same schedule, so the guard
+// requires at least 2; at 2 CPUs it measures 1.46–1.76×.
 func BenchmarkWorldBuildGuard(b *testing.B) {
-	if runtime.GOMAXPROCS(0) < 4 {
-		b.Skipf("guard needs >= 4 CPUs, have %d", runtime.GOMAXPROCS(0))
+	if runtime.GOMAXPROCS(0) < 2 {
+		b.Skipf("guard needs >= 2 CPUs, have %d", runtime.GOMAXPROCS(0))
 	}
 	runMode := func(workers int) time.Duration {
 		cfg := benchWorldConfig(1)
@@ -260,8 +262,14 @@ func BenchmarkWorldScaleSweep(b *testing.B) {
 func BenchmarkSection4Census(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		snap := census.GenerateSnapshot(census.SnapshotConfig{Seed: int64(i)})
-		st := snap.Stats()
+		corpus, err := census.NewCorpus(census.CorpusConfig{Seed: int64(i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := corpus.Stats()
+		if err != nil {
+			b.Fatal(err)
+		}
 		if st.MustStaple != census.PaperMustStapleCerts {
 			b.Fatalf("MustStaple = %d", st.MustStaple)
 		}
@@ -271,8 +279,8 @@ func BenchmarkSection4Census(b *testing.B) {
 // BenchmarkFigure2 regenerates the HTTPS/OCSP adoption-vs-rank curves.
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		domains := census.GenerateAlexa(census.AlexaConfig{Seed: int64(i), Domains: 50_000})
-		https, ocspBins := census.Figure2(domains, 5_000)
+		model := census.NewAlexaModel(census.AlexaConfig{Seed: int64(i), Domains: 50_000})
+		https, ocspBins := model.Figure2(5_000)
 		if len(https) == 0 || len(ocspBins) == 0 {
 			b.Fatal("empty figure")
 		}
@@ -425,8 +433,8 @@ func BenchmarkTable3Servers(b *testing.B) {
 // BenchmarkFigure11Stapling regenerates the stapling-adoption curve.
 func BenchmarkFigure11Stapling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		domains := census.GenerateAlexa(census.AlexaConfig{Seed: int64(i), Domains: 50_000})
-		if bins := census.Figure11(domains, 5_000); len(bins) == 0 {
+		model := census.NewAlexaModel(census.AlexaConfig{Seed: int64(i), Domains: 50_000})
+		if bins := model.Figure11(5_000); len(bins) == 0 {
 			b.Fatal("empty figure")
 		}
 	}

@@ -7,8 +7,8 @@
 //
 // With -selfserve it boots its own serving tier (a seeded CA, database,
 // and responder behind internal/ocspserver) on a loopback ephemeral port
-// and measures that, which is how `make loadcheck` and the BENCH_PR6
-// snapshot exercise the full client-socket-server path with zero setup.
+// and measures that, which is how `make loadcheck` exercises the full
+// client-socket-server path with zero setup.
 //
 // With -capacity it closes the loop instead of running at one fixed rate:
 // probe runs double the offered rate until the chosen latency quantile
@@ -24,17 +24,15 @@
 //
 // Usage:
 //
-//	ocspload -selfserve -rate 2000 -duration 5s -get 0.5 [-bench]
+//	ocspload -selfserve -rate 2000 -duration 5s -get 0.5
 //	ocspload -selfserve -capacity -slo 25ms -probe-duration 2s [-check -min-capacity 4000]
 //	ocspload -stapleserve -rate 5000 -duration 5s -check
 //	ocspload -selfserve -stapleserve -staple-weight 2 -rate 2000 -duration 5s
 //	ocspload -url http://localhost:8889 -issuer ca.pem -serial 12345 -rate 500 -duration 10s
 //
-// -bench emits `go test -bench`-style lines that cmd/benchjson converts
-// into the repo's benchmark snapshot format; -check exits nonzero when
-// the run completed nothing or saw any 5xx/transport failure (fixed-rate
-// mode), or when the discovered capacity is under -min-capacity
-// (-capacity mode).
+// -check exits nonzero when the run completed nothing or saw any non-2xx
+// status or transport failure (fixed-rate mode), or when the discovered
+// capacity is under -min-capacity (-capacity mode).
 package main
 
 import (
@@ -75,8 +73,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 10*time.Second, "per-request timeout")
 		cached    = flag.Bool("cached", true, "selfserve responder pre-generates per update window")
 		validity  = flag.Duration("validity", 24*time.Hour, "selfserve response validity")
-		bench     = flag.String("bench", "", "emit a benchjson-compatible line under this benchmark name")
-		check     = flag.Bool("check", false, "exit nonzero on zero throughput or any 5xx/transport error")
+		check     = flag.Bool("check", false, "exit nonzero on zero throughput or any non-2xx/transport error")
 
 		stapleserve  = flag.Bool("stapleserve", false, "boot a loopback Expect-Staple report collector and include it in the workload")
 		stapleWeight = flag.Int("staple-weight", 1, "relative weight of the report-collector target (with -stapleserve)")
@@ -164,9 +161,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ocspload: fast path: %d hits, %d misses, %d evictions\n",
 				hits, misses, evictions)
 		}
-		if *bench != "" {
-			emitCapacityBench(*bench, cap)
-		}
 		if *check && cap.MaxRate < *minCapacity {
 			fail("check failed: capacity %d req/s below -min-capacity %d", cap.MaxRate, *minCapacity)
 		}
@@ -188,12 +182,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ocspload: collector: %d accepted, %d dropped\n",
 			staples.collector.Accepted(), staples.collector.Dropped())
 	}
-	if *bench != "" {
-		emitBench(*bench, res)
-	}
-	if *check && (res.Completed == 0 || res.Status5xx > 0 || res.TransportErrors > 0) {
-		fail("check failed: completed=%d 5xx=%d transport-errors=%d",
-			res.Completed, res.Status5xx, res.TransportErrors)
+	if *check {
+		if err := checkRun(res); err != nil {
+			fail("check failed: %v", err)
+		}
 	}
 	if *check && staples != nil && staples.collector.Accepted() == 0 {
 		fail("check failed: collector accepted no reports")
@@ -366,39 +358,16 @@ func reportCapacity(c *loadgen.Capacity) {
 	}
 }
 
-// emitCapacityBench prints the capacity search outcome in the same
-// benchjson-compatible shape as the fixed-rate lines: the iteration count
-// is the probe count, the values are the discovered ceiling and the tail
-// latency measured at it.
-func emitCapacityBench(name string, c *loadgen.Capacity) {
-	fmt.Println("pkg: github.com/netmeasure/muststaple/cmd/ocspload")
-	var p99 time.Duration
-	for _, pr := range c.Probes {
-		if pr.Rate == c.MaxRate && pr.Pass {
-			p99 = pr.Quantile
-		}
+// checkRun is the fixed-rate -check predicate. A run fails when it
+// completed nothing, when any request got a non-2xx status (a 4xx is a
+// failed request as much as a 5xx), or when any request failed in
+// transport.
+func checkRun(res *loadgen.Result) error {
+	if res.Completed == 0 || res.HTTPErrors > 0 || res.TransportErrors > 0 {
+		return fmt.Errorf("completed=%d http=%d (5xx %d) transport-errors=%d",
+			res.Completed, res.HTTPErrors, res.Status5xx, res.TransportErrors)
 	}
-	fmt.Printf("Benchmark%s 	 %8d 	 %d capacity-req/s 	 %d p99-ns/op\n",
-		name, len(c.Probes), c.MaxRate, p99.Nanoseconds())
-}
-
-// emitBench prints one `go test -bench`-shaped line per histogram so
-// cmd/benchjson can fold the run into the repo's benchmark snapshots.
-func emitBench(name string, res *loadgen.Result) {
-	// A pkg header keeps cmd/benchjson from attributing these lines to
-	// whatever package preceded them in a concatenated stream.
-	fmt.Println("pkg: github.com/netmeasure/muststaple/cmd/ocspload")
-	line := func(suffix string, h *loadgen.Hist) {
-		if h.Count() == 0 {
-			return
-		}
-		fmt.Printf("Benchmark%s%s 	 %8d 	 %d p50-ns/op 	 %d p99-ns/op 	 %d p999-ns/op 	 %.0f req/s\n",
-			name, suffix, h.Count(),
-			h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999), res.Throughput())
-	}
-	line("", &res.Overall)
-	line("GET", &res.GET)
-	line("POST", &res.POST)
+	return nil
 }
 
 func fail(format string, args ...any) {

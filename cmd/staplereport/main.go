@@ -13,9 +13,7 @@
 // when throughput drops below -min-rate or the heap grows past
 // -max-heap-mb — the `make staplecheck` tier-2 gate:
 //
-//	staplereport -ingestcheck -reports 200000 -workers 8 -min-rate 20000 [-bench StapleIngest]
-//
-// -bench emits `go test -bench`-style lines for cmd/benchjson.
+//	staplereport -ingestcheck -reports 200000 -workers 8 -min-rate 20000
 package main
 
 import (
@@ -48,13 +46,12 @@ func main() {
 		minRate     = flag.Int("min-rate", 20_000, "fail below this many reports/s (with -ingestcheck; 0 disables)")
 		maxHeapMB   = flag.Int("max-heap-mb", 256, "fail when the post-run heap exceeds this (with -ingestcheck; 0 disables)")
 		persist     = flag.Bool("persist", true, "ingest through a real report log in a scratch dir (with -ingestcheck)")
-		bench       = flag.String("bench", "", "emit a benchjson-compatible line under this benchmark name")
 	)
 	flag.Parse()
 
 	switch {
 	case *ingestcheck:
-		runIngestCheck(*reports, *workers, *hosts, *minRate, *maxHeapMB, *persist, *bench)
+		runIngestCheck(*reports, *workers, *hosts, *minRate, *maxHeapMB, *persist)
 	case *dir != "":
 		dump(*dir, *limit, *summary)
 	default:
@@ -125,9 +122,9 @@ func dump(dir string, limit int, summary bool) {
 }
 
 // runIngestCheck floods the collector handler in-process and gates the
-// measured ingest rate and heap, mirroring cmd/ocspdump's -servecheck
-// role for the OCSP tier.
-func runIngestCheck(reports, workers, hosts, minRate, maxHeapMB int, persist bool, bench string) {
+// measured ingest rate and heap, the role `ocspload -check` plays for the
+// OCSP tier.
+func runIngestCheck(reports, workers, hosts, minRate, maxHeapMB int, persist bool) {
 	// Default shard/queue geometry: the bounded-memory claim being gated
 	// is the collector's own steady-state footprint, so the check must
 	// not paper over it with an outsized queue.
@@ -208,24 +205,12 @@ func runIngestCheck(reports, workers, hosts, minRate, maxHeapMB int, persist boo
 		fail("persisted %d != accepted %d", persisted, accepted)
 	}
 
-	if bench != "" {
-		fmt.Println("pkg: github.com/netmeasure/muststaple/cmd/staplereport")
-		fmt.Printf("Benchmark%s 	 %8d 	 %d ns/op 	 %.0f reports/s 	 %.1f heap-MiB\n",
-			bench, accepted, elapsed.Nanoseconds()/int64(max64(accepted, 1)), rate, heapMB)
-	}
 	if minRate > 0 && rate < float64(minRate) {
 		fail("check failed: %.0f reports/s below -min-rate %d", rate, minRate)
 	}
 	if maxHeapMB > 0 && heapMB > float64(maxHeapMB) {
 		fail("check failed: heap %.1f MiB above -max-heap-mb %d", heapMB, maxHeapMB)
 	}
-}
-
-func max64(a int64, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fail(format string, args ...any) {

@@ -29,7 +29,7 @@ type AlexaDomain struct {
 	ResponderIndex int
 }
 
-// AlexaConfig configures GenerateAlexa.
+// AlexaConfig configures NewAlexaModel.
 type AlexaConfig struct {
 	Seed int64
 	// Domains is the number of generated domains; 0 means 100,000.
@@ -87,8 +87,8 @@ func staplingRate(x float64) float64 { return 0.45 - 0.20*x }
 // (Seed, k), so the model streams in fixed memory at any population size.
 const alexaShardSize = 8192
 
-// AlexaModel is the streaming Alexa domain model: the same population
-// GenerateAlexa materializes, consumable rank by rank in fixed memory.
+// AlexaModel is the streaming Alexa domain model, consumable rank by rank
+// in fixed memory.
 //
 // The exact Must-Staple population can't be decided per-domain (a
 // per-record coin flip gives a binomial count, not the paper's exact 100),
@@ -208,21 +208,35 @@ func visitAlexaShard(cfg AlexaConfig, k int, fn func(AlexaDomain)) {
 	}
 }
 
-// GenerateAlexa materializes the domain model by draining the streaming
-// generator; the stream is identical to AlexaModel.Visit with the same
-// configuration.
-func GenerateAlexa(cfg AlexaConfig) []AlexaDomain {
-	m := NewAlexaModel(cfg)
-	out := make([]AlexaDomain, 0, m.NumDomains())
-	m.visitAll(func(d AlexaDomain) { out = append(out, d) })
-	return out
-}
-
 // Stats measures the model, streaming.
 func (m *AlexaModel) Stats() AlexaStats {
-	acc := newAlexaStatsAccumulator()
-	m.visitAll(acc.add)
-	return acc.stats()
+	var st AlexaStats
+	seen := map[int]bool{}
+	m.visitAll(func(d AlexaDomain) {
+		st.Domains++
+		if d.HTTPS {
+			st.HTTPS++
+		}
+		if d.OCSP {
+			st.OCSP++
+			seen[d.ResponderIndex] = true
+		}
+		if d.Stapling {
+			st.Stapling++
+		}
+		if d.MustStaple {
+			st.MustStaple++
+		}
+	})
+	if st.HTTPS > 0 {
+		st.OCSPRate = float64(st.OCSP) / float64(st.HTTPS)
+	}
+	if st.OCSP > 0 {
+		st.StaplingRate = float64(st.Stapling) / float64(st.OCSP)
+	}
+	st.RespondersSeen = len(seen)
+	st.ScaledMustStaple = st.MustStaple
+	return st
 }
 
 // Figure2 bins the streamed model into rank bins: the fraction of domains
@@ -252,33 +266,6 @@ func (m *AlexaModel) Figure11(binWidth int) []stats.BinRate {
 	return b.Rates()
 }
 
-// Figure2 bins the Alexa model into rank bins and returns two series: the
-// fraction of domains with a trusted certificate (HTTPS), and the fraction
-// of those whose certificate has an OCSP responder.
-func Figure2(domains []AlexaDomain, binWidth int) (https, ocspOfHTTPS []stats.BinRate) {
-	hb := stats.NewRankBins(binWidth)
-	ob := stats.NewRankBins(binWidth)
-	for _, d := range domains {
-		hb.Add(d.Rank, d.HTTPS)
-		if d.HTTPS {
-			ob.Add(d.Rank, d.OCSP)
-		}
-	}
-	return hb.Rates(), ob.Rates()
-}
-
-// Figure11 returns the fraction of OCSP-supporting domains that staple,
-// per rank bin.
-func Figure11(domains []AlexaDomain, binWidth int) []stats.BinRate {
-	b := stats.NewRankBins(binWidth)
-	for _, d := range domains {
-		if d.OCSP {
-			b.Add(d.Rank, d.Stapling)
-		}
-	}
-	return b.Rates()
-}
-
 // AlexaStats are the §4/§7.1 headline numbers for the Alexa model.
 type AlexaStats struct {
 	Domains          int
@@ -290,54 +277,4 @@ type AlexaStats struct {
 	StaplingRate     float64 // of OCSP domains
 	RespondersSeen   int
 	ScaledMustStaple int // not scaled — exact, mirrors the paper's 100
-}
-
-// Stats measures a materialized model.
-func Stats(domains []AlexaDomain) AlexaStats {
-	acc := newAlexaStatsAccumulator()
-	for _, d := range domains {
-		acc.add(d)
-	}
-	return acc.stats()
-}
-
-// alexaStatsAccumulator folds a domain stream into AlexaStats; shared by
-// the slice-based Stats and the streaming AlexaModel.Stats.
-type alexaStatsAccumulator struct {
-	st   AlexaStats
-	seen map[int]bool
-}
-
-func newAlexaStatsAccumulator() *alexaStatsAccumulator {
-	return &alexaStatsAccumulator{seen: map[int]bool{}}
-}
-
-func (a *alexaStatsAccumulator) add(d AlexaDomain) {
-	a.st.Domains++
-	if d.HTTPS {
-		a.st.HTTPS++
-	}
-	if d.OCSP {
-		a.st.OCSP++
-		a.seen[d.ResponderIndex] = true
-	}
-	if d.Stapling {
-		a.st.Stapling++
-	}
-	if d.MustStaple {
-		a.st.MustStaple++
-	}
-}
-
-func (a *alexaStatsAccumulator) stats() AlexaStats {
-	st := a.st
-	if st.HTTPS > 0 {
-		st.OCSPRate = float64(st.OCSP) / float64(st.HTTPS)
-	}
-	if st.OCSP > 0 {
-		st.StaplingRate = float64(st.Stapling) / float64(st.OCSP)
-	}
-	st.RespondersSeen = len(a.seen)
-	st.ScaledMustStaple = st.MustStaple
-	return st
 }

@@ -13,7 +13,6 @@ package census
 
 import (
 	"crypto/x509"
-	"fmt"
 	"math/rand"
 
 	"github.com/netmeasure/muststaple/internal/pki"
@@ -85,80 +84,6 @@ var caShare = []struct {
 	{"Other", 0.09},
 }
 
-// SnapshotConfig configures GenerateSnapshot.
-type SnapshotConfig struct {
-	// Seed drives all randomness; equal seeds give equal snapshots.
-	Seed int64
-	// ScaleFactor is how many real certificates one generated record
-	// represents; 0 means 10,000 (≈49k records for the full corpus).
-	// The exact Must-Staple population is always generated 1:1.
-	ScaleFactor int
-}
-
-func (c *SnapshotConfig) scale() int {
-	if c.ScaleFactor <= 0 {
-		return 10_000
-	}
-	return c.ScaleFactor
-}
-
-// Snapshot is a materialized corpus — the streaming Corpus drained into
-// slices, kept for call sites that genuinely need random access. Anything
-// that only reads the population should consume Corpus.Visit (or
-// Snapshot.Visit) instead, so it works unchanged against a spilled
-// paper-scale corpus.
-type Snapshot struct {
-	// ScaleFactor relates record counts to real-world counts for the
-	// scaled tier.
-	ScaleFactor int
-	// Certs is the scaled general population (valid and invalid,
-	// without the Must-Staple tier).
-	Certs []CertInfo
-	// MustStaple is the exact 29,709-record Must-Staple population.
-	MustStaple []CertInfo
-}
-
-// GenerateSnapshot materializes the corpus by draining the streaming
-// generator: the record stream is byte-identical to Corpus.Visit with the
-// same seed and scale, this just holds onto it.
-func GenerateSnapshot(cfg SnapshotConfig) *Snapshot {
-	c := newCorpus(CorpusConfig{Seed: cfg.Seed, ScaleFactor: cfg.ScaleFactor})
-	s := &Snapshot{ScaleFactor: c.ScaleFactor()}
-	s.Certs = make([]CertInfo, 0, c.NumRecords())
-	s.MustStaple = make([]CertInfo, 0, PaperMustStapleCerts)
-	err := c.Visit(func(info CertInfo) error {
-		if info.MustStaple {
-			s.MustStaple = append(s.MustStaple, info)
-		} else {
-			s.Certs = append(s.Certs, info)
-		}
-		return nil
-	})
-	if err != nil {
-		// Unreachable: an unspilled corpus visited with a non-failing fn
-		// has no error source.
-		panic("census: " + err.Error())
-	}
-	return s
-}
-
-// Visit streams the snapshot in canonical corpus order — general
-// population, then the exact Must-Staple tier — matching Corpus.Visit for
-// the same configuration.
-func (s *Snapshot) Visit(fn func(CertInfo) error) error {
-	for _, c := range s.Certs {
-		if err := fn(c); err != nil {
-			return err
-		}
-	}
-	for _, c := range s.MustStaple {
-		if err := fn(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func pickCA(rng *rand.Rand) string {
 	x := rng.Float64()
 	acc := 0.0
@@ -171,7 +96,8 @@ func pickCA(rng *rand.Rand) string {
 	return caShare[len(caShare)-1].Name
 }
 
-// SnapshotStats are the §4 headline numbers re-measured from a snapshot.
+// SnapshotStats are the §4 headline numbers re-measured from a corpus
+// snapshot (Corpus.Stats, StatsAccumulator).
 type SnapshotStats struct {
 	// Scaled-up estimates for the general population.
 	Total, Valid, OCSP int
@@ -182,48 +108,4 @@ type SnapshotStats struct {
 	OCSPFractionOfValid float64
 	// MustStapleFractionOfValid is MustStaple/Valid.
 	MustStapleFractionOfValid float64
-}
-
-// Stats measures the snapshot the way §4 does, through the same
-// accumulator the streaming path uses.
-func (s *Snapshot) Stats() SnapshotStats {
-	acc := NewStatsAccumulator(s.ScaleFactor)
-	if err := s.Visit(func(c CertInfo) error {
-		acc.AddCert(c)
-		return nil
-	}); err != nil {
-		panic("census: " + err.Error()) // unreachable: fn never fails
-	}
-	return acc.Stats()
-}
-
-// RealSample issues sampleSize real DER certificates through the pki
-// package matching the snapshot's marginals, and re-classifies them with
-// Classify — the cross-check that the metadata tier and the real-bytes
-// tier agree. It returns the classified infos.
-func (s *Snapshot) RealSample(sampleSize int, seed int64) ([]CertInfo, error) {
-	rng := rand.New(rand.NewSource(seed))
-	ca, err := pki.NewRootCA(pki.Config{
-		Name:    "Census Sample CA",
-		Rand:    rng,
-		OCSPURL: "http://ocsp.census.test",
-		CRLURL:  "http://crl.census.test/ca.crl",
-	})
-	if err != nil {
-		return nil, err
-	}
-	ocspP := float64(PaperOCSPCerts) / float64(PaperValidCerts)
-	msP := float64(PaperMustStapleCerts) / float64(PaperValidCerts)
-	out := make([]CertInfo, 0, sampleSize)
-	for i := 0; i < sampleSize; i++ {
-		opts := pki.LeafOptions{DNSNames: []string{fmt.Sprintf("sample-%d.census.test", i)}}
-		opts.OmitOCSP = rng.Float64() >= ocspP
-		opts.MustStaple = !opts.OmitOCSP && rng.Float64() < msP
-		leaf, err := ca.IssueLeaf(opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Classify(leaf.Certificate, ca.Name, true))
-	}
-	return out, nil
 }

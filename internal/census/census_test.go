@@ -2,7 +2,9 @@ package census
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -14,9 +16,22 @@ import (
 	"github.com/netmeasure/muststaple/internal/scanner"
 )
 
+// corpusStats measures the default-scale corpus for seed, streaming.
+func corpusStats(t *testing.T, seed int64) SnapshotStats {
+	t.Helper()
+	c, err := NewCorpus(CorpusConfig{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestSnapshotMarginals(t *testing.T) {
-	s := GenerateSnapshot(SnapshotConfig{Seed: 1})
-	st := s.Stats()
+	st := corpusStats(t, 1)
 
 	// Valid fraction ≈ 23% (112.8M / 489.6M).
 	validFrac := float64(st.Valid) / float64(st.Total)
@@ -43,12 +58,12 @@ func TestSnapshotMarginals(t *testing.T) {
 }
 
 func TestSnapshotDeterminism(t *testing.T) {
-	a := GenerateSnapshot(SnapshotConfig{Seed: 42}).Stats()
-	b := GenerateSnapshot(SnapshotConfig{Seed: 42}).Stats()
+	a := corpusStats(t, 42)
+	b := corpusStats(t, 42)
 	if a.Valid != b.Valid || a.OCSP != b.OCSP {
 		t.Error("same seed should give identical snapshots")
 	}
-	c := GenerateSnapshot(SnapshotConfig{Seed: 43}).Stats()
+	c := corpusStats(t, 43)
 	if a.Valid == c.Valid && a.OCSP == c.OCSP {
 		t.Error("different seeds should differ")
 	}
@@ -77,9 +92,39 @@ func TestClassifyRealCertificates(t *testing.T) {
 	}
 }
 
+// realSample issues sampleSize real DER certificates through the pki
+// package matching the corpus marginals, and re-classifies them with
+// Classify — the cross-check that the metadata tier and the real-bytes
+// tier agree. It returns the classified infos.
+func realSample(sampleSize int, seed int64) ([]CertInfo, error) {
+	rng := rand.New(rand.NewSource(seed))
+	ca, err := pki.NewRootCA(pki.Config{
+		Name:    "Census Sample CA",
+		Rand:    rng,
+		OCSPURL: "http://ocsp.census.test",
+		CRLURL:  "http://crl.census.test/ca.crl",
+	})
+	if err != nil {
+		return nil, err
+	}
+	ocspP := float64(PaperOCSPCerts) / float64(PaperValidCerts)
+	msP := float64(PaperMustStapleCerts) / float64(PaperValidCerts)
+	out := make([]CertInfo, 0, sampleSize)
+	for i := 0; i < sampleSize; i++ {
+		opts := pki.LeafOptions{DNSNames: []string{fmt.Sprintf("sample-%d.census.test", i)}}
+		opts.OmitOCSP = rng.Float64() >= ocspP
+		opts.MustStaple = !opts.OmitOCSP && rng.Float64() < msP
+		leaf, err := ca.IssueLeaf(opts)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, Classify(leaf.Certificate, ca.Name, true))
+	}
+	return out, nil
+}
+
 func TestRealSampleMatchesMarginals(t *testing.T) {
-	s := GenerateSnapshot(SnapshotConfig{Seed: 1, ScaleFactor: 1_000_000})
-	sample, err := s.RealSample(300, 7)
+	sample, err := realSample(300, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +141,7 @@ func TestRealSampleMatchesMarginals(t *testing.T) {
 }
 
 func TestAlexaModel(t *testing.T) {
-	domains := GenerateAlexa(AlexaConfig{Seed: 1, Domains: 50_000})
-	st := Stats(domains)
+	st := NewAlexaModel(AlexaConfig{Seed: 1, Domains: 50_000}).Stats()
 	if st.Domains != 50_000 {
 		t.Fatalf("domains = %d", st.Domains)
 	}
@@ -129,15 +173,15 @@ func TestAlexaModel(t *testing.T) {
 func TestAlexaPopularityGradient(t *testing.T) {
 	// Figures 2 and 11: popular domains are more likely to support
 	// OCSP and stapling.
-	domains := GenerateAlexa(AlexaConfig{Seed: 3, Domains: 100_000})
-	_, ocspBins := Figure2(domains, 10_000)
+	m := NewAlexaModel(AlexaConfig{Seed: 3, Domains: 100_000})
+	_, ocspBins := m.Figure2(10_000)
 	if len(ocspBins) != 10 {
 		t.Fatalf("bins = %d", len(ocspBins))
 	}
 	if ocspBins[0].Rate <= ocspBins[len(ocspBins)-1].Rate {
 		t.Errorf("OCSP adoption should fall with rank: first %v last %v", ocspBins[0].Rate, ocspBins[len(ocspBins)-1].Rate)
 	}
-	st11 := Figure11(domains, 10_000)
+	st11 := m.Figure11(10_000)
 	if st11[0].Rate <= st11[len(st11)-1].Rate {
 		t.Errorf("stapling should fall with rank: first %v last %v", st11[0].Rate, st11[len(st11)-1].Rate)
 	}
@@ -152,14 +196,16 @@ func TestResponderConcentration(t *testing.T) {
 	// §5.2: popular domains' certificates concentrate on few
 	// responders, so one outage can hit ~163K domains. The top 10% of
 	// responders must serve well over 10% of domains.
-	domains := GenerateAlexa(AlexaConfig{Seed: 5, Domains: 50_000})
 	counts := make(map[int]int)
 	total := 0
-	for _, d := range domains {
+	if err := NewAlexaModel(AlexaConfig{Seed: 5, Domains: 50_000}).Visit(func(d AlexaDomain) error {
 		if d.OCSP {
 			counts[d.ResponderIndex]++
 			total++
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	topShare := 0
 	for idx, c := range counts {

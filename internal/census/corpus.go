@@ -37,9 +37,8 @@ type CorpusConfig struct {
 	SpillDir string
 }
 
-// Corpus is the streaming certificate corpus: the same population
-// GenerateSnapshot materializes, consumable one record at a time in fixed
-// memory. The stream order is fixed — general-population shards in index
+// Corpus is the streaming certificate corpus, consumable one record at a
+// time in fixed memory. The stream order is fixed — general-population shards in index
 // order, then the exact Must-Staple tier — and byte-identical whether
 // records are generated serially, by a worker pool, or read back from a
 // spill directory.

@@ -18,30 +18,30 @@ func drain(t *testing.T, c *Corpus) []CertInfo {
 	return out
 }
 
-// TestCorpusStreamMatchesSnapshot pins the tentpole's byte-identity
-// requirement: the streamed corpus is record-for-record the materialized
-// snapshot (general population, then the Must-Staple tier).
+// TestCorpusStreamMatchesSnapshot pins the stream against an independent
+// reference: every shard generated on its own with CorpusShard, in index
+// order, then the exact Must-Staple tier in sorted CA order.
 func TestCorpusStreamMatchesSnapshot(t *testing.T) {
 	for _, seed := range []int64{1, 99} {
-		c, err := NewCorpus(CorpusConfig{Seed: seed})
+		cfg := CorpusConfig{Seed: seed}
+		c, err := NewCorpus(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed := drain(t, c)
-		snap := GenerateSnapshot(SnapshotConfig{Seed: seed})
-		var materialized []CertInfo
-		if err := snap.Visit(func(info CertInfo) error {
-			materialized = append(materialized, info)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+		var want []CertInfo
+		for k := 0; k < c.NumShards(); k++ {
+			want = append(want, CorpusShard(cfg, k)...)
 		}
-		if len(materialized) != len(snap.Certs)+len(snap.MustStaple) {
-			t.Fatalf("seed %d: Visit covered %d records, snapshot holds %d",
-				seed, len(materialized), len(snap.Certs)+len(snap.MustStaple))
+		if len(want) != c.NumRecords() {
+			t.Fatalf("seed %d: shards hold %d records, corpus declares %d", seed, len(want), c.NumRecords())
 		}
-		if !reflect.DeepEqual(streamed, materialized) {
-			t.Fatalf("seed %d: streamed corpus diverges from materialized snapshot", seed)
+		for _, ca := range []string{"Comodo", "DFN", "Let's Encrypt", "UserTrust"} {
+			for i := 0; i < PaperMustStapleByCA[ca]; i++ {
+				want = append(want, CertInfo{CA: ca, Valid: true, SupportsOCSP: true, MustStaple: true})
+			}
+		}
+		if !reflect.DeepEqual(drain(t, c), want) {
+			t.Fatalf("seed %d: streamed corpus diverges from its shards plus the Must-Staple tier", seed)
 		}
 	}
 }
@@ -168,47 +168,35 @@ func TestCorpusSpillRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCorpusStatsMatchSnapshotStats: the streaming accumulator and the
-// materialized Stats agree exactly.
-func TestCorpusStatsMatchSnapshotStats(t *testing.T) {
-	c, err := NewCorpus(CorpusConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := GenerateSnapshot(SnapshotConfig{Seed: 1}).Stats()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streaming stats = %+v, want %+v", got, want)
-	}
-}
-
 // TestAlexaModelStreamMatchesGenerate pins the Alexa model's stream
-// against the materialized slice, including the exact Must-Staple marks.
+// against its shards generated one by one, and checks the exact
+// Must-Staple marks the stream layers on top.
 func TestAlexaModelStreamMatchesGenerate(t *testing.T) {
 	cfg := AlexaConfig{Seed: 99, Domains: 50_000}
 	m := NewAlexaModel(cfg)
-	var streamed []AlexaDomain
-	if err := m.Visit(func(d AlexaDomain) error {
-		streamed = append(streamed, d)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	materialized := GenerateAlexa(cfg)
-	if !reflect.DeepEqual(streamed, materialized) {
-		t.Fatal("streamed Alexa model diverges from materialized slice")
+	var generated []AlexaDomain
+	for k := 0; k*alexaShardSize < cfg.Domains; k++ {
+		visitAlexaShard(cfg, k, func(d AlexaDomain) { generated = append(generated, d) })
 	}
 	ms := 0
-	for _, d := range streamed {
+	if err := m.Visit(func(d AlexaDomain) error {
+		if d.Rank >= len(generated) {
+			t.Fatalf("stream runs past the generated shards at rank %d", d.Rank)
+		}
 		if d.MustStaple {
 			ms++
 			if !d.OCSP {
 				t.Fatalf("rank %d: Must-Staple without OCSP", d.Rank)
 			}
 		}
+		unmarked := d
+		unmarked.MustStaple = false
+		if unmarked != generated[d.Rank] {
+			t.Fatalf("rank %d: streamed %+v, generated %+v", d.Rank, d, generated[d.Rank])
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if ms != 100 {
 		t.Fatalf("streamed model has %d Must-Staple domains, want exactly 100", ms)

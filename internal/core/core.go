@@ -113,7 +113,7 @@ func (r *Runner) freshWorld() (*world.World, error) {
 // measurement runs through the registry's clock (wall by default), which
 // also lands it in the world_build_seconds histogram.
 func (r *Runner) buildWorld() (*world.World, error) {
-	stop := r.registry().Timer("world_build_seconds", 1, 10, 60, 600)
+	stop := r.registry().Timer("world_build_seconds")
 	w, err := world.Build(r.Config)
 	if err != nil {
 		return nil, err
@@ -178,7 +178,7 @@ func (r *Runner) Run(ctx context.Context, name string) error {
 		return nil
 	}
 	h0, m0 := r.cacheStats()
-	stop := r.registry().Timer("experiment_wall_seconds", 1, 10, 60, 600)
+	stop := r.registry().Timer("experiment_wall_seconds")
 	if err := r.dispatch(ctx, name); err != nil {
 		return err
 	}

@@ -59,7 +59,6 @@ type HostStats struct {
 type Collector struct {
 	reg        *metrics.Registry
 	sink       Sink
-	maxBytes   int
 	queueDepth int
 	shards     []chan Report
 
@@ -94,11 +93,6 @@ func WithCollectorMetrics(reg *metrics.Registry) CollectorOption {
 	return func(c *Collector) { c.reg = reg }
 }
 
-// WithMaxReportBytes overrides the report-size cap.
-func WithMaxReportBytes(n int) CollectorOption {
-	return func(c *Collector) { c.maxBytes = n }
-}
-
 // WithShards overrides the aggregation fan-out.
 func WithShards(n int) CollectorOption {
 	return func(c *Collector) {
@@ -126,7 +120,6 @@ func WithSink(s Sink) CollectorOption {
 // NewCollector builds and starts a collector; Close releases it.
 func NewCollector(opts ...CollectorOption) *Collector {
 	c := &Collector{
-		maxBytes:   DefaultMaxReportBytes,
 		shards:     make([]chan Report, DefaultShards),
 		queueDepth: DefaultQueueDepth,
 	}
@@ -204,11 +197,11 @@ func (c *Collector) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	// pooled — a telemetry endpoint ingests millions of reports.
 	buf := pkixutil.GetBuffer()
 	defer pkixutil.PutBuffer(buf)
-	if _, err := buf.ReadFrom(io.LimitReader(req.Body, int64(c.maxBytes)+1)); err != nil {
+	if _, err := buf.ReadFrom(io.LimitReader(req.Body, DefaultMaxReportBytes+1)); err != nil {
 		http.Error(w, "read error", http.StatusBadRequest)
 		return
 	}
-	if buf.Len() > c.maxBytes {
+	if buf.Len() > DefaultMaxReportBytes {
 		c.cRejSize.Inc()
 		http.Error(w, "report too large", http.StatusRequestEntityTooLarge)
 		return

@@ -1,3 +1,9 @@
+// Package loadgen is an open-loop constant-rate load generator for the
+// OCSP serving tier. Open-loop means requests are scheduled on a fixed
+// timetable regardless of how fast the server answers, and each latency
+// is measured from the request's *scheduled* send time — the discipline
+// (after wrk2) that avoids coordinated omission, where a stalled server
+// silently pauses the load and the stall never shows up in the tail.
 package loadgen
 
 import (
@@ -14,6 +20,7 @@ import (
 
 	"github.com/netmeasure/muststaple/internal/clock"
 	"github.com/netmeasure/muststaple/internal/hashx"
+	"github.com/netmeasure/muststaple/internal/metrics"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 )
 
@@ -68,6 +75,10 @@ type Config struct {
 	// measuring a production serving tier).
 	Client *http.Client
 }
+
+// Hist is the HDR latency histogram every run records into. It is an
+// alias, not a defined type, so it keeps metrics.Hist's methods.
+type Hist = metrics.Hist
 
 // Result aggregates a run.
 type Result struct {

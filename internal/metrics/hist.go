@@ -1,10 +1,4 @@
-// Package loadgen is an open-loop constant-rate load generator for the
-// OCSP serving tier. Open-loop means requests are scheduled on a fixed
-// timetable regardless of how fast the server answers, and each latency
-// is measured from the request's *scheduled* send time — the discipline
-// (after wrk2) that avoids coordinated omission, where a stalled server
-// silently pauses the load and the stall never shows up in the tail.
-package loadgen
+package metrics
 
 import (
 	"fmt"

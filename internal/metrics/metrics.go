@@ -1,15 +1,14 @@
 // Package metrics is the lightweight instrumentation registry behind the
-// scan pipeline: lock-free counters and gauges plus fixed-bucket
-// histograms, grouped in a Registry whose Snapshot renders deterministic,
-// sorted text. It deliberately has no exporter dependencies — cmd/repro
-// and cmd/ocspscan print snapshots directly, and campaigns surface them
-// through scanner.Campaign.Stats().
+// scan pipeline: lock-free counters and gauges plus HDR latency
+// histograms (Hist) behind named timers, grouped in a Registry whose
+// Snapshot renders deterministic, sorted text. It deliberately has no
+// exporter dependencies — cmd/repro and cmd/ocspscan print snapshots
+// directly, and campaigns surface them through scanner.Campaign.Stats().
 package metrics
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -62,88 +61,6 @@ func (g *Gauge) SetMax(v int64) {
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram counts float64 observations into fixed cumulative-style
-// buckets. Observations are assigned to the first bucket whose upper bound
-// is >= the value; values above every bound land in the overflow bucket.
-type Histogram struct {
-	bounds []float64
-	counts []atomic.Int64 // len(bounds)+1, last is overflow
-	count  atomic.Int64
-	sum    atomic.Uint64 // float64 bits, CAS-accumulated
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	bs := append([]float64(nil), bounds...)
-	sort.Float64s(bs)
-	return &Histogram{bounds: bs, counts: make([]atomic.Int64, len(bs)+1)}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		new := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, new) {
-			return
-		}
-	}
-}
-
-// Snapshot captures the histogram state.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: make([]int64, len(h.counts)),
-		Count:  h.count.Load(),
-		Sum:    math.Float64frombits(h.sum.Load()),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
-}
-
-// HistogramSnapshot is a point-in-time copy of a Histogram.
-type HistogramSnapshot struct {
-	// Bounds are the bucket upper bounds; Counts has one extra overflow
-	// entry for samples above the last bound.
-	Bounds []float64
-	Counts []int64
-	Count  int64
-	Sum    float64
-}
-
-// Mean returns Sum/Count (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
-// String renders "count=N sum=S buckets=[<=b1:n1 ...]".
-func (s HistogramSnapshot) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "count=%d sum=%.3f", s.Count, s.Sum)
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		if i < len(s.Bounds) {
-			fmt.Fprintf(&b, " <=%g:%d", s.Bounds[i], c)
-		} else {
-			fmt.Fprintf(&b, " +Inf:%d", c)
-		}
-	}
-	return b.String()
-}
-
 // Registry is a named collection of metrics. The zero value is not usable;
 // call NewRegistry.
 type Registry struct {
@@ -152,10 +69,18 @@ type Registry struct {
 	// reads the wall clock directly.
 	Clock clock.Clock
 
-	mu         sync.RWMutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	mu       sync.RWMutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	timers   map[string]*timer
+}
+
+// timer is one named latency histogram. Its stop functions run on
+// different goroutines (the engine's round loop, the store's writer,
+// core), and Hist is not safe for concurrent use, so a mutex guards it.
+type timer struct {
+	mu sync.Mutex
+	h  Hist
 }
 
 // timeSource resolves the registry's clock, defaulting to the wall clock.
@@ -169,9 +94,9 @@ func (r *Registry) timeSource() clock.Clock {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		timers:   make(map[string]*timer),
 	}
 }
 
@@ -209,36 +134,38 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given bucket
-// bounds on first use (later calls ignore bounds).
-func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
+// timer returns the named timer histogram, creating it on first use.
+func (r *Registry) timer(name string) *timer {
 	r.mu.RLock()
-	h := r.histograms[name]
+	t := r.timers[name]
 	r.mu.RUnlock()
-	if h != nil {
-		return h
+	if t != nil {
+		return t
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h = r.histograms[name]; h == nil {
-		h = newHistogram(bounds)
-		r.histograms[name] = h
+	if t = r.timers[name]; t == nil {
+		t = &timer{}
+		r.timers[name] = t
 	}
-	return h
+	return t
 }
 
 // Timer starts an elapsed-time measurement against the registry's clock
 // (wall clock unless one is injected); the returned stop function records
-// the elapsed seconds into the named histogram and returns the elapsed
-// duration. It backs the per-experiment wall-time accounting in
-// internal/core and the campaign engine's per-round histogram.
-func (r *Registry) Timer(name string, bounds ...float64) func() time.Duration {
-	h := r.Histogram(name, bounds...)
+// the elapsed nanoseconds into the named histogram and returns the
+// elapsed duration. It backs the per-experiment wall-time accounting in
+// internal/core, the campaign engine's per-round histogram and the
+// store's flush latency.
+func (r *Registry) Timer(name string) func() time.Duration {
+	t := r.timer(name)
 	clk := r.timeSource()
 	start := clk.Now()
 	return func() time.Duration {
 		d := clk.Now().Sub(start)
-		h.Observe(d.Seconds())
+		t.mu.Lock()
+		t.h.RecordDuration(d)
+		t.mu.Unlock()
 		return d
 	}
 }
@@ -250,7 +177,7 @@ func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   make(map[string]int64, len(r.counters)),
 		Gauges:     make(map[string]int64, len(r.gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.histograms)),
+		Histograms: make(map[string]Hist, len(r.timers)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
@@ -258,17 +185,20 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
 	}
-	for name, h := range r.histograms {
-		s.Histograms[name] = h.Snapshot()
+	for name, t := range r.timers {
+		t.mu.Lock()
+		s.Histograms[name] = t.h
+		t.mu.Unlock()
 	}
 	return s
 }
 
-// Snapshot is a point-in-time copy of a Registry.
+// Snapshot is a point-in-time copy of a Registry. Histograms holds a copy
+// of each timer's histogram, in nanoseconds.
 type Snapshot struct {
 	Counters   map[string]int64
 	Gauges     map[string]int64
-	Histograms map[string]HistogramSnapshot
+	Histograms map[string]Hist
 }
 
 // WriteTo renders the snapshot as sorted "name value" lines, one metric
@@ -291,7 +221,8 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	for _, name := range sortedKeys(s.Histograms) {
-		if err := write("%s %s\n", name, s.Histograms[name]); err != nil {
+		h := s.Histograms[name] // Hist's methods need an addressable copy
+		if err := write("%s %s\n", name, h.String()); err != nil {
 			return total, err
 		}
 	}

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"github.com/netmeasure/muststaple/internal/clock"
 )
 
 func TestCounterAndGauge(t *testing.T) {
@@ -35,27 +38,27 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
+func TestTimer(t *testing.T) {
+	clk := clock.NewSimulated(time.Date(2018, 4, 24, 0, 0, 0, 0, time.UTC))
 	r := NewRegistry()
-	h := r.Histogram("latency", 10, 100, 1000)
-	for _, v := range []float64{1, 5, 50, 500, 5000} {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if s.Count != 5 {
-		t.Fatalf("count = %d, want 5", s.Count)
-	}
-	if s.Sum != 5556 {
-		t.Errorf("sum = %v, want 5556", s.Sum)
-	}
-	want := []int64{2, 1, 1, 1} // <=10, <=100, <=1000, overflow
-	for i, c := range s.Counts {
-		if c != want[i] {
-			t.Errorf("bucket %d = %d, want %d", i, c, want[i])
+	r.Clock = clk
+	for _, d := range []time.Duration{3 * time.Millisecond, time.Second, 250 * time.Microsecond} {
+		stop := r.Timer("flush")
+		clk.Advance(d)
+		if got := stop(); got != d {
+			t.Errorf("stop() = %v, want %v", got, d)
 		}
 	}
-	if s.Mean() != 5556.0/5 {
-		t.Errorf("mean = %v", s.Mean())
+	h := r.Snapshot().Histograms["flush"]
+	if h.Count() != 3 {
+		t.Fatalf("count = %d, want 3", h.Count())
+	}
+	if h.Min() != uint64(250*time.Microsecond) || h.Max() != uint64(time.Second) {
+		t.Errorf("min/max = %v/%v, want 250µs/1s", time.Duration(h.Min()), time.Duration(h.Max()))
+	}
+	out := r.Snapshot().String()
+	if !strings.Contains(out, "flush count=3 min=250µs p50=") || !strings.Contains(out, " max=1s\n") {
+		t.Errorf("snapshot output:\n%s", out)
 	}
 }
 
@@ -69,7 +72,7 @@ func TestConcurrentUse(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				r.Counter("c").Inc()
 				r.Gauge("g").SetMax(int64(j))
-				r.Histogram("h", 500).Observe(float64(j))
+				r.Timer("h")()
 			}
 		}()
 	}
@@ -80,8 +83,8 @@ func TestConcurrentUse(t *testing.T) {
 	if got := r.Gauge("g").Value(); got != 999 {
 		t.Errorf("gauge max = %d, want 999", got)
 	}
-	if got := r.Histogram("h").Snapshot().Count; got != 8000 {
-		t.Errorf("histogram count = %d, want 8000", got)
+	if h := r.Snapshot().Histograms["h"]; h.Count() != 8000 {
+		t.Errorf("timer count = %d, want 8000", h.Count())
 	}
 }
 
@@ -90,7 +93,7 @@ func TestSnapshotRendering(t *testing.T) {
 	r.Counter("b_count").Add(2)
 	r.Counter("a_count").Add(1)
 	r.Gauge("depth").Set(3)
-	r.Histogram("lat", 10).Observe(4)
+	r.Timer("lat")()
 	out := r.Snapshot().String()
 	// Sorted, deterministic output.
 	ia, ib := strings.Index(out, "a_count 1"), strings.Index(out, "b_count 2")

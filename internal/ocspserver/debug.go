@@ -27,11 +27,11 @@ func NewDebugVars(reg *metrics.Registry, tenants func() []*responder.Responder) 
 }
 
 // debugPayload is the wire shape. encoding/json marshals maps with
-// sorted keys, so output is deterministic for a fixed state.
+// sorted keys, so output is deterministic for a fixed state. Timer
+// histograms are not rendered: no serving-tier registry starts a timer.
 type debugPayload struct {
-	Counters   map[string]int64                     `json:"counters"`
-	Gauges     map[string]int64                     `json:"gauges"`
-	Histograms map[string]metrics.HistogramSnapshot `json:"histograms,omitempty"`
+	Counters map[string]int64 `json:"counters"`
+	Gauges   map[string]int64 `json:"gauges"`
 }
 
 // ServeHTTP renders the current metrics state as JSON.
@@ -45,11 +45,7 @@ func (d *DebugVars) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	snap := d.reg.Snapshot()
-	payload := debugPayload{
-		Counters:   snap.Counters,
-		Gauges:     snap.Gauges,
-		Histograms: snap.Histograms,
-	}
+	payload := debugPayload{Counters: snap.Counters, Gauges: snap.Gauges}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

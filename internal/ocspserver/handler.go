@@ -64,7 +64,6 @@ type Handler struct {
 	routes *memo.Table[uint64, routeEntry]
 	fast   memo.Table[uint64, *fastEntry]
 
-	clk             clock.Clock
 	reg             *metrics.Registry
 	maxRequestBytes int
 
@@ -120,12 +119,6 @@ func WithMaxRequestBytes(n int) HandlerOption {
 	return func(h *Handler) { h.maxRequestBytes = n }
 }
 
-// WithClock overrides the clock used to derive cache-header lifetimes;
-// the default is the serving tenant's own clock.
-func WithClock(clk clock.Clock) HandlerOption {
-	return func(h *Handler) { h.clk = clk }
-}
-
 // NewHandler fronts a single responder core.
 func NewHandler(r *responder.Responder, opts ...HandlerOption) *Handler {
 	h := &Handler{single: r, maxRequestBytes: DefaultMaxRequestBytes}
@@ -156,9 +149,6 @@ func (h *Handler) count(name string) {
 // clockFor resolves the clock that dates cache headers for a response
 // served by tenant r.
 func (h *Handler) clockFor(r *responder.Responder) clock.Clock {
-	if h.clk != nil {
-		return h.clk
-	}
 	if r != nil && r.Clock != nil {
 		return r.Clock
 	}

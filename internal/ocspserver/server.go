@@ -41,12 +41,6 @@ func WithRoute(path string, handler http.Handler) ServerOption {
 	return func(s *Server) { s.routes[path] = handler }
 }
 
-// WithReadTimeout bounds how long a client may take to send a request
-// (slowloris hardening). The default is 30s.
-func WithReadTimeout(d time.Duration) ServerOption {
-	return func(s *Server) { s.srv.ReadTimeout = d }
-}
-
 // NewServer wraps h in a socket-facing server.
 func NewServer(h *Handler, opts ...ServerOption) *Server {
 	s := &Server{
@@ -55,7 +49,7 @@ func NewServer(h *Handler, opts ...ServerOption) *Server {
 	}
 	s.srv = &http.Server{
 		Handler:        s,
-		ReadTimeout:    30 * time.Second,
+		ReadTimeout:    30 * time.Second, // slowloris hardening
 		WriteTimeout:   30 * time.Second,
 		IdleTimeout:    120 * time.Second,
 		MaxHeaderBytes: maxGETPathBytes + (8 << 10),

@@ -27,10 +27,17 @@ func obs(vantage string, at time.Time, class scanner.FailureClass) scanner.Obser
 }
 
 func TestSection4Rendering(t *testing.T) {
-	snap := census.GenerateSnapshot(census.SnapshotConfig{Seed: 1}).Stats()
-	domains := census.GenerateAlexa(census.AlexaConfig{Seed: 2, Domains: 5000})
+	corpus, err := census.NewCorpus(census.CorpusConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := corpus.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alexa := census.NewAlexaModel(census.AlexaConfig{Seed: 2, Domains: 5000}).Stats()
 	var sb strings.Builder
-	Section4(&sb, snap, census.Stats(domains), 200)
+	Section4(&sb, snap, alexa, 200)
 	out := sb.String()
 	for _, want := range []string{"29709", "Let's Encrypt", "95.", "paper: 100"} {
 		if !strings.Contains(out, want) {

@@ -33,14 +33,6 @@ func StreamInto(src ObservationSource, aggs ...scanner.Aggregator) (int, error) 
 	return n, err
 }
 
-// CertSource streams certificate-corpus records one at a time in
-// canonical corpus order. census.Corpus and census.Snapshot both satisfy
-// it, so the §4 analyses run identically over a generated stream, a
-// spilled paper-scale corpus, or a materialized snapshot.
-type CertSource interface {
-	Visit(fn func(census.CertInfo) error) error
-}
-
 // CertAggregator folds corpus records into a figure or table input.
 // census.StatsAccumulator satisfies it.
 type CertAggregator interface {
@@ -49,9 +41,9 @@ type CertAggregator interface {
 
 // StreamCertsInto drives every record from src through the given
 // aggregators and returns how many were streamed. Records flow one at a
-// time, so a spilled 100M-record corpus is analyzed in fixed memory —
-// the corpus analogue of StreamInto.
-func StreamCertsInto(src CertSource, aggs ...CertAggregator) (int, error) {
+// time, so a generated stream and a spilled 100M-record corpus are both
+// analyzed in fixed memory — the corpus analogue of StreamInto.
+func StreamCertsInto(src *census.Corpus, aggs ...CertAggregator) (int, error) {
 	n := 0
 	err := src.Visit(func(c census.CertInfo) error {
 		n++

@@ -123,17 +123,6 @@ func WithErrorStatus(st ocsp.ResponseStatus) ProfileOption {
 	return func(p *Profile) { p.ErrorStatus = st }
 }
 
-// WithStatusOverride forces the returned status for one serial (decimal
-// string) regardless of the database — the Table 1 discrepancies.
-func WithStatusOverride(serial string, st ocsp.CertStatus) ProfileOption {
-	return func(p *Profile) {
-		if p.StatusOverrides == nil {
-			p.StatusOverrides = make(map[string]ocsp.CertStatus)
-		}
-		p.StatusOverrides[serial] = st
-	}
-}
-
 // WithRevocationTimeSkew shifts OCSP revocation times relative to the
 // CRL's ground truth (ocsp.msocsp.com lagged its CRL by up to 9 days).
 func WithRevocationTimeSkew(d time.Duration) ProfileOption {

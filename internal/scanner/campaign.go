@@ -281,15 +281,16 @@ type Stats struct {
 	ByClass map[string]int64
 	// PeakQueueDepth is the high-water mark of the scan job queue.
 	PeakQueueDepth int64
-	// RoundLatency is the wall-clock round duration histogram (seconds).
-	RoundLatency metrics.HistogramSnapshot
+	// RoundLatency is the wall-clock round duration histogram
+	// (nanoseconds).
+	RoundLatency metrics.Hist
 }
 
 // String renders the stats as one summary line plus a class breakdown.
 func (s Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scans=%d rounds=%d retries=%d salvaged=%d peak-queue=%d round-latency-mean=%.3fs",
-		s.Scans, s.Rounds, s.Retries, s.Salvaged, s.PeakQueueDepth, s.RoundLatency.Mean())
+		s.Scans, s.Rounds, s.Retries, s.Salvaged, s.PeakQueueDepth, s.RoundLatency.Mean()/1e9)
 	for _, name := range sortedClassNames(s.ByClass) {
 		fmt.Fprintf(&b, "\n  class %-18s %d", name, s.ByClass[name])
 	}

@@ -17,9 +17,6 @@ import (
 // behind, the dispatcher blocks instead of buffering the backlog.
 const aggQueueDepth = 2
 
-// roundLatencyBounds are the campaign_round_seconds histogram buckets.
-var roundLatencyBounds = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2, 10, 60}
-
 // Run executes the campaign over its configured window, feeding every
 // observation to each aggregator, and returns the number of lookups
 // performed. Cancelling ctx stops the campaign between (and within)
@@ -249,7 +246,7 @@ func (c *Campaign) runPipelined(ctx context.Context, start, end time.Time, aggs 
 				}
 				continue
 			}
-			stopRound := c.reg.Timer("campaign_round_seconds", roundLatencyBounds...)
+			stopRound := c.reg.Timer("campaign_round_seconds")
 			block := &roundBlock{at: at, obs: make([]Observation, len(pairs))}
 			block.pending.Store(int64(len(pairs)))
 			for i, p := range pairs {
@@ -365,7 +362,7 @@ func (c *Campaign) runBarrier(ctx context.Context, start, end time.Time, aggs []
 		}
 		results = results[:len(pairs)]
 
-		stopRound := c.reg.Timer("campaign_round_seconds", roundLatencyBounds...)
+		stopRound := c.reg.Timer("campaign_round_seconds")
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for wk := 0; wk < c.workers; wk++ {

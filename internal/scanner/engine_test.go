@@ -313,8 +313,8 @@ func TestCampaignStatsAndFirstAttemptSemantics(t *testing.T) {
 	if st.PeakQueueDepth == 0 {
 		t.Error("PeakQueueDepth not recorded")
 	}
-	if st.RoundLatency.Count != 12 {
-		t.Errorf("RoundLatency.Count = %d, want 12", st.RoundLatency.Count)
+	if st.RoundLatency.Count() != 12 {
+		t.Errorf("RoundLatency.Count = %d, want 12", st.RoundLatency.Count())
 	}
 	// First-attempt semantics: even though every outage lookup was
 	// salvaged, Seoul's availability series must still show the failures.

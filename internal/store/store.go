@@ -35,9 +35,6 @@ var ErrSimulatedCrash = errors.New("store: simulated crash failpoint reached")
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("store: closed")
 
-// flushLatencyBounds are the store_flush_seconds histogram buckets.
-var flushLatencyBounds = []float64{0.0005, 0.002, 0.01, 0.05, 0.25, 1}
-
 // Options configures Open. The zero value is a usable default.
 type Options struct {
 	// SegmentSize is the rotation threshold in bytes; a segment that
@@ -340,7 +337,7 @@ func (s *Store) AppendRound(at time.Time, obs []scanner.Observation) error {
 		return s.failed
 	}
 
-	stop := s.reg.Timer("store_flush_seconds", flushLatencyBounds...)
+	stop := s.reg.Timer("store_flush_seconds")
 	if err := s.w.flush(); err != nil {
 		s.failed = err
 		return err

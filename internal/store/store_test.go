@@ -677,7 +677,7 @@ func TestStoreMetrics(t *testing.T) {
 	if got := snap.Gauges["store_bytes"]; got == 0 {
 		t.Fatal("bytes gauge is zero")
 	}
-	if snap.Histograms["store_flush_seconds"].Count == 0 {
+	if h := snap.Histograms["store_flush_seconds"]; h.Count() == 0 {
 		t.Fatal("flush latency histogram is empty")
 	}
 }
