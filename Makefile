@@ -47,9 +47,9 @@
 #   racecheck   — focused race-detector pass over the concurrent hot-path
 #                 packages (serving tier, load generator, responder,
 #                 scanner, store, engine core, memo table, metrics
-#                 timers) under -short, so the data-race gate on the
-#                 paths the lint contracts annotate runs in minutes, not
-#                 the full-suite tier-2 budget.
+#                 timers, the bounded parallel loop) under -short, so the
+#                 data-race gate on the paths the lint contracts annotate
+#                 runs in minutes, not the full-suite tier-2 budget.
 #   crash-recovery — end-to-end durability check: runs a campaign, kills
 #                 a second run mid-round via the store failpoint, resumes
 #                 it, and asserts the resumed figures, segment bytes
@@ -63,7 +63,7 @@ GO ?= go
 # //lint:allocfree contracts (DESIGN.md §15) cover the same surface.
 RACE_PKGS = ./internal/ocspserver ./internal/loadgen ./internal/responder \
 	./internal/scanner ./internal/store ./internal/core ./internal/expectstaple \
-	./internal/memo ./internal/metrics
+	./internal/memo ./internal/metrics ./internal/par
 
 .PHONY: all tier1 tier2 benchcheck loadcheck capacitycheck staplecheck memcheck racecheck fuzzcheck bench-guard bench crash-recovery vet fmt fmt-check lint
 

@@ -10,7 +10,6 @@
 package browser
 
 import (
-	"crypto"
 	"crypto/tls"
 	"crypto/x509"
 	"errors"
@@ -105,35 +104,17 @@ func (s StapleStatus) String() string {
 }
 
 // EvaluateStaple performs full client-side validation of a stapled OCSP
-// response for leaf issued by issuer at time now: parse, signature (direct
-// or delegated), serial coverage, status, and validity window. This is the
+// response for leaf issued by issuer at time now: the ocsp.VerifiedSingle
+// check (parse, signature direct or delegated, serial coverage), then the
+// validity window and status. This is the
 // §6 logic a Must-Staple-respecting client must run, also exposed to the
 // muststaple-lint example.
 func EvaluateStaple(staple []byte, leaf, issuer *x509.Certificate, now time.Time) StapleStatus {
 	if len(staple) == 0 {
 		return StapleMissing
 	}
-	resp, err := ocsp.ParseResponse(staple)
-	if err != nil || resp.Status != ocsp.StatusSuccessful {
-		return StapleInvalid
-	}
-	if err := resp.CheckSignatureFrom(issuer); err != nil {
-		return StapleInvalid
-	}
-	// Match the CertID using whatever hash the responder chose.
-	h := crypto.SHA1
-	if len(resp.Responses) > 0 {
-		h = resp.Responses[0].CertID.HashAlgorithm
-	}
-	id, err := ocsp.NewCertID(leaf, issuer, h)
-	if err != nil {
-		return StapleInvalid
-	}
-	single := resp.Find(id)
-	if single == nil {
-		return StapleInvalid
-	}
-	if !single.ValidAt(now) {
+	single, err := ocsp.VerifiedSingle(staple, leaf, issuer)
+	if err != nil || !single.ValidAt(now) {
 		return StapleInvalid
 	}
 	switch single.Status {

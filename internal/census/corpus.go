@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
+	"github.com/netmeasure/muststaple/internal/par"
 	"github.com/netmeasure/muststaple/internal/store"
 )
 
@@ -260,20 +260,10 @@ func (c *Corpus) spill() error {
 			dir, meta.Seed, meta.ScaleFactor)
 	}
 
-	workers := c.workers()
 	errs := make([]error, c.shards)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for k := 0; k < c.shards; k++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[k] = spillShard(dir, k, CorpusShard(c.cfg, k))
-		}(k)
-	}
-	wg.Wait()
+	par.For(c.shards, c.workers(), func(k int) {
+		errs[k] = spillShard(dir, k, CorpusShard(c.cfg, k))
+	})
 	for _, err := range errs {
 		if err != nil {
 			return fmt.Errorf("census: spill: %w", err)

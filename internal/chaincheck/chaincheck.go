@@ -16,7 +16,6 @@
 package chaincheck
 
 import (
-	"crypto"
 	"crypto/x509"
 	"encoding/asn1"
 	"errors"
@@ -181,26 +180,8 @@ func verifyElement(cert, issuer *x509.Certificate, bundle *Bundle, idx int, now 
 	if len(der) == 0 {
 		return ElementUnchecked
 	}
-	resp, err := ocsp.ParseResponse(der)
-	if err != nil || resp.Status != ocsp.StatusSuccessful {
-		return ElementInvalid
-	}
-	if err := resp.CheckSignatureFrom(issuer); err != nil {
-		return ElementInvalid
-	}
-	h := crypto.SHA1
-	if len(resp.Responses) > 0 {
-		h = resp.Responses[0].CertID.HashAlgorithm
-	}
-	id, err := ocsp.NewCertID(cert, issuer, h)
-	if err != nil {
-		return ElementInvalid
-	}
-	single := resp.Find(id)
-	if single == nil {
-		return ElementInvalid
-	}
-	if !single.ValidAt(now) {
+	single, err := ocsp.VerifiedSingle(der, cert, issuer)
+	if err != nil || !single.ValidAt(now) {
 		return ElementInvalid
 	}
 	switch single.Status {

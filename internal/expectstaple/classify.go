@@ -1,11 +1,9 @@
 package expectstaple
 
 import (
-	"crypto"
 	"crypto/x509"
 	"time"
 
-	"github.com/netmeasure/muststaple/internal/browser"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 )
 
@@ -22,65 +20,39 @@ type Evaluation struct {
 }
 
 // Classify evaluates a stapled response the way a reporting user agent
-// would: it runs the full browser-side staple validation
-// (browser.EvaluateStaple) and then refines the generic "invalid"
-// verdict into the report classes operators need to act on. The
-// refreshFailing bit is the server-side outage signal (the draft's
+// would: it runs the browser-side staple check (ocsp.VerifiedSingle, the
+// check browser.EvaluateStaple makes) once and refines the generic
+// "invalid" verdict into the report classes operators need to act on.
+// The refreshFailing bit is the server-side outage signal (the draft's
 // report schema carries the served-staple metadata a real UA cannot
 // know; a simulation can, and the distinction between "your responder
 // is down and you are serving stale" and "your responder hands out
 // unusable windows" is exactly what detection-latency analysis wants to
 // separate).
 func Classify(staple []byte, leaf, issuer *x509.Certificate, now time.Time, refreshFailing bool) Evaluation {
-	switch browser.EvaluateStaple(staple, leaf, issuer, now) {
-	case browser.StapleGood:
-		return Evaluation{}
-	case browser.StapleMissing:
+	if len(staple) == 0 {
 		return Evaluation{Violated: true, Violation: ViolationMissing}
-	case browser.StapleRevoked:
-		ev := Evaluation{Violated: true, Violation: ViolationRevoked}
-		ev.ThisUpdate, ev.NextUpdate = stapleWindow(staple, leaf, issuer)
-		return ev
 	}
-	// StapleInvalid: split into malformed vs out-of-window. A staple
-	// whose window simply excludes now is structurally fine — anything
-	// else (parse failure, bad signature, wrong certificate, freak
-	// status) is malformed.
-	tu, nu := stapleWindow(staple, leaf, issuer)
-	outOfWindow := !tu.IsZero() && (now.Before(tu) || (!nu.IsZero() && now.After(nu)))
-	if !outOfWindow {
-		return Evaluation{Violated: true, Violation: ViolationMalformed, ThisUpdate: tu, NextUpdate: nu}
-	}
-	v := ViolationExpired
-	if refreshFailing {
-		v = ViolationStale
-	}
-	return Evaluation{Violated: true, Violation: v, ThisUpdate: tu, NextUpdate: nu}
-}
-
-// stapleWindow extracts the validity window of the single response
-// covering leaf, if the staple parses, is correctly signed, and answers
-// about the right certificate. Zero times mean the staple is structurally
-// unusable (malformed), as opposed to merely out of window.
-func stapleWindow(staple []byte, leaf, issuer *x509.Certificate) (thisUpdate, nextUpdate time.Time) {
-	resp, err := ocsp.ParseResponse(staple)
-	if err != nil || resp.Status != ocsp.StatusSuccessful {
-		return time.Time{}, time.Time{}
-	}
-	if err := resp.CheckSignatureFrom(issuer); err != nil {
-		return time.Time{}, time.Time{}
-	}
-	h := crypto.SHA1
-	if len(resp.Responses) > 0 {
-		h = resp.Responses[0].CertID.HashAlgorithm
-	}
-	id, err := ocsp.NewCertID(leaf, issuer, h)
+	single, err := ocsp.VerifiedSingle(staple, leaf, issuer)
 	if err != nil {
-		return time.Time{}, time.Time{}
+		return Evaluation{Violated: true, Violation: ViolationMalformed}
 	}
-	single := resp.Find(id)
-	if single == nil {
-		return time.Time{}, time.Time{}
+	ev := Evaluation{Violated: true, ThisUpdate: single.ThisUpdate, NextUpdate: single.NextUpdate}
+	inWindow := single.ValidAt(now)
+	switch {
+	case inWindow && single.Status == ocsp.Good:
+		return Evaluation{}
+	case inWindow && single.Status == ocsp.Revoked:
+		ev.Violation = ViolationRevoked
+	case inWindow || single.ThisUpdate.IsZero():
+		// A verified staple is out of window only when its window
+		// excludes now; a freak status inside it, or no thisUpdate to
+		// place it by, is malformed.
+		ev.Violation = ViolationMalformed
+	case refreshFailing:
+		ev.Violation = ViolationStale
+	default:
+		ev.Violation = ViolationExpired
 	}
-	return single.ThisUpdate, single.NextUpdate
+	return ev
 }

@@ -126,6 +126,20 @@ func TestClassify(t *testing.T) {
 	if !ev.Violated || ev.Violation != ViolationMalformed {
 		t.Fatalf("wrong-cert staple: %+v", ev)
 	}
+
+	// A validly signed Unknown status: malformed inside its window, with
+	// the window surfaced; outside it, the window decides (expired).
+	unknown := good
+	unknown.Status = ocsp.Unknown
+	ev = Classify(fx.staple(t, unknown), fx.leaf.Certificate, fx.ca.Certificate, fx.now, false)
+	if !ev.Violated || ev.Violation != ViolationMalformed || !ev.ThisUpdate.Equal(good.ThisUpdate.Truncate(time.Second)) {
+		t.Fatalf("in-window unknown staple: %+v", ev)
+	}
+	unknown.ThisUpdate, unknown.NextUpdate = expired.ThisUpdate, expired.NextUpdate
+	ev = Classify(fx.staple(t, unknown), fx.leaf.Certificate, fx.ca.Certificate, fx.now, false)
+	if !ev.Violated || ev.Violation != ViolationExpired {
+		t.Fatalf("expired unknown staple: %+v", ev)
+	}
 }
 
 func TestViolationStrings(t *testing.T) {

@@ -14,6 +14,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"time"
+
+	"github.com/netmeasure/muststaple/internal/wire"
 )
 
 // ContentTypeReport is the media type of a POSTed violation report (the
@@ -90,9 +92,10 @@ type Report struct {
 }
 
 // Wire format: uvarint codec version, then (uvarint tag, value) fields
-// in strictly ascending tag order. Ascending-only tags make duplicate
-// and out-of-order fields — the classic report-spoofing malformations —
-// detectable without a seen-set, and unknown tags are rejected outright:
+// in strictly ascending tag order, each value following the internal/wire
+// conventions. Ascending-only tags make duplicate and out-of-order
+// fields — the classic report-spoofing malformations — detectable
+// without a seen-set, and unknown tags are rejected outright:
 // an ingestion endpoint on the open Internet cannot afford a lenient
 // parse. At, Host, and Violation are required; the rest default to zero
 // when omitted. AppendReport always writes every field, so the encoding
@@ -116,21 +119,21 @@ const (
 func AppendReport(b []byte, r *Report) []byte {
 	b = binary.AppendUvarint(b, reportCodecVersion)
 	b = binary.AppendUvarint(b, tagAt)
-	b = appendTime(b, r.At)
+	b = wire.AppendTime(b, r.At)
 	b = binary.AppendUvarint(b, tagHost)
-	b = appendString(b, r.Host)
+	b = wire.AppendString(b, r.Host)
 	b = binary.AppendUvarint(b, tagVantage)
-	b = appendString(b, r.Vantage)
+	b = wire.AppendString(b, r.Vantage)
 	b = binary.AppendUvarint(b, tagClient)
 	b = binary.AppendUvarint(b, r.Client)
 	b = binary.AppendUvarint(b, tagViolation)
 	b = binary.AppendUvarint(b, uint64(r.Violation))
 	b = binary.AppendUvarint(b, tagEnforce)
-	b = appendBool(b, r.Enforce)
+	b = wire.AppendBool(b, r.Enforce)
 	b = binary.AppendUvarint(b, tagThisUpdate)
-	b = appendTime(b, r.ThisUpdate)
+	b = wire.AppendTime(b, r.ThisUpdate)
 	b = binary.AppendUvarint(b, tagNextUpdate)
-	b = appendTime(b, r.NextUpdate)
+	b = wire.AppendTime(b, r.NextUpdate)
 	return b
 }
 
@@ -148,9 +151,9 @@ func DecodeReport(b []byte) (Report, error) {
 // decode to zero allocations — the collector hot path's contract.
 //
 //lint:allocfree
-func decodeReportInterned(b []byte, it *internTable) (Report, error) {
-	d := decoder{b: b, intern: it}
-	if v := d.uvarint(); d.err == nil && v != reportCodecVersion {
+func decodeReportInterned(b []byte, it *wire.Interns) (Report, error) {
+	d := wire.NewDecoder(b, "expectstaple: ", it)
+	if v := d.Uvarint(); d.Err() == nil && v != reportCodecVersion {
 		//lint:allow allocfree version-mismatch error path, never taken in the steady state
 		return Report{}, fmt.Errorf("expectstaple: report codec version %d, want %d", v, reportCodecVersion)
 	}
@@ -159,44 +162,44 @@ func decodeReportInterned(b []byte, it *internTable) (Report, error) {
 		seen uint32
 		prev uint64
 	)
-	for d.err == nil && d.off < len(d.b) {
-		tag := d.uvarint()
-		if d.err != nil {
+	for d.Err() == nil && d.Remaining() > 0 {
+		tag := d.Uvarint()
+		if d.Err() != nil {
 			break
 		}
 		if tag <= prev {
-			d.fail("duplicate or out-of-order tag %d after %d", tag, prev) //lint:allow allocfree malformed-report error path; a valid stream never boxes these
+			d.Fail("duplicate or out-of-order tag %d after %d", tag, prev) //lint:allow allocfree malformed-report error path; a valid stream never boxes these
 			break
 		}
 		prev = tag
 		switch tag {
 		case tagAt:
-			r.At = d.time()
+			r.At = d.Time()
 		case tagHost:
-			r.Host = d.string()
+			r.Host = d.String()
 		case tagVantage:
-			r.Vantage = d.string()
+			r.Vantage = d.String()
 		case tagClient:
-			r.Client = d.uvarint()
+			r.Client = d.Uvarint()
 		case tagViolation:
-			v := d.uvarint()
-			if d.err == nil && v >= uint64(NumViolations) {
-				d.fail("unknown violation %d", v) //lint:allow allocfree malformed-report error path; a valid stream never boxes this
+			v := d.Uvarint()
+			if d.Err() == nil && v >= uint64(NumViolations) {
+				d.Fail("unknown violation %d", v) //lint:allow allocfree malformed-report error path; a valid stream never boxes this
 			}
 			r.Violation = Violation(v)
 		case tagEnforce:
-			r.Enforce = d.bool()
+			r.Enforce = d.Bool()
 		case tagThisUpdate:
-			r.ThisUpdate = d.time()
+			r.ThisUpdate = d.Time()
 		case tagNextUpdate:
-			r.NextUpdate = d.time()
+			r.NextUpdate = d.Time()
 		default:
-			d.fail("unknown tag %d", tag) //lint:allow allocfree malformed-report error path; a valid stream never boxes this
+			d.Fail("unknown tag %d", tag) //lint:allow allocfree malformed-report error path; a valid stream never boxes this
 		}
 		seen |= 1 << tag
 	}
-	if d.err != nil {
-		return Report{}, d.err
+	if err := d.Err(); err != nil {
+		return Report{}, err
 	}
 	const required = 1<<tagAt | 1<<tagHost | 1<<tagViolation
 	if seen&required != required {
@@ -204,157 +207,4 @@ func decodeReportInterned(b []byte, it *internTable) (Report, error) {
 		return Report{}, fmt.Errorf("expectstaple: report missing required fields (seen %#x)", seen)
 	}
 	return r, nil
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-// appendTime encodes a time as a presence byte plus varint UnixNano,
-// matching the observation store's convention (the zero time.Time is
-// outside the UnixNano range and round-trips to exactly time.Time{}).
-func appendTime(b []byte, t time.Time) []byte {
-	if t.IsZero() {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	return binary.AppendVarint(b, t.UnixNano())
-}
-
-// internTable deduplicates decoded string fields across the reports of
-// one ingest stream, allocating only on first sight of a value. The map
-// is capped so a hostile stream of distinct hostnames degrades to plain
-// allocation instead of growing the table forever.
-type internTable struct {
-	m map[string]string
-}
-
-const internTableCap = 4096
-
-func newInternTable() *internTable {
-	return &internTable{m: make(map[string]string, 64)}
-}
-
-// intern returns the canonical string for b. The m[string(b)] lookup
-// compiles to a no-allocation map probe.
-//
-//lint:allocfree
-func (t *internTable) intern(b []byte) string {
-	if s, ok := t.m[string(b)]; ok {
-		return s
-	}
-	s := string(b) //lint:allow allocfree first sight of a value only; the capped table amortizes this to zero across a stream
-	if len(t.m) < internTableCap {
-		t.m[s] = s
-	}
-	return s
-}
-
-// decoder is a sticky-error cursor over an encoded payload, mirroring
-// the observation store's codec discipline.
-type decoder struct {
-	b      []byte
-	off    int
-	err    error
-	intern *internTable // nil: strings allocate per field
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("expectstaple: "+format, args...)
-	}
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad uvarint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// string reads a length-prefixed string. With an intern table threaded
-// (the collector hot path), a previously seen value is a zero-allocation
-// map probe.
-//
-//lint:allocfree
-func (d *decoder) string() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail("string length %d exceeds remaining %d bytes", n, len(d.b)-d.off) //lint:allow allocfree corrupt-report error path; the steady-state ingest never reaches it
-		return ""
-	}
-	raw := d.b[d.off : d.off+int(n)]
-	d.off += int(n)
-	if d.intern != nil {
-		return d.intern.intern(raw) //lint:allow allocfree the inlined intern allocates on first sight only; the capped table amortizes it to zero across a stream
-	}
-	return string(raw) //lint:allow allocfree one-shot decode path (nil intern table); the collector threads the table and hits the zero-alloc probe
-}
-
-func (d *decoder) bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off >= len(d.b) {
-		d.fail("truncated bool at offset %d", d.off)
-		return false
-	}
-	v := d.b[d.off]
-	d.off++
-	if v > 1 {
-		d.fail("bad bool byte %d at offset %d", v, d.off-1)
-		return false
-	}
-	return v == 1
-}
-
-func (d *decoder) time() time.Time {
-	if d.err != nil {
-		return time.Time{}
-	}
-	if d.off >= len(d.b) {
-		d.fail("truncated time at offset %d", d.off)
-		return time.Time{}
-	}
-	presence := d.b[d.off]
-	d.off++
-	switch presence {
-	case 0:
-		return time.Time{}
-	case 1:
-		return time.Unix(0, d.varint()).UTC()
-	default:
-		d.fail("bad time presence byte %d at offset %d", presence, d.off-1)
-		return time.Time{}
-	}
 }

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/netmeasure/muststaple/internal/wire"
 )
 
 func randomReport(rng *rand.Rand) Report {
@@ -54,7 +56,7 @@ func TestReportRoundTrip(t *testing.T) {
 // with the plain one.
 func TestReportRoundTripInterned(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	it := newInternTable()
+	it := wire.NewInterns()
 	for i := 0; i < 500; i++ {
 		want := randomReport(rng)
 		enc := AppendReport(nil, &want)
@@ -65,6 +67,31 @@ func TestReportRoundTripInterned(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("interned round trip mismatch:\n got %+v\nwant %+v", got, want)
 		}
+	}
+}
+
+// farTimesReport carries a staple window outside the range UnixNano can
+// represent: a thisUpdate before 1678 and a nextUpdate of 9999-12-31.
+func farTimesReport() Report {
+	return Report{
+		At:         time.Unix(1_600_000_000, 0).UTC(),
+		Host:       "a.test",
+		Violation:  ViolationRevoked,
+		ThisUpdate: time.Date(1601, 1, 1, 0, 0, 0, 500, time.UTC),
+		NextUpdate: time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC),
+	}
+}
+
+// TestReportRoundTripFarTimes: the far window round-trips exactly instead
+// of being rewritten to a time inside 1678–2262.
+func TestReportRoundTripFarTimes(t *testing.T) {
+	want := farTimesReport()
+	got, err := DecodeReport(AppendReport(nil, &want))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -97,7 +124,7 @@ func TestDecodeReportRejectsMalformations(t *testing.T) {
 
 	// Duplicate field: re-append an already-seen tag.
 	dup := append(append([]byte(nil), valid...), byte(tagHost))
-	dup = appendString(dup, "b.test")
+	dup = wire.AppendString(dup, "b.test")
 	if _, err := DecodeReport(dup); err == nil {
 		t.Fatal("duplicate tag accepted")
 	}
@@ -123,9 +150,9 @@ func TestDecodeReportRejectsMalformations(t *testing.T) {
 
 	// Out-of-range violation.
 	oov := binary.AppendUvarint([]byte{reportCodecVersion}, tagAt)
-	oov = appendTime(oov, time.Unix(1, 0))
+	oov = wire.AppendTime(oov, time.Unix(1, 0))
 	oov = binary.AppendUvarint(oov, tagHost)
-	oov = appendString(oov, "a.test")
+	oov = wire.AppendString(oov, "a.test")
 	oov = binary.AppendUvarint(oov, tagViolation)
 	oov = binary.AppendUvarint(oov, uint64(NumViolations))
 	if _, err := DecodeReport(oov); err == nil {
@@ -149,10 +176,12 @@ func FuzzReportDecode(f *testing.F) {
 		NextUpdate: time.Unix(1_599_900_000, 0).UTC(),
 	})
 	f.Add(valid)
+	far := farTimesReport()
+	f.Add(AppendReport(nil, &far))
 	f.Add(valid[:len(valid)/2])                        // truncated
 	f.Add(append(append([]byte(nil), valid...), 0x00)) // trailing byte
 	dup := append(append([]byte(nil), valid...), byte(tagHost))
-	f.Add(appendString(dup, "dup.test")) // duplicate field
+	f.Add(wire.AppendString(dup, "dup.test")) // duplicate field
 	f.Add([]byte{})
 	f.Add([]byte{reportCodecVersion})
 
@@ -177,7 +206,7 @@ func BenchmarkReportDecode(b *testing.B) {
 		At: time.Unix(1_600_000_000, 0).UTC(), Host: "shop.example.test",
 		Vantage: "Oregon", Client: 9, Violation: ViolationMissing,
 	})
-	it := newInternTable()
+	it := wire.NewInterns()
 	if _, err := decodeReportInterned(enc, it); err != nil {
 		b.Fatal(err)
 	}

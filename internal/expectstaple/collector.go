@@ -11,6 +11,7 @@ import (
 	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/metrics"
 	"github.com/netmeasure/muststaple/internal/pkixutil"
+	"github.com/netmeasure/muststaple/internal/wire"
 )
 
 const (
@@ -126,7 +127,7 @@ func NewCollector(opts ...CollectorOption) *Collector {
 	for _, o := range opts {
 		o(c)
 	}
-	c.interns.New = func() any { return newInternTable() }
+	c.interns.New = func() any { return wire.NewInterns() }
 	counter := func(name string) *metrics.Counter {
 		if c.reg != nil {
 			return c.reg.Counter(name)
@@ -216,7 +217,7 @@ func (c *Collector) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 //
 //lint:allocfree
 func (c *Collector) ingest(w http.ResponseWriter, payload []byte) {
-	it := c.interns.Get().(*internTable)
+	it := c.interns.Get().(*wire.Interns)
 	rep, err := decodeReportInterned(payload, it)
 	c.interns.Put(it)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,6 +11,7 @@ import (
 	"github.com/netmeasure/muststaple/internal/clock"
 	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/netsim"
+	"github.com/netmeasure/muststaple/internal/par"
 	"github.com/netmeasure/muststaple/internal/webserver"
 )
 
@@ -157,69 +157,52 @@ func RunSim(clk *clock.Simulated, net *netsim.Network, sites []*Site, cfg SimCon
 		}
 
 		// Advance the fleet chunk by chunk across the worker pool.
-		var handshakes, emittedN int64
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		workers := cfg.Workers
-		if workers > chunks {
-			workers = chunks
-		}
-		wg.Add(workers)
-		for k := 0; k < workers; k++ {
-			go func() {
-				defer wg.Done()
-				for {
-					ch := int(next.Add(1)) - 1
-					if ch >= chunks {
-						return
+		var handshakes, emittedN atomic.Int64
+		par.For(chunks, cfg.Workers, func(ch int) {
+			lo := ch * chunkSize
+			hi := lo + chunkSize
+			if hi > cfg.Clients {
+				hi = cfg.Clients
+			}
+			var reports []emitted
+			var visits int64
+			for ci := lo; ci < hi; ci++ {
+				cl := clients[ci]
+				for si, site := range sites {
+					draw := hashx.Mix(uint64(cfg.Seed), streamVisit, uint64(round), cl.id, uint64(si))
+					if float64(draw>>11)/float64(1<<53) >= cfg.VisitFraction {
+						continue
 					}
-					lo := ch * chunkSize
-					hi := lo + chunkSize
-					if hi > cfg.Clients {
-						hi = cfg.Clients
+					visits++
+					sr := &perSite[si]
+					// Report against what the UA already knew, then
+					// note the header from this response.
+					if noted, ok := cl.known.Lookup(site.Host, t); ok && sr.eval.Violated && noted.ReportURI != "" {
+						reports = append(reports, emitted{
+							uri: noted.ReportURI,
+							rep: Report{
+								At:         t,
+								Host:       site.Host,
+								Vantage:    cl.vantage.Name,
+								Client:     cl.id,
+								Violation:  sr.eval.Violation,
+								Enforce:    noted.Enforce,
+								ThisUpdate: sr.eval.ThisUpdate,
+								NextUpdate: sr.eval.NextUpdate,
+							},
+						})
 					}
-					var reports []emitted
-					var visits int64
-					for ci := lo; ci < hi; ci++ {
-						cl := clients[ci]
-						for si, site := range sites {
-							draw := hashx.Mix(uint64(cfg.Seed), streamVisit, uint64(round), cl.id, uint64(si))
-							if float64(draw>>11)/float64(1<<53) >= cfg.VisitFraction {
-								continue
-							}
-							visits++
-							sr := &perSite[si]
-							// Report against what the UA already knew,
-							// then note the header from this response.
-							if noted, ok := cl.known.Lookup(site.Host, t); ok && sr.eval.Violated && noted.ReportURI != "" {
-								reports = append(reports, emitted{
-									uri: noted.ReportURI,
-									rep: Report{
-										At:         t,
-										Host:       site.Host,
-										Vantage:    cl.vantage.Name,
-										Client:     cl.id,
-										Violation:  sr.eval.Violation,
-										Enforce:    noted.Enforce,
-										ThisUpdate: sr.eval.ThisUpdate,
-										NextUpdate: sr.eval.NextUpdate,
-									},
-								})
-							}
-							if sr.hasPolicy {
-								cl.known.Note(site.Host, sr.policy, t)
-							}
-						}
+					if sr.hasPolicy {
+						cl.known.Note(site.Host, sr.policy, t)
 					}
-					perChunk[ch] = reports
-					atomic.AddInt64(&handshakes, visits)
-					atomic.AddInt64(&emittedN, int64(len(reports)))
 				}
-			}()
-		}
-		wg.Wait()
-		stats.Handshakes += atomic.LoadInt64(&handshakes)
-		stats.Reports += atomic.LoadInt64(&emittedN)
+			}
+			perChunk[ch] = reports
+			handshakes.Add(visits)
+			emittedN.Add(int64(len(reports)))
+		})
+		stats.Handshakes += handshakes.Load()
+		stats.Reports += emittedN.Load()
 
 		// Deliver in chunk order, serially: the collector's log then
 		// records one canonical arrival order.

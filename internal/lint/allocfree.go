@@ -41,9 +41,12 @@ import (
 //
 // Calls to functions that themselves carry //lint:allocfree are trusted:
 // the contract composes, and each annotated callee is checked at its own
-// definition. Everything else is suppressed site-by-site with a reasoned
-// //lint:allow allocfree comment, so every tolerated allocation on a hot
-// path carries its justification in the tree.
+// definition. That holds across packages: a callee declared in another
+// package the loader parsed is trusted when its own declaration (found by
+// object identity, never by name) carries the directive, and that
+// package's run checks it. Everything else is suppressed site-by-site
+// with a reasoned //lint:allow allocfree comment, so every tolerated
+// allocation on a hot path carries its justification in the tree.
 var AllocFreeAnalyzer = &Analyzer{
 	Name: "allocfree",
 	Doc: "functions annotated //lint:allocfree must not allocate: compiler escape " +
@@ -223,6 +226,11 @@ func checkAllocCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, annotated 
 		return // the callee's own //lint:allocfree contract covers it
 	}
 	if resultHasString(callee) {
+		if callee.Pkg() != pass.Pkg {
+			if decl := pass.funcDecl(callee); decl != nil && hasDirective(decl.Doc, allocFreeDirective) {
+				return // annotated in its own package, whose run checks it
+			}
+		}
 		pass.Reportf(call.Pos(), "call to %s returns a string, which the callee may allocate, inside //lint:allocfree %s; annotate the callee //lint:allocfree or suppress with a reason",
 			callee.FullName(), fn.Name.Name)
 	}

@@ -34,3 +34,11 @@ func TestAllocFreeGeneric(t *testing.T) {
 	linttest.Run(t, lint.AllocFreeAnalyzer, "testdata/allocfree/generic/table", "example.com/repo/internal/memo",
 		"testdata/allocfree/generic/user")
 }
+
+// TestAllocFreeImported: a string-returning callee in another package is
+// trusted when its own declaration carries //lint:allocfree; a method of
+// the same name on another type, without the directive, is still a
+// finding.
+func TestAllocFreeImported(t *testing.T) {
+	linttest.Run(t, lint.AllocFreeAnalyzer, "testdata/allocfree/imported/user", "example.com/repo/internal/store")
+}

@@ -59,6 +59,9 @@ type Pass struct {
 	// importerEscapes yields the escape facts of the in-scope packages
 	// that import this one.
 	importerEscapes func() ([]*EscapeFacts, error)
+	// funcDecl finds the declaration of a function of a package the
+	// loader parsed (Loader.FuncDecl).
+	funcDecl func(*types.Func) *ast.FuncDecl
 }
 
 // Reportf records a finding at pos.

@@ -246,6 +246,37 @@ func (l *Loader) check(p *loadPkg) (*types.Package, error) {
 	return p.tpkg, p.err
 }
 
+// FuncDecl returns the declaration of fn (of a generic function, its
+// origin's) when the loader has type-checked fn's package from source, or
+// nil. The declaration is the one whose defining identifier resolves to
+// fn's own object, so methods of one name on different types are told
+// apart.
+func (l *Loader) FuncDecl(fn *types.Func) *ast.FuncDecl {
+	fn = fn.Origin()
+	if fn.Pkg() == nil {
+		return nil
+	}
+	l.mu.Lock()
+	p, ok := l.pkgs[fn.Pkg().Path()]
+	if !ok || !p.checked || p.tpkg != fn.Pkg() {
+		l.mu.Unlock()
+		return nil
+	}
+	files, info := p.files, p.info
+	l.mu.Unlock()
+	for _, f := range files {
+		if fn.Pos() < f.FileStart || fn.Pos() >= f.FileEnd {
+			continue
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && info.Defs[fd.Name] == fn {
+				return fd
+			}
+		}
+	}
+	return nil
+}
+
 // CheckFiles type-checks an ad-hoc file set (test fixtures) under the
 // given import path, resolving its imports through the loader. The
 // fixture's imports must already be registered via a prior Load call.

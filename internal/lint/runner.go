@@ -102,6 +102,7 @@ func runPackageAnalyzers(loader *Loader, p *LoadedPackage, importers []*LoadedPa
 			Dir:      p.Dir,
 			report:   report,
 			escapes:  func() (*EscapeFacts, error) { return loader.EscapeFacts(p.Dir) },
+			funcDecl: loader.FuncDecl,
 			importerEscapes: func() ([]*EscapeFacts, error) {
 				var out []*EscapeFacts
 				for _, q := range importers {

@@ -187,7 +187,6 @@ type Network struct {
 	byHost    map[string][]indexedRule
 	byBackend map[string][]indexedRule
 	nrules    int
-	serveCost func(http.Header) time.Duration
 }
 
 // New returns an empty network.
@@ -226,21 +225,6 @@ func (n *Network) AddRule(r *Rule) {
 	case r.Backend != "":
 		n.byBackend[r.Backend] = append(n.byBackend[r.Backend], ir)
 	}
-}
-
-// SetServeCost installs an optional server-side processing-delay model:
-// after a handler completes, the hook inspects its response headers and
-// the returned duration is added to the exchange latency. The responder
-// tags each response with how it was produced (responder.SourceHeader), so
-// the hook can charge signing time only to freshly signed responses — the
-// measurable serve-time gap between on-demand and pre-generating
-// responders (Stark et al.'s CDN-fronted responder latency, PAPERS.md).
-// The default (nil) charges nothing, keeping every figure identical to a
-// cost-free network; pass nil to uninstall.
-func (n *Network) SetServeCost(f func(http.Header) time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.serveCost = f
 }
 
 // Hosts returns the registered hostnames, sorted.
@@ -288,7 +272,6 @@ func (n *Network) Do(vantage Vantage, at time.Time, req *http.Request) (*Result,
 	if entry.backend != "" {
 		backendRules = n.byBackend[entry.backend]
 	}
-	serveCost := n.serveCost
 	n.mu.RUnlock()
 
 	if r := firstMatch(hostRules, backendRules, host, entry.backend, vantage.Name, at); r != nil {
@@ -312,11 +295,7 @@ func (n *Network) Do(vantage Vantage, at time.Time, req *http.Request) (*Result,
 
 	rec := newRecorder()
 	entry.handler.ServeHTTP(rec, req)
-	lat := n.latency(vantage, host, at)
-	if serveCost != nil {
-		lat += serveCost(rec.header)
-	}
-	return &Result{Status: rec.status, Body: rec.body.Bytes(), Headers: rec.header, Latency: lat}, nil
+	return &Result{Status: rec.status, Body: rec.body.Bytes(), Headers: rec.header, Latency: n.latency(vantage, host, at)}, nil
 }
 
 // firstMatch returns the earliest-installed rule among a host's and its

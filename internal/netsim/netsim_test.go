@@ -236,55 +236,6 @@ func TestWindowSemantics(t *testing.T) {
 	}
 }
 
-func TestServeCostHook(t *testing.T) {
-	n := New()
-	n.RegisterHost("ocsp.cost.test", "", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-Responder-Source", r.URL.Query().Get("src"))
-		w.Write([]byte("ok"))
-	}))
-
-	// Default: no hook, latency is the pure network model.
-	base, err := n.DoSimple(oregon(), t0, http.MethodGet, "http://ocsp.cost.test/?src=sign", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	signCost, cacheCost := 40*time.Millisecond, time.Millisecond
-	n.SetServeCost(func(h http.Header) time.Duration {
-		switch h.Get("X-Responder-Source") {
-		case "sign":
-			return signCost
-		case "cache":
-			return cacheCost
-		}
-		return 0
-	})
-	signed, err := n.DoSimple(oregon(), t0, http.MethodGet, "http://ocsp.cost.test/?src=sign", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := n.DoSimple(oregon(), t0, http.MethodGet, "http://ocsp.cost.test/?src=cache", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := signed.Latency - base.Latency; got != signCost {
-		t.Errorf("signed serve cost added %v, want %v", got, signCost)
-	}
-	if got := cached.Latency - base.Latency; got != cacheCost {
-		t.Errorf("cached serve cost added %v, want %v", got, cacheCost)
-	}
-
-	// Clearing the hook restores the pure model.
-	n.SetServeCost(nil)
-	again, err := n.DoSimple(oregon(), t0, http.MethodGet, "http://ocsp.cost.test/?src=sign", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Latency != base.Latency {
-		t.Errorf("after clearing hook latency = %v, want %v", again.Latency, base.Latency)
-	}
-}
-
 // outcome is the comparable result of one exchange: the failure kind of a
 // transport error, or the HTTP status of a response.
 type outcome struct {

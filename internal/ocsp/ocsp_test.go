@@ -480,9 +480,103 @@ func TestErrorResponses(t *testing.T) {
 		if len(resp.Responses) != 0 {
 			t.Errorf("error response carries single responses")
 		}
+		if memo := ErrorResponse(status); !bytes.Equal(memo, der) || &ErrorResponse(status)[0] != &memo[0] {
+			t.Errorf("ErrorResponse(%v) = %x, want one shared copy of %x", status, memo, der)
+		}
 	}
 	if _, err := CreateErrorResponse(StatusSuccessful); err == nil {
 		t.Error("CreateErrorResponse(successful) should fail")
+	}
+	if der := ErrorResponse(StatusSuccessful); der != nil {
+		t.Errorf("ErrorResponse(successful) = %x, want nil", der)
+	}
+}
+
+// TestVerifiedSingle pins the client-side staple check in one place: each
+// way a staple is rejected, and the two accepted shapes beyond the plain
+// issuer-signed SHA-1 one (a delegated responder with the OCSPSigning
+// EKU, and a SHA-256 CertID).
+func TestVerifiedSingle(t *testing.T) {
+	p := newTestPKI(t)
+	otherCA, err := pki.NewRootCA(pki.Config{Name: "Some Other Root"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delegate, err := p.ca.IssueOCSPResponderCert("OCSP Delegate", time.Time{}, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	imposter, err := p.ca.IssueLeaf(pki.LeafOptions{DNSNames: []string{"imposter.example.test"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sha256ID, err := NewCertID(p.leaf.Certificate, p.ca.Certificate, crypto.SHA256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherSerial, err := NewCertIDForSerial(big.NewInt(999999), p.ca.Certificate, crypto.SHA1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sign := func(signer *pki.Leaf, id CertID) []byte {
+		t.Helper()
+		tmpl := p.template()
+		if signer != nil {
+			tmpl = &ResponderTemplate{Signer: signer.Key, Certificate: signer.Certificate,
+				IncludeCertificates: []*x509.Certificate{signer.Certificate}}
+		}
+		single := SingleResponse{CertID: id, Status: Revoked, RevokedAt: testTime.Add(-time.Hour),
+			ThisUpdate: testTime, NextUpdate: testTime.Add(time.Hour), Reason: pkixutil.ReasonAbsent}
+		der, err := CreateResponse(tmpl, testTime, []SingleResponse{single}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return der
+	}
+	sha1ID := p.certID(t)
+	good := sign(nil, sha1ID)
+	tampered := append([]byte(nil), good...)
+	tampered[len(tampered)-2] ^= 0x40 // inside the signature BIT STRING
+	if _, err := ParseResponse(tampered); err != nil {
+		t.Fatalf("tampered response no longer parses: %v", err)
+	}
+	tryLater, err := CreateErrorResponse(StatusTryLater)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name   string
+		der    []byte
+		issuer *x509.Certificate
+		want   *CertID // nil: rejected
+	}{
+		{"issuer-signed", good, p.ca.Certificate, &sha1ID},
+		{"unparseable", []byte("<html>"), p.ca.Certificate, nil},
+		{"not successful", tryLater, p.ca.Certificate, nil},
+		{"bad signature", tampered, p.ca.Certificate, nil},
+		{"another issuer", good, otherCA.Certificate, nil},
+		{"another certificate", sign(nil, otherSerial), p.ca.Certificate, nil},
+		{"delegate without EKU", sign(imposter, sha1ID), p.ca.Certificate, nil},
+		{"delegate with EKU", sign(delegate, sha1ID), p.ca.Certificate, &sha1ID},
+		{"SHA-256 CertID", sign(nil, sha256ID), p.ca.Certificate, &sha256ID},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			single, err := VerifiedSingle(c.der, p.leaf.Certificate, c.issuer)
+			if c.want == nil {
+				if err == nil {
+					t.Fatalf("accepted: %+v", single)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("rejected: %v", err)
+			}
+			if !single.CertID.Equal(*c.want) || single.Status != Revoked || !single.ThisUpdate.Equal(testTime) {
+				t.Fatalf("returned %+v, want the revoked single response for %+v", single, *c.want)
+			}
+		})
 	}
 }
 

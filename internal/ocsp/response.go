@@ -325,9 +325,36 @@ func CreateErrorResponse(status ResponseStatus) ([]byte, error) {
 	if status == StatusSuccessful {
 		return nil, errors.New("ocsp: successful responses need CreateResponse")
 	}
-	b, seq := pkixutil.Begin(nil, pkixutil.TagSequence)
+	return appendErrorResponse(nil, status), nil
+}
+
+func appendErrorResponse(b []byte, status ResponseStatus) []byte {
+	b, seq := pkixutil.Begin(b, pkixutil.TagSequence)
 	b = pkixutil.AppendEnumerated(b, int64(status))
-	return pkixutil.End(b, seq), nil
+	return pkixutil.End(b, seq)
+}
+
+// errorResponses memoizes ErrorResponse per defined status code.
+var errorResponses [8]struct {
+	once sync.Once
+	der  []byte
+}
+
+// ErrorResponse returns the DER of CreateErrorResponse(status), built once
+// per status: error responses are unsigned and depend only on the status,
+// so one copy serves every responder. The slice is shared and must not be
+// modified. It is nil for StatusSuccessful, which has no error form.
+func ErrorResponse(status ResponseStatus) []byte {
+	if status == StatusSuccessful {
+		return nil
+	}
+	i := int(status)
+	if i < 0 || i >= len(errorResponses) {
+		return appendErrorResponse(nil, status)
+	}
+	e := &errorResponses[i]
+	e.once.Do(func() { e.der = appendErrorResponse(nil, status) })
+	return e.der
 }
 
 // ParseResponse decodes a DER OCSP response. It performs structural
@@ -504,6 +531,39 @@ func (r *Response) CheckSignatureFrom(issuer *x509.Certificate) error {
 		}
 	}
 	return fmt.Errorf("ocsp: signature verification failed: %w", directErr)
+}
+
+// VerifiedSingle runs the client-side staple check a Must-Staple
+// hard-fail rests on (§6): der must parse as a successful response, be
+// signed by issuer or by a delegated responder issuer certified for OCSP
+// signing (CheckSignatureFrom), and cover cert under the CertID hash of
+// its first single response (SHA-1 if it has none). It returns that
+// single response; judging its validity window and status is the
+// caller's.
+func VerifiedSingle(der []byte, cert, issuer *x509.Certificate) (*SingleResponse, error) {
+	resp, err := ParseResponse(der)
+	if err != nil {
+		return nil, err
+	}
+	if resp.Status != StatusSuccessful {
+		return nil, fmt.Errorf("ocsp: response status %v", resp.Status)
+	}
+	if err := resp.CheckSignatureFrom(issuer); err != nil {
+		return nil, err
+	}
+	h := crypto.SHA1
+	if len(resp.Responses) > 0 {
+		h = resp.Responses[0].CertID.HashAlgorithm
+	}
+	id, err := NewCertID(cert, issuer, h)
+	if err != nil {
+		return nil, err
+	}
+	single := resp.Find(id)
+	if single == nil {
+		return nil, errors.New("ocsp: response does not cover the certificate")
+	}
+	return single, nil
 }
 
 func hasOCSPSigningEKU(c *x509.Certificate) bool {

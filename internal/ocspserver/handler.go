@@ -28,7 +28,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/clock"
@@ -256,7 +255,7 @@ func (h *Handler) serveGET(w http.ResponseWriter, req *http.Request) {
 		// the former, and the hostile-input fuzz of real responders
 		// must not dress up as a serving-tier outage.
 		h.count("ocspserver.malformed")
-		h.writeStatic(w, staticError(ocsp.StatusMalformedRequest))
+		h.writeStatic(w, ocsp.ErrorResponse(ocsp.StatusMalformedRequest))
 		return
 	}
 	if len(reqDER) > h.maxRequestBytes {
@@ -320,12 +319,12 @@ func (h *Handler) respond(w http.ResponseWriter, req *http.Request, reqDER []byt
 	r, final, ok := h.route(reqDER)
 	if !ok {
 		h.count("ocspserver.malformed")
-		h.writeStatic(w, staticError(ocsp.StatusMalformedRequest))
+		h.writeStatic(w, ocsp.ErrorResponse(ocsp.StatusMalformedRequest))
 		return
 	}
 	if r == nil {
 		h.count("ocspserver.unauthorized")
-		h.writeStatic(w, staticError(ocsp.StatusUnauthorized))
+		h.writeStatic(w, ocsp.ErrorResponse(ocsp.StatusUnauthorized))
 		return
 	}
 	// Capture the tenant's serving epoch before generating: if the
@@ -429,22 +428,4 @@ func mediaTypeOK(ct string) bool {
 		ct = ct[:i]
 	}
 	return strings.EqualFold(strings.TrimSpace(ct), ocsp.ContentTypeRequest)
-}
-
-// Static error responses are unsigned and depend only on the status
-// code, so one DER per status serves every tenant.
-var (
-	staticErrOnce [8]sync.Once
-	staticErrDER  [8][]byte
-)
-
-func staticError(st ocsp.ResponseStatus) []byte {
-	i := int(st)
-	if i < 0 || i >= len(staticErrDER) {
-		der, _ := ocsp.CreateErrorResponse(st) //lint:allow errcheck-hot only StatusSuccessful errors, never passed here
-		return der
-	}
-	//lint:allow errcheck-hot only StatusSuccessful errors, never passed here
-	staticErrOnce[i].Do(func() { staticErrDER[i], _ = ocsp.CreateErrorResponse(st) })
-	return staticErrDER[i]
 }

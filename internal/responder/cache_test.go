@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto"
-	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -308,25 +307,4 @@ func TestResponderCacheRaceStress(t *testing.T) {
 		t.Error("stress run recorded no cache traffic")
 	}
 	t.Logf("stress: hits=%d misses=%d", hits, misses)
-}
-
-// TestServeCostModel maps source headers to latencies.
-func TestServeCostModel(t *testing.T) {
-	model := ServeCostModel(5*time.Millisecond, 100*time.Microsecond)
-	cases := map[string]time.Duration{
-		"sign":   5 * time.Millisecond,
-		"cache":  100 * time.Microsecond,
-		"static": 100 * time.Microsecond,
-		"":       0,
-		"other":  0,
-	}
-	for val, want := range cases {
-		h := http.Header{}
-		if val != "" {
-			h.Set(SourceHeader, val)
-		}
-		if got := model(h); got != want {
-			t.Errorf("ServeCostModel(%q) = %v, want %v", val, got, want)
-		}
-	}
 }

@@ -21,7 +21,6 @@ import (
 	"crypto/x509"
 	"io"
 	"math/big"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -289,25 +288,10 @@ func (s ServeSource) String() string {
 	return "static"
 }
 
-// SourceHeader is the response header naming the ServeSource. netsim's
-// optional serve-cost hook reads it to charge signing latency only to
-// responses that were actually signed on the hot path.
+// SourceHeader is the response header naming the ServeSource ("cache",
+// "sign" or "static"): an operator reads per response whether it came
+// from memory or was signed on the request path.
 const SourceHeader = "X-Responder-Source"
-
-// ServeCostModel returns a netsim serve-cost hook charging signed
-// processing time to freshly signed responses and cached processing time
-// to everything served from memory (cache hits, static bodies).
-func ServeCostModel(signed, cached time.Duration) func(http.Header) time.Duration {
-	return func(h http.Header) time.Duration {
-		switch h.Get(SourceHeader) {
-		case "sign":
-			return signed
-		case "cache", "static":
-			return cached
-		}
-		return 0
-	}
-}
 
 // Responder is one OCSP responder instance.
 type Responder struct {
@@ -542,9 +526,7 @@ func (r *Responder) respond(reqDER []byte) (der []byte, meta Meta, hasMeta, ok b
 	}
 
 	if r.Profile.ErrorStatus != ocsp.StatusSuccessful {
-		if der := errorResponse(r.Profile.ErrorStatus); der != nil {
-			return der, Meta{}, false, true, SourceStatic
-		}
+		return ocsp.ErrorResponse(r.Profile.ErrorStatus), Meta{}, false, true, SourceStatic
 	}
 
 	key, cacheable := r.cacheKeyFor(reqDER, now)
@@ -556,12 +538,12 @@ func (r *Responder) respond(reqDER []byte) (der []byte, meta Meta, hasMeta, ok b
 
 	req, err := ocsp.ParseRequest(reqDER)
 	if err != nil {
-		return errorResponse(ocsp.StatusMalformedRequest), Meta{}, false, true, SourceStatic
+		return ocsp.ErrorResponse(ocsp.StatusMalformedRequest), Meta{}, false, true, SourceStatic
 	}
 
 	der, meta, err = r.generateFor(req, now)
 	if err != nil {
-		return errorResponse(ocsp.StatusInternalError), Meta{}, false, true, SourceStatic
+		return ocsp.ErrorResponse(ocsp.StatusInternalError), Meta{}, false, true, SourceStatic
 	}
 	if cacheable && r.shouldCache(req) {
 		r.cache.put(key, reqDER, der, meta)
@@ -636,27 +618,6 @@ func malformedBody(k MalformedKind) []byte {
 		return []byte{0x30, 0x82, 0x01, 0xff, 0x0a, 0x01, 0x00, 0xa0}
 	}
 	return nil
-}
-
-// Error responses are unsigned and depend only on the status code, so one
-// DER per status serves every responder in the fleet.
-var (
-	errRespOnce [8]sync.Once
-	errRespDER  [8][]byte
-)
-
-func errorResponse(st ocsp.ResponseStatus) []byte {
-	// CreateErrorResponse only fails for StatusSuccessful, which no
-	// caller passes (error responses are, by definition, not successful);
-	// marshaling a single enum cannot fail.
-	i := int(st)
-	if i < 0 || i >= len(errRespDER) {
-		der, _ := ocsp.CreateErrorResponse(st) //lint:allow errcheck-hot only StatusSuccessful errors, never passed here
-		return der
-	}
-	//lint:allow errcheck-hot only StatusSuccessful errors, never passed here
-	errRespOnce[i].Do(func() { errRespDER[i], _ = ocsp.CreateErrorResponse(st) })
-	return errRespDER[i]
 }
 
 // generateFor builds and signs the response for a parsed request at

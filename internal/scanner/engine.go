@@ -9,6 +9,7 @@ import (
 	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/metrics"
 	"github.com/netmeasure/muststaple/internal/netsim"
+	"github.com/netmeasure/muststaple/internal/par"
 )
 
 // aggQueueDepth bounds how many completed rounds may sit between the scan
@@ -363,22 +364,9 @@ func (c *Campaign) runBarrier(ctx context.Context, start, end time.Time, aggs []
 		results = results[:len(pairs)]
 
 		stopRound := c.reg.Timer("campaign_round_seconds")
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for wk := 0; wk < c.workers; wk++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(pairs) {
-						return
-					}
-					results[i] = c.client.scanProbe(ctx, retry, pairs[i].vantage, at, pairs[i].probe)
-				}
-			}()
-		}
-		wg.Wait()
+		par.For(len(pairs), c.workers, func(i int) {
+			results[i] = c.client.scanProbe(ctx, retry, pairs[i].vantage, at, pairs[i].probe)
+		})
 		roundsCtr.Inc()
 		stopRound()
 		if c.sink != nil && ctx.Err() == nil {

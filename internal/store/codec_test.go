@@ -1,15 +1,14 @@
 package store
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
-	"unsafe"
 
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/pkixutil"
 	"github.com/netmeasure/muststaple/internal/scanner"
+	"github.com/netmeasure/muststaple/internal/wire"
 )
 
 // fullObservation exercises every codec field with non-zero values.
@@ -42,6 +41,17 @@ func fullObservation() scanner.Observation {
 	}
 }
 
+// farTimesObservation carries a validity window a real responder can
+// send: a nextUpdate of 9999-12-31 and a thisUpdate before 1678, both
+// outside the range UnixNano can represent (the 9999 date used to read
+// back as 1816-03-30).
+func farTimesObservation() scanner.Observation {
+	o := fullObservation()
+	o.NextUpdate = time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC)
+	o.ThisUpdate = time.Date(1601, 1, 1, 0, 0, 0, 500, time.UTC)
+	return o
+}
+
 func TestCodecRoundTrip(t *testing.T) {
 	cases := map[string]scanner.Observation{
 		"full": fullObservation(),
@@ -62,6 +72,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			CacheMaxAge:  -1,
 			At:           time.Unix(0, -12345).UTC(),
 		},
+		"far-times": farTimesObservation(),
 	}
 	for name, want := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -115,6 +126,8 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add(appendObservation(nil, &o))
 	var zero scanner.Observation
 	f.Add(appendObservation(nil, &zero))
+	far := farTimesObservation()
+	f.Add(appendObservation(nil, &far))
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0x80}) // truncated varint after a time presence byte
@@ -140,35 +153,12 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	})
 }
 
-func TestInternTableDedupsAndCaps(t *testing.T) {
-	it := newInternTable()
-	a1 := it.intern([]byte("vantage-1"))
-	a2 := it.intern([]byte("vantage-1"))
-	if a1 != "vantage-1" || a2 != "vantage-1" {
-		t.Fatalf("intern returned %q, %q", a1, a2)
-	}
-	// Same backing string object, not just equal bytes.
-	if unsafe.StringData(a1) != unsafe.StringData(a2) {
-		t.Error("repeated intern did not return the shared string")
-	}
-	// Past the cap the table stops remembering but stays correct.
-	for i := 0; i < internTableCap+16; i++ {
-		v := []byte(fmt.Sprintf("v-%d", i))
-		if got := it.intern(v); got != string(v) {
-			t.Fatalf("intern(%q) = %q", v, got)
-		}
-	}
-	if len(it.m) > internTableCap {
-		t.Errorf("table grew to %d entries, cap is %d", len(it.m), internTableCap)
-	}
-}
-
 func TestDecodeObservationInternedMatchesPlain(t *testing.T) {
 	variant := fullObservation()
 	variant.Vantage = "ap-south"
 	variant.Serial = ""
 	obs := []scanner.Observation{fullObservation(), {}, variant, fullObservation()}
-	it := newInternTable()
+	it := wire.NewInterns()
 	for i, o := range obs {
 		payload := appendObservation(nil, &o)
 		plain, err := decodeObservation(payload)

@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"github.com/netmeasure/muststaple/internal/wire"
 )
 
 // Corpus segments (corpusKind: cor-NNNNNN.seg) hold a spilled synthetic
@@ -152,7 +154,7 @@ func ScanCorpus(dir string, fn func(CorpusRecord) error) error {
 // Corpus record payload: uvarint CA length | CA bytes | flag byte
 // (bit 0 Valid, bit 1 SupportsOCSP, bit 2 MustStaple).
 func appendCorpusRecord(b []byte, rec CorpusRecord) []byte {
-	b = appendString(b, rec.CA)
+	b = wire.AppendString(b, rec.CA)
 	var flags byte
 	if rec.Valid {
 		flags |= 1
@@ -167,15 +169,15 @@ func appendCorpusRecord(b []byte, rec CorpusRecord) []byte {
 }
 
 func decodeCorpusRecord(b []byte) (CorpusRecord, error) {
-	d := decoder{b: b}
+	d := wire.NewDecoder(b, errPrefix, nil)
 	var rec CorpusRecord
-	rec.CA = d.string()
-	flags := d.rawByte()
-	if d.err != nil {
-		return CorpusRecord{}, d.err
+	rec.CA = d.String()
+	flags := d.Byte()
+	if err := d.Err(); err != nil {
+		return CorpusRecord{}, err
 	}
-	if d.off != len(d.b) {
-		return CorpusRecord{}, fmt.Errorf("store: %d trailing bytes after corpus record", len(d.b)-d.off)
+	if n := d.Remaining(); n != 0 {
+		return CorpusRecord{}, fmt.Errorf("store: %d trailing bytes after corpus record", n)
 	}
 	if flags > 7 {
 		return CorpusRecord{}, fmt.Errorf("store: bad corpus record flags %#x", flags)

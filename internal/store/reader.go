@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/netmeasure/muststaple/internal/scanner"
+	"github.com/netmeasure/muststaple/internal/wire"
 )
 
 // ErrStop may be returned by a Scan callback to end the scan early;
@@ -56,7 +57,7 @@ func (r *Reader) Scan(fn func(scanner.Observation) error) error {
 	// one string intern table, so steady state decoding allocates only
 	// for values the scan has never seen.
 	var buf []byte
-	intern := newInternTable()
+	intern := wire.NewInterns()
 	for _, seg := range r.segs {
 		committed, err := obsKind.scanFile(seg.path, uint64(seg.index), seg.limit, &buf, func(payload []byte, off int64) error {
 			o, err := decodeObservationInterned(payload, intern)

@@ -2,6 +2,7 @@ package webserver
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -52,6 +53,12 @@ func (p ExpectStaple) HeaderValue() string {
 	return b.String()
 }
 
+// maxAgeSeconds is the largest max-age a Duration holds in whole seconds
+// (about 292 years). A longer max-age saturates to it: multiplied out, it
+// would overflow to a negative Duration, which a user agent reads as
+// max-age=0 and un-enrolls the host.
+const maxAgeSeconds = math.MaxInt64 / int64(time.Second)
+
 // ParseExpectStaple parses a header value produced by HeaderValue (or a
 // hand-written equivalent). Directives are ';'-separated; max-age is
 // required, duplicate directives are rejected, and unknown directives are
@@ -80,7 +87,7 @@ func ParseExpectStaple(v string) (ExpectStaple, error) {
 			if err != nil || secs < 0 {
 				return ExpectStaple{}, fmt.Errorf("webserver: bad max-age %q", arg)
 			}
-			p.MaxAge = time.Duration(secs) * time.Second
+			p.MaxAge = time.Duration(min(secs, maxAgeSeconds)) * time.Second
 		case "report-uri":
 			if sawURI {
 				return ExpectStaple{}, fmt.Errorf("webserver: duplicate report-uri directive")

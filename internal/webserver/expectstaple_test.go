@@ -1,6 +1,7 @@
 package webserver
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -21,6 +22,26 @@ func TestExpectStapleHeaderRoundTrip(t *testing.T) {
 		}
 		if got != p {
 			t.Fatalf("round trip through %q: got %+v, want %+v", v, got, p)
+		}
+	}
+}
+
+// TestParseExpectStapleSaturatesMaxAge: a max-age past the Duration range
+// (here ~295 years) saturates to the longest whole-second Duration
+// instead of overflowing to a negative one, and the saturated policy
+// renders and parses back unchanged.
+func TestParseExpectStapleSaturatesMaxAge(t *testing.T) {
+	longest := time.Duration(math.MaxInt64/int64(time.Second)) * time.Second
+	for _, v := range []string{"max-age=9300000000", "max-age=9223372036", "max-age=9223372036854775807"} {
+		p, err := ParseExpectStaple(v)
+		if err != nil {
+			t.Fatalf("ParseExpectStaple(%q): %v", v, err)
+		}
+		if p.MaxAge != longest {
+			t.Fatalf("ParseExpectStaple(%q).MaxAge = %v, want %v", v, p.MaxAge, longest)
+		}
+		if again, err := ParseExpectStaple(p.HeaderValue()); err != nil || again != p {
+			t.Fatalf("saturated policy round trip through %q: %+v, %v", p.HeaderValue(), again, err)
 		}
 	}
 }

@@ -3,10 +3,9 @@ package world
 import (
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/netmeasure/muststaple/internal/hashx"
+	"github.com/netmeasure/muststaple/internal/par"
 )
 
 // Child-seed derivation. Every construction phase owns an independent
@@ -32,7 +31,7 @@ func childRNG(seed int64, stream, index uint64) *rand.Rand {
 }
 
 // runParallel executes fn(i) for every i in [0, n) across the configured
-// build worker pool. BuildWorkers <= 1 degenerates to a plain in-order
+// build worker pool. BuildWorkers == 1 degenerates to a plain in-order
 // loop (the serial reference build); any other worker count produces the
 // same world because each index derives its own random stream.
 func (w *World) runParallel(n int, fn func(int)) {
@@ -40,29 +39,5 @@ func (w *World) runParallel(n int, fn func(int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(n, workers, fn)
 }
