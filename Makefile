@@ -34,10 +34,12 @@
 #                 fails below 20k reports/s or above the heap bound,
 #                 then an ocspload -stapleserve burst exercises the same
 #                 path over a real loopback socket.
-#   memcheck    — tier-2 streaming-construction guard: runs the same quick
-#                 cmd/repro pipeline at -world-scale 1 and 10 and fails if
-#                 the 10× world's heap high-water mark exceeds ~1.5× the 1×
-#                 run's (scripts/memcheck.sh; see DESIGN.md §13).
+#   memcheck    — tier-2 fixed-memory guards (scripts/memcheck.sh): runs
+#                 the same quick cmd/repro pipeline at -world-scale 1 and
+#                 10 and fails if the 10× world's heap high-water mark
+#                 exceeds ~1.5× the 1× run's (DESIGN.md §13); then runs the
+#                 fig3 campaign at -stride 24h and 3h and fails if 8× the
+#                 rounds peak above 3.0× the 24h run (DESIGN.md §23).
 #   fuzzcheck   — tier-2 fuzzing pass: runs each fuzz target with the
 #                 fuzzing engine for FUZZTIME (default 10s) instead of
 #                 only its seed corpus — the GET-path decoder, the
@@ -119,9 +121,10 @@ staplecheck:
 		-min-rate 20000 -max-heap-mb 128
 	$(GO) run ./cmd/ocspload -stapleserve -rate 2000 -duration 2s -check
 
-# memcheck asserts the fixed-memory property of streaming world
-# construction: a 10× world must not grow the heap high-water mark past
-# MAX_RATIO (default 1.5) times the 1× run's.
+# memcheck asserts two fixed-memory properties: a 10× world must not grow
+# the heap high-water mark past MAX_RATIO (default 1.5) times the 1× run's,
+# and a campaign with 8× the rounds must not grow it past 3.0× (a
+# constant in the script).
 memcheck:
 	./scripts/memcheck.sh
 

@@ -602,9 +602,9 @@ func BenchmarkAblationSignAlg(b *testing.B) {
 }
 
 // BenchmarkAblationHTTPMethod compares the POST (paper default) and GET
-// transport encodings over a live HTTP round trip. Both sides verify the
-// same bytes every iteration, so the client's verify cache answers after
-// the first and the comparison is of the encodings alone.
+// transport encodings over a live HTTP round trip. Scan builds a fresh
+// probe per call, so both sides parse and verify the same bytes every
+// iteration and differ only in the encodings.
 func BenchmarkAblationHTTPMethod(b *testing.B) {
 	for _, method := range []string{http.MethodPost, http.MethodGet} {
 		b.Run(method, func(b *testing.B) {

@@ -75,9 +75,10 @@ func (c *Campaign) campaignRetry() RetryPolicy {
 
 // newProbes builds one probe per target. A run builds them when it
 // starts, so the work stays out of campaign construction and is done once
-// per run rather than once per lookup.
-func (c *Campaign) newProbes() []probe {
-	probes := make([]probe, len(c.targets))
+// per run rather than once per lookup. The probes, with the last body
+// each target returned, are dropped when the run returns.
+func (c *Campaign) newProbes() []*probe {
+	probes := make([]*probe, len(c.targets))
 	for i, tgt := range c.targets {
 		probes[i] = c.client.newProbe(tgt)
 	}
@@ -86,11 +87,10 @@ func (c *Campaign) newProbes() []probe {
 
 // roundJobs builds the (vantage, target) pairs probed at virtual time at,
 // dropping expired certificates (§5.1, footnote 9).
-func (c *Campaign) roundJobs(at time.Time, probes []probe, pairs []scanPair) []scanPair {
+func (c *Campaign) roundJobs(at time.Time, probes []*probe, pairs []scanPair) []scanPair {
 	pairs = pairs[:0]
 	for _, v := range c.vantages {
-		for i := range probes {
-			p := &probes[i]
+		for _, p := range probes {
 			if !p.tgt.Expiry.IsZero() && at.After(p.tgt.Expiry) {
 				continue
 			}

@@ -43,11 +43,11 @@ func TestCachedScanAllocs(t *testing.T) {
 	p := c.newProbe(w.target)
 	ctx := context.Background()
 	v, at := oregon(), w.clk.Now()
-	if obs := c.scanProbe(ctx, c.Retry, v, at, &p); obs.Class != ClassOK {
+	if obs := c.scanProbe(ctx, c.Retry, v, at, p); obs.Class != ClassOK {
 		t.Fatalf("warm-up scan class = %v", obs.Class)
 	}
 	n := testing.AllocsPerRun(200, func() {
-		c.scanProbe(ctx, c.Retry, v, at, &p)
+		c.scanProbe(ctx, c.Retry, v, at, p)
 	})
 	t.Logf("%.0f allocs per window-cached lookup", n)
 	if n > maxCachedScanAllocs {
@@ -67,7 +67,7 @@ func BenchmarkScanCached(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if obs := c.scanProbe(ctx, c.Retry, v, at, &p); obs.Class != ClassOK {
+		if obs := c.scanProbe(ctx, c.Retry, v, at, p); obs.Class != ClassOK {
 			b.Fatalf("class = %v", obs.Class)
 		}
 	}
@@ -228,7 +228,10 @@ func bodyOf(res *netsim.Result) []byte {
 }
 
 // TestParseMaxAge covers Cache-Control max-age extraction. Directive
-// names compare case-insensitively (RFC 9111 §5.2).
+// names compare case-insensitively and arguments may be quoted (RFC 9111
+// §5.2); the argument is delta-seconds, 1*DIGIT, saturating at 2^31 on
+// 64-bit hosts (§1.2.2); an invalid occurrence is skipped for a later
+// valid one.
 func TestParseMaxAge(t *testing.T) {
 	cases := []struct {
 		header string
@@ -245,6 +248,23 @@ func TestParseMaxAge(t *testing.T) {
 		{"max-age=", -1},
 		{"max-age=soon", -1},
 		{"max-agex=5", -1},
+		{"max-age=-60", -1},
+		{"max-age=+60", -1},
+		{"max-age= 60", -1},
+		{"max-age=6 0", -1},
+		{"max-age=0x10", -1},
+		{`max-age="60"`, 60},
+		{`max-age="-60"`, -1},
+		{`max-age="`, -1},
+		{`max-age=""`, -1},
+		{"max-age=0", 0},
+		{"max-age=007", 7},
+		{"max-age=2147483647", 2147483647},
+		{"max-age=2147483648", maxDeltaSeconds},
+		{"max-age=2147483649", maxDeltaSeconds},
+		{"max-age=99999999999999999999", maxDeltaSeconds},
+		{"max-age=-60, max-age=30", 30},
+		{"max-age=10, max-age=30", 10},
 	}
 	for _, tc := range cases {
 		h := http.Header{}

@@ -121,8 +121,7 @@ func (o Observation) Transient() bool {
 // classification and response fields describe the first attempt; retries
 // are visible only via Attempts, FinalClass, and Salvaged.
 func (c *Client) ScanWithPolicy(ctx context.Context, policy RetryPolicy, vantage netsim.Vantage, at time.Time, tgt Target) Observation {
-	p := c.newProbe(tgt)
-	return c.scanProbe(ctx, policy, vantage, at, &p)
+	return c.scanProbe(ctx, policy, vantage, at, c.newProbe(tgt))
 }
 
 // scanProbe is ScanWithPolicy for a prepared probe: the path every lookup

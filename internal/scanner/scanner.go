@@ -25,32 +25,32 @@
 // See DESIGN.md §6 for the engine diagram.
 //
 // Everything about a target that stays fixed across lookups — the request
-// DER, the decimal serial, the issuer's identity — is computed once into a
-// probe: per campaign run for every target, per call for Scan. The client
-// then keeps two sharded memoization caches, both keyed by the response
-// body's hash (computed once per lookup): parsed responses and signature
-// verdicts. See DESIGN.md §8 and §18.
+// DER and its CertID, the decimal serial — is computed once into a probe:
+// per campaign run for every target, per call for Scan. The probe also
+// keeps the last 200 body its target returned, with that body's parse and
+// signature verdict, and a lookup reuses them only when the new body is
+// byte-identical. The client itself holds no cache, so a campaign keeps
+// one body per target while it runs and none after. See DESIGN.md §8,
+// §18 and §23.
 package scanner
 
 import (
 	"bytes"
 	"context"
 	"crypto"
-	"crypto/sha256"
 	"crypto/x509"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/clock"
-	"github.com/netmeasure/muststaple/internal/hashx"
-	"github.com/netmeasure/muststaple/internal/memo"
 	"github.com/netmeasure/muststaple/internal/metrics"
 	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/ocsp"
@@ -255,24 +255,10 @@ type Client struct {
 	// performs a single attempt, matching the paper's methodology.
 	Retry RetryPolicy
 	// Metrics, when non-nil, receives per-scan instrumentation (scans
-	// issued, retries, salvages, per-class counts).
+	// issued, retries, salvages, per-class counts, and the parses and
+	// signature checks the probes' last-body slots did not save).
 	Metrics *metrics.Registry
-
-	// The memoization caches are sharded by content hash so concurrent
-	// campaign workers don't serialize on one mutex. Both are keyed by
-	// the FNV-64 hash of the response body, computed once per lookup.
-	verifyCache memo.Table[verifyKey, verifyEntry]
-	parseCache  memo.Table[parseKey, parsedEntry]
 }
-
-// Per-shard entry budgets of the two caches. 64 shards × budget reproduces
-// the seed's global bounds (2^17 parsed bodies, 2^18 verification
-// verdicts). Request DER needs no cache: it lives in the per-target probes
-// a campaign run builds once.
-const (
-	parseShardBudget  = 1 << 11
-	verifyShardBudget = 1 << 12
-)
 
 // probe holds what a lookup of one target needs that does not change
 // between lookups. A campaign run builds one per target before its first
@@ -287,19 +273,39 @@ type probe struct {
 	err    error
 	// serial is tgt.Serial in decimal, for Observation.Serial.
 	serial string
-	// issuerKey is the SHA-256 of the issuer certificate's DER: the
-	// issuer identity that signature verdicts are cached under.
-	issuerKey [sha256.Size]byte
+	// last is the most recent 200 body the target returned. A responder
+	// answers every vantage of a round with the same body, and one that
+	// pre-generates keeps it for a whole update window, so most lookups
+	// find it here. Two workers scanning
+	// the target from different vantages may both miss and both store;
+	// the later store wins, and since a body's outcome depends on its
+	// bytes alone, either entry gives the same observations.
+	last atomic.Pointer[seenBody]
 }
 
+// seenBody is one response body with its parse and, once checked, its
+// signature verdict. An entry lives in one probe, so its verdict is only
+// ever read for that probe's issuer.
+type seenBody struct {
+	// body is the client's own copy of the bytes; resp.Raw aliases it.
+	body    []byte
+	resp    *ocsp.Response
+	err     error
+	verdict atomic.Int32
+}
+
+// seenBody.verdict values.
+const (
+	verdictUnchecked int32 = iota
+	verdictValid
+	verdictInvalid
+)
+
 // newProbe builds the probe for tgt with the client's CertID hash.
-func (c *Client) newProbe(tgt Target) probe {
-	p := probe{tgt: tgt}
+func (c *Client) newProbe(tgt Target) *probe {
+	p := &probe{tgt: tgt}
 	if tgt.Serial != nil {
 		p.serial = tgt.Serial.String()
-	}
-	if tgt.Issuer != nil {
-		p.issuerKey = sha256.Sum256(tgt.Issuer.Raw)
 	}
 	req, err := ocsp.NewRequestForSerial(tgt.Serial, tgt.Issuer, c.hash())
 	if err == nil {
@@ -313,70 +319,41 @@ func (c *Client) newProbe(tgt Target) probe {
 	return p
 }
 
-// parseKey identifies a response body by (FNV-64 hash, length). The length
-// disambiguates most accidental collisions cheaply; the stored body makes
-// the check exact (see parseResponse).
-type parseKey struct {
-	hash   uint64
-	length int
-}
-
-type parsedEntry struct {
-	resp *ocsp.Response
-	err  error
-	// body is the exact bytes this entry was parsed from. A hash
-	// collision between distinct bodies must not hand one body's parse
-	// to the other, so hits are confirmed against the stored bytes.
-	body []byte
-}
-
-// parseResponse parses body, whose FNV-64 hash is h, with memoization:
-// pre-generating responders serve byte-identical bodies for hours, and
-// re-parsing identical DER cannot change the result. Callers must treat
-// the shared *ocsp.Response as read-only. A hit is served only when the
-// stored body matches body exactly; a colliding body is parsed fresh and
-// overwrites the slot. The hash is a parameter so the regression test can
-// force a collision (a real FNV-64 collision is infeasible to construct).
-func (c *Client) parseResponse(h uint64, body []byte) (*ocsp.Response, error) {
-	key := parseKey{hash: h, length: len(body)}
-	if e, ok := c.parseCache.Get(h, key); ok && bytes.Equal(e.body, body) {
-		return e.resp, e.err
+// seen returns body's entry in the probe's slot, parsing a copy of body
+// when it differs from the last one by even a byte. Callers must treat the
+// shared *ocsp.Response as read-only.
+func (c *Client) seen(p *probe, body []byte) *seenBody {
+	if s := p.last.Load(); s != nil && bytes.Equal(s.body, body) {
+		return s
 	}
-	resp, err := ocsp.ParseResponse(body)
-	stored := make([]byte, len(body))
-	copy(stored, body)
-	c.parseCache.Put(h, key, parsedEntry{resp: resp, err: err, body: stored}, parseShardBudget)
-	return resp, err
+	// A transport may reuse its buffer, so the entry owns a copy.
+	s := &seenBody{body: bytes.Clone(body)}
+	s.resp, s.err = ocsp.ParseResponse(s.body)
+	c.count("scanner_parses_total")
+	p.last.Store(s)
+	return s
 }
 
-type verifyKey struct {
-	bodyHash  uint64
-	bodyLen   int
-	issuerKey [sha256.Size]byte
-}
-
-type verifyEntry struct {
-	// raw is the response body the verdict was computed for (the
-	// verified response's Raw, not a copy): a hit is served only when it
-	// equals the body being checked.
-	raw []byte
-	ok  bool
-}
-
-// checkSignature verifies resp, whose body hashes to h, against the
-// probe's issuer with memoization. Verdicts are keyed by the issuer
-// certificate's SHA-256, not its serial: distinct CAs share serials (every
-// root pki.NewRootCA creates has serial 1). Like a parse, a verdict is
-// served only for the exact bytes it was computed for: a body that
-// collides with a validly signed one must not inherit its verdict.
-func (c *Client) checkSignature(h uint64, resp *ocsp.Response, p *probe) bool {
-	key := verifyKey{bodyHash: h, bodyLen: len(resp.Raw), issuerKey: p.issuerKey}
-	if e, hit := c.verifyCache.Get(h, key); hit && bytes.Equal(e.raw, resp.Raw) {
-		return e.ok
+// signatureValid reports whether s is validly signed for the probe's
+// issuer, verifying once per entry.
+func (c *Client) signatureValid(p *probe, s *seenBody) bool {
+	if v := s.verdict.Load(); v != verdictUnchecked {
+		return v == verdictValid
 	}
-	ok := resp.CheckSignatureFrom(p.tgt.Issuer) == nil
-	c.verifyCache.Put(h, key, verifyEntry{raw: resp.Raw, ok: ok}, verifyShardBudget)
-	return ok
+	v := verdictInvalid
+	if s.resp.CheckSignatureFrom(p.tgt.Issuer) == nil {
+		v = verdictValid
+	}
+	c.count("scanner_signature_checks_total")
+	s.verdict.Store(v)
+	return v == verdictValid
+}
+
+// count increments the named counter when the client has a registry.
+func (c *Client) count(name string) {
+	if c.Metrics != nil {
+		c.Metrics.Counter(name).Inc()
+	}
 }
 
 func (c *Client) method() string {
@@ -442,12 +419,12 @@ func (c *Client) scanOnce(ctx context.Context, vantage netsim.Vantage, at time.T
 		return obs
 	}
 
-	h := hashx.Sum64(res.Body)
-	resp, err := c.parseResponse(h, res.Body)
-	if err != nil {
+	entry := c.seen(p, res.Body)
+	if entry.err != nil {
 		obs.Class = ClassASN1
 		return obs
 	}
+	resp := entry.resp
 	obs.OCSPStatus = resp.Status
 	if resp.Status != ocsp.StatusSuccessful {
 		obs.Class = ClassOCSPError
@@ -470,7 +447,7 @@ func (c *Client) scanOnce(ctx context.Context, vantage netsim.Vantage, at time.T
 	obs.RevokedAt = single.RevokedAt
 	obs.Reason = single.Reason
 
-	if !c.checkSignature(h, resp, p) {
+	if !c.signatureValid(p, entry) {
 		obs.Class = ClassSignature
 		return obs
 	}
@@ -479,22 +456,45 @@ func (c *Client) scanOnce(ctx context.Context, vantage netsim.Vantage, at time.T
 }
 
 // parseMaxAge extracts max-age from a Cache-Control header, -1 if absent.
-// Directive names compare case-insensitively (RFC 9111 §5.2).
+// Directive names compare case-insensitively and the argument may be
+// quoted (RFC 9111 §5.2); the first occurrence whose argument is
+// delta-seconds counts.
 func parseMaxAge(h http.Header) int {
-	cc := h.Get("Cache-Control")
-	if cc == "" {
-		return -1
-	}
-	const directive = "max-age="
-	for _, part := range strings.Split(cc, ",") {
-		part = strings.TrimSpace(part)
-		if len(part) > len(directive) && strings.EqualFold(part[:len(directive)], directive) {
-			if n, err := strconv.Atoi(part[len(directive):]); err == nil {
-				return n
-			}
+	for rest := h.Get("Cache-Control"); rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, ",")
+		name, arg, ok := strings.Cut(strings.TrimSpace(part), "=")
+		if !ok || !strings.EqualFold(name, "max-age") {
+			continue
+		}
+		if len(arg) >= 2 && arg[0] == '"' && arg[len(arg)-1] == '"' {
+			arg = arg[1 : len(arg)-1]
+		}
+		if n, ok := deltaSeconds(arg); ok {
+			return n
 		}
 	}
 	return -1
+}
+
+// maxDeltaSeconds is where delta-seconds saturate: 2^31, or the largest
+// int where int has 32 bits (RFC 9111 §1.2.2).
+const maxDeltaSeconds = min(1<<31, math.MaxInt)
+
+// deltaSeconds parses 1*DIGIT, saturating at maxDeltaSeconds.
+func deltaSeconds(s string) (int, bool) {
+	if s == "" {
+		return 0, false
+	}
+	var n int64
+	for i := 0; i < len(s); i++ {
+		d := s[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		n = min(n*10+int64(d), maxDeltaSeconds)
+	}
+	return int(n), true
 }
 
 func classifyTransportError(err error) FailureClass {
