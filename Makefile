@@ -4,18 +4,17 @@
 #                 concurrency analyzers in internal/lint), everything
 #                 builds, and the unit/integration suite passes.
 #   tier2       — static analysis (vet + repolint) plus the full suite
-#                 under the race detector (the pipelined campaign engine
-#                 is concurrent; this is the tier that guards it).
+#                 under the race detector (the campaign engine scans each
+#                 round on several goroutines; this is the tier that
+#                 guards it).
 #   benchcheck  — builds and tests the repository benchmark (bench/, a
 #                 module of its own that `go test ./...` at the root does
 #                 not reach): its short run of every workload plus its
 #                 lint, so an API change the harness compiles against
 #                 fails here rather than at benchmark time.
-#   bench-guard — asserts the pipelined engine is not slower than the
-#                 legacy round-barrier engine (skipped below 4 CPUs), the
-#                 parallel world build is not slower than the serial
-#                 reference (skipped below 2 CPUs; each reports a
-#                 "speedup" metric, and both redesigns target >= 1.5x on
+#   bench-guard — asserts the parallel world build is not slower than the
+#                 serial reference (skipped below 2 CPUs; it reports a
+#                 "speedup" metric, and the redesign targets >= 1.5x on
 #                 >= 4 cores), and the responder signed-response cache hot
 #                 path beats per-scan signing by >= 3x ns/op and >= 5x
 #                 allocs/op (no core gate; the win is eliminated work).
@@ -149,7 +148,7 @@ lint:
 	$(GO) run ./cmd/repolint ./...
 
 bench-guard:
-	$(GO) test -run - -bench 'BenchmarkCampaignEngineGuard|BenchmarkWorldBuildGuard|BenchmarkResponderRespondGuard' -benchtime 1x .
+	$(GO) test -run - -bench 'BenchmarkWorldBuildGuard|BenchmarkResponderRespondGuard' -benchtime 1x .
 
 bench:
 	$(GO) test -run - -bench . -benchtime 1x .

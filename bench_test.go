@@ -55,18 +55,11 @@ func benchWorldConfig(seed int64) world.Config {
 
 func benchCampaign(b *testing.B, w *world.World, targets []scanner.Target, hours int, aggs ...scanner.Aggregator) int {
 	b.Helper()
-	return benchCampaignOpts(b, w, targets, hours, nil, aggs...)
-}
-
-func benchCampaignOpts(b *testing.B, w *world.World, targets []scanner.Target, hours int, extra []scanner.Option, aggs ...scanner.Aggregator) int {
-	b.Helper()
-	opts := []scanner.Option{
+	camp, err := scanner.NewCampaign(&scanner.Client{Transport: w.Network}, w.Clock,
 		scanner.WithTargets(targets...),
 		scanner.WithWindow(w.Config.Start, w.Config.Start.Add(time.Duration(hours)*time.Hour)),
 		scanner.WithStride(time.Hour),
-	}
-	opts = append(opts, extra...)
-	camp, err := scanner.NewCampaign(&scanner.Client{Transport: w.Network}, w.Clock, opts...)
+	)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,18 +70,8 @@ func benchCampaignOpts(b *testing.B, w *world.World, targets []scanner.Target, h
 	return n
 }
 
-// campaignEngineModes are the two engines BenchmarkCampaignEngine compares:
-// the pipelined default and the legacy per-round barrier the seed shipped.
-var campaignEngineModes = []struct {
-	name string
-	opts []scanner.Option
-}{
-	{"pipelined", nil},
-	{"round-barrier", []scanner.Option{scanner.WithRoundBarrier()}},
-}
-
 // engineAggregators is the full Hourly aggregator set, so the benchmark
-// exercises the sharded aggregation path the way cmd/repro does.
+// folds every observation the way cmd/repro does.
 func engineAggregators() []scanner.Aggregator {
 	return []scanner.Aggregator{
 		scanner.NewAvailabilitySeries(time.Hour),
@@ -100,60 +83,23 @@ func engineAggregators() []scanner.Aggregator {
 	}
 }
 
-// BenchmarkCampaignEngine compares the pipelined engine against the legacy
-// round-barrier engine over a multi-day campaign with the full Hourly
-// aggregator load. Compare lookups/sec across the two sub-benchmarks.
+// BenchmarkCampaignEngine measures the campaign engine over a multi-day
+// campaign with the full Hourly aggregator load and no store, in
+// lookups/sec. Compare -cpu values to see how the scan scales with
+// workers while the fold stays on one goroutine.
 func BenchmarkCampaignEngine(b *testing.B) {
-	for _, mode := range campaignEngineModes {
-		b.Run(mode.name, func(b *testing.B) {
-			var lookups int
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				w, err := world.Build(benchWorldConfig(1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				lookups += benchCampaignOpts(b, w, w.Targets, 72, mode.opts, engineAggregators()...)
-			}
-			b.ReportMetric(float64(lookups)/time.Since(start).Seconds(), "lookups/sec")
-		})
-	}
-}
-
-// BenchmarkCampaignEngineGuard is the throughput regression guard: each
-// iteration runs the same campaign under both engines and fails if the
-// pipelined engine is slower than the round-barrier baseline it replaced.
-// (The redesign targets ≥1.5× on ≥4 cores; the guard only enforces ≥1.0×
-// so shared CI machines do not flake.) The comparison is meaningless
-// without parallelism — both engines degenerate to one goroutine doing
-// scan-then-aggregate — so the guard requires at least 4 CPUs. At 2 CPUs
-// the pipelined engine measures slower than the barrier engine
-// (0.84–0.87×; see EXPERIMENTS.md), which is why the floor stays at 4.
-func BenchmarkCampaignEngineGuard(b *testing.B) {
-	if runtime.GOMAXPROCS(0) < 4 {
-		b.Skipf("guard needs >= 4 CPUs, have %d", runtime.GOMAXPROCS(0))
-	}
-	runMode := func(opts []scanner.Option) time.Duration {
+	var lookups int
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		w, err := world.Build(benchWorldConfig(1))
 		if err != nil {
 			b.Fatal(err)
 		}
-		start := time.Now()
-		benchCampaignOpts(b, w, w.Targets, 72, opts, engineAggregators()...)
-		return time.Since(start)
+		b.StartTimer()
+		lookups += benchCampaign(b, w, w.Targets, 72, engineAggregators()...)
 	}
-	for i := 0; i < b.N; i++ {
-		barrier := runMode([]scanner.Option{scanner.WithRoundBarrier()})
-		pipelined := runMode(nil)
-		speedup := float64(barrier) / float64(pipelined)
-		b.ReportMetric(speedup, "speedup")
-		if speedup < 1.0 {
-			b.Fatalf("pipelined engine slower than round-barrier baseline: %.2fx (barrier %v, pipelined %v)",
-				speedup, barrier, pipelined)
-		}
-	}
+	b.ReportMetric(float64(lookups)/time.Since(start).Seconds(), "lookups/sec")
 }
 
 // BenchmarkWorldBuild measures full world construction — the per-responder

@@ -16,8 +16,9 @@
 //     responder fleet and Internet.
 //   - internal/scanner, internal/census, internal/consistency — the
 //     measurement systems (§5 of the paper): a context-aware scan client
-//     with retry/backoff and a pipelined campaign engine with sharded
-//     aggregation (see DESIGN.md §6).
+//     with retry/backoff and a campaign engine that scans each round in
+//     parallel, then persists and aggregates it in order (see DESIGN.md
+//     §6).
 //   - internal/metrics — the lightweight counters/gauges/histograms
 //     behind Campaign.Stats().
 //   - internal/browser, internal/webserver — the client and server test

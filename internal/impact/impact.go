@@ -154,25 +154,6 @@ func (h *HardFail) Add(o scanner.Observation) {
 	}
 }
 
-// NewShard implements scanner.ShardedAggregator. Replay state is keyed by
-// (responder, vantage) and each observation sequence must be replayed in
-// campaign order, which holds because the engine keeps every responder's
-// observations on one shard.
-func (h *HardFail) NewShard() scanner.Aggregator { return NewHardFail() }
-
-// Merge implements scanner.ShardedAggregator: cache states are
-// responder-disjoint across shards, and the ok/total tallies sum.
-func (h *HardFail) Merge(shard scanner.Aggregator) {
-	sh := shard.(*HardFail)
-	for key, perModel := range sh.states {
-		h.states[key] = perModel
-	}
-	for m, n := range sh.ok {
-		h.ok[m] += n
-	}
-	h.total += sh.total
-}
-
 // betterUntil reports whether a replaces b as the longer-lived expiry
 // (zero = never expires = best).
 func betterUntil(a, b time.Time) bool {

@@ -144,57 +144,3 @@ func TestModelStrings(t *testing.T) {
 		t.Error("model list wrong")
 	}
 }
-
-// obsFor is obs with an explicit responder, for sharding tests.
-func obsFor(responder string, hour int, usable bool) scanner.Observation {
-	o := obs(hour, usable)
-	o.Responder = responder
-	return o
-}
-
-// TestHardFailShardMerge: routing responders to shards and merging must
-// reproduce the sequential replay exactly — HardFail's contract as a
-// scanner.ShardedAggregator.
-func TestHardFailShardMerge(t *testing.T) {
-	responders := []string{"ocsp.a.test", "ocsp.b.test", "ocsp.c.test", "ocsp.d.test"}
-	feed := func(add func(scanner.Observation)) {
-		for hour := 0; hour < 48; hour++ {
-			for i, r := range responders {
-				// Staggered outages: responder i is down for hours
-				// [8+4i, 14+4i); responder d never recovers.
-				usable := hour < 8+4*i || hour >= 14+4*i
-				if r == "ocsp.d.test" && hour >= 20 {
-					usable = false
-				}
-				add(obsFor(r, hour, usable))
-			}
-		}
-	}
-
-	seq := NewHardFail()
-	feed(seq.Add)
-
-	merged := NewHardFail()
-	shards := []scanner.Aggregator{merged.NewShard(), merged.NewShard()}
-	feed(func(o scanner.Observation) {
-		// Any responder→shard routing works as long as it is stable;
-		// the engine uses an FNV hash, here a simple parity split.
-		if o.Responder == "ocsp.a.test" || o.Responder == "ocsp.c.test" {
-			shards[0].Add(o)
-		} else {
-			shards[1].Add(o)
-		}
-	})
-	merged.Merge(shards[0])
-	merged.Merge(shards[1])
-
-	want, got := seq.Results(), merged.Results()
-	if len(want) != len(got) {
-		t.Fatalf("model counts differ: %d vs %d", len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Errorf("model %v: sequential %+v vs sharded %+v", want[i].Model, want[i], got[i])
-		}
-	}
-}

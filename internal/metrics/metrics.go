@@ -76,8 +76,8 @@ type Registry struct {
 }
 
 // timer is one named latency histogram. Its stop functions run on
-// different goroutines (the engine's round loop, the store's writer,
-// core), and Hist is not safe for concurrent use, so a mutex guards it.
+// different goroutines (campaign round loops, store appends, core), and
+// Hist is not safe for concurrent use, so a mutex guards it.
 type timer struct {
 	mu sync.Mutex
 	h  Hist

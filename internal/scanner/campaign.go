@@ -19,32 +19,28 @@ type Aggregator interface {
 	Add(Observation)
 }
 
-// ShardedAggregator is an Aggregator that additionally supports parallel
-// sharded aggregation. The engine creates one shard per aggregation worker
-// with NewShard, routes every observation to a shard keyed by the
-// observation's Responder (so a given responder's observations reach
-// exactly one shard, in campaign order — order-sensitive per-responder
-// state like producedAt tracking stays exact), and folds the shards back
-// into the root with Merge in shard order when the campaign ends. The root
-// aggregator receives no Add calls in sharded mode, only Merges.
+// ShardedAggregator is an Aggregator that can be split into shards and
+// merged back. Nothing in this module implements or uses it — Run folds
+// every observation on its own goroutine — and the declaration stays only
+// because the benchmark harness in bench/ type-asserts it.
 type ShardedAggregator interface {
 	Aggregator
 	// NewShard returns an empty aggregator of the same kind.
 	NewShard() Aggregator
 	// Merge folds a shard previously produced by NewShard into the
-	// receiver. The engine guarantees shards are responder-disjoint.
+	// receiver.
 	Merge(shard Aggregator)
 }
 
 // RoundSink receives each completed round's measured observations for
-// durable persistence — internal/store implements it. The engine calls
-// AppendRound from a single dedicated writer goroutine, one call per
-// round in round order, after the round's scans have all finished.
-// Canceled lookups are filtered out first, so the persisted stream is
-// exactly the stream the aggregators saw. The obs slice is only valid
-// for the duration of the call: it may be shared with the aggregation
-// stage or reused for the next round, so implementations must copy (or
-// serialize) what they keep and must never mutate it.
+// durable persistence — internal/store implements it. Run calls
+// AppendRound on its own goroutine, one call per round in round order,
+// after the round's scans have all finished and before the round is
+// folded into the aggregators. Canceled lookups are filtered out first,
+// so the persisted stream is exactly the stream the aggregators see. The
+// obs slice is only valid for the duration of the call: Run folds it
+// afterwards and reuses it for the next round, so implementations must
+// copy (or serialize) what they keep and must never mutate it.
 type RoundSink interface {
 	AppendRound(at time.Time, obs []Observation) error
 }
@@ -67,9 +63,7 @@ type Campaign struct {
 	end          time.Time
 	stride       time.Duration
 	workers      int
-	shards       int
 	retry        RetryPolicy
-	barrier      bool
 	reg          *metrics.Registry
 	sink         RoundSink
 	replay       ReplaySource
@@ -123,7 +117,9 @@ func WithStride(d time.Duration) Option {
 	}
 }
 
-// WithWorkers sets the scan worker-pool size (default: GOMAXPROCS).
+// WithWorkers sets how many goroutines scan each round (default:
+// GOMAXPROCS). With 1, every lookup runs on Run's goroutine. The worker
+// count never changes what is persisted or aggregated.
 func WithWorkers(n int) Option {
 	return func(c *Campaign) error {
 		if n < 0 {
@@ -152,36 +148,12 @@ func WithRetryPolicy(p RetryPolicy) Option {
 	}
 }
 
-// WithAggregationShards sets how many parallel aggregation workers consume
-// observations (default: derived from the worker count; 1 forces fully
-// sequential aggregation, which sharded runs must match byte-for-byte).
-func WithAggregationShards(n int) Option {
-	return func(c *Campaign) error {
-		if n < 0 {
-			return fmt.Errorf("scanner: aggregation shards must be >= 0, got %d", n)
-		}
-		c.shards = n
-		return nil
-	}
-}
-
-// WithRoundBarrier selects the legacy engine: per-round goroutine fan-out
-// with a full barrier and inline single-threaded aggregation between
-// rounds. It exists as the baseline the pipelined engine is benchmarked
-// against and as a debugging fallback.
-func WithRoundBarrier() Option {
-	return func(c *Campaign) error {
-		c.barrier = true
-		return nil
-	}
-}
-
-// WithStore attaches a durable per-round sink. Completed rounds are
-// handed to a dedicated writer goroutine over a bounded queue: when the
-// sink falls behind by a few rounds the dispatcher blocks, so campaign
-// memory stays fixed no matter how slow the disk is. A sink error stops
-// the campaign and is returned from Run; rounds already in flight when a
-// cancellation arrives are not persisted (a canceled round is not a
+// WithStore attaches a durable per-round sink. Run appends each round to
+// it on Run's own goroutine, after the round's scans and before its
+// aggregation, so a slow disk slows the campaign instead of growing a
+// backlog. A sink error stops the campaign at the failing round, before
+// that round is aggregated, and is returned from Run. A round in flight
+// when a cancellation arrives is not persisted (a canceled round is not a
 // complete measurement).
 func WithStore(sink RoundSink) Option {
 	return func(c *Campaign) error {
@@ -193,15 +165,14 @@ func WithStore(sink RoundSink) Option {
 	}
 }
 
-// WithReplay streams previously persisted observations through the
-// campaign's aggregation pipeline before any scanning starts — the resume
-// path. Replayed observations flow through the same shard router as live
-// ones (per-responder streams stay contiguous, so order-sensitive
-// aggregator state is exact) and restore the campaign's scan/class
-// counters, so a resumed campaign's Stats and aggregates match an
-// uninterrupted run's. rounds is how many rounds the source covers
-// (store.Checkpoint.Rounds); it restores the round counter, which cannot
-// be derived from the stream because a round may carry no observations.
+// WithReplay streams previously persisted observations into the
+// campaign's aggregators, on Run's goroutine and in persisted order,
+// before any scanning starts — the resume path. Replayed observations
+// also restore the campaign's scan/class counters, so a resumed
+// campaign's Stats and aggregates match an uninterrupted run's. rounds is
+// how many rounds the source covers (store.Checkpoint.Rounds); it
+// restores the round counter, which cannot be derived from the stream
+// because a round may carry no observations.
 func WithReplay(src ReplaySource, rounds int64) Option {
 	return func(c *Campaign) error {
 		if src == nil {
@@ -254,12 +225,6 @@ func NewCampaign(client *Client, clk *clock.Simulated, opts ...Option) (*Campaig
 	if len(c.vantages) == 0 {
 		c.vantages = netsim.PaperVantages()
 	}
-	if c.shards == 0 {
-		c.shards = c.workers
-		if c.shards > 4 {
-			c.shards = 4
-		}
-	}
 	return c, nil
 }
 
@@ -279,7 +244,8 @@ type Stats struct {
 	Rounds int64
 	// ByClass counts first-attempt outcomes per failure class name.
 	ByClass map[string]int64
-	// PeakQueueDepth is the high-water mark of the scan job queue.
+	// PeakQueueDepth is always 0: the campaign engine has no job queue.
+	// The field stays because the benchmark harness in bench/ reads it.
 	PeakQueueDepth int64
 	// RoundLatency is the wall-clock round duration histogram
 	// (nanoseconds).
@@ -289,8 +255,8 @@ type Stats struct {
 // String renders the stats as one summary line plus a class breakdown.
 func (s Stats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scans=%d rounds=%d retries=%d salvaged=%d peak-queue=%d round-latency-mean=%.3fs",
-		s.Scans, s.Rounds, s.Retries, s.Salvaged, s.PeakQueueDepth, s.RoundLatency.Mean()/1e9)
+	fmt.Fprintf(&b, "scans=%d rounds=%d retries=%d salvaged=%d round-latency-mean=%.3fs",
+		s.Scans, s.Rounds, s.Retries, s.Salvaged, s.RoundLatency.Mean()/1e9)
 	for _, name := range sortedClassNames(s.ByClass) {
 		fmt.Fprintf(&b, "\n  class %-18s %d", name, s.ByClass[name])
 	}
@@ -315,13 +281,12 @@ func sortedClassNames(m map[string]int64) []string {
 func (c *Campaign) Stats() Stats {
 	snap := c.reg.Snapshot()
 	st := Stats{
-		Scans:          snap.Counters["campaign_scans_total"],
-		Retries:        snap.Counters["campaign_retries_total"],
-		Salvaged:       snap.Counters["campaign_retry_salvaged_total"],
-		Rounds:         snap.Counters["campaign_rounds_total"],
-		ByClass:        make(map[string]int64),
-		PeakQueueDepth: snap.Gauges["campaign_queue_depth_peak"],
-		RoundLatency:   snap.Histograms["campaign_round_seconds"],
+		Scans:        snap.Counters["campaign_scans_total"],
+		Retries:      snap.Counters["campaign_retries_total"],
+		Salvaged:     snap.Counters["campaign_retry_salvaged_total"],
+		Rounds:       snap.Counters["campaign_rounds_total"],
+		ByClass:      make(map[string]int64),
+		RoundLatency: snap.Histograms["campaign_round_seconds"],
 	}
 	for name, v := range snap.Counters {
 		if cls, ok := strings.CutPrefix(name, "campaign_class_"); ok {
@@ -330,7 +295,3 @@ func (c *Campaign) Stats() Stats {
 	}
 	return st
 }
-
-// Metrics exposes the campaign's metrics registry (for printing full
-// snapshots from cmd/ tools).
-func (c *Campaign) Metrics() *metrics.Registry { return c.reg }

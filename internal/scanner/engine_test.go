@@ -140,7 +140,9 @@ type engineRun struct {
 	st Stats
 }
 
-func runEngine(t *testing.T, hours int, opts ...Option) engineRun {
+// runEngine runs the fleet campaign with the Hourly aggregators, each
+// observation going to extra first.
+func runEngine(t *testing.T, hours int, extra []Aggregator, opts ...Option) engineRun {
 	t.Helper()
 	f := newFleet(t)
 	avail := NewAvailabilitySeries(time.Hour)
@@ -150,40 +152,86 @@ func runEngine(t *testing.T, hours int, opts ...Option) engineRun {
 	lat := NewLatencyAggregator()
 	di := NewDomainImpact(time.Hour, 3)
 	camp := f.campaign(t, hours, opts...)
-	n, err := camp.Run(context.Background(), avail, u, q, ra, lat, di)
+	n, err := camp.Run(context.Background(), append(extra, avail, u, q, ra, lat, di)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return engineRun{fp: fingerprint(avail, u, q, ra, lat, di), n: n, st: camp.Stats()}
 }
 
-// TestCampaignShardingEquivalence: sharded aggregation must be
-// byte-identical to sequential aggregation over the same seeded world —
-// the core contract of the ShardedAggregator redesign.
-func TestCampaignShardingEquivalence(t *testing.T) {
-	seq := runEngine(t, 24, WithAggregationShards(1))
-	for _, shards := range []int{2, 4, 8} {
-		sharded := runEngine(t, 24, WithAggregationShards(shards))
-		if sharded.n != seq.n {
-			t.Fatalf("shards=%d: %d lookups vs %d sequential", shards, sharded.n, seq.n)
+// TestCampaignWorkerCountEquivalence: the worker count decides only which
+// goroutine runs a lookup. The aggregates, the lookup count and the
+// persisted stream must be the same at every worker count, and the
+// aggregators must see exactly the persisted stream, in persisted order:
+// a campaign is a deterministic measurement, not a race.
+func TestCampaignWorkerCountEquivalence(t *testing.T) {
+	measure := func(workers int) (engineRun, []string) {
+		sink := &memSink{}
+		var folded []string
+		fold := aggregatorFunc(func(o Observation) { folded = append(folded, o.CanonicalLine()) })
+		run := runEngine(t, 24, []Aggregator{fold}, WithWorkers(workers), WithStore(sink))
+		persisted := sink.lines()
+		sameLines(t, fmt.Sprintf("workers=%d, folded against persisted", workers), persisted, folded)
+		return run, persisted
+	}
+	ref, refLines := measure(1)
+	for _, workers := range []int{2, 8} {
+		run, lines := measure(workers)
+		if run.n != ref.n {
+			t.Fatalf("workers=%d: %d lookups vs %d at workers=1", workers, run.n, ref.n)
 		}
-		if sharded.fp != seq.fp {
-			t.Errorf("shards=%d: aggregates diverge from sequential run\n--- sequential ---\n%s--- sharded ---\n%s",
-				shards, seq.fp, sharded.fp)
+		if run.fp != ref.fp {
+			t.Errorf("workers=%d: aggregates diverge from workers=1\n--- workers=1 ---\n%s--- workers=%d ---\n%s",
+				workers, ref.fp, workers, run.fp)
+		}
+		sameLines(t, fmt.Sprintf("workers=%d, persisted against workers=1", workers), refLines, lines)
+	}
+}
+
+// sameLines fails the test at the first line where got differs from want.
+func sameLines(t *testing.T, what string, want, got []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d lines, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: line %d differs:\n  want: %s\n  got:  %s", what, i, want[i], got[i])
 		}
 	}
 }
 
-// TestCampaignPipelinedMatchesBarrier: the pipelined engine must reproduce
-// the legacy round-barrier engine's aggregates exactly.
+// TestCampaignPipelinedMatchesBarrier: the "pipelined" worker layout must
+// reproduce the "barrier" layout's aggregates, lookup count and campaign
+// stats exactly (engineVariants describes both layouts).
 func TestCampaignPipelinedMatchesBarrier(t *testing.T) {
-	pipelined := runEngine(t, 24)
-	barrier := runEngine(t, 24, WithRoundBarrier())
+	variants := engineVariants()
+	pipelined := runEngine(t, 24, nil, variants["pipelined"]...)
+	barrier := runEngine(t, 24, nil, variants["barrier"]...)
 	if pipelined.n != barrier.n {
 		t.Fatalf("lookup counts differ: %d pipelined vs %d barrier", pipelined.n, barrier.n)
 	}
 	if pipelined.fp != barrier.fp {
-		t.Errorf("engines diverge\n--- barrier ---\n%s--- pipelined ---\n%s", barrier.fp, pipelined.fp)
+		t.Errorf("layouts diverge\n--- barrier ---\n%s--- pipelined ---\n%s", barrier.fp, pipelined.fp)
+	}
+	sameStats(t, "pipelined against barrier", barrier.st, pipelined.st)
+}
+
+// sameStats fails the test if got's lookup, round, retry, salvage or
+// per-class counts differ from want's.
+func sameStats(t *testing.T, what string, want, got Stats) {
+	t.Helper()
+	if got.Scans != want.Scans || got.Rounds != want.Rounds ||
+		got.Retries != want.Retries || got.Salvaged != want.Salvaged {
+		t.Errorf("%s: stats %+v diverge from %+v", what, got, want)
+	}
+	if len(got.ByClass) != len(want.ByClass) {
+		t.Errorf("%s: %d failure classes, want %d", what, len(got.ByClass), len(want.ByClass))
+	}
+	for class, n := range want.ByClass {
+		if got.ByClass[class] != n {
+			t.Errorf("%s: class %s: %d, want %d", what, class, got.ByClass[class], n)
+		}
 	}
 }
 
@@ -248,34 +296,6 @@ func TestCampaignCanceledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestRunOnceHonorsWorkersAndExpiry covers the RunOnce redesign: it must
-// route through the shared engine, so the Workers setting parallelizes the
-// round and expired targets are skipped (both were ignored before).
-func TestRunOnceHonorsWorkersAndExpiry(t *testing.T) {
-	f := newFleet(t)
-	f.targets[2].Expiry = t0.Add(30 * time.Minute) // expires before the probe
-	camp, err := NewCampaign(&Client{Transport: f.net}, f.clk,
-		WithTargets(f.targets...),
-		WithWorkers(4),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs, err := camp.RunOnce(context.Background(), t0.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (len(f.targets) - 1) * len(netsim.PaperVantages())
-	if len(obs) != want {
-		t.Fatalf("RunOnce returned %d observations, want %d (expired target skipped)", len(obs), want)
-	}
-	for _, o := range obs {
-		if o.Responder == "ocsp.r02.test" {
-			t.Fatalf("observation for expired target %s", o.Responder)
-		}
-	}
-}
-
 // TestCampaignStatsAndFirstAttemptSemantics: the metrics pipeline must
 // count every lookup and round, and retry salvage must NOT improve the
 // paper-facing availability aggregates.
@@ -309,9 +329,6 @@ func TestCampaignStatsAndFirstAttemptSemantics(t *testing.T) {
 	// attempts, all salvaged by the post-outage retry.
 	if st.Retries == 0 || st.Salvaged == 0 {
 		t.Errorf("Retries = %d Salvaged = %d, want both > 0", st.Retries, st.Salvaged)
-	}
-	if st.PeakQueueDepth == 0 {
-		t.Error("PeakQueueDepth not recorded")
 	}
 	if st.RoundLatency.Count() != 12 {
 		t.Errorf("RoundLatency.Count = %d, want 12", st.RoundLatency.Count())

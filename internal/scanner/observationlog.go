@@ -26,14 +26,6 @@ func (l *ObservationLog) Add(o Observation) {
 	l.lines = append(l.lines, observationLine(o))
 }
 
-// NewShard implements ShardedAggregator.
-func (l *ObservationLog) NewShard() Aggregator { return &ObservationLog{} }
-
-// Merge implements ShardedAggregator.
-func (l *ObservationLog) Merge(shard Aggregator) {
-	l.lines = append(l.lines, shard.(*ObservationLog).lines...)
-}
-
 // Lines returns the canonical lines sorted lexicographically — each line
 // leads with (At, Vantage, Responder, Serial), so the order is the
 // campaign's logical scan order regardless of worker interleaving.

@@ -12,17 +12,16 @@
 // cmd/ocspscan).
 //
 // Campaigns are built with NewCampaign(client, clock, opts...) and run by
-// a pipelined engine: a persistent worker pool spans rounds, and
-// aggregation of a finished round overlaps the next round's scanning
-// through a bounded queue. Aggregators implementing ShardedAggregator are
-// fanned out across shards keyed by responder (preserving per-responder
-// observation order) and merged deterministically, so sharded results are
-// byte-identical to sequential ones. Scan takes a context.Context and an
-// optional RetryPolicy; retries cover only transient failure classes, and
-// the returned Observation always describes the FIRST attempt — matching
-// the paper's single-attempt methodology — with retry outcomes reported
-// separately via Attempts, FinalClass, Salvaged, and Campaign.Stats().
-// See DESIGN.md §6 for the engine diagram.
+// Campaign.Run, one round at a time: the round's lookups are scanned on up
+// to WithWorkers goroutines, then the round is persisted (WithStore) and
+// folded into every aggregator in job order on Run's goroutine, so the
+// results are identical at every worker count. Scan takes a
+// context.Context and an optional RetryPolicy; retries cover only
+// transient failure classes, and the returned Observation always
+// describes the FIRST attempt — matching the paper's single-attempt
+// methodology — with retry outcomes reported separately via Attempts,
+// FinalClass, Salvaged, and Campaign.Stats(). See DESIGN.md §6 for the
+// engine.
 //
 // Everything about a target that stays fixed across lookups — the request
 // DER and its CertID, the decimal serial — is computed once into a probe:

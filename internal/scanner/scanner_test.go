@@ -228,7 +228,6 @@ func TestCampaignErrors(t *testing.T) {
 		{"no-vantages", WithVantages()},
 		{"zero-stride", WithStride(0)},
 		{"negative-workers", WithWorkers(-1)},
-		{"negative-shards", WithAggregationShards(-1)},
 		{"negative-attempts", WithRetryPolicy(RetryPolicy{Attempts: -1})},
 		{"bad-jitter", WithRetryPolicy(RetryPolicy{Attempts: 2, Jitter: 1.5})},
 		{"nil-metrics", WithMetrics(nil)},
@@ -236,23 +235,6 @@ func TestCampaignErrors(t *testing.T) {
 	for _, tc := range bad {
 		if _, err := NewCampaign(w.client(), w.clk, tc.opt); err == nil {
 			t.Errorf("%s: NewCampaign should reject the option", tc.name)
-		}
-	}
-}
-
-func TestCampaignRunOnce(t *testing.T) {
-	w := newWorld(t, responder.Profile{})
-	camp := newCampaign(t, w, WithTargets(w.target))
-	obs, err := camp.RunOnce(context.Background(), t0.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(obs) != 6 { // all six paper vantages by default
-		t.Fatalf("got %d observations, want 6", len(obs))
-	}
-	for _, o := range obs {
-		if !o.At.Equal(t0.Add(time.Hour)) {
-			t.Errorf("observation at %v", o.At)
 		}
 	}
 }

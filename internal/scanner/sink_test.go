@@ -41,10 +41,28 @@ func (m *memSink) replay(fn func(Observation) error) error {
 	return nil
 }
 
+// lines renders every persisted observation as its canonical line, in
+// persisted order.
+func (m *memSink) lines() []string {
+	var out []string
+	for _, round := range m.obs {
+		for _, o := range round {
+			out = append(out, o.CanonicalLine())
+		}
+	}
+	return out
+}
+
+// engineVariants are the two worker layouts the sink and replay tests run
+// the campaign under. "barrier" has one worker, so a round's lookups run
+// one after another, in job order, on Run's goroutine. "pipelined" has
+// eight, so a round's lookups are in flight together and finish out of
+// order, and Run must still persist and fold each round whole and in job
+// order.
 func engineVariants() map[string][]Option {
 	return map[string][]Option{
-		"pipelined": nil,
-		"barrier":   {WithRoundBarrier()},
+		"barrier":   {WithWorkers(1)},
+		"pipelined": {WithWorkers(8)},
 	}
 }
 
@@ -168,7 +186,7 @@ func TestCampaignSinkSkipsCanceledRound(t *testing.T) {
 func TestCampaignReplayEquivalence(t *testing.T) {
 	for name, extra := range engineVariants() {
 		t.Run(name, func(t *testing.T) {
-			full := runEngine(t, 24, extra...)
+			full := runEngine(t, 24, nil, extra...)
 
 			// First half, persisted.
 			fHalf := newFleet(t)
@@ -220,6 +238,47 @@ func TestCampaignReplayEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCampaignShardingEquivalence: a campaign window cut into consecutive
+// shards, each run as its own campaign over a freshly built world that
+// replays every round the earlier shards persisted and then persists its
+// own, must reproduce the uninterrupted run. The last shard's aggregates,
+// lookup count and stats must equal the uninterrupted run's, and the
+// shards together must persist the same rounds and the same stream.
+func TestCampaignShardingEquivalence(t *testing.T) {
+	const hours, shardHours = 36, 12
+	fullSink := &memSink{}
+	full := runEngine(t, hours, nil, WithStore(fullSink))
+	if len(fullSink.ats) != hours {
+		t.Fatalf("uninterrupted run persisted %d rounds, want %d", len(fullSink.ats), hours)
+	}
+
+	sink := &memSink{}
+	var last engineRun
+	for from := 0; from < hours; from += shardHours {
+		last = runEngine(t, hours, nil,
+			WithStore(sink),
+			WithReplay(sink.replay, int64(len(sink.ats))),
+			WithWindow(t0.Add(time.Duration(from)*time.Hour), t0.Add(time.Duration(from+shardHours)*time.Hour)),
+		)
+		if want := from + shardHours; len(sink.ats) != want {
+			t.Fatalf("after the shard from hour %d, %d rounds persisted, want %d", from, len(sink.ats), want)
+		}
+	}
+	if last.n != full.n {
+		t.Fatalf("sharded run aggregated %d lookups, uninterrupted %d", last.n, full.n)
+	}
+	if last.fp != full.fp {
+		t.Errorf("sharded aggregates diverge from uninterrupted run\n--- uninterrupted ---\n%s--- sharded ---\n%s", full.fp, last.fp)
+	}
+	sameStats(t, "sharded against uninterrupted", full.st, last.st)
+	for i, at := range sink.ats {
+		if !at.Equal(fullSink.ats[i]) {
+			t.Fatalf("round %d persisted at %v, uninterrupted at %v", i, at, fullSink.ats[i])
+		}
+	}
+	sameLines(t, "sharded stream against uninterrupted", fullSink.lines(), sink.lines())
 }
 
 // TestCampaignReplayErrorSurfaces: a broken replay source fails the run

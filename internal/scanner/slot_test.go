@@ -194,8 +194,8 @@ func TestCampaignParsesOncePerWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := &obsCollector{}
-	n, err := camp.Run(context.Background(), col)
+	var obs []Observation
+	n, err := camp.Run(context.Background(), aggregatorFunc(func(o Observation) { obs = append(obs, o) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCampaignParsesOncePerWindow(t *testing.T) {
 		t.Fatalf("%d lookups, want %d", n, 24*6)
 	}
 	windows := map[time.Time]bool{}
-	for _, o := range col.obs {
+	for _, o := range obs {
 		if o.Class != ClassOK {
 			t.Fatalf("%s at %v: class %v", o.Vantage, o.At, o.Class)
 		}

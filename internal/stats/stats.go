@@ -28,16 +28,6 @@ func (c *CDF) Add(v float64) {
 // N returns the sample count.
 func (c *CDF) N() int { return len(c.values) }
 
-// Merge appends all of other's samples. Consumers sort lazily, so merge
-// order does not affect any derived quantity.
-func (c *CDF) Merge(other *CDF) {
-	if other == nil || len(other.values) == 0 {
-		return
-	}
-	c.values = append(c.values, other.values...)
-	c.sorted = false
-}
-
 func (c *CDF) sort() {
 	if !c.sorted {
 		sort.Float64s(c.values)
@@ -163,12 +153,6 @@ func (a *Counter) Mean() float64 {
 	return a.Sum / float64(a.N)
 }
 
-// Merge folds another counter's samples into a.
-func (a *Counter) Merge(other Counter) {
-	a.Sum += other.Sum
-	a.N += other.N
-}
-
 // RankBins accumulates a boolean property over ranked items (Alexa ranks)
 // into fixed-width bins: Figures 2 and 11 use 10,000-domain bins over the
 // Top-1M.
@@ -246,25 +230,6 @@ func (s *TimeSeries) AddN(at time.Time, label string, n int) {
 		s.counts[b] = m
 	}
 	m[label] += n
-}
-
-// Merge adds all of other's counts into s. Both series must share the
-// same bucket width; counts are summed per (bucket, label), so merging is
-// commutative.
-func (s *TimeSeries) Merge(other *TimeSeries) {
-	if other == nil {
-		return
-	}
-	for b, labels := range other.counts {
-		m := s.counts[b]
-		if m == nil {
-			m = make(map[string]int, len(labels))
-			s.counts[b] = m
-		}
-		for label, n := range labels {
-			m[label] += n
-		}
-	}
 }
 
 // Buckets returns the bucket start times in order.

@@ -7,9 +7,9 @@
 // spill share its segment layer (segment.go). See DESIGN.md §11 for the
 // on-disk format and the recovery rules.
 //
-// Concurrency: a Store has a single writer (the campaign engine's
-// dedicated store goroutine calls AppendRound) and any number of Readers;
-// all exported methods are safe for concurrent use.
+// Concurrency: a Store has a single writer (Campaign.Run calls
+// AppendRound on its own goroutine) and any number of Readers; all
+// exported methods are safe for concurrent use.
 package store
 
 import (
