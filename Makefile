@@ -29,9 +29,10 @@
 #                 PR 6 fixed-rate 2000 req/s baseline.
 #   staplecheck — tier-2 telemetry-ingestion gate: staplereport
 #                 -ingestcheck floods the Expect-Staple report collector
-#                 in-process (decode + shard + aggregate + persist) and
-#                 fails below 20k reports/s or above the heap bound,
-#                 then an ocspload -stapleserve burst exercises the same
+#                 in-process (decode, then persist + aggregate under
+#                 one lock) and fails on any status but 202, below 20k
+#                 reports/s or above a 16 MiB post-GC heap, then an
+#                 ocspload -stapleserve burst exercises the same
 #                 path over a real loopback socket.
 #   memcheck    — tier-2 fixed-memory guards (scripts/memcheck.sh): runs
 #                 the same quick cmd/repro pipeline at -world-scale 1 and
@@ -112,12 +113,13 @@ capacitycheck:
 	$(GO) run ./cmd/ocspload -selfserve -capacity -slo 25ms -probe-duration 2s \
 		-start-rate 1000 -max-rate 65536 -check -min-capacity 4000
 
-# staplecheck gates the violation-report ingestion tier: the in-process
-# flood must sustain >= 20k reports/s inside a bounded heap, and the
-# socket path must absorb a short open-loop burst with no errors.
+# staplecheck gates the violation-report ingestion tier: every report of
+# the in-process flood (decode, persist, aggregate) must get 202, at
+# >= 20k reports/s, inside a 16 MiB post-GC heap; and the socket path
+# must absorb a short open-loop burst with no errors.
 staplecheck:
 	$(GO) run ./cmd/staplereport -ingestcheck -reports 200000 -workers 8 \
-		-min-rate 20000 -max-heap-mb 128
+		-min-rate 20000 -max-heap-mb 16
 	$(GO) run ./cmd/ocspload -stapleserve -rate 2000 -duration 2s -check
 
 # memcheck asserts two fixed-memory properties: a 10× world must not grow

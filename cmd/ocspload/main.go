@@ -179,8 +179,7 @@ func main() {
 			hits, misses, evictions)
 	}
 	if staples != nil {
-		fmt.Fprintf(os.Stderr, "ocspload: collector: %d accepted, %d dropped\n",
-			staples.collector.Accepted(), staples.collector.Dropped())
+		fmt.Fprintf(os.Stderr, "ocspload: collector: %d accepted\n", staples.collector.Accepted())
 	}
 	if *check {
 		if err := checkRun(res); err != nil {
@@ -205,7 +204,7 @@ type stapleTier struct {
 // buildStapleServe boots a report collector on an ephemeral loopback
 // port and pre-encodes one canonical violation report as the POST body.
 func buildStapleServe() *stapleTier {
-	collector := expectstaple.NewCollector(expectstaple.WithQueueDepth(1 << 15))
+	collector := expectstaple.NewCollector()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fail("stapleserve listen: %v", err)

@@ -17,7 +17,7 @@
 //   - internal/scanner, internal/census, internal/consistency — the
 //     measurement systems (§5 of the paper): a context-aware scan client
 //     with retry/backoff and a campaign engine that scans each round in
-//     parallel, then persists and aggregates it in order (see DESIGN.md
+//     parallel, then aggregates and persists it in order (see DESIGN.md
 //     §6).
 //   - internal/metrics — the lightweight counters/gauges/histograms
 //     behind Campaign.Stats().

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -164,5 +166,39 @@ func TestResumeCompletedCampaignIsReplayOnly(t *testing.T) {
 	}
 	if got, want := filterWallClock(secondOut.String()), filterWallClock(firstOut.String()); got != want {
 		t.Errorf("replay-only output diverges\n--- original ---\n%s\n--- resumed ---\n%s", want, got)
+	}
+}
+
+// TestCheckpointPayloadMatchesHeader runs a small Hourly campaign with a
+// store and checks that the last checkpoint's payload (the campaign stats
+// line) counts the same scans and rounds as the checkpoint's header: the
+// payload is rendered after the round it checkpoints has been folded.
+func TestCheckpointPayloadMatchesHeader(t *testing.T) {
+	cfg := resumeConfig()
+	cfg.End = cfg.Start.Add(8 * time.Hour)
+	cfg.Responders = 30
+
+	dir := t.TempDir()
+	r := NewRunner(cfg, io.Discard)
+	r.StoreDir = dir
+	if err := r.Run(context.Background(), "fig3"); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	st, err := store.Open(filepath.Join(dir, "hourly"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ck, ok := st.LastCheckpoint()
+	if !ok {
+		t.Fatal("campaign store holds no checkpoint")
+	}
+	var scans, rounds int64
+	if _, err := fmt.Sscanf(string(ck.Payload), "scans=%d rounds=%d", &scans, &rounds); err != nil {
+		t.Fatalf("payload %q: %v", ck.Payload, err)
+	}
+	if scans != ck.Scans || rounds != ck.Rounds {
+		t.Fatalf("payload reads scans=%d rounds=%d, checkpoint header has scans=%d rounds=%d",
+			scans, rounds, ck.Scans, ck.Rounds)
 	}
 }

@@ -8,32 +8,20 @@ import (
 	"sync"
 	"time"
 
-	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/metrics"
 	"github.com/netmeasure/muststaple/internal/pkixutil"
 	"github.com/netmeasure/muststaple/internal/wire"
 )
 
-const (
-	// DefaultMaxReportBytes caps a POSTed report body. A canonical
-	// report is well under 200 bytes (two hostnames, a handful of
-	// varints); 4 KiB tolerates future fields while bounding hostile
-	// input.
-	DefaultMaxReportBytes = 4 << 10
-
-	// DefaultShards is the aggregation fan-out. Hosts hash to shards,
-	// so each shard worker owns a disjoint key space and needs no
-	// locks.
-	DefaultShards = 64
-
-	// DefaultQueueDepth is each shard's bounded intake queue. The
-	// collector sheds load (503) rather than let a slow shard apply
-	// backpressure to the HTTP tier.
-	DefaultQueueDepth = 4096
-)
+// DefaultMaxReportBytes caps a POSTed report body. A canonical report is
+// well under 200 bytes (two hostnames, a handful of varints); 4 KiB
+// tolerates future fields while bounding hostile input.
+const DefaultMaxReportBytes = 4 << 10
 
 // Sink persists raw report payloads. Append must copy the payload before
-// returning: the collector's buffer is pooled. *store.ReportLog is the
+// returning: the collector's buffer is pooled. The collector calls Append
+// with its lock held, one report at a time in arrival order, so Append
+// must not call back into the collector. *store.ReportLog is the
 // production implementation.
 type Sink interface {
 	Append(payload []byte) error
@@ -52,64 +40,40 @@ type HostStats struct {
 
 // Collector is the report-uri endpoint: a production-grade HTTP ingester
 // for Expect-Staple violation reports. The handler polices transport
-// (method, media type, size), decodes on a zero-allocation hot path,
-// appends the raw payload to a Sink for replay, and routes the decoded
-// report to a per-host-shard aggregation worker over a bounded queue.
-// Aggregation is commutative (counts, min/max times), so snapshots are
-// deterministic regardless of worker scheduling.
+// (method, media type, size) and decodes on a zero-allocation hot path;
+// then, under one mutex, it appends the raw payload to a Sink for replay
+// and folds the decoded report into its host's HostStats, all on the
+// handler's goroutine. Lock order is arrival order, which is the log
+// order. The fold is commutative (counts, min/max times), so snapshots
+// are deterministic regardless of handler scheduling.
 type Collector struct {
-	reg        *metrics.Registry
-	sink       Sink
-	queueDepth int
-	shards     []chan Report
+	reg  *metrics.Registry
+	sink Sink
 
 	// interns pools decode intern tables across handler goroutines: a
 	// table per in-flight request, reused so the steady state decodes
 	// hot values with zero allocations.
 	interns sync.Pool
 
-	// mu guards the open/closed transition: handlers hold the read side
-	// while enqueueing so Close can safely close the shard channels.
-	mu     sync.RWMutex
+	// mu serializes the accepted path: the closed check, the Sink
+	// append and the fold into hosts.
+	mu     sync.Mutex
 	closed bool
-
-	// sinkMu serializes Sink appends (arrival order is the log order).
-	sinkMu sync.Mutex
-
-	wg   sync.WaitGroup
-	aggs []map[string]*HostStats
+	hosts  map[string]*HostStats
 
 	cReports, cAccepted  *metrics.Counter
 	cRejMethod, cRejType *metrics.Counter
 	cRejSize, cRejDecode *metrics.Counter
-	cDropped, cSinkErr   *metrics.Counter
+	cSinkErr             *metrics.Counter
 }
 
 // CollectorOption configures a Collector at construction.
 type CollectorOption func(*Collector)
 
 // WithCollectorMetrics instruments the collector: ingest, rejection, and
-// drop counters land in reg under expectstaple.*.
+// sink-error counters land in reg under expectstaple.*.
 func WithCollectorMetrics(reg *metrics.Registry) CollectorOption {
 	return func(c *Collector) { c.reg = reg }
-}
-
-// WithShards overrides the aggregation fan-out.
-func WithShards(n int) CollectorOption {
-	return func(c *Collector) {
-		if n > 0 {
-			c.shards = make([]chan Report, n)
-		}
-	}
-}
-
-// WithQueueDepth overrides each shard's bounded queue depth.
-func WithQueueDepth(n int) CollectorOption {
-	return func(c *Collector) {
-		if n > 0 {
-			c.queueDepth = n
-		}
-	}
 }
 
 // WithSink persists every accepted raw payload (append-only, in arrival
@@ -118,12 +82,10 @@ func WithSink(s Sink) CollectorOption {
 	return func(c *Collector) { c.sink = s }
 }
 
-// NewCollector builds and starts a collector; Close releases it.
+// NewCollector builds a collector. It starts no goroutine; Close stops
+// intake.
 func NewCollector(opts ...CollectorOption) *Collector {
-	c := &Collector{
-		shards:     make([]chan Report, DefaultShards),
-		queueDepth: DefaultQueueDepth,
-	}
+	c := &Collector{hosts: make(map[string]*HostStats)}
 	for _, o := range opts {
 		o(c)
 	}
@@ -140,43 +102,8 @@ func NewCollector(opts ...CollectorOption) *Collector {
 	c.cRejType = counter("expectstaple.rejected.mediatype")
 	c.cRejSize = counter("expectstaple.rejected.oversize")
 	c.cRejDecode = counter("expectstaple.rejected.decode")
-	c.cDropped = counter("expectstaple.dropped")
 	c.cSinkErr = counter("expectstaple.sink.errors")
-
-	c.aggs = make([]map[string]*HostStats, len(c.shards))
-	for i := range c.shards {
-		c.shards[i] = make(chan Report, c.queueDepth)
-		c.aggs[i] = make(map[string]*HostStats)
-		c.wg.Add(1)
-		go c.aggregate(i)
-	}
 	return c
-}
-
-// aggregate is shard i's worker: it owns aggs[i] exclusively, so the
-// fold needs no locks. All operations are commutative and associative —
-// worker scheduling cannot change the final snapshot.
-func (c *Collector) aggregate(i int) {
-	defer c.wg.Done()
-	agg := c.aggs[i]
-	for r := range c.shards[i] {
-		hs := agg[r.Host]
-		if hs == nil {
-			hs = &HostStats{Host: r.Host}
-			agg[r.Host] = hs
-		}
-		hs.Total++
-		hs.ByViolation[r.Violation]++
-		if r.Enforce {
-			hs.Enforced++
-		}
-		if hs.First.IsZero() || r.At.Before(hs.First) {
-			hs.First = r.At
-		}
-		if r.At.After(hs.Last) {
-			hs.Last = r.At
-		}
-	}
 }
 
 // ServeHTTP ingests one POSTed report.
@@ -210,10 +137,10 @@ func (c *Collector) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	c.ingest(w, buf.Bytes())
 }
 
-// ingest decodes, persists, and routes one report payload — the
-// collector's hot path. Steady state (known host and vantage strings,
-// shard queue not full) performs no allocations beyond what the sink's
-// own framing amortizes.
+// ingest decodes one report payload outside the lock, then persists and
+// folds it under c.mu — the collector's hot path. Steady state (known
+// host and vantage strings) performs no allocations beyond what the
+// sink's own framing amortizes.
 //
 //lint:allocfree
 func (c *Collector) ingest(w http.ResponseWriter, payload []byte) {
@@ -226,64 +153,63 @@ func (c *Collector) ingest(w http.ResponseWriter, payload []byte) {
 		return
 	}
 
-	c.mu.RLock()
+	c.mu.Lock()
 	if c.closed {
-		c.mu.RUnlock()
+		c.mu.Unlock()
 		http.Error(w, "collector closed", http.StatusServiceUnavailable)
 		return
 	}
-	shard := c.shards[int(hashx.Sum64(rep.Host)%uint64(len(c.shards)))]
-	select { //lint:allow locksafe non-blocking send under RLock; Close holds the write lock before closing the shard channels, so this can neither block nor hit a closed channel
-	case shard <- rep:
-	default:
-		c.mu.RUnlock()
-		c.cDropped.Inc()
-		http.Error(w, "overloaded", http.StatusServiceUnavailable)
-		return
-	}
 	if c.sink != nil {
-		c.sinkMu.Lock()
 		err = c.sink.Append(payload)
-		c.sinkMu.Unlock()
-		if err != nil {
-			c.cSinkErr.Inc()
-		}
 	}
-	c.mu.RUnlock()
+	c.fold(&rep)
+	c.mu.Unlock()
+	if err != nil {
+		c.cSinkErr.Inc()
+	}
 	c.cAccepted.Inc()
 	w.WriteHeader(http.StatusAccepted)
 }
 
-// Close stops intake (further POSTs get 503), drains the shard queues,
-// and waits for the aggregation workers. Snapshot is valid after Close.
-func (c *Collector) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
+// fold adds one report to its host's aggregate; c.mu must be held. It
+// allocates only on a host's first report.
+func (c *Collector) fold(r *Report) {
+	hs := c.hosts[r.Host]
+	if hs == nil {
+		hs = &HostStats{Host: r.Host}
+		c.hosts[r.Host] = hs
 	}
-	c.closed = true
-	for _, ch := range c.shards {
-		close(ch)
+	hs.Total++
+	hs.ByViolation[r.Violation]++
+	if r.Enforce {
+		hs.Enforced++
 	}
-	c.mu.Unlock()
-	c.wg.Wait()
+	if hs.First.IsZero() || r.At.Before(hs.First) {
+		hs.First = r.At
+	}
+	if r.At.After(hs.Last) {
+		hs.Last = r.At
+	}
 }
 
-// Snapshot merges the shard aggregates, sorted by host — deterministic
-// for a given multiset of accepted reports. Call after Close.
+// Close stops intake: a report that reaches the lock after Close gets 503
+// and never reaches the Sink, so the caller may close the Sink next.
+func (c *Collector) Close() {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+}
+
+// Snapshot copies the per-host aggregates, sorted by host —
+// deterministic for a given multiset of accepted reports. After Close it
+// is final.
 func (c *Collector) Snapshot() []HostStats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if !c.closed {
-		return nil
+	c.mu.Lock()
+	out := make([]HostStats, 0, len(c.hosts))
+	for _, hs := range c.hosts {
+		out = append(out, *hs)
 	}
-	var out []HostStats
-	for _, agg := range c.aggs {
-		for _, hs := range agg {
-			out = append(out, *hs)
-		}
-	}
+	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
 	return out
 }
@@ -291,8 +217,10 @@ func (c *Collector) Snapshot() []HostStats {
 // Accepted reports how many reports the collector has accepted (202).
 func (c *Collector) Accepted() int64 { return c.cAccepted.Value() }
 
-// Dropped reports how many reports were shed on a full shard queue.
-func (c *Collector) Dropped() int64 { return c.cDropped.Value() }
+// Dropped is always 0: the collector has no queue, so every report is
+// either accepted or refused with a status. The method stays because the
+// benchmark harness in bench/ reads it.
+func (c *Collector) Dropped() int64 { return 0 }
 
 // reportMediaTypeOK polices the POST media type; parameters are
 // tolerated, other types are not.

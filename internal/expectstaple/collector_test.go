@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -58,7 +60,7 @@ func TestCollectorPolicing(t *testing.T) {
 
 func TestCollectorAggregationAndSink(t *testing.T) {
 	var sink memorySink
-	c := NewCollector(WithSink(&sink), WithShards(4), WithQueueDepth(64))
+	c := NewCollector(WithSink(&sink))
 
 	base := time.Unix(10_000, 0).UTC()
 	const perHost = 25
@@ -129,45 +131,115 @@ func TestCollectorAggregationAndSink(t *testing.T) {
 	}
 }
 
-func TestCollectorQueueShed(t *testing.T) {
-	// A single depth-1 shard under a concurrent flood: every request must
-	// resolve to 202 or 503, and the counters must account for each one.
-	c := NewCollector(WithShards(1), WithQueueDepth(1))
-	body := validReportBytes("flood.test", ViolationMissing, time.Unix(1, 0).UTC())
-	const n = 200
+func TestCollectorConcurrentFlood(t *testing.T) {
+	// Many handlers at once on few hosts: every report is accepted, and
+	// the log, the counters and the aggregates each account for all of
+	// them.
+	var sink memorySink
+	c := NewCollector(WithSink(&sink))
+	const workers, perWorker, hosts = 16, 50, 3
 	var wg sync.WaitGroup
-	codes := make([]int, n)
-	for i := 0; i < n; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(w int) {
 			defer wg.Done()
-			codes[i] = postReport(t, c, http.MethodPost, ContentTypeReport, body).Code
-		}(i)
+			for i := 0; i < perWorker; i++ {
+				host := fmt.Sprintf("flood-%d.test", (w+i)%hosts)
+				body := validReportBytes(host, Violation(i%NumViolations), time.Unix(int64(i), 0).UTC())
+				if code := postReport(t, c, http.MethodPost, ContentTypeReport, body).Code; code != http.StatusAccepted {
+					t.Errorf("post: got %d, want 202", code)
+				}
+			}
+		}(w)
 	}
 	wg.Wait()
 	c.Close()
-	var accepted, shed int64
-	for _, code := range codes {
-		switch code {
-		case http.StatusAccepted:
-			accepted++
-		case http.StatusServiceUnavailable:
-			shed++
-		default:
-			t.Fatalf("unexpected status %d", code)
-		}
+
+	if got, want := c.Accepted(), int64(workers*perWorker); got != want {
+		t.Fatalf("Accepted = %d, want %d", got, want)
 	}
-	if accepted != c.Accepted() || shed != c.Dropped() {
-		t.Fatalf("accounting mismatch: saw %d/%d accepted/shed, counters say %d/%d",
-			accepted, shed, c.Accepted(), c.Dropped())
+	snap := c.Snapshot()
+	if len(snap) != hosts {
+		t.Fatalf("snapshot has %d hosts, want %d", len(snap), hosts)
+	}
+	var total uint64
+	for _, hs := range snap {
+		total += hs.Total
+	}
+	if total != uint64(c.Accepted()) || int64(len(sink.payloads)) != c.Accepted() {
+		t.Fatalf("accepted %d, snapshot totals %d, persisted %d", c.Accepted(), total, len(sink.payloads))
+	}
+	if c.Dropped() != 0 {
+		t.Fatalf("Dropped = %d, want 0", c.Dropped())
+	}
+}
+
+func TestCollectorCloseStopsSinkAppends(t *testing.T) {
+	// Close races a flood. Each report is either accepted (and then
+	// persisted and aggregated) or refused with 503; once Close returns,
+	// no handler reaches the sink, so the caller may close it.
+	var sink memorySink
+	c := NewCollector(WithSink(&sink))
+	body := validReportBytes("close.test", ViolationMissing, time.Unix(1, 0).UTC())
+	const workers, perWorker = 8, 200
+	var wg sync.WaitGroup
+	var refused atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				switch code := postReport(t, c, http.MethodPost, ContentTypeReport, body).Code; code {
+				case http.StatusAccepted:
+				case http.StatusServiceUnavailable:
+					refused.Add(1)
+				default:
+					t.Errorf("post: got %d, want 202 or 503", code)
+				}
+			}
+		}()
+	}
+	for c.Accepted() < workers*perWorker/4 {
+		runtime.Gosched()
+	}
+	c.Close()
+	atClose := sink.count()
+	wg.Wait()
+
+	if late := sink.count() - atClose; late != 0 {
+		t.Fatalf("%d appends reached the sink after Close returned", late)
+	}
+	if got := c.Accepted() + refused.Load(); got != workers*perWorker {
+		t.Fatalf("accepted %d + refused %d = %d, want %d", c.Accepted(), refused.Load(), got, workers*perWorker)
+	}
+	if n := int64(sink.count()); n != c.Accepted() {
+		t.Fatalf("sink holds %d payloads, accepted %d", n, c.Accepted())
 	}
 	var total uint64
 	for _, hs := range c.Snapshot() {
 		total += hs.Total
 	}
-	if total != uint64(accepted) {
-		t.Fatalf("snapshot totals %d, accepted %d", total, accepted)
+	if total != uint64(c.Accepted()) {
+		t.Fatalf("snapshot totals %d, accepted %d", total, c.Accepted())
 	}
+}
+
+func TestNewCollectorFootprint(t *testing.T) {
+	// Construction starts no goroutine and allocates no queue: the
+	// collector's memory is its per-host aggregates.
+	var before, after runtime.MemStats
+	runtime.GC()
+	goroutines := runtime.NumGoroutine()
+	runtime.ReadMemStats(&before)
+	c := NewCollector()
+	runtime.ReadMemStats(&after)
+	if d := runtime.NumGoroutine() - goroutines; d > 0 {
+		t.Errorf("NewCollector started %d goroutines, want 0", d)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
+		t.Errorf("NewCollector allocated %d bytes, want < 64 KiB", d)
+	}
+	c.Close()
 }
 
 type memorySink struct {
@@ -182,8 +254,14 @@ func (s *memorySink) Append(p []byte) error {
 	return nil
 }
 
+func (s *memorySink) count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.payloads)
+}
+
 func BenchmarkCollectorIngest(b *testing.B) {
-	c := NewCollector(WithQueueDepth(1 << 16))
+	c := NewCollector()
 	defer c.Close()
 	body := validReportBytes("bench.test", ViolationExpired, time.Unix(1000, 0).UTC())
 	b.ReportAllocs()
@@ -194,7 +272,7 @@ func BenchmarkCollectorIngest(b *testing.B) {
 			req.Body = nopCloser{bytes.NewReader(body)}
 			rr := httptest.NewRecorder()
 			c.ServeHTTP(rr, req)
-			if rr.Code != http.StatusAccepted && rr.Code != http.StatusServiceUnavailable {
+			if rr.Code != http.StatusAccepted {
 				b.Fatalf("status %d", rr.Code)
 			}
 		}

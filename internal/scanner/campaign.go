@@ -35,12 +35,13 @@ type ShardedAggregator interface {
 // RoundSink receives each completed round's measured observations for
 // durable persistence — internal/store implements it. Run calls
 // AppendRound on its own goroutine, one call per round in round order,
-// after the round's scans have all finished and before the round is
-// folded into the aggregators. Canceled lookups are filtered out first,
-// so the persisted stream is exactly the stream the aggregators see. The
-// obs slice is only valid for the duration of the call: Run folds it
-// afterwards and reuses it for the next round, so implementations must
-// copy (or serialize) what they keep and must never mutate it.
+// after the round's scans have all finished and the round has been
+// folded into the aggregators, so the campaign's counters (Stats)
+// already include it. Canceled lookups are filtered out first, so the
+// persisted stream is exactly the stream the aggregators saw. The obs
+// slice is only valid for the duration of the call: Run reuses it for
+// the next round, so implementations must copy (or serialize) what they
+// keep and must never mutate it.
 type RoundSink interface {
 	AppendRound(at time.Time, obs []Observation) error
 }

@@ -15,9 +15,9 @@ import (
 // rounds; the partial lookup count and the context error are returned.
 //
 // Each round sets the virtual clock to the round's time, scans the round's
-// (vantage, target) pairs on up to c.workers goroutines, hands the whole
-// round to the sink, and then folds it into every aggregator in job order
-// (vantage-major, target-minor) on the caller's goroutine. The clock
+// (vantage, target) pairs on up to c.workers goroutines, folds the round
+// into every aggregator in job order (vantage-major, target-minor) on the
+// caller's goroutine, and then hands the whole round to the sink. The clock
 // cannot advance while a round's scans are in flight, because responders
 // read it to produce responses, so every round ends in a barrier anyway;
 // folding after that barrier keeps the aggregators single-threaded and
@@ -76,18 +76,19 @@ func (c *Campaign) Run(ctx context.Context, aggs ...Aggregator) (int, error) {
 		})
 		roundsCtr.Inc()
 		stopRound()
+		for i := range results {
+			fold(results[i])
+		}
 		if c.sink != nil && ctx.Err() == nil {
-			// Persist before folding. A round cut short by a cancellation
-			// is folded (its measured part) but not persisted: a resume
-			// rescans it whole. Empty rounds (every target expired) are
-			// persisted too, as round markers, so resume accounting
-			// stays exact.
+			// Persist after folding, so a sink that snapshots the
+			// campaign's counters (a checkpoint payload) sees this round
+			// in them. A round cut short by a cancellation is folded
+			// (its measured part) but not persisted: a resume rescans it
+			// whole. Empty rounds (every target expired) are persisted
+			// too, as round markers, so resume accounting stays exact.
 			if err := c.sink.AppendRound(at, measuredOnly(results)); err != nil {
 				return total, err
 			}
-		}
-		for i := range results {
-			fold(results[i])
 		}
 	}
 	return total, ctx.Err()
@@ -95,8 +96,8 @@ func (c *Campaign) Run(ctx context.Context, aggs ...Aggregator) (int, error) {
 
 // measuredOnly filters canceled lookups out of a round — they are not
 // measurements and never reach aggregators, so they are not persisted
-// either. The common all-measured case returns obs unchanged; Run folds
-// obs after the sink returns, so it must not be mutated.
+// either. The common all-measured case returns obs unchanged, without a
+// copy.
 func measuredOnly(obs []Observation) []Observation {
 	for i := range obs {
 		if obs[i].Class == ClassCanceled {

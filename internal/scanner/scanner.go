@@ -13,9 +13,9 @@
 //
 // Campaigns are built with NewCampaign(client, clock, opts...) and run by
 // Campaign.Run, one round at a time: the round's lookups are scanned on up
-// to WithWorkers goroutines, then the round is persisted (WithStore) and
-// folded into every aggregator in job order on Run's goroutine, so the
-// results are identical at every worker count. Scan takes a
+// to WithWorkers goroutines, then the round is folded into every
+// aggregator in job order on Run's goroutine and persisted (WithStore),
+// so the results are identical at every worker count. Scan takes a
 // context.Context and an optional RetryPolicy; retries cover only
 // transient failure classes, and the returned Observation always
 // describes the FIRST attempt — matching the paper's single-attempt
