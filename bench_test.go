@@ -14,14 +14,10 @@ import (
 	"testing"
 	"time"
 
-	"crypto/x509"
-
 	"github.com/netmeasure/muststaple/internal/browser"
 	"github.com/netmeasure/muststaple/internal/census"
-	"github.com/netmeasure/muststaple/internal/chaincheck"
 	"github.com/netmeasure/muststaple/internal/clock"
 	"github.com/netmeasure/muststaple/internal/consistency"
-	"github.com/netmeasure/muststaple/internal/ctlog"
 	"github.com/netmeasure/muststaple/internal/impact"
 	"github.com/netmeasure/muststaple/internal/memwatch"
 	"github.com/netmeasure/muststaple/internal/netsim"
@@ -680,95 +676,6 @@ func BenchmarkHardFailImpact(b *testing.B) {
 		}
 		if correct > nocache+1e-9 {
 			b.Fatalf("correct (%v) must not break more than no-cache (%v)", correct, nocache)
-		}
-	}
-}
-
-// BenchmarkChainBundle measures RFC 6961-style whole-chain bundle
-// construction plus full client-side verification.
-func BenchmarkChainBundle(b *testing.B) {
-	t0 := time.Date(2018, 6, 1, 0, 0, 0, 0, time.UTC)
-	clk := clock.NewSimulated(t0)
-	root, err := pki.NewRootCA(pki.Config{Name: "Bench Chain Root", OCSPURL: "http://ocsp.bcroot.test"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	inter, err := root.NewIntermediate(pki.Config{Name: "Bench Chain Inter", OCSPURL: "http://ocsp.bcinter.test"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	leaf, err := inter.IssueLeaf(pki.LeafOptions{DNSNames: []string{"bc.test"}, NotBefore: t0.AddDate(0, -1, 0)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rootDB, interDB := responder.NewDB(), responder.NewDB()
-	rootDB.AddIssued(inter.Certificate.SerialNumber, inter.Certificate.NotAfter)
-	interDB.AddIssued(leaf.Certificate.SerialNumber, leaf.Certificate.NotAfter)
-	rootResp := responder.New("ocsp.bcroot.test", root, rootDB, clk, responder.Profile{ThisUpdateOffset: time.Minute})
-	interResp := responder.New("ocsp.bcinter.test", inter, interDB, clk, responder.Profile{ThisUpdateOffset: time.Minute})
-	fetch := func(cert, issuer *x509.Certificate) ([]byte, error) {
-		req, err := ocsp.NewRequest(cert, issuer, crypto.SHA1)
-		if err != nil {
-			return nil, err
-		}
-		reqDER, err := req.Marshal()
-		if err != nil {
-			return nil, err
-		}
-		r := interResp
-		if issuer.Subject.CommonName == "Bench Chain Root" {
-			r = rootResp
-		}
-		der, _ := respondDER(r, reqDER)
-		return der, nil
-	}
-	chain := []*x509.Certificate{leaf.Certificate, inter.Certificate, root.Certificate}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clk.Advance(time.Second) // force fresh on-demand responses
-		bundle, err := chaincheck.BuildBundle(chain, fetch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := chaincheck.VerifyChain(chain, bundle, clk.Now())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.AllGood() {
-			b.Fatalf("chain not good: %v", res.Elements)
-		}
-	}
-}
-
-// BenchmarkCTLogPipeline measures the Censys-substitute CT pipeline:
-// append certificates, sign a tree head, and scan everything back with
-// verified inclusion proofs.
-func BenchmarkCTLogPipeline(b *testing.B) {
-	key, err := pki.GenerateKey(nil, pki.ECDSAP256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ca, err := pki.NewRootCA(pki.Config{Name: "Bench Log CA", OCSPURL: "http://ocsp.benchlog.test"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	log := ctlog.New(key)
-	if _, err := census.PopulateLog(log, ca, 200, 1); err != nil {
-		b.Fatal(err)
-	}
-	at := time.Date(2018, 4, 24, 0, 0, 0, 0, time.UTC)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sth, err := log.SignTreeHead(at)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st, err := census.ScanLog(log, key.Public(), sth, "Bench Log CA")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.ProofsVerified != 200 {
-			b.Fatalf("proofs = %d", st.ProofsVerified)
 		}
 	}
 }

@@ -265,9 +265,7 @@ func buildSelfServe(serialCount int, cached bool, validity time.Duration) *selfS
 	r := responder.New("ocspload.invalid", ca, db, clock.Real{}, profile)
 	reg := metrics.NewRegistry()
 	handler := ocspserver.NewHandler(r, ocspserver.WithMetrics(reg))
-	debug := ocspserver.NewDebugVars(reg, func() []*responder.Responder {
-		return []*responder.Responder{r}
-	})
+	debug := ocspserver.NewDebugVars(reg, r)
 	srv := ocspserver.NewServer(handler, ocspserver.WithRoute("/debug/vars", debug))
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		fail("selfserve listen: %v", err)

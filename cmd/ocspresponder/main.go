@@ -29,6 +29,7 @@ import (
 	"encoding/pem"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -63,22 +64,9 @@ func main() {
 		profile.Validity = 7 * 24 * time.Hour
 	}
 
-	ca, err := pki.NewRootCA(pki.Config{
-		Name:      "Standalone OCSP Test CA",
-		OCSPURL:   "http://localhost" + *listen,
-		NotBefore: time.Now().Add(-time.Hour),
-	})
+	ca, leaf, err := newCA(*listen, os.Stdout)
 	if err != nil {
-		fail("create CA: %v", err)
-	}
-	leaf, err := ca.IssueLeaf(pki.LeafOptions{
-		DNSNames:   []string{"test.localhost"},
-		NotBefore:  time.Now().Add(-time.Hour),
-		NotAfter:   time.Now().AddDate(0, 3, 0),
-		MustStaple: true,
-	})
-	if err != nil {
-		fail("issue leaf: %v", err)
+		fail("%v", err)
 	}
 	db := responder.NewDB()
 	db.AddIssued(leaf.Certificate.SerialNumber, leaf.Certificate.NotAfter)
@@ -93,24 +81,11 @@ func main() {
 	r := responder.New("localhost", ca, db, clock.Real{}, profile, opts...)
 	crlPub := responder.NewCRLPublisher(ca, db, clock.Real{})
 
-	pem.Encode(os.Stdout, &pem.Block{Type: "CERTIFICATE", Bytes: ca.Certificate.Raw})
-	pem.Encode(os.Stdout, &pem.Block{Type: "CERTIFICATE", Bytes: leaf.Certificate.Raw})
-	base := "http://" + *listen
-	if strings.HasPrefix(*listen, ":") {
-		base = "http://localhost" + *listen
-	}
-	fmt.Printf("# CA above, leaf below. leaf serial: %v\n", leaf.Certificate.SerialNumber)
-	fmt.Printf("# OCSP endpoint: %s/  CRL: %s/ca.crl\n", base, base)
-	fmt.Printf("# stats: %s/debug/vars\n", base)
-	fmt.Printf("# try: openssl ocsp -issuer ca.pem -serial %v -url %s -resp_text\n",
-		leaf.Certificate.SerialNumber, base)
-
 	reg := metrics.NewRegistry()
 	handler := ocspserver.NewHandler(r, ocspserver.WithMetrics(reg))
-	tenants := func() []*responder.Responder { return []*responder.Responder{r} }
 	srv := ocspserver.NewServer(handler,
 		ocspserver.WithRoute("/ca.crl", crlPub),
-		ocspserver.WithRoute("/debug/vars", ocspserver.NewDebugVars(reg, tenants)),
+		ocspserver.WithRoute("/debug/vars", ocspserver.NewDebugVars(reg, r)),
 	)
 
 	// The server runs until interrupted; flush any requested profiles and
@@ -131,6 +106,42 @@ func main() {
 		fail("listen: %v", err)
 	}
 	select {}
+}
+
+// newCA creates the CA and its one Must-Staple leaf, whose AIA names the
+// responder at listen, and prints both as PEM to out, followed by a
+// banner naming the endpoints at that same URL.
+func newCA(listen string, out io.Writer) (*pki.CA, *pki.Leaf, error) {
+	// A client reaches a bare ":port" listener at localhost.
+	base := "http://" + listen
+	if strings.HasPrefix(listen, ":") {
+		base = "http://localhost" + listen
+	}
+	ca, err := pki.NewRootCA(pki.Config{
+		Name:      "Standalone OCSP Test CA",
+		OCSPURL:   base,
+		NotBefore: time.Now().Add(-time.Hour),
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("create CA: %w", err)
+	}
+	leaf, err := ca.IssueLeaf(pki.LeafOptions{
+		DNSNames:   []string{"test.localhost"},
+		NotBefore:  time.Now().Add(-time.Hour),
+		NotAfter:   time.Now().AddDate(0, 3, 0),
+		MustStaple: true,
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("issue leaf: %w", err)
+	}
+	pem.Encode(out, &pem.Block{Type: "CERTIFICATE", Bytes: ca.Certificate.Raw})
+	pem.Encode(out, &pem.Block{Type: "CERTIFICATE", Bytes: leaf.Certificate.Raw})
+	fmt.Fprintf(out, "# CA above, leaf below. leaf serial: %v\n", leaf.Certificate.SerialNumber)
+	fmt.Fprintf(out, "# OCSP endpoint: %s/  CRL: %s/ca.crl\n", base, base)
+	fmt.Fprintf(out, "# stats: %s/debug/vars\n", base)
+	fmt.Fprintf(out, "# try: openssl ocsp -issuer ca.pem -serial %v -url %s -resp_text\n",
+		leaf.Certificate.SerialNumber, base)
+	return ca, leaf, nil
 }
 
 func fail(format string, args ...any) {

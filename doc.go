@@ -10,10 +10,12 @@
 //
 //   - internal/ocsp, internal/crl, internal/pkixutil — the wire-format
 //     substrates, built on encoding/asn1 only.
-//   - internal/pki — the synthetic certificate hierarchy (AIA, CRLDP, and
-//     the TLS-Feature Must-Staple extension).
+//   - internal/pki — synthetic root CAs and the leaves they issue (AIA,
+//     CRLDP, and the TLS-Feature Must-Staple extension).
 //   - internal/responder, internal/netsim, internal/clock — the simulated
 //     responder fleet and Internet.
+//   - internal/ocspserver — the RFC 5019 serving tier over real sockets,
+//     fronting one responder per handler.
 //   - internal/scanner, internal/census, internal/consistency — the
 //     measurement systems (§5 of the paper): a context-aware scan client
 //     with retry/backoff and a campaign engine that scans each round in

@@ -160,11 +160,7 @@ func TestEvaluateStaple(t *testing.T) {
 		t.Errorf("foreign staple = %v", got)
 	}
 	// Error-status staple (tryLater).
-	errDER, err := ocsp.CreateErrorResponse(ocsp.StatusTryLater)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := EvaluateStaple(errDER, leaf, issuer, t0); got != StapleInvalid {
+	if got := EvaluateStaple(ocsp.ErrorResponse(ocsp.StatusTryLater), leaf, issuer, t0); got != StapleInvalid {
 		t.Errorf("tryLater staple = %v", got)
 	}
 }

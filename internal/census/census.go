@@ -6,17 +6,10 @@
 // Populations the paper reports in the hundreds of millions are generated
 // at a configurable scale factor; counts the paper reports exactly (the
 // 29,709 Must-Staple certificates and their CA breakdown, the 100
-// Must-Staple Alexa domains) are represented one-to-one. The analysis code
-// consuming the corpus is the same whether records come from this
-// generator or from parsing real DER (see Classify).
+// Must-Staple Alexa domains) are represented one-to-one.
 package census
 
-import (
-	"crypto/x509"
-	"math/rand"
-
-	"github.com/netmeasure/muststaple/internal/pki"
-)
+import "math/rand"
 
 // CertInfo is the per-certificate metadata the §4 analysis needs.
 type CertInfo struct {
@@ -31,18 +24,6 @@ type CertInfo struct {
 	MustStaple bool
 }
 
-// Classify derives CertInfo from a real parsed certificate — the honest
-// path used for the real-DER sample tier and throughout the tests. valid
-// is supplied by the caller's chain verification.
-func Classify(cert *x509.Certificate, caName string, valid bool) CertInfo {
-	return CertInfo{
-		CA:           caName,
-		Valid:        valid,
-		SupportsOCSP: pki.SupportsOCSP(cert),
-		MustStaple:   pki.HasMustStaple(cert),
-	}
-}
-
 // Paper-calibrated constants from the April 24, 2018 Censys snapshot.
 const (
 	// PaperTotalCerts is every certificate Censys had aggregated.
@@ -54,6 +35,7 @@ const (
 	PaperOCSPCerts = 107_664_132
 	// PaperMustStapleCerts is the total Must-Staple population (0.02%
 	// of valid certificates).
+	//lint:allow unused the §4 paper target the census, report and root benchmark tests check the corpus against
 	PaperMustStapleCerts = 29_709
 )
 

@@ -2,9 +2,7 @@ package census
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -66,77 +64,6 @@ func TestSnapshotDeterminism(t *testing.T) {
 	c := corpusStats(t, 43)
 	if a.Valid == c.Valid && a.OCSP == c.OCSP {
 		t.Error("different seeds should differ")
-	}
-}
-
-func TestClassifyRealCertificates(t *testing.T) {
-	ca, err := pki.NewRootCA(pki.Config{Name: "Classify CA", OCSPURL: "http://ocsp.classify.test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := ca.IssueLeaf(pki.LeafOptions{DNSNames: []string{"ms.test"}, MustStaple: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := Classify(ms.Certificate, "Classify CA", true)
-	if !info.MustStaple || !info.SupportsOCSP || !info.Valid {
-		t.Errorf("info = %+v", info)
-	}
-	plain, err := ca.IssueLeaf(pki.LeafOptions{DNSNames: []string{"plain.test"}, OmitOCSP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info = Classify(plain.Certificate, "Classify CA", true)
-	if info.MustStaple || info.SupportsOCSP {
-		t.Errorf("info = %+v", info)
-	}
-}
-
-// realSample issues sampleSize real DER certificates through the pki
-// package matching the corpus marginals, and re-classifies them with
-// Classify — the cross-check that the metadata tier and the real-bytes
-// tier agree. It returns the classified infos.
-func realSample(sampleSize int, seed int64) ([]CertInfo, error) {
-	rng := rand.New(rand.NewSource(seed))
-	ca, err := pki.NewRootCA(pki.Config{
-		Name:    "Census Sample CA",
-		Rand:    rng,
-		OCSPURL: "http://ocsp.census.test",
-		CRLURL:  "http://crl.census.test/ca.crl",
-	})
-	if err != nil {
-		return nil, err
-	}
-	ocspP := float64(PaperOCSPCerts) / float64(PaperValidCerts)
-	msP := float64(PaperMustStapleCerts) / float64(PaperValidCerts)
-	out := make([]CertInfo, 0, sampleSize)
-	for i := 0; i < sampleSize; i++ {
-		opts := pki.LeafOptions{DNSNames: []string{fmt.Sprintf("sample-%d.census.test", i)}}
-		opts.OmitOCSP = rng.Float64() >= ocspP
-		opts.MustStaple = !opts.OmitOCSP && rng.Float64() < msP
-		leaf, err := ca.IssueLeaf(opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Classify(leaf.Certificate, ca.Name, true))
-	}
-	return out, nil
-}
-
-func TestRealSampleMatchesMarginals(t *testing.T) {
-	sample, err := realSample(300, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ocspN := 0
-	for _, c := range sample {
-		if c.SupportsOCSP {
-			ocspN++
-		}
-	}
-	frac := float64(ocspN) / float64(len(sample))
-	if frac < 0.88 || frac > 1.0 {
-		t.Errorf("real-DER sample OCSP fraction = %v, want ≈0.954", frac)
 	}
 }
 

@@ -132,13 +132,6 @@ func (r *Runner) registry() *metrics.Registry {
 	return r.reg
 }
 
-// Metrics snapshots the runner's cross-experiment instrumentation: the
-// experiment_wall_seconds histogram and the responder fleet's
-// responder_cache_{hits,misses}_total counters.
-func (r *Runner) Metrics() metrics.Snapshot {
-	return r.registry().Snapshot()
-}
-
 // cacheStats sums signed-response cache counters over every world built by
 // this runner so far.
 func (r *Runner) cacheStats() (hits, misses uint64) {

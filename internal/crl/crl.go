@@ -301,20 +301,3 @@ func (c *CRL) ValidAt(t time.Time) bool {
 	}
 	return c.NextUpdate.IsZero() || !t.After(c.NextUpdate)
 }
-
-// PruneExpired returns a copy of entries with serials of certificates that
-// expired before cutoff removed, given a lookup from serial to certificate
-// expiry. CAs do this to bound CRL growth (paper §2.2 footnote 3); it is
-// also why the consistency study must cross-reference serials against
-// unexpired certificates before querying OCSP.
-func PruneExpired(entries []Entry, expiry func(serial *big.Int) (time.Time, bool), cutoff time.Time) []Entry {
-	var out []Entry
-	for _, e := range entries {
-		exp, ok := expiry(e.Serial)
-		if ok && exp.Before(cutoff) {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
-}

@@ -235,31 +235,6 @@ func TestWrongIssuerSignature(t *testing.T) {
 	}
 }
 
-func TestPruneExpired(t *testing.T) {
-	cutoff := thisUpdate
-	expiries := map[int64]time.Time{
-		1: thisUpdate.Add(-time.Hour),   // expired — should be pruned
-		2: thisUpdate.Add(time.Hour),    // still valid
-		3: thisUpdate.Add(-time.Minute), // expired — pruned
-	}
-	entries := []Entry{
-		{Serial: big.NewInt(1), RevokedAt: thisUpdate},
-		{Serial: big.NewInt(2), RevokedAt: thisUpdate},
-		{Serial: big.NewInt(3), RevokedAt: thisUpdate},
-		{Serial: big.NewInt(4), RevokedAt: thisUpdate}, // unknown expiry — kept
-	}
-	got := PruneExpired(entries, func(s *big.Int) (time.Time, bool) {
-		e, ok := expiries[s.Int64()]
-		return e, ok
-	}, cutoff)
-	if len(got) != 2 {
-		t.Fatalf("got %d entries, want 2 (serials 2 and 4)", len(got))
-	}
-	if got[0].Serial.Int64() != 2 || got[1].Serial.Int64() != 4 {
-		t.Errorf("kept serials %v, %v; want 2, 4", got[0].Serial, got[1].Serial)
-	}
-}
-
 func TestCreateErrors(t *testing.T) {
 	ca := newCA(t)
 	if _, err := Create(nil, ca.Key, &CRL{ThisUpdate: thisUpdate}, CreateOptions{}); err == nil {

@@ -58,6 +58,8 @@ type AnalyzerConfig struct {
 //     including cmd/): a plain access races an atomic one wherever it
 //     lives, a lock cycle spans packages by nature, and leaked
 //     goroutines in a main() are leaks all the same.
+//   - unused is module-wide too: a user anywhere, cmd/ and examples/
+//     included, keeps an export alive; it reports only under internal/.
 func DefaultConfig() *Config {
 	return &Config{Analyzers: map[string]AnalyzerConfig{
 		"wallclock": {

@@ -56,6 +56,8 @@ type expectation struct {
 // importerDirs name sibling fixture packages that import the fixture by
 // its module path; they are only compiled, for the escape facts of the
 // generic functions they instantiate.
+//
+//lint:allow unused the fixture harness: every analyzer's tests call it, and only tests may
 func Run(t *testing.T, a *lint.Analyzer, dir, importPath string, importerDirs ...string) {
 	t.Helper()
 	ld, err := sharedLoader()

@@ -1,9 +1,10 @@
 package lint
 
 // All returns every analyzer in the suite, in reporting order: the six
-// AST-level checks from PR 4, then the dataflow-aware layer (allocfree,
-// atomicsafe, lockorder, leakcheck) guarding the serving hot paths'
-// zero-allocation contracts and the module's concurrency invariants.
+// AST-level checks, then the dataflow-aware layer (allocfree, atomicsafe,
+// lockorder, leakcheck) guarding the serving hot paths' zero-allocation
+// contracts and the module's concurrency invariants, then unused, which
+// keeps exported dead code out of internal/.
 func All() []*Analyzer {
 	return []*Analyzer{
 		WallclockAnalyzer,
@@ -16,5 +17,6 @@ func All() []*Analyzer {
 		AtomicSafeAnalyzer,
 		LockOrderAnalyzer,
 		LeakCheckAnalyzer,
+		UnusedAnalyzer,
 	}
 }

@@ -20,6 +20,8 @@ type RunOptions struct {
 // analyzer enabled for each package, returning the surviving findings in
 // deterministic (file, line, column, analyzer) order. Suppression
 // comments are honoured per file; cfg == nil means DefaultConfig.
+//
+//lint:allow unused bench/'s TestLintClean calls it; bench/ is a module of its own, which this analyzer does not load
 func Run(dir string, analyzers []*Analyzer, cfg *Config, patterns ...string) ([]Diagnostic, error) {
 	return RunWithOptions(dir, analyzers, cfg, nil, patterns...)
 }

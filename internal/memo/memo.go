@@ -1,8 +1,8 @@
 // Package memo is the one bounded, sharded memo table behind the
-// repository's caches of repeated inputs: the scanner's parse and verify
-// caches, the responder's signed-response cache, and the serving tier's
-// GET and route memos. Each exploits the paper's §2.2 observation that a
-// responder serves byte-identical responses for a whole update window.
+// repository's caches of repeated inputs: the responder's signed-response
+// cache and the serving tier's GET memo. Both exploit the paper's §2.2
+// observation that a responder serves byte-identical responses for a
+// whole update window.
 //
 // The table is split into 64 shards, each with its own mutex, so
 // concurrent campaign workers and serving goroutines contend only when

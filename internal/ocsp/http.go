@@ -41,6 +41,8 @@ func EncodeGETPath(reqDER []byte) string {
 // that rejected these would turn working clients into 4xx noise. Pass
 // the still-escaped path (http.Request.URL.EscapedPath) when available,
 // so a percent-escaped '/' is not confused with a path separator.
+//
+//lint:allow unused the reference decoder FuzzDecodeGETPath checks the serving tier's AppendDecodeGETPath against
 func DecodeGETPath(path string) ([]byte, error) {
 	unescaped, err := url.PathUnescape(strings.TrimPrefix(path, "/"))
 	if err != nil {

@@ -466,10 +466,7 @@ func TestResponseByNameResponderID(t *testing.T) {
 
 func TestErrorResponses(t *testing.T) {
 	for _, status := range []ResponseStatus{StatusMalformedRequest, StatusInternalError, StatusTryLater, StatusSigRequired, StatusUnauthorized} {
-		der, err := CreateErrorResponse(status)
-		if err != nil {
-			t.Fatalf("CreateErrorResponse(%v): %v", status, err)
-		}
+		der := ErrorResponse(status)
 		resp, err := ParseResponse(der)
 		if err != nil {
 			t.Fatalf("ParseResponse(%v): %v", status, err)
@@ -480,12 +477,9 @@ func TestErrorResponses(t *testing.T) {
 		if len(resp.Responses) != 0 {
 			t.Errorf("error response carries single responses")
 		}
-		if memo := ErrorResponse(status); !bytes.Equal(memo, der) || &ErrorResponse(status)[0] != &memo[0] {
-			t.Errorf("ErrorResponse(%v) = %x, want one shared copy of %x", status, memo, der)
+		if again := ErrorResponse(status); &again[0] != &der[0] {
+			t.Errorf("ErrorResponse(%v) built a second copy", status)
 		}
-	}
-	if _, err := CreateErrorResponse(StatusSuccessful); err == nil {
-		t.Error("CreateErrorResponse(successful) should fail")
 	}
 	if der := ErrorResponse(StatusSuccessful); der != nil {
 		t.Errorf("ErrorResponse(successful) = %x, want nil", der)
@@ -540,10 +534,7 @@ func TestVerifiedSingle(t *testing.T) {
 	if _, err := ParseResponse(tampered); err != nil {
 		t.Fatalf("tampered response no longer parses: %v", err)
 	}
-	tryLater, err := CreateErrorResponse(StatusTryLater)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tryLater := ErrorResponse(StatusTryLater)
 
 	cases := []struct {
 		name   string

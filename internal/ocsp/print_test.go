@@ -68,11 +68,7 @@ func TestFormatResponseRevokedAndBlank(t *testing.T) {
 }
 
 func TestFormatErrorResponse(t *testing.T) {
-	der, err := CreateErrorResponse(StatusTryLater)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ParseResponse(der)
+	resp, err := ParseResponse(ErrorResponse(StatusTryLater))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -319,15 +319,6 @@ func envelope(tbs, sigAlg, sig []byte, certs []*x509.Certificate) []byte {
 // successfulStatus is the DER ENUMERATED responseStatus successful(0).
 var successfulStatus = []byte{pkixutil.TagEnumerated, 1, byte(StatusSuccessful)}
 
-// CreateErrorResponse builds an unsigned OCSP error response (tryLater,
-// internalError, ...) — these have no responseBytes at all per RFC 6960.
-func CreateErrorResponse(status ResponseStatus) ([]byte, error) {
-	if status == StatusSuccessful {
-		return nil, errors.New("ocsp: successful responses need CreateResponse")
-	}
-	return appendErrorResponse(nil, status), nil
-}
-
 func appendErrorResponse(b []byte, status ResponseStatus) []byte {
 	b, seq := pkixutil.Begin(b, pkixutil.TagSequence)
 	b = pkixutil.AppendEnumerated(b, int64(status))
@@ -340,9 +331,10 @@ var errorResponses [8]struct {
 	der  []byte
 }
 
-// ErrorResponse returns the DER of CreateErrorResponse(status), built once
-// per status: error responses are unsigned and depend only on the status,
-// so one copy serves every responder. The slice is shared and must not be
+// ErrorResponse returns the DER of an unsigned OCSP error response
+// (tryLater, internalError, ...), which per RFC 6960 has no
+// responseBytes at all. It is built once per status: error responses
+// depend only on the status, so one copy serves every responder. The slice is shared and must not be
 // modified. It is nil for StatusSuccessful, which has no error form.
 func ErrorResponse(status ResponseStatus) []byte {
 	if status == StatusSuccessful {

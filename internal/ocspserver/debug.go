@@ -10,20 +10,19 @@ import (
 
 // DebugVars is a /debug/vars-style introspection endpoint: a JSON dump
 // of the serving tier's metrics registry, refreshed at scrape time with
-// each tenant's signed-response cache statistics and database
+// the responder's signed-response cache statistics and database
 // generation. It replaces the ad-hoc SIGINT stat prints the standalone
 // responder used to do — operators (and the loadcheck CI target) curl it
 // instead.
 type DebugVars struct {
-	reg     *metrics.Registry
-	tenants func() []*responder.Responder
+	reg *metrics.Registry
+	r   *responder.Responder
 }
 
-// NewDebugVars builds the endpoint over reg, scraping cache stats from
-// the responders yielded by tenants at each request. tenants may be nil
-// (registry-only dump); Registry.Responders is the usual source.
-func NewDebugVars(reg *metrics.Registry, tenants func() []*responder.Responder) *DebugVars {
-	return &DebugVars{reg: reg, tenants: tenants}
+// NewDebugVars builds the endpoint over reg, scraping r's cache stats at
+// each request.
+func NewDebugVars(reg *metrics.Registry, r *responder.Responder) *DebugVars {
+	return &DebugVars{reg: reg, r: r}
 }
 
 // debugPayload is the wire shape. encoding/json marshals maps with
@@ -36,14 +35,10 @@ type debugPayload struct {
 
 // ServeHTTP renders the current metrics state as JSON.
 func (d *DebugVars) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	if d.tenants != nil {
-		for _, r := range d.tenants() {
-			hits, misses := r.CacheStats()
-			d.reg.Gauge("responder.cache.hits." + r.Host).Set(int64(hits))
-			d.reg.Gauge("responder.cache.misses." + r.Host).Set(int64(misses))
-			d.reg.Gauge("responder.db.generation." + r.Host).Set(int64(r.DB.Generation()))
-		}
-	}
+	hits, misses := d.r.CacheStats()
+	d.reg.Gauge("responder.cache.hits." + d.r.Host).Set(int64(hits))
+	d.reg.Gauge("responder.cache.misses." + d.r.Host).Set(int64(misses))
+	d.reg.Gauge("responder.db.generation." + d.r.Host).Set(int64(d.r.DB.Generation()))
 	snap := d.reg.Snapshot()
 	payload := debugPayload{Counters: snap.Counters, Gauges: snap.Gauges}
 	w.Header().Set("Content-Type", "application/json")

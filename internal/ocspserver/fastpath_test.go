@@ -122,7 +122,7 @@ func TestFastPathMaxAgeCountsDown(t *testing.T) {
 }
 
 // TestFastPathEpochRollInvalidates: the memo must stop matching the
-// instant the tenant's update window rolls — no stale-past-window byte.
+// instant the responder's update window rolls — no stale-past-window byte.
 func TestFastPathEpochRollInvalidates(t *testing.T) {
 	f := newFixture(t)
 	p := responder.Profile{CacheResponses: true, Validity: 2 * time.Hour, UpdateInterval: time.Hour}
@@ -212,42 +212,6 @@ func TestFastPathIneligibleProfiles(t *testing.T) {
 				t.Errorf("%s: %d fast-path hits, want 0", tc.name, hits)
 			}
 		})
-	}
-}
-
-// TestFastPathMultiTenant: the memo keys on raw path bytes, so tenants
-// sharing one multi-tenant handler memoize independently and hits route
-// to the right tenant's bytes.
-func TestFastPathMultiTenant(t *testing.T) {
-	fa, fb := newFixture(t), newFixture(t)
-	reg := NewRegistry()
-	ra := fa.responder(cachedProfile)
-	rb := responder.New("ocsp.other.test", fb.ca, fb.db, fb.clk, cachedProfile)
-	if err := reg.Register(ra); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register(rb); err != nil {
-		t.Fatal(err)
-	}
-	h := NewMultiTenantHandler(reg)
-	reqA, idA := fa.request(t)
-	reqB, idB := fb.request(t)
-
-	bodyA := getRecorder(t, h, reqA).Body.String()
-	bodyB := getRecorder(t, h, reqB).Body.String()
-	hitA := getRecorder(t, h, reqA)
-	hitB := getRecorder(t, h, reqB)
-	if hits, _, _ := h.FastPathStats(); hits != 2 {
-		t.Fatalf("hits = %d, want 2", hits)
-	}
-	if hitA.Body.String() != bodyA || hitB.Body.String() != bodyB {
-		t.Fatal("fast-path bodies differ from fill bodies")
-	}
-	if mustParse(t, hitA.Body.Bytes()).Find(idA) == nil {
-		t.Error("tenant A hit misses A's serial")
-	}
-	if mustParse(t, hitB.Body.Bytes()).Find(idB) == nil {
-		t.Error("tenant B hit misses B's serial")
 	}
 }
 

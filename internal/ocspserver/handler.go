@@ -1,13 +1,12 @@
 // Package ocspserver is the production OCSP serving tier: it fronts one
-// or many responder.Responders (the signing cores) with a transport
-// layer built for real sockets and real clients. The handler speaks
-// RFC 6960 POST and the RFC 5019 lightweight GET profile — base64 (std
-// or url-safe, padded or not, percent-escaped or not) request DER in the
-// URL path — derives the RFC 5019 §6 HTTP cache headers from each
-// response's validity window so CDNs and intermediate caches can front
-// the responder, routes requests to per-CA tenants by issuer hash, and
-// hardens the parsing edge: request size caps, method and media-type
-// policing, and malformed DER answered with a proper OCSP
+// responder.Responder (the signing core) with a transport layer built
+// for real sockets and real clients. The handler speaks RFC 6960 POST
+// and the RFC 5019 lightweight GET profile — base64 (std or url-safe,
+// padded or not, percent-escaped or not) request DER in the URL path —
+// derives the RFC 5019 §6 HTTP cache headers from each response's
+// validity window so CDNs and intermediate caches can front the
+// responder, and hardens the parsing edge: request size caps, method and
+// media-type policing, and malformed DER answered with a proper OCSP
 // malformedRequest response instead of a 500 (a hostile or broken
 // client must not look like a responder outage).
 //
@@ -21,7 +20,6 @@
 package ocspserver
 
 import (
-	"bytes"
 	"crypto/sha1"
 	"encoding/hex"
 	"io"
@@ -53,18 +51,15 @@ const (
 
 // Handler is the transport-facing OCSP handler: it owns HTTP framing
 // (method and media-type policing, size caps, GET-path decoding, cache
-// headers) and delegates response production to a responder core —
-// either a single tenant or a Registry of per-CA tenants.
+// headers) and delegates response production to one responder core.
 type Handler struct {
-	single  *responder.Responder
-	tenants *Registry
-	// routes is the route memo, allocated only by NewMultiTenantHandler:
-	// a single-tenant handler never routes.
-	routes *memo.Table[uint64, routeEntry]
-	fast   memo.Table[uint64, *fastEntry]
+	r *responder.Responder
+	// clock dates cache headers and fast-path epochs: the responder's
+	// clock, or the wall clock when it has none.
+	clock clock.Clock
+	fast  memo.Table[uint64, *fastEntry]
 
-	reg             *metrics.Registry
-	maxRequestBytes int
+	reg *metrics.Registry
 
 	// Hot-path counters, resolved once at construction: the per-request
 	// path must not pay a registry map lookup, and the serve-source
@@ -113,25 +108,12 @@ func WithMetrics(reg *metrics.Registry) HandlerOption {
 	return func(h *Handler) { h.reg = reg }
 }
 
-// WithMaxRequestBytes overrides the request-size cap.
-func WithMaxRequestBytes(n int) HandlerOption {
-	return func(h *Handler) { h.maxRequestBytes = n }
-}
-
-// NewHandler fronts a single responder core.
+// NewHandler fronts the responder core r.
 func NewHandler(r *responder.Responder, opts ...HandlerOption) *Handler {
-	h := &Handler{single: r, maxRequestBytes: DefaultMaxRequestBytes}
-	for _, o := range opts {
-		o(h)
+	h := &Handler{r: r, clock: r.Clock}
+	if h.clock == nil {
+		h.clock = clock.Real{}
 	}
-	h.initCounters()
-	return h
-}
-
-// NewMultiTenantHandler fronts a registry of per-CA tenants, routing
-// each request by its issuer hash.
-func NewMultiTenantHandler(reg *Registry, opts ...HandlerOption) *Handler {
-	h := &Handler{tenants: reg, routes: new(memo.Table[uint64, routeEntry]), maxRequestBytes: DefaultMaxRequestBytes}
 	for _, o := range opts {
 		o(h)
 	}
@@ -143,15 +125,6 @@ func (h *Handler) count(name string) {
 	if h.reg != nil {
 		h.reg.Counter(name).Inc()
 	}
-}
-
-// clockFor resolves the clock that dates cache headers for a response
-// served by tenant r.
-func (h *Handler) clockFor(r *responder.Responder) clock.Clock {
-	if r != nil && r.Clock != nil {
-		return r.Clock
-	}
-	return clock.Real{}
 }
 
 // ServeHTTP implements OCSP over HTTP for the serving tier.
@@ -182,11 +155,11 @@ func (h *Handler) servePOST(w http.ResponseWriter, req *http.Request) {
 	// campaigns POST millions of scans through here.
 	buf := pkixutil.GetBuffer()
 	defer pkixutil.PutBuffer(buf)
-	if _, err := buf.ReadFrom(io.LimitReader(req.Body, int64(h.maxRequestBytes)+1)); err != nil {
+	if _, err := buf.ReadFrom(io.LimitReader(req.Body, DefaultMaxRequestBytes+1)); err != nil {
 		http.Error(w, "read error", http.StatusBadRequest)
 		return
 	}
-	if buf.Len() > h.maxRequestBytes {
+	if buf.Len() > DefaultMaxRequestBytes {
 		h.count("ocspserver.rejected.oversize")
 		http.Error(w, "request too large", http.StatusRequestEntityTooLarge)
 		return
@@ -240,9 +213,9 @@ func (h *Handler) serveGET(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	// Miss: decode into a pooled buffer. The decoded DER does not
-	// outlive respond (the responder and route caches copy what they
-	// keep), so the serving tier's steady-state miss path allocates no
-	// decode garbage either.
+	// outlive respond (the responder's cache copies what it keeps), so
+	// the serving tier's steady-state miss path allocates no decode
+	// garbage either.
 	scratch := pkixutil.GetBytes()
 	defer pkixutil.PutBytes(scratch)
 	reqDER, err := ocsp.AppendDecodeGETPath((*scratch)[:0], raw)
@@ -258,7 +231,7 @@ func (h *Handler) serveGET(w http.ResponseWriter, req *http.Request) {
 		h.writeStatic(w, ocsp.ErrorResponse(ocsp.StatusMalformedRequest))
 		return
 	}
-	if len(reqDER) > h.maxRequestBytes {
+	if len(reqDER) > DefaultMaxRequestBytes {
 		h.count("ocspserver.rejected.oversize")
 		http.Error(w, "request too large", http.StatusRequestEntityTooLarge)
 		return
@@ -267,10 +240,9 @@ func (h *Handler) serveGET(w http.ResponseWriter, req *http.Request) {
 }
 
 // serveFast serves a GET from the fast-path memo. A hit writes the
-// memoized body and headers without decoding, parsing, routing, or
-// formatting anything — zero allocations (BenchmarkServeGETHot enforces
-// this at runtime; the //lint:allocfree contract enforces it at lint
-// time). Returns false (a recorded miss) when no current entry matches;
+// memoized body and headers without decoding, parsing, or formatting
+// anything — zero allocations (BenchmarkServeGETHot enforces this at
+// runtime; the //lint:allocfree contract enforces it at lint time). Returns false (a recorded miss) when no current entry matches;
 // the caller then takes the slow path, which refills the memo.
 //
 //lint:allocfree
@@ -281,9 +253,9 @@ func (h *Handler) serveFast(w http.ResponseWriter, raw string) bool {
 		h.cFastMiss.Inc()
 		return false
 	}
-	now := h.clockFor(e.tenant).Now() //lint:allow allocfree clock.Real is zero-size, so its interface boxing is the runtime's zerobase, not a heap allocation
+	now := h.clock.Now()
 	nowNano := now.UnixNano()
-	win, gen := e.tenant.ServingEpoch(now)
+	win, gen := h.r.ServingEpoch(now)
 	if win != e.epochWindow || gen != e.epochGen || nowNano >= e.nextUpdate {
 		// The window rolled, a revocation landed, or the response
 		// expired: the entry is dead. The slow path overwrites it.
@@ -312,32 +284,22 @@ func cacheControlValue(secs int64) string {
 	return "max-age=" + strconv.FormatInt(secs, 10) + ", public, no-transform, must-revalidate"
 }
 
-// respond routes the raw request DER to its tenant and frames the
+// respond hands the raw request DER to the responder and frames the
 // result. rawPath is the escaped GET path for memoizable requests, ""
 // for POSTs (whose responses RFC 5019 §6 forbids caching anyway).
 func (h *Handler) respond(w http.ResponseWriter, req *http.Request, reqDER []byte, rawPath string) {
-	r, final, ok := h.route(reqDER)
-	if !ok {
-		h.count("ocspserver.malformed")
-		h.writeStatic(w, ocsp.ErrorResponse(ocsp.StatusMalformedRequest))
-		return
-	}
-	if r == nil {
-		h.count("ocspserver.unauthorized")
-		h.writeStatic(w, ocsp.ErrorResponse(ocsp.StatusUnauthorized))
-		return
-	}
-	// Capture the tenant's serving epoch before generating: if the
+	r := h.r
+	// Capture the responder's serving epoch before generating: if the
 	// update window rolls (or a revocation lands) while Respond runs,
 	// the result is served but not memoized — an entry must never be
 	// published under an epoch it was not generated in.
-	memo := rawPath != "" && final && r.FastServeEligible()
+	memo := rawPath != "" && r.FastServeEligible()
 	var (
 		memoWin int64
 		memoGen uint64
 	)
 	if memo {
-		memoWin, memoGen = r.ServingEpoch(h.clockFor(r).Now())
+		memoWin, memoGen = r.ServingEpoch(h.clock.Now())
 	}
 	res, err := r.Respond(req.Context(), reqDER)
 	if err != nil {
@@ -355,7 +317,7 @@ func (h *Handler) respond(w http.ResponseWriter, req *http.Request, reqDER []byt
 	// them. POST responses and blank-nextUpdate responses are not
 	// cacheable.
 	if req.Method == http.MethodGet && res.HasMeta && !res.Meta.NextUpdate.IsZero() {
-		now := h.clockFor(r).Now()
+		now := h.clock.Now()
 		if maxAge := res.Meta.NextUpdate.Sub(now); maxAge > 0 {
 			secs := int64(maxAge / time.Second)
 			ccStr := cacheControlValue(secs)
@@ -371,7 +333,6 @@ func (h *Handler) respond(w http.ResponseWriter, req *http.Request, reqDER []byt
 				if w2, g2 := r.ServingEpoch(now); w2 == memoWin && g2 == memoGen {
 					e := &fastEntry{
 						path:        rawPath,
-						tenant:      r,
 						epochWindow: memoWin,
 						epochGen:    memoGen,
 						nextUpdate:  res.Meta.NextUpdate.UnixNano(),
@@ -388,29 +349,6 @@ func (h *Handler) respond(w http.ResponseWriter, req *http.Request, reqDER []byt
 		}
 	}
 	w.Write(res.DER)
-}
-
-// route resolves the tenant for raw request bytes. ok is false when the
-// request DER does not parse (multi-tenant mode must parse to route); a
-// nil tenant with ok true means no registered CA matches. final reports a
-// route no later Register can change, the only kind either memo keeps.
-func (h *Handler) route(reqDER []byte) (r *responder.Responder, final, ok bool) {
-	if h.single != nil {
-		return h.single, true, true
-	}
-	hash := hashx.Sum64(reqDER)
-	if e, hit := h.routes.Get(hash, hash); hit && bytes.Equal(e.reqDER, reqDER) {
-		return e.r, true, true
-	}
-	req, err := ocsp.ParseRequest(reqDER)
-	if err != nil {
-		return nil, false, false
-	}
-	r, final = h.tenants.route(req)
-	if r != nil && final {
-		h.routes.Put(hash, hash, routeEntry{reqDER: append([]byte(nil), reqDER...), r: r}, routeShardBudget)
-	}
-	return r, final, true
 }
 
 // writeStatic frames an unsigned static OCSP body (error responses).

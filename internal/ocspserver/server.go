@@ -66,10 +66,6 @@ func NewServer(h *Handler, opts ...ServerOption) *Server {
 	return s
 }
 
-// Handler returns the wrapped transport handler (for in-process tests
-// that skip the socket).
-func (s *Server) Handler() *Handler { return s.handler }
-
 // ServeHTTP dispatches: exact-path sidecars first, then OCSP.
 func (s *Server) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	if h, ok := s.routes[req.URL.Path]; ok {
@@ -89,13 +85,6 @@ func (s *Server) Start(addr string) error {
 	s.ln = ln
 	go s.srv.Serve(ln) //lint:allow errcheck-hot Serve returns ErrServerClosed on Shutdown; real errors surface as connection failures in callers
 	return nil
-}
-
-// Serve serves on a caller-provided listener, blocking like
-// http.Server.Serve.
-func (s *Server) Serve(ln net.Listener) error {
-	s.ln = ln
-	return s.srv.Serve(ln)
 }
 
 // Addr returns the bound listener address, nil before Start.

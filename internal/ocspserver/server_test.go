@@ -264,32 +264,97 @@ func TestMethodAndMediaTypePolicing(t *testing.T) {
 	}
 }
 
+// TestOversizeRequests pins both size caps at their production values:
+// a request DER of DefaultMaxRequestBytes+1 bytes is refused with 413
+// whether it arrives as a POST body or as a decoded GET path, a DER of
+// exactly DefaultMaxRequestBytes reaches the responder, and a raw GET
+// path past maxGETPathBytes is refused with 414 before any decoding.
 func TestOversizeRequests(t *testing.T) {
 	f := newFixture(t)
-	h := NewHandler(f.responder(responder.Profile{}), WithMaxRequestBytes(512))
-
-	srv := httptest.NewServer(h)
+	srv := httptest.NewServer(NewHandler(f.responder(responder.Profile{})))
 	defer srv.Close()
 
-	// Oversize POST body.
-	resp, err := http.Post(srv.URL, ocsp.ContentTypeRequest, bytes.NewReader(make([]byte, 1024)))
-	if err != nil {
-		t.Fatal(err)
+	status := func(resp *http.Response, err error) int {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversize POST status %d, want 413", resp.StatusCode)
+	post := func(n int) int {
+		return status(http.Post(srv.URL, ocsp.ContentTypeRequest, bytes.NewReader(make([]byte, n))))
 	}
+	get := func(path string) int {
+		return status(http.Get(srv.URL + "/" + path))
+	}
+	getDER := func(n int) int {
+		return get(base64.StdEncoding.EncodeToString(make([]byte, n)))
+	}
+	// At the cap the zero bytes reach the responder, which answers an
+	// OCSP malformedRequest over 200.
+	for _, tc := range []struct {
+		name string
+		got  int
+		want int
+	}{
+		{"POST body past the cap", post(DefaultMaxRequestBytes + 1), http.StatusRequestEntityTooLarge},
+		{"POST body at the cap", post(DefaultMaxRequestBytes), http.StatusOK},
+		{"GET DER past the cap", getDER(DefaultMaxRequestBytes + 1), http.StatusRequestEntityTooLarge},
+		{"GET DER at the cap", getDER(DefaultMaxRequestBytes), http.StatusOK},
+		// The raw path includes its leading '/'.
+		{"raw GET path past maxGETPathBytes", get(strings.Repeat("A", maxGETPathBytes)), http.StatusRequestURITooLong},
+		{"raw GET path at maxGETPathBytes", get(strings.Repeat("A", maxGETPathBytes-1)), http.StatusRequestEntityTooLarge},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, tc.got, tc.want)
+		}
+	}
+}
 
-	// A decodable GET whose DER exceeds the cap.
-	big := base64.StdEncoding.EncodeToString(make([]byte, 1024))
-	resp, err = http.Get(srv.URL + "/" + big)
+// TestSHA256CertID: a CertID hashed with SHA-256, as modern stacks send
+// it, is answered good and signed by the CA, by POST and by GET. Its GET
+// path memoizes apart from the SHA-1 spelling of the same serial, and a
+// fast-path hit serves the SHA-256 response's own bytes.
+func TestSHA256CertID(t *testing.T) {
+	f := newFixture(t)
+	h := NewHandler(f.responder(cachedProfile))
+	req, err := ocsp.NewRequest(f.leaf.Certificate, f.ca.Certificate, crypto.SHA256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversize GET status %d, want 413", resp.StatusCode)
+	reqDER, err := req.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sha1DER, _ := f.request(t)
+
+	post := httptest.NewRecorder()
+	httpReq := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(reqDER))
+	httpReq.Header.Set("Content-Type", ocsp.ContentTypeRequest)
+	h.ServeHTTP(post, httpReq)
+	fill := getRecorder(t, h, reqDER)
+	getRecorder(t, h, sha1DER)
+	hit := getRecorder(t, h, reqDER)
+
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{{"POST", post.Body.Bytes()}, {"GET", fill.Body.Bytes()}, {"GET fast-path hit", hit.Body.Bytes()}} {
+		resp := mustParse(t, tc.body)
+		single := resp.Find(req.CertIDs[0])
+		if single == nil || single.Status != ocsp.Good {
+			t.Errorf("%s: no good answer for the SHA-256 CertID: %+v", tc.name, single)
+		}
+		if err := resp.CheckSignatureFrom(f.ca.Certificate); err != nil {
+			t.Errorf("%s: not signed by the CA: %v", tc.name, err)
+		}
+	}
+	if hits, misses, _ := h.FastPathStats(); hits != 1 || misses != 2 {
+		t.Errorf("FastPathStats = %d hits, %d misses; want 1, 2", hits, misses)
+	}
+	if !bytes.Equal(hit.Body.Bytes(), fill.Body.Bytes()) {
+		t.Error("the fast-path hit differs from the SHA-256 fill")
 	}
 }
 

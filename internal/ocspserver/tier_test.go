@@ -3,241 +3,18 @@ package ocspserver
 import (
 	"bytes"
 	"context"
-	"crypto"
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/netmeasure/muststaple/internal/clock"
 	"github.com/netmeasure/muststaple/internal/metrics"
 	"github.com/netmeasure/muststaple/internal/ocsp"
-	"github.com/netmeasure/muststaple/internal/pki"
 	"github.com/netmeasure/muststaple/internal/responder"
 )
-
-// tenant builds one CA + leaf + responder trio for multi-tenant tests.
-type tenant struct {
-	ca     *pki.CA
-	leaf   *pki.Leaf
-	r      *responder.Responder
-	reqDER []byte
-}
-
-func newTenant(t testing.TB, host string, clk clock.Clock) *tenant {
-	t.Helper()
-	ca, err := pki.NewRootCA(pki.Config{Name: host + " CA", OCSPURL: "http://" + host})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf, err := ca.IssueLeaf(pki.LeafOptions{DNSNames: []string{host}, NotBefore: t0.AddDate(0, -1, 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := responder.NewDB()
-	db.AddIssued(leaf.Certificate.SerialNumber, leaf.Certificate.NotAfter)
-	req, err := ocsp.NewRequest(leaf.Certificate, ca.Certificate, crypto.SHA1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqDER, err := req.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &tenant{
-		ca: ca, leaf: leaf, reqDER: reqDER,
-		r: responder.New(host, ca, db, clk, responder.Profile{Validity: 24 * time.Hour}),
-	}
-}
-
-func TestMultiTenantRouting(t *testing.T) {
-	clk := clock.NewSimulated(t0)
-	a := newTenant(t, "ocsp.tenant-a.test", clk)
-	b := newTenant(t, "ocsp.tenant-b.test", clk)
-	stranger := newTenant(t, "ocsp.stranger.test", clk) // never registered
-
-	reg := NewRegistry()
-	if err := reg.Register(a.r); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register(b.r); err != nil {
-		t.Fatal(err)
-	}
-	if reg.Len() != 2 {
-		t.Fatalf("Len = %d", reg.Len())
-	}
-
-	srv := NewServer(NewMultiTenantHandler(reg))
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown(context.Background())
-
-	// Each tenant's request routes to its own CA: the response must
-	// verify under that CA's key. Route twice to exercise the route memo.
-	for _, tt := range []*tenant{a, b, a, b} {
-		resp, err := http.Post(srv.URL(), ocsp.ContentTypeRequest, bytes.NewReader(tt.reqDER))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := readAll(t, resp)
-		parsed := mustParse(t, body)
-		if parsed.Status != ocsp.StatusSuccessful {
-			t.Fatalf("tenant %s: OCSP status %v", tt.r.Host, parsed.Status)
-		}
-		if err := parsed.CheckSignatureFrom(tt.ca.Certificate); err != nil {
-			t.Errorf("tenant %s: response not signed by own CA: %v", tt.r.Host, err)
-		}
-	}
-
-	// SHA-256 CertIDs route too (the registry indexes both algorithms).
-	req256, err := ocsp.NewRequest(a.leaf.Certificate, a.ca.Certificate, crypto.SHA256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	der256, err := req256.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(srv.URL(), ocsp.ContentTypeRequest, bytes.NewReader(der256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed := mustParse(t, readAll(t, resp)); parsed.Status != ocsp.StatusSuccessful {
-		t.Errorf("SHA-256 routing: OCSP status %v", parsed.Status)
-	}
-
-	// A request for an unregistered CA gets OCSP unauthorized over 200.
-	resp, err = http.Post(srv.URL(), ocsp.ContentTypeRequest, bytes.NewReader(stranger.reqDER))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unknown-tenant status %d, want 200", resp.StatusCode)
-	}
-	if parsed := mustParse(t, body); parsed.Status != ocsp.StatusUnauthorized {
-		t.Errorf("unknown tenant OCSP status = %v, want unauthorized", parsed.Status)
-	}
-}
-
-func TestRegistryRejectsDuplicateHost(t *testing.T) {
-	clk := clock.NewSimulated(t0)
-	a := newTenant(t, "ocsp.dup.test", clk)
-	b := newTenant(t, "ocsp.dup.test", clk) // distinct CA, same host
-
-	reg := NewRegistry()
-	if err := reg.Register(a.r); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register(b.r); err == nil {
-		t.Error("distinct tenant with duplicate host must be rejected")
-	}
-	// Re-registering the same tenant is idempotent.
-	if err := reg.Register(a.r); err != nil {
-		t.Errorf("re-register same tenant: %v", err)
-	}
-}
-
-// TestRegistryRejectsIssuerReplacement: a second tenant for a registered
-// issuer is rejected. The route and GET memos are never invalidated, so
-// the same POST and GET must keep answering as the tenant the registry
-// routes to.
-func TestRegistryRejectsIssuerReplacement(t *testing.T) {
-	clk := clock.NewSimulated(t0)
-	a := newTenant(t, "ocsp.first.test", clk)
-	first := responder.New(a.r.Host, a.ca, a.r.DB, clk, cachedProfile)
-	reg := NewRegistry()
-	if err := reg.Register(first); err != nil {
-		t.Fatal(err)
-	}
-	h := NewMultiTenantHandler(reg)
-	post := func() ocsp.ResponseStatus {
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(a.reqDER))
-		req.Header.Set("Content-Type", ocsp.ContentTypeRequest)
-		h.ServeHTTP(rec, req)
-		return mustParse(t, rec.Body.Bytes()).Status
-	}
-	get := func() ocsp.ResponseStatus {
-		return mustParse(t, getRecorder(t, h, a.reqDER).Body.Bytes()).Status
-	}
-	if p, g := post(), get(); p != ocsp.StatusSuccessful || g != ocsp.StatusSuccessful {
-		t.Fatalf("first tenant: POST %v, GET %v; want successful", p, g)
-	}
-
-	tryLater := responder.New("ocsp.second.test", a.ca, a.r.DB, clk, responder.Profile{ErrorStatus: ocsp.StatusTryLater})
-	if err := reg.Register(tryLater); err == nil {
-		t.Error("a second tenant for a registered issuer was accepted")
-	}
-	parsed, err := ocsp.ParseRequest(a.reqDER)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ocsp.StatusSuccessful
-	if reg.RouteRequest(parsed) != first {
-		want = ocsp.StatusTryLater
-	}
-	if got := post(); got != want {
-		t.Errorf("POST answered %v, but the registry routes to a tenant answering %v", got, want)
-	}
-	if got := get(); got != want {
-		t.Errorf("GET answered %v, but the registry routes to a tenant answering %v", got, want)
-	}
-}
-
-// TestMemosSkipNameFallbackRoutes: a request whose issuer key hash matches
-// no tenant routes by its name hash, here to a tenant whose CA shares the
-// name. The tenant that owns the key may register later, so neither memo
-// may keep that route: once it registers, the same POST and GET must
-// reach it.
-func TestMemosSkipNameFallbackRoutes(t *testing.T) {
-	fa, fb := newFixture(t), newFixture(t) // two CAs, one subject name
-	reg := NewRegistry()
-	if err := reg.Register(fa.responder(cachedProfile)); err != nil {
-		t.Fatal(err)
-	}
-	h := NewMultiTenantHandler(reg)
-	reqB, idB := fb.request(t)
-	post := func() *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(reqB))
-		req.Header.Set("Content-Type", ocsp.ContentTypeRequest)
-		h.ServeHTTP(rec, req)
-		return rec
-	}
-	status := func(method string, rec *httptest.ResponseRecorder) ocsp.CertStatus {
-		single := mustParse(t, rec.Body.Bytes()).Find(idB)
-		if single == nil {
-			t.Fatalf("%s: response misses the requested serial", method)
-		}
-		return single.Status
-	}
-	for range 2 {
-		if st := status("POST", post()); st != ocsp.Unknown {
-			t.Fatalf("before its tenant registers: POST status %v, want unknown", st)
-		}
-		if st := status("GET", getRecorder(t, h, reqB)); st != ocsp.Unknown {
-			t.Fatalf("before its tenant registers: GET status %v, want unknown", st)
-		}
-	}
-
-	if err := reg.Register(responder.New("ocsp.other.test", fb.ca, fb.db, fb.clk, cachedProfile)); err != nil {
-		t.Fatal(err)
-	}
-	for method, rec := range map[string]*httptest.ResponseRecorder{"POST": post(), "GET": getRecorder(t, h, reqB)} {
-		if st := status(method, rec); st != ocsp.Good {
-			t.Errorf("%s after its tenant registered: status %v, want good", method, st)
-		}
-		if err := mustParse(t, rec.Body.Bytes()).CheckSignatureFrom(fb.ca.Certificate); err != nil {
-			t.Errorf("%s after its tenant registered: not signed by its CA: %v", method, err)
-		}
-	}
-}
 
 func TestH2CAndConnectionReuse(t *testing.T) {
 	f := newFixture(t)
@@ -289,8 +66,7 @@ func TestDebugVars(t *testing.T) {
 	r := f.responder(responder.Profile{CacheResponses: true, Validity: 24 * time.Hour})
 	reg := metrics.NewRegistry()
 	h := NewHandler(r, WithMetrics(reg))
-	tenants := func() []*responder.Responder { return []*responder.Responder{r} }
-	srv := NewServer(h, WithRoute("/debug/vars", NewDebugVars(reg, tenants)))
+	srv := NewServer(h, WithRoute("/debug/vars", NewDebugVars(reg, r)))
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

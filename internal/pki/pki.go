@@ -212,7 +212,7 @@ type CA struct {
 	nextSerial int64
 }
 
-// Config configures NewRootCA / (*CA).NewIntermediate.
+// Config configures NewRootCA.
 type Config struct {
 	// Name is the CA's common name, e.g. "Synthetic Root R1".
 	Name string
@@ -281,42 +281,6 @@ func NewRootCA(cfg Config) (*CA, error) {
 		CRLURL:      cfg.CRLURL,
 		rand:        cfg.Rand,
 		nextSerial:  cfg.SerialBase + 1000,
-	}, nil
-}
-
-// NewIntermediate issues a subordinate CA signed by ca.
-func (ca *CA) NewIntermediate(cfg Config) (*CA, error) {
-	cfg.fill()
-	key, err := GenerateKey(cfg.Rand, cfg.KeyAlgorithm)
-	if err != nil {
-		return nil, fmt.Errorf("pki: generate intermediate key: %w", err)
-	}
-	tmpl := &x509.Certificate{
-		SerialNumber:          ca.takeSerial(),
-		Subject:               pkix.Name{CommonName: cfg.Name, Organization: []string{cfg.Name}},
-		NotBefore:             cfg.NotBefore,
-		NotAfter:              cfg.NotAfter,
-		IsCA:                  true,
-		BasicConstraintsValid: true,
-		MaxPathLenZero:        true,
-		KeyUsage:              x509.KeyUsageCertSign | x509.KeyUsageCRLSign | x509.KeyUsageDigitalSignature,
-	}
-	der, err := x509.CreateCertificate(cryptorand.Reader, tmpl, ca.Certificate, key.Public(), ca.Key)
-	if err != nil {
-		return nil, fmt.Errorf("pki: create intermediate certificate: %w", err)
-	}
-	cert, err := x509.ParseCertificate(der)
-	if err != nil {
-		return nil, err
-	}
-	return &CA{
-		Name:        cfg.Name,
-		Certificate: cert,
-		Key:         key,
-		OCSPURL:     cfg.OCSPURL,
-		CRLURL:      cfg.CRLURL,
-		rand:        cfg.Rand,
-		nextSerial:  cfg.SerialBase + 1,
 	}, nil
 }
 
@@ -509,25 +473,4 @@ func SupportsOCSP(cert *x509.Certificate) bool {
 		}
 	}
 	return false
-}
-
-// VerifyChain verifies leaf against its issuing chain up to the given root,
-// at time t.
-func VerifyChain(leaf *x509.Certificate, intermediates []*x509.Certificate, root *x509.Certificate, t time.Time) error {
-	roots := x509.NewCertPool()
-	roots.AddCert(root)
-	pool := x509.NewCertPool()
-	for _, ic := range intermediates {
-		pool.AddCert(ic)
-	}
-	_, err := leaf.Verify(x509.VerifyOptions{
-		Roots:         roots,
-		Intermediates: pool,
-		CurrentTime:   t,
-		KeyUsages:     []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
-	})
-	if err != nil {
-		return fmt.Errorf("pki: chain verification failed: %w", err)
-	}
-	return nil
 }

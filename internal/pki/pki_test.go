@@ -29,34 +29,6 @@ func TestRootCA(t *testing.T) {
 	}
 }
 
-func TestIntermediateAndChain(t *testing.T) {
-	root, err := NewRootCA(Config{Name: "Chain Root"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inter, err := root.NewIntermediate(Config{Name: "Chain Intermediate", OCSPURL: "http://ocsp.chain.test"})
-	if err != nil {
-		t.Fatalf("NewIntermediate: %v", err)
-	}
-	leaf, err := inter.IssueLeaf(LeafOptions{DNSNames: []string{"chain.test"}})
-	if err != nil {
-		t.Fatalf("IssueLeaf: %v", err)
-	}
-	at := leaf.Certificate.NotBefore.Add(time.Hour)
-	if err := VerifyChain(leaf.Certificate, []*x509.Certificate{inter.Certificate}, root.Certificate, at); err != nil {
-		t.Errorf("VerifyChain: %v", err)
-	}
-	// Verification must fail without the intermediate.
-	if err := VerifyChain(leaf.Certificate, nil, root.Certificate, at); err == nil {
-		t.Error("chain should not verify without the intermediate")
-	}
-	// And against the wrong root.
-	wrong, _ := NewRootCA(Config{Name: "Wrong Root"})
-	if err := VerifyChain(leaf.Certificate, []*x509.Certificate{inter.Certificate}, wrong.Certificate, at); err == nil {
-		t.Error("chain should not verify under the wrong root")
-	}
-}
-
 func TestMustStapleExtension(t *testing.T) {
 	ca, err := NewRootCA(Config{Name: "MS Root", OCSPURL: "http://ocsp.ms.test"})
 	if err != nil {

@@ -48,23 +48,14 @@ var (
 	OIDOCSPNonce = asn1.ObjectIdentifier{1, 3, 6, 1, 5, 5, 7, 48, 1, 2}
 
 	// X.509 extensions.
-	OIDExtensionAuthorityInfoAccess   = asn1.ObjectIdentifier{1, 3, 6, 1, 5, 5, 7, 1, 1}
-	OIDExtensionCRLDistributionPoints = asn1.ObjectIdentifier{2, 5, 29, 31}
-	OIDExtensionCRLNumber             = asn1.ObjectIdentifier{2, 5, 29, 20}
-	OIDExtensionReasonCode            = asn1.ObjectIdentifier{2, 5, 29, 21}
+	OIDExtensionCRLNumber  = asn1.ObjectIdentifier{2, 5, 29, 20}
+	OIDExtensionReasonCode = asn1.ObjectIdentifier{2, 5, 29, 21}
 
 	// OIDExtensionTLSFeature is the X.509v3 TLS Feature extension (RFC
 	// 7633). A TLS feature list containing status_request (5) is the "OCSP
 	// Must-Staple" extension the paper studies; its OID is
 	// 1.3.6.1.5.5.7.1.24.
 	OIDExtensionTLSFeature = asn1.ObjectIdentifier{1, 3, 6, 1, 5, 5, 7, 1, 24}
-
-	// Access method OIDs inside AuthorityInfoAccess.
-	OIDAccessMethodOCSP      = asn1.ObjectIdentifier{1, 3, 6, 1, 5, 5, 7, 48, 1}
-	OIDAccessMethodCAIssuers = asn1.ObjectIdentifier{1, 3, 6, 1, 5, 5, 7, 48, 2}
-
-	// Extended key usages.
-	OIDEKUOCSPSigning = asn1.ObjectIdentifier{1, 3, 6, 1, 5, 5, 7, 3, 9}
 )
 
 // AlgorithmIdentifier mirrors the ASN.1 AlgorithmIdentifier structure.
@@ -80,6 +71,8 @@ type AlgorithmIdentifier struct {
 var asn1NULL = asn1.RawValue{Tag: asn1.TagNull}
 
 // HashOID returns the OID for a supported crypto.Hash.
+//
+//lint:allow unused the encoding/asn1 oracle in ocsp/reference_test.go encodes CertIDs with it
 func HashOID(h crypto.Hash) (asn1.ObjectIdentifier, error) {
 	switch h {
 	case crypto.SHA1:

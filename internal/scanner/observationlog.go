@@ -19,6 +19,8 @@ type ObservationLog struct {
 }
 
 // NewObservationLog returns an empty log.
+//
+//lint:allow unused the equivalence oracle of the world and core tests
 func NewObservationLog() *ObservationLog { return &ObservationLog{} }
 
 // Add implements Aggregator.

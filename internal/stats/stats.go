@@ -7,7 +7,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -255,10 +254,4 @@ func (s *TimeSeries) Rate(bucket time.Time, numLabel, totalLabel string) float64
 		return 0
 	}
 	return float64(m[numLabel]) / float64(m[totalLabel])
-}
-
-// FormatDuration renders a duration in the units the paper's figures use
-// (seconds for validity periods and margins).
-func FormatDuration(d time.Duration) string {
-	return fmt.Sprintf("%.0fs", d.Seconds())
 }

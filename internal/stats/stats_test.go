@@ -277,9 +277,3 @@ func TestTimeSeries(t *testing.T) {
 		t.Errorf("buckets = %v", buckets)
 	}
 }
-
-func TestFormatDuration(t *testing.T) {
-	if got := FormatDuration(90 * time.Second); got != "90s" {
-		t.Errorf("got %q", got)
-	}
-}

@@ -16,9 +16,6 @@ import (
 // — the operator feedback loop whose absence the paper identifies as the
 // reason Must-Staple commitments break silently.
 
-// ExpectStapleHeader is the policy's HTTP response header name.
-const ExpectStapleHeader = "Expect-Staple"
-
 // ExpectStaple is one site's Expect-Staple policy.
 type ExpectStaple struct {
 	// MaxAge is how long a user agent keeps the site in its Known

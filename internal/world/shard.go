@@ -45,6 +45,8 @@ func shardBounds(k, n int) (lo, hi int) {
 // Responders[k*ShardSize:...] of a full Build with the same config, before
 // target population (Build fills each responder's DB afterwards). The
 // shard gets its own simulated clock at Config.Start, like a fresh build.
+//
+//lint:allow unused the oracle TestBuildShardPurity compares Build's shards against (DESIGN.md §13)
 func BuildShard(cfg Config, k int) ([]*ResponderInfo, error) {
 	cfg = cfg.withDefaults()
 	shards := (cfg.Responders + ShardSize - 1) / ShardSize
