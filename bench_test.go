@@ -819,12 +819,21 @@ func (w *nullResponseWriter) WriteHeader(int)             {}
 
 // BenchmarkServeGETHot measures the serving tier's end-to-end GET hot
 // path — raw escaped path in, framed response + RFC 5019 §6 headers out —
-// on fast-path memo hits, and enforces the PR 8 tentpole invariant: the
-// hit path allocates nothing. Measurement is manual (MemStats malloc
-// delta) like the other allocation guards; the threshold tolerates only
-// measurement noise (runtime background allocations), not per-request
-// garbage.
+// on fast-path memo hits, and enforces the fast path's invariant: the hit
+// path allocates nothing. Measurement is manual (MemStats malloc delta)
+// like the other allocation guards, and the process-wide delta includes
+// the runtime's and the framework's background allocations. So the
+// measured allocs/op is always reported, but judged against its 0.005
+// tolerance only once b.N is large enough that getHotStrayMallocs stray
+// allocations stay inside it: the framework's first b.N=1 run, and `make
+// bench`'s -benchtime 1x, would otherwise fail on noise alone.
+// ocspserver's TestServeGETHotAllocFree holds the same invariant in
+// tier 1.
 func BenchmarkServeGETHot(b *testing.B) {
+	const (
+		allocTolerance     = 0.005 // allocs/op
+		getHotStrayMallocs = 10
+	)
 	f := newRespFixture(b, pki.ECDSAP256)
 	profile := responder.Profile{CacheResponses: true, Validity: 24 * time.Hour, UpdateInterval: 12 * time.Hour}
 	r := responder.New("ocsp.bench.test", f.ca, f.db, f.clk, profile)
@@ -856,7 +865,7 @@ func BenchmarkServeGETHot(b *testing.B) {
 	runtime.ReadMemStats(&after)
 	perOp := float64(after.Mallocs-before.Mallocs) / float64(b.N)
 	b.ReportMetric(perOp, "allocs/op-measured")
-	if perOp > 0.005 {
+	if b.N >= getHotStrayMallocs/allocTolerance && perOp > allocTolerance {
 		b.Fatalf("serving-tier GET hot path allocates %.4f objects/op, want 0", perOp)
 	}
 	hits, misses, _ := h.FastPathStats()

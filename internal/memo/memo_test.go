@@ -3,6 +3,7 @@ package memo
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestTableEviction: a shard at its budget drops half its entries, reports
@@ -105,5 +106,58 @@ func TestTableConcurrent(t *testing.T) {
 	wg.Wait()
 	if n := tab.Len(); n > shards*budget {
 		t.Fatalf("Len = %d exceeds %d shards × budget %d", n, shards, budget)
+	}
+}
+
+// TestTableLazyShards: a zero table is one pointer wide, and asking it
+// allocates nothing and installs no shards; the first Put does.
+func TestTableLazyShards(t *testing.T) {
+	var tab Table[key, []byte]
+	if got, want := unsafe.Sizeof(tab), unsafe.Sizeof(uintptr(0)); got != want {
+		t.Fatalf("zero Table is %d bytes, want one pointer (%d)", got, want)
+	}
+	var sink int
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := tab.Get(1, key{1, 2}); ok {
+			sink++
+		}
+		sink += tab.Len()
+	}); n != 0 {
+		t.Errorf("Get and Len on an empty table allocate %v times, want 0", n)
+	}
+	if tab.shards.Load() != nil {
+		t.Fatal("Get or Len installed the shard array")
+	}
+	tab.Put(1, key{1, 2}, []byte("v"), 16)
+	if tab.shards.Load() == nil || tab.Len() != 1 {
+		t.Fatalf("after Put: shards installed %v, Len %d; want true, 1", tab.shards.Load() != nil, tab.Len())
+	}
+}
+
+// TestTableConcurrentFirstPut: 8 goroutines racing to put into an empty
+// table settle on one shard array, so no put is lost to an array that
+// lost the race.
+func TestTableConcurrentFirstPut(t *testing.T) {
+	const goroutines = 8
+	var tab Table[uint64, uint64]
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for g := uint64(0); g < goroutines; g++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			tab.Put(g, g, g*3, 16)
+		}()
+	}
+	start.Done()
+	done.Wait()
+	if n := tab.Len(); n != goroutines {
+		t.Fatalf("Len = %d after %d first puts, want %d", n, goroutines, goroutines)
+	}
+	for g := uint64(0); g < goroutines; g++ {
+		if v, ok := tab.Get(g, g); !ok || v != g*3 {
+			t.Fatalf("Get(%d) = %d, %v; want %d", g, v, ok, g*3)
+		}
 	}
 }

@@ -291,3 +291,38 @@ func TestFastPathCountersInRegistry(t *testing.T) {
 		}
 	}
 }
+
+// discardWriter is a ResponseWriter that keeps one header map and drops
+// the body, so an allocation count sees the handler alone.
+type discardWriter struct{ hdr http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.hdr }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// TestServeGETHotAllocFree pins the fast path's contract at runtime: a
+// warmed GET served from the memo through ServeHTTP allocates nothing.
+// AllocsPerRun averages over 1,000 requests, so one stray background
+// allocation cannot fail it.
+func TestServeGETHotAllocFree(t *testing.T) {
+	f := newFixture(t)
+	h := NewHandler(f.responder(cachedProfile))
+	reqDER, _ := f.request(t)
+	u, err := url.Parse("http://ocsp.tier.test/" + ocsp.EncodeGETPath(reqDER))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &http.Request{Method: http.MethodGet, URL: u}
+	w := &discardWriter{hdr: make(http.Header, 8)}
+	h.ServeHTTP(w, req) // fill
+	h.ServeHTTP(w, req) // first hit formats the Cache-Control value
+	if hits, misses, _ := h.FastPathStats(); hits != 1 || misses != 1 {
+		t.Fatalf("warm-up: %d hits, %d misses; want 1, 1", hits, misses)
+	}
+	if n := testing.AllocsPerRun(1000, func() { h.ServeHTTP(w, req) }); n != 0 {
+		t.Fatalf("fast-path GET allocates %v times per request, want 0", n)
+	}
+	if hits, misses, _ := h.FastPathStats(); hits != 1002 || misses != 1 {
+		t.Fatalf("fast path left the memo: %d hits, %d misses; want 1002, 1", hits, misses)
+	}
+}

@@ -12,25 +12,35 @@ import (
 // byte-identical signed response: the responder can answer a repeated
 // request without parsing, marshalling, or signing anything.
 //
-// Keys are epoch-scoped so expiry needs no sweeper: a cached-mode entry is
-// keyed by its update-window start and simply stops being found once the
-// window rolls over; an on-demand memoization entry is keyed by the exact
-// virtual instant plus the revocation database's status generation, so six
-// vantage points probing on the same clock tick share one signature while
-// a Revoke between ticks forces regeneration. Stale keys are reclaimed by
-// the per-shard half-eviction when a shard exceeds its budget.
+// The cache holds one entry per request, stamped with the epoch it was
+// signed for: a cached-mode entry with its update-window start, an
+// on-demand memoization entry with the exact virtual instant plus the
+// revocation database's status generation, so six vantage points probing
+// on the same clock tick share one signature while a Revoke between ticks
+// forces regeneration. A hit needs the current epoch; a miss signs and
+// overwrites the entry, so a past epoch's response is dropped the moment
+// the next epoch asks. A past epoch is not asked for again: a campaign's
+// simulated clock only moves forward, and so does the wall clock, where a
+// request racing a window boundary can at worst put back the older
+// window's entry and cost the next request a signature. Expiry therefore
+// needs neither a sweeper nor a key per epoch, and a responder's cache
+// stays as large as the set of distinct requests it is asked, however
+// long it runs.
 //
 // The table is a memo.Table keyed by the FNV-64 of the raw request DER.
 // Hash keys are confirmed against the stored request bytes, so an FNV
 // collision costs a regeneration instead of serving the wrong
 // certificate's status.
 
-// respShardBudget bounds a shard before half-eviction; the whole cache
-// therefore holds at most 64×256 responses (~16 MB at the typical ~1 KB
-// response size), far above one responder's working set of live windows.
+// respShardBudget bounds a shard before half-eviction. With one entry per
+// request it bounds the distinct requests a responder remembers — traffic
+// from outside that carries nonces or walks many serials — at 64×256
+// responses (~16 MB at the typical ~1 KB response size), far above a
+// simulated responder's handful of probed certificates.
 const respShardBudget = 256
 
-// respKey is the epoch-scoped cache key.
+// respKey names a request and the epoch its response must belong to. The
+// table is keyed by the hash alone; the entry keeps the whole key.
 type respKey struct {
 	hash  uint64 // FNV-64 of the raw request DER
 	epoch int64  // window start (cached mode) or scan instant (on-demand), UnixNano
@@ -38,24 +48,25 @@ type respKey struct {
 }
 
 type respEntry struct {
-	reqDER []byte // exact request bytes: confirms the hash against collisions
+	key    respKey // the epoch this response was signed for
+	reqDER []byte  // exact request bytes: confirms the hash against collisions
 	der    []byte
 	meta   Meta
 }
 
 type responseCache struct {
-	table  memo.Table[respKey, *respEntry]
+	table  memo.Table[uint64, *respEntry]
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
-// get returns the cached response for key, confirming the stored request
-// bytes, and records the hit or miss.
+// get returns the cached response for key — same request, same epoch —
+// confirming the stored request bytes, and records the hit or miss.
 //
 //lint:allocfree
 func (c *responseCache) get(key respKey, reqDER []byte) ([]byte, Meta, bool) {
-	e, _ := c.table.Get(key.hash, key)
-	if e != nil && bytes.Equal(e.reqDER, reqDER) {
+	e, _ := c.table.Get(key.hash, key.hash)
+	if e != nil && e.key == key && bytes.Equal(e.reqDER, reqDER) {
 		c.hits.Add(1)
 		return e.der, e.meta, true
 	}
@@ -63,9 +74,10 @@ func (c *responseCache) get(key respKey, reqDER []byte) ([]byte, Meta, bool) {
 	return nil, Meta{}, false
 }
 
-// put stores a generated response under key, copying reqDER (the caller's
-// buffer may be pooled and reused).
+// put stores a generated response for key, replacing the request's entry
+// from an earlier epoch, and copies reqDER (the caller's buffer may be
+// pooled and reused).
 func (c *responseCache) put(key respKey, reqDER, der []byte, meta Meta) {
-	e := &respEntry{reqDER: append([]byte(nil), reqDER...), der: der, meta: meta}
-	c.table.Put(key.hash, key, e, respShardBudget)
+	e := &respEntry{key: key, reqDER: append([]byte(nil), reqDER...), der: der, meta: meta}
+	c.table.Put(key.hash, key.hash, e, respShardBudget)
 }

@@ -308,3 +308,61 @@ func TestResponderCacheRaceStress(t *testing.T) {
 	}
 	t.Logf("stress: hits=%d misses=%d", hits, misses)
 }
+
+// TestCacheOneEntryPerRequest pins the cache's size to the requests it is
+// asked, not to the epochs it has served: one request over ten update
+// windows (cached mode) and over ten scan instants (on demand) keeps one
+// entry, the first answer in each epoch is signed and the repeats within
+// it come from the cache, and two requests in one epoch keep two entries.
+func TestCacheOneEntryPerRequest(t *testing.T) {
+	const epochs, repeats = 10, 3
+	cases := []struct {
+		name    string
+		profile Profile
+		step    time.Duration
+	}{
+		{"cached", Profile{CacheResponses: true, Validity: 4 * time.Hour, UpdateInterval: 2 * time.Hour}, 2 * time.Hour},
+		{"on-demand", Profile{}, time.Minute},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t)
+			r := f.responder(tc.profile)
+			reqDER, _ := f.request(t)
+			for e := 0; e < epochs; e++ {
+				for i := 0; i < repeats; i++ {
+					res, err := r.Respond(context.Background(), reqDER)
+					want := SourceCache
+					if i == 0 {
+						want = SourceSigned
+					}
+					if err != nil || res.Source != want {
+						t.Fatalf("epoch %d, ask %d: Respond = %v, %v; want %v", e, i, res.Source, err, want)
+					}
+				}
+				if n := r.cache.table.Len(); n != 1 {
+					t.Fatalf("after epoch %d: cache holds %d entries, want 1", e, n)
+				}
+				f.clk.Advance(tc.step)
+			}
+			if hits, misses := r.CacheStats(); hits != epochs*(repeats-1) || misses != epochs {
+				t.Errorf("CacheStats = %d hits, %d misses; want %d, %d", hits, misses, epochs*(repeats-1), epochs)
+			}
+
+			leaf2, err := f.ca.IssueLeaf(leafOpts("second.test"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.db.AddIssued(leaf2.Certificate.SerialNumber, leaf2.Certificate.NotAfter)
+			req2 := requestFor(t, f, leaf2)
+			for _, req := range [][]byte{reqDER, req2, reqDER, req2} {
+				if _, ok := respondDER(r, req); !ok {
+					t.Fatal("respond failed")
+				}
+			}
+			if n := r.cache.table.Len(); n != 2 {
+				t.Errorf("two requests in one epoch: cache holds %d entries, want 2", n)
+			}
+		})
+	}
+}

@@ -514,9 +514,9 @@ func (r *Responder) Respond(ctx context.Context, reqDER []byte) (Result, error) 
 
 // respond is the responder hot path. Within one update window an unchanged
 // status yields a byte-identical signed response, so the fast path hashes
-// the raw request bytes, keys them with the current epoch, and serves the
-// stored response without parsing or signing anything. Requests are parsed
-// only on a cache miss.
+// the raw request bytes and serves the request's stored response, if it
+// was signed for the current epoch, without parsing or signing anything.
+// Requests are parsed only on a cache miss.
 func (r *Responder) respond(reqDER []byte) (der []byte, meta Meta, hasMeta, ok bool, src ServeSource) {
 	now := r.Clock.Now()
 
@@ -551,8 +551,9 @@ func (r *Responder) respond(reqDER []byte) (der []byte, meta Meta, hasMeta, ok b
 	return der, meta, true, true, SourceSigned
 }
 
-// cacheKeyFor derives the epoch-scoped cache key for raw request bytes at
-// virtual time now, without parsing them. Cached-mode responders key on
+// cacheKeyFor derives the cache key for raw request bytes at virtual time
+// now, without parsing them: the request's hash and the epoch a stored
+// response must carry to be served. Cached-mode responders key on
 // their update window (a pre-generated response serves its whole window,
 // revocations included — §2.2); on-demand responders key on the exact
 // instant plus the database's status generation, memoizing only the

@@ -1,0 +1,96 @@
+package stats
+
+import (
+	"math"
+	"sort"
+)
+
+// refCDF is the slice-backed CDF the counted one replaced: it keeps every
+// sample and sorts them all before a query. The tests check every query of
+// CDF against it.
+type refCDF struct {
+	values []float64
+	sorted bool
+}
+
+func (c *refCDF) Add(v float64) {
+	c.values = append(c.values, v)
+	c.sorted = false
+}
+
+func (c *refCDF) N() int { return len(c.values) }
+
+func (c *refCDF) sort() {
+	if !c.sorted {
+		sort.Float64s(c.values)
+		c.sorted = true
+	}
+}
+
+func (c *refCDF) Quantile(q float64) float64 {
+	if len(c.values) == 0 {
+		panic("stats: quantile of empty CDF")
+	}
+	c.sort()
+	if q <= 0 {
+		return c.values[0]
+	}
+	if q >= 1 {
+		return c.values[len(c.values)-1]
+	}
+	idx := int(math.Ceil(q*float64(len(c.values)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	return c.values[idx]
+}
+
+func (c *refCDF) FractionAtOrBelow(x float64) float64 {
+	if len(c.values) == 0 {
+		return 0
+	}
+	c.sort()
+	n := sort.SearchFloat64s(c.values, math.Nextafter(x, math.Inf(1)))
+	return float64(n) / float64(len(c.values))
+}
+
+func (c *refCDF) CountAbove(x float64) int {
+	c.sort()
+	return len(c.values) - sort.SearchFloat64s(c.values, math.Nextafter(x, math.Inf(1)))
+}
+
+func (c *refCDF) CountInf() int {
+	n := 0
+	for _, v := range c.values {
+		if math.IsInf(v, 1) {
+			n++
+		}
+	}
+	return n
+}
+
+func (c *refCDF) Max() float64 {
+	max := 0.0
+	for _, v := range c.values {
+		if !math.IsInf(v, 1) && v > max {
+			max = v
+		}
+	}
+	return max
+}
+
+func (c *refCDF) Points(n int) []Point {
+	if len(c.values) == 0 || n <= 0 {
+		return nil
+	}
+	c.sort()
+	if n > len(c.values) {
+		n = len(c.values)
+	}
+	out := make([]Point, 0, n)
+	for i := 1; i <= n; i++ {
+		q := float64(i) / float64(n)
+		out = append(out, Point{X: c.Quantile(q), Y: q})
+	}
+	return out
+}

@@ -60,9 +60,6 @@ func TestCDFWithInfinities(t *testing.T) {
 	if got := c.Max(); got != 20 {
 		t.Errorf("Max (finite) = %v", got)
 	}
-	if got := c.Mean(); got != 15 {
-		t.Errorf("Mean ignores inf: %v", got)
-	}
 	if got := c.Quantile(1); !math.IsInf(got, 1) {
 		t.Errorf("top quantile should be +Inf, got %v", got)
 	}
@@ -275,5 +272,111 @@ func TestTimeSeries(t *testing.T) {
 	buckets := s.Buckets()
 	if len(buckets) != 2 || !buckets[0].Equal(t0) || !buckets[1].Equal(t0.Add(time.Hour)) {
 		t.Errorf("buckets = %v", buckets)
+	}
+}
+
+// sameFloat is == with every NaN equal to every NaN.
+func sameFloat(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+
+// TestCDFMatchesReference feeds the counted CDF and the slice-backed
+// reference the same samples — heavy repeats, ±Inf, NaN, ±0 and spread
+// values — and compares every query method, asked between adds as well as
+// at the end, so the sorted runs are rebuilt after adds of new and of
+// already-seen values.
+func TestCDFMatchesReference(t *testing.T) {
+	special := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1), -3.5}
+	probes := []float64{math.Inf(-1), -4, -3.5, -1, 0, 0.5, 1, 7, 12.5, 19.999, 20, 50, 1e9, math.Inf(1), math.NaN()}
+	qs := []float64{-1, 0, 1e-9, 0.01, 0.1, 0.25, 0.5, 0.9, 0.99, 0.999, 1 - 1e-12, 1, 2}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 40; trial++ {
+		var got CDF
+		var want refCDF
+		n := rng.Intn(3000)
+		distinct := 1 + rng.Intn(300)
+		spread := 3 + rng.Intn(97) // percent of samples that are new values
+		queryEvery := 1 + rng.Intn(1000)
+		for i := 0; i < n; i++ {
+			var v float64
+			switch r := rng.Intn(100); {
+			case r < 3:
+				v = special[rng.Intn(len(special))]
+			case r < spread:
+				v = rng.NormFloat64() * 1e6 // distinct
+			default:
+				v = float64(rng.Intn(distinct)) / 4 // repeats
+			}
+			got.Add(v)
+			want.Add(v)
+			if i%queryEvery == 0 {
+				compareCDF(t, trial, &got, &want, probes, qs)
+			}
+		}
+		compareCDF(t, trial, &got, &want, probes, qs)
+	}
+}
+
+func compareCDF(t *testing.T, trial int, got *CDF, want *refCDF, probes, qs []float64) {
+	t.Helper()
+	if g, w := got.N(), want.N(); g != w {
+		t.Fatalf("trial %d: N = %d, want %d", trial, g, w)
+	}
+	if g, w := got.CountInf(), want.CountInf(); g != w {
+		t.Fatalf("trial %d n=%d: CountInf = %d, want %d", trial, want.N(), g, w)
+	}
+	if g, w := got.Max(), want.Max(); !sameFloat(g, w) {
+		t.Fatalf("trial %d n=%d: Max = %v, want %v", trial, want.N(), g, w)
+	}
+	for _, x := range probes {
+		if g, w := got.FractionAtOrBelow(x), want.FractionAtOrBelow(x); g != w {
+			t.Fatalf("trial %d n=%d: FractionAtOrBelow(%v) = %v, want %v", trial, want.N(), x, g, w)
+		}
+		if g, w := got.CountAbove(x), want.CountAbove(x); g != w {
+			t.Fatalf("trial %d n=%d: CountAbove(%v) = %d, want %d", trial, want.N(), x, g, w)
+		}
+	}
+	if want.N() == 0 {
+		if got.Points(5) != nil {
+			t.Fatalf("trial %d: empty CDF rendered points", trial)
+		}
+		return
+	}
+	for _, q := range qs {
+		if g, w := got.Quantile(q), want.Quantile(q); !sameFloat(g, w) {
+			t.Fatalf("trial %d n=%d: Quantile(%v) = %v, want %v", trial, want.N(), q, g, w)
+		}
+	}
+	gp, wp := got.Points(37), want.Points(37)
+	if len(gp) != len(wp) {
+		t.Fatalf("trial %d: %d points, want %d", trial, len(gp), len(wp))
+	}
+	for i := range gp {
+		if !sameFloat(gp[i].X, wp[i].X) || gp[i].Y != wp[i].Y {
+			t.Fatalf("trial %d: point %d = %+v, want %+v", trial, i, gp[i], wp[i])
+		}
+	}
+}
+
+// TestCDFMemoryBoundedByDistinctValues: a million samples of 100 distinct
+// values leave 100 runs and nothing per sample — the slice-backed CDF held
+// all million — and adding a value already seen allocates nothing.
+func TestCDFMemoryBoundedByDistinctValues(t *testing.T) {
+	var c CDF
+	for i := 0; i < 1_000_000; i++ {
+		c.Add(float64(i*7919%100) + 0.5)
+	}
+	if c.N() != 1_000_000 {
+		t.Fatalf("N = %d", c.N())
+	}
+	if got := c.Quantile(0.5); got != 49.5 {
+		t.Fatalf("median = %v, want 49.5", got)
+	}
+	if got := c.CountAbove(98.5); got != 10_000 {
+		t.Fatalf("CountAbove(98.5) = %d, want 10000", got)
+	}
+	if len(c.counts) != 100 || len(c.vals) != 100 || len(c.cum) != 100 {
+		t.Fatalf("holds %d counts and %d/%d runs; want 100 each", len(c.counts), len(c.vals), len(c.cum))
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Add(42.5) }); n != 0 {
+		t.Fatalf("adding a known value allocates %v times, want 0", n)
 	}
 }
