@@ -7,6 +7,7 @@ package muststaple
 import (
 	"context"
 	"crypto"
+	"io"
 	"math/big"
 	"net/http"
 	"net/url"
@@ -122,10 +123,9 @@ func BenchmarkWorldBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkWorldBuildGuard is the world-construction regression guard,
-// mirroring BenchmarkCampaignEngineGuard: each iteration builds the same
-// world serially and in parallel and fails if the parallel build is slower
-// than the serial reference it replaced. (The refactor targets ≥1.5× on
+// BenchmarkWorldBuildGuard is the world-construction regression guard:
+// each iteration builds the same world serially and in parallel and fails
+// if the parallel build is slower than the serial reference it replaced. (The refactor targets ≥1.5× on
 // ≥4 cores; the guard only enforces ≥1.0× so shared CI machines do not
 // flake.) With one CPU both builds run the same schedule, so the guard
 // requires at least 2; at 2 CPUs it measures 1.46–1.76×.
@@ -178,13 +178,8 @@ func BenchmarkWorldScaleSweep(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				acc := census.NewStatsAccumulator(w.Corpus.ScaleFactor())
-				n, err := report.StreamCertsInto(w.Corpus, acc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if acc.Stats().MustStaple != census.PaperMustStapleCerts {
-					b.Fatalf("MustStaple = %d", acc.Stats().MustStaple)
+				if ms := w.Corpus.Stats().MustStaple; ms != census.PaperMustStapleCerts {
+					b.Fatalf("MustStaple = %d", ms)
 				}
 				model := census.NewAlexaModel(census.AlexaConfig{
 					Seed: cfg.Seed + 1, Domains: cfg.ScaledAlexaDomains(),
@@ -194,7 +189,7 @@ func BenchmarkWorldScaleSweep(b *testing.B) {
 				}
 				st := watch.Stop()
 				b.ReportMetric(float64(st.HeapAllocPeak), "heap-peak-bytes")
-				b.ReportMetric(float64(n), "corpus-records")
+				b.ReportMetric(float64(w.Corpus.NumRecords()+census.PaperMustStapleCerts), "corpus-records")
 			}
 		})
 	}
@@ -204,14 +199,7 @@ func BenchmarkWorldScaleSweep(b *testing.B) {
 func BenchmarkSection4Census(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		corpus, err := census.NewCorpus(census.CorpusConfig{Seed: int64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		st, err := corpus.Stats()
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := census.NewCorpus(census.CorpusConfig{Seed: int64(i)}).Stats()
 		if st.MustStaple != census.PaperMustStapleCerts {
 			b.Fatalf("MustStaple = %d", st.MustStaple)
 		}
@@ -298,7 +286,7 @@ func BenchmarkFigure5Validity(b *testing.B) {
 
 // BenchmarkFigures6to9Quality runs the per-responder quality aggregation
 // (certificate counts, serial counts, validity periods, margins) behind
-// Figures 6–9 and the on-demand analysis.
+// Figures 6–9 and the on-demand analysis, and renders them as repro does.
 func BenchmarkFigures6to9Quality(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -312,11 +300,7 @@ func BenchmarkFigures6to9Quality(b *testing.B) {
 		if q.NumResponders() == 0 || q.BlankNextUpdateCount() == 0 {
 			b.Fatal("quality populations missing")
 		}
-		_ = q.CertCountCDF().Points(50)
-		_ = q.SerialCountCDF().Points(50)
-		_ = q.ValidityCDF().Points(50)
-		_ = q.MarginCDF().Points(50)
-		_ = q.OnDemand()
+		report.Quality(io.Discard, q)
 	}
 }
 

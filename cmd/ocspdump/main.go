@@ -7,7 +7,6 @@
 //
 //	ocspdump [-req] [-b64] [file]     # default: response from stdin
 //	ocspdump -demo                    # decode a freshly generated example
-//	ocspdump -corpus DIR              # summarize a spilled certificate corpus
 package main
 
 import (
@@ -18,11 +17,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
-	"github.com/netmeasure/muststaple/internal/census"
 	"github.com/netmeasure/muststaple/internal/clock"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/pki"
@@ -34,15 +31,10 @@ func main() {
 	isReq := flag.Bool("req", false, "decode an OCSP request instead of a response")
 	b64 := flag.Bool("b64", false, "input is base64 (the GET transport encoding)")
 	demo := flag.Bool("demo", false, "generate and decode an example request + revoked response")
-	corpusDir := flag.String("corpus", "", "summarize a spilled certificate corpus directory (see repro -spill-dir)")
 	flag.Parse()
 
 	if *demo {
 		runDemo()
-		return
-	}
-	if *corpusDir != "" {
-		dumpCorpus(*corpusDir)
 		return
 	}
 
@@ -80,49 +72,6 @@ func main() {
 		fail("parse response: %v", err)
 	}
 	fmt.Print(ocsp.FormatResponse(resp))
-}
-
-// dumpCorpus streams a spilled corpus (repro -spill-dir) through the §4
-// stats accumulator and prints the headline numbers plus a per-CA
-// breakdown — record by record via Visit, so a paper-scale spill is
-// summarized in fixed memory.
-func dumpCorpus(dir string) {
-	c, err := census.OpenSpilledCorpus(dir)
-	if err != nil {
-		fail("%v", err)
-	}
-	acc := census.NewStatsAccumulator(c.ScaleFactor())
-	byCA := make(map[string]int)
-	records := 0
-	if err := c.Visit(func(info census.CertInfo) error {
-		acc.AddCert(info)
-		byCA[info.CA]++
-		records++
-		return nil
-	}); err != nil {
-		fail("%v", err)
-	}
-	st := acc.Stats()
-	fmt.Printf("corpus %s\n", dir)
-	fmt.Printf("  records        %d (%d shards, 1 record : %d real certs)\n", records, c.NumShards(), c.ScaleFactor())
-	fmt.Printf("  total          %d\n", st.Total)
-	fmt.Printf("  valid          %d\n", st.Valid)
-	fmt.Printf("  ocsp           %d (%.1f%% of valid)\n", st.OCSP, 100*st.OCSPFractionOfValid)
-	fmt.Printf("  must-staple    %d (exact tier)\n", st.MustStaple)
-	cas := make([]string, 0, len(byCA))
-	for ca := range byCA {
-		cas = append(cas, ca)
-	}
-	sort.Slice(cas, func(i, j int) bool {
-		if byCA[cas[i]] != byCA[cas[j]] {
-			return byCA[cas[i]] > byCA[cas[j]]
-		}
-		return cas[i] < cas[j]
-	})
-	fmt.Printf("  records by CA:\n")
-	for _, ca := range cas {
-		fmt.Printf("    %-16s %d\n", ca, byCA[ca])
-	}
 }
 
 func runDemo() {

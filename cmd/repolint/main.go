@@ -2,7 +2,7 @@
 // analyzers (internal/lint) over the given package patterns — a
 // multichecker in the go/analysis mold, built on the standard library.
 //
-//	repolint [-config file] [-list] [-json] [-timing] [packages...]
+//	repolint [-list] [-json] [-timing] [packages...]
 //
 // Patterns default to ./... relative to the current directory. The exit
 // status is 0 when the tree is clean, 1 when findings are reported, and
@@ -21,10 +21,8 @@
 //	//lint:allow <analyzer> <reason>
 //
 // either on the flagged line or alone on the line above it. The reason is
-// mandatory; a bare //lint:allow is itself a finding. Package-level scope
-// lives in an optional JSON config (default .repolint.json if present):
-//
-//	{"analyzers": {"wallclock": {"skip": [".../internal/legacy"]}}}
+// mandatory; a bare //lint:allow is itself a finding. Each analyzer's
+// package scope is lint.DefaultConfig's; no file in the tree changes it.
 //
 // See DESIGN.md §10 and §15 for each analyzer and the invariant it
 // guards.
@@ -56,7 +54,6 @@ type jsonFinding struct {
 }
 
 func run() int {
-	configPath := flag.String("config", "", "JSON config file (default: .repolint.json if present)")
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text")
 	timing := flag.Bool("timing", false, "print per-analyzer wall time to stderr")
@@ -70,26 +67,6 @@ func run() int {
 		return 0
 	}
 
-	cfg := lint.DefaultConfig()
-	path := *configPath
-	if path == "" {
-		if _, err := os.Stat(".repolint.json"); err == nil {
-			path = ".repolint.json"
-		}
-	}
-	if path != "" {
-		loaded, err := lint.LoadConfig(path, analyzers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		// The file overrides per analyzer; unmentioned analyzers keep
-		// their default scope.
-		for name, ac := range loaded.Analyzers {
-			cfg.Analyzers[name] = ac
-		}
-	}
-
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -98,7 +75,7 @@ func run() int {
 	if *timing {
 		opts = &lint.RunOptions{Timings: make(map[string]time.Duration)}
 	}
-	diags, err := lint.RunWithOptions("", analyzers, cfg, opts, patterns...)
+	diags, err := lint.RunWithOptions("", analyzers, lint.DefaultConfig(), opts, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2

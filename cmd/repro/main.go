@@ -4,14 +4,13 @@
 // Usage:
 //
 //	repro [-exp all|sec4|fig2,fig3|...|table3|cdn] [-seed N] [-full] [-stride 12h]
-//	      [-store DIR [-resume]] [-world-scale S [-spill-dir DIR]] [-memstats]
+//	      [-store DIR [-resume]] [-world-scale S] [-memstats]
 //
 // The default configuration is a scaled-down world that completes in a
 // couple of minutes; -full switches to paper-scale parameters (hourly
 // scans, 50 certificates per responder, exact Table 1 populations) and
 // takes correspondingly longer. -world-scale grows the certificate-census
-// and Alexa axes (streamed, so peak memory stays flat; see DESIGN.md §13),
-// and -spill-dir streams the corpus through on-disk store segments.
+// and Alexa axes (streamed, so peak memory stays flat; see DESIGN.md §13).
 package main
 
 import (
@@ -39,7 +38,6 @@ func main() {
 	responders := flag.Int("responders", 0, "responder fleet size override (default 536)")
 	certs := flag.Int("certs", 0, "certificates per responder override (default 5)")
 	worldScale := flag.Int("world-scale", 0, "corpus-axis multiplier: S× the census records and Alexa domains, streamed in fixed memory (default 1)")
-	spillDir := flag.String("spill-dir", "", "spill the certificate corpus to store segments under this directory and stream analyses from disk")
 	buildWorkers := flag.Int("build-workers", 0, "construction worker pool size (default GOMAXPROCS; 1 forces the serial reference build)")
 	memStats := flag.Bool("memstats", false, "sample the heap during the run and print peak usage on exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -76,7 +74,6 @@ func main() {
 		cfg.CertsPerResponder = *certs
 	}
 	cfg.WorldScale = *worldScale
-	cfg.SpillDir = *spillDir
 	cfg.BuildWorkers = *buildWorkers
 
 	// Interrupting a long campaign (paper-scale runs take minutes) stops

@@ -15,21 +15,12 @@ import (
 )
 
 // corpusStats measures the default-scale corpus for seed, streaming.
-func corpusStats(t *testing.T, seed int64) SnapshotStats {
-	t.Helper()
-	c, err := NewCorpus(CorpusConfig{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
+func corpusStats(seed int64) SnapshotStats {
+	return NewCorpus(CorpusConfig{Seed: seed}).Stats()
 }
 
 func TestSnapshotMarginals(t *testing.T) {
-	st := corpusStats(t, 1)
+	st := corpusStats(1)
 
 	// Valid fraction ≈ 23% (112.8M / 489.6M).
 	validFrac := float64(st.Valid) / float64(st.Total)
@@ -56,12 +47,12 @@ func TestSnapshotMarginals(t *testing.T) {
 }
 
 func TestSnapshotDeterminism(t *testing.T) {
-	a := corpusStats(t, 42)
-	b := corpusStats(t, 42)
+	a := corpusStats(42)
+	b := corpusStats(42)
 	if a.Valid != b.Valid || a.OCSP != b.OCSP {
 		t.Error("same seed should give identical snapshots")
 	}
-	c := corpusStats(t, 43)
+	c := corpusStats(43)
 	if a.Valid == c.Valid && a.OCSP == c.OCSP {
 		t.Error("different seeds should differ")
 	}

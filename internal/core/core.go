@@ -215,21 +215,16 @@ func (r *Runner) dispatch(ctx context.Context, name string) error {
 }
 
 // runSection4 re-measures the §4 headline numbers by streaming the
-// world's certificate corpus — generated shard by shard or read back from
-// a spill directory, never materialized — through the stats accumulator,
-// so a paper-scale (WorldScale 10,000) census runs in the same resident
-// set as the default one.
+// world's certificate corpus — generated record by record, never
+// materialized — so a paper-scale (WorldScale 10,000) census runs in the
+// same resident set as the default one.
 func (r *Runner) runSection4() error {
 	w, err := r.World()
 	if err != nil {
 		return err
 	}
-	acc := census.NewStatsAccumulator(w.Corpus.ScaleFactor())
-	if _, err := report.StreamCertsInto(w.Corpus, acc); err != nil {
-		return err
-	}
 	model, _ := r.alexaModel()
-	report.Section4(r.Out, acc.Stats(), model.Stats(), w.AlexaScale)
+	report.Section4(r.Out, w.Corpus.Stats(), model.Stats(), w.AlexaScale)
 	return nil
 }
 

@@ -1,34 +1,28 @@
 package lint
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"strings"
-)
+import "strings"
 
-// Config scopes the suite at package granularity. Each analyzer has a
-// baked-in default scope (see DefaultConfig); a JSON config file can
-// disable an analyzer or override its package lists, so a future package
-// can opt in or out without touching the analyzers themselves.
+// Config scopes the suite at package granularity. Each analyzer has the
+// scope DefaultConfig gives it; an analyzer without an entry runs over
+// every loaded package. Scopes change only by editing DefaultConfig
+// (TestDefaultConfigScopes pins them), never through a file read at run
+// time.
 //
 // Patterns are import-path patterns in the go tool's style: `...`
 // matches any (possibly empty) sequence of characters, and a pattern
 // ending in `/...` also matches the path without the trailing slash
 // ("a/..." matches both "a" and "a/b").
 type Config struct {
-	Analyzers map[string]AnalyzerConfig `json:"analyzers"`
+	Analyzers map[string]AnalyzerConfig
 }
 
 // AnalyzerConfig is one analyzer's package scope.
 type AnalyzerConfig struct {
-	// Disabled turns the analyzer off entirely.
-	Disabled bool `json:"disabled,omitempty"`
 	// Only limits the analyzer to packages matching any pattern. Empty
 	// means every loaded package.
-	Only []string `json:"only,omitempty"`
+	Only []string
 	// Skip exempts packages matching any pattern (applied after Only).
-	Skip []string `json:"skip,omitempty"`
+	Skip []string
 }
 
 // DefaultConfig returns the scopes the repository is linted with:
@@ -87,31 +81,6 @@ func DefaultConfig() *Config {
 	}}
 }
 
-// LoadConfig reads a JSON config file. Unknown analyzer names are
-// rejected so a typo cannot silently widen a scope.
-func LoadConfig(path string, known []*Analyzer) (*Config, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	cfg := new(Config)
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(cfg); err != nil {
-		return nil, fmt.Errorf("lint: parsing %s: %v", path, err)
-	}
-	names := make(map[string]bool, len(known))
-	for _, a := range known {
-		names[a.Name] = true
-	}
-	for name := range cfg.Analyzers {
-		if !names[name] {
-			return nil, fmt.Errorf("lint: %s: unknown analyzer %q", path, name)
-		}
-	}
-	return cfg, nil
-}
-
 // includes reports whether the analyzer named name runs over pkgPath.
 func (c *Config) includes(name, pkgPath string) bool {
 	if c == nil {
@@ -120,9 +89,6 @@ func (c *Config) includes(name, pkgPath string) bool {
 	ac, ok := c.Analyzers[name]
 	if !ok {
 		return true
-	}
-	if ac.Disabled {
-		return false
 	}
 	if len(ac.Only) > 0 && !matchAny(ac.Only, pkgPath) {
 		return false

@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestMatchPattern(t *testing.T) {
 	cases := []struct {
@@ -56,35 +52,5 @@ func TestDefaultConfigScopes(t *testing.T) {
 		if got := cfg.includes(c.analyzer, c.pkg); got != c.want {
 			t.Errorf("includes(%q, %q) = %v, want %v", c.analyzer, c.pkg, got, c.want)
 		}
-	}
-}
-
-func TestLoadConfig(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "repolint.json")
-	ok := `{"analyzers": {"wallclock": {"skip": [".../internal/legacy"]}, "maporder": {"disabled": true}}}`
-	if err := os.WriteFile(path, []byte(ok), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := LoadConfig(path, All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.includes("wallclock", "x/internal/world") {
-		t.Error("wallclock should include x/internal/world")
-	}
-	if cfg.includes("wallclock", "x/internal/legacy") {
-		t.Error("wallclock should skip x/internal/legacy")
-	}
-	if cfg.includes("maporder", "anything") {
-		t.Error("maporder should be disabled")
-	}
-
-	bad := `{"analyzers": {"no-such-analyzer": {}}}`
-	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadConfig(path, All()); err == nil {
-		t.Error("unknown analyzer name should be rejected")
 	}
 }

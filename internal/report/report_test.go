@@ -27,14 +27,7 @@ func obs(vantage string, at time.Time, class scanner.FailureClass) scanner.Obser
 }
 
 func TestSection4Rendering(t *testing.T) {
-	corpus, err := census.NewCorpus(census.CorpusConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := corpus.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := census.NewCorpus(census.CorpusConfig{Seed: 1}).Stats()
 	alexa := census.NewAlexaModel(census.AlexaConfig{Seed: 2, Domains: 5000}).Stats()
 	var sb strings.Builder
 	Section4(&sb, snap, alexa, 200)

@@ -1,9 +1,6 @@
 package report
 
-import (
-	"github.com/netmeasure/muststaple/internal/census"
-	"github.com/netmeasure/muststaple/internal/scanner"
-)
+import "github.com/netmeasure/muststaple/internal/scanner"
 
 // ObservationSource streams persisted observations one at a time in
 // storage order. store.Reader satisfies it; the indirection keeps this
@@ -27,28 +24,6 @@ func StreamInto(src ObservationSource, aggs ...scanner.Aggregator) (int, error) 
 		n++
 		for _, a := range aggs {
 			a.Add(o)
-		}
-		return nil
-	})
-	return n, err
-}
-
-// CertAggregator folds corpus records into a figure or table input.
-// census.StatsAccumulator satisfies it.
-type CertAggregator interface {
-	AddCert(census.CertInfo)
-}
-
-// StreamCertsInto drives every record from src through the given
-// aggregators and returns how many were streamed. Records flow one at a
-// time, so a generated stream and a spilled 100M-record corpus are both
-// analyzed in fixed memory — the corpus analogue of StreamInto.
-func StreamCertsInto(src *census.Corpus, aggs ...CertAggregator) (int, error) {
-	n := 0
-	err := src.Visit(func(c census.CertInfo) error {
-		n++
-		for _, a := range aggs {
-			a.AddCert(c)
 		}
 		return nil
 	})

@@ -1,12 +1,10 @@
 package report
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
-	"github.com/netmeasure/muststaple/internal/census"
 	"github.com/netmeasure/muststaple/internal/scanner"
 	"github.com/netmeasure/muststaple/internal/store"
 )
@@ -86,49 +84,6 @@ func TestStreamIntoSkipsCanceled(t *testing.T) {
 	}
 	if n != 2 || count.n != 2 {
 		t.Fatalf("streamed %d (agg saw %d), want canceled lookups skipped", n, count.n)
-	}
-}
-
-type countingCertAgg struct {
-	n          int
-	mustStaple int
-}
-
-func (c *countingCertAgg) AddCert(info census.CertInfo) {
-	c.n++
-	if info.MustStaple {
-		c.mustStaple++
-	}
-}
-
-// TestStreamCertsInto drives a streaming corpus through two aggregators
-// and demands the record counts and the same fold Corpus.Stats makes.
-func TestStreamCertsInto(t *testing.T) {
-	cfg := census.CorpusConfig{Seed: 3, ScaleFactor: 20_000}
-	corpus, err := census.NewCorpus(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromCorpus := census.NewStatsAccumulator(corpus.ScaleFactor())
-	count := &countingCertAgg{}
-	n, err := StreamCertsInto(corpus, fromCorpus, count)
-	if err != nil {
-		t.Fatalf("StreamCertsInto: %v", err)
-	}
-	want := corpus.NumRecords() + census.PaperMustStapleCerts
-	if n != want || count.n != want {
-		t.Fatalf("streamed %d (agg saw %d), want %d", n, count.n, want)
-	}
-	if count.mustStaple != census.PaperMustStapleCerts {
-		t.Fatalf("aggregator saw %d Must-Staple records, want %d", count.mustStaple, census.PaperMustStapleCerts)
-	}
-
-	viaStats, err := corpus.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromCorpus.Stats(), viaStats) {
-		t.Fatalf("StreamCertsInto fold %+v diverges from Corpus.Stats %+v", fromCorpus.Stats(), viaStats)
 	}
 }
 

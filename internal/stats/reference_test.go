@@ -78,19 +78,3 @@ func (c *refCDF) Max() float64 {
 	}
 	return max
 }
-
-func (c *refCDF) Points(n int) []Point {
-	if len(c.values) == 0 || n <= 0 {
-		return nil
-	}
-	c.sort()
-	if n > len(c.values) {
-		n = len(c.values)
-	}
-	out := make([]Point, 0, n)
-	for i := 1; i <= n; i++ {
-		q := float64(i) / float64(n)
-		out = append(out, Point{X: c.Quantile(q), Y: q})
-	}
-	return out
-}

@@ -135,29 +135,6 @@ func (c *CDF) Max() float64 {
 	return max
 }
 
-// Point is one rendered CDF point.
-type Point struct {
-	X float64 // sample value
-	Y float64 // cumulative fraction in (0, 1]
-}
-
-// Points renders the CDF as up to n evenly spaced quantile points,
-// suitable for printing a figure's series.
-func (c *CDF) Points(n int) []Point {
-	if c.N() == 0 || n <= 0 {
-		return nil
-	}
-	if n > c.N() {
-		n = c.N()
-	}
-	out := make([]Point, 0, n)
-	for i := 1; i <= n; i++ {
-		q := float64(i) / float64(n)
-		out = append(out, Point{X: c.Quantile(q), Y: q})
-	}
-	return out
-}
-
 // Counter is a running mean.
 type Counter struct {
 	Sum float64

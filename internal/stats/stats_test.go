@@ -68,28 +68,6 @@ func TestCDFWithInfinities(t *testing.T) {
 	}
 }
 
-func TestCDFPoints(t *testing.T) {
-	c := &CDF{}
-	for i := 1; i <= 50; i++ {
-		c.Add(float64(i))
-	}
-	pts := c.Points(10)
-	if len(pts) != 10 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[len(pts)-1].Y != 1.0 {
-		t.Errorf("last point Y = %v", pts[len(pts)-1].Y)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].X < pts[i-1].X || pts[i].Y <= pts[i-1].Y {
-			t.Errorf("points not monotone at %d: %+v", i, pts)
-		}
-	}
-	if (&CDF{}).Points(5) != nil {
-		t.Error("empty CDF should render no points")
-	}
-}
-
 func TestCDFEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -335,23 +313,11 @@ func compareCDF(t *testing.T, trial int, got *CDF, want *refCDF, probes, qs []fl
 		}
 	}
 	if want.N() == 0 {
-		if got.Points(5) != nil {
-			t.Fatalf("trial %d: empty CDF rendered points", trial)
-		}
 		return
 	}
 	for _, q := range qs {
 		if g, w := got.Quantile(q), want.Quantile(q); !sameFloat(g, w) {
 			t.Fatalf("trial %d n=%d: Quantile(%v) = %v, want %v", trial, want.N(), q, g, w)
-		}
-	}
-	gp, wp := got.Points(37), want.Points(37)
-	if len(gp) != len(wp) {
-		t.Fatalf("trial %d: %d points, want %d", trial, len(gp), len(wp))
-	}
-	for i := range gp {
-		if !sameFloat(gp[i].X, wp[i].X) || gp[i].Y != wp[i].Y {
-			t.Fatalf("trial %d: point %d = %+v, want %+v", trial, i, gp[i], wp[i])
 		}
 	}
 }

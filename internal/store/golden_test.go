@@ -15,9 +15,6 @@ import (
 // were recorded before the three logs shared one segment layer; any
 // change here is an on-disk format change and needs a version bump.
 var goldenFiles = map[string]string{
-	"cor/cor-000000.seg":             "bb4d76a0d81009391efb80d9a0a761e70b32924137b5941049957f635c18339e",
-	"cor/cor-000001.seg":             "c899abf5ca2fecd2181665a990bb3f168c608bf4a8a707eeb7338072913fad8b",
-	"cor/corpus.json":                "3c27c5fb41d928c366e599bb6165acc259613be1728354619b3b2b20247f9bf3",
 	"obs/ckpt-0000000000000005.ckpt": "78ff8fe3a2b1f5df10e6e5e2b8e6d4e05cd0935821a77ca19032159890126320",
 	"obs/ckpt-0000000000000006.ckpt": "39e76a4df583ad67f6cc95fef2d45dbc1e9c5b80d7eafb57e3fadbe634599f03",
 	"obs/seg-000000.log":             "4d84a7ff6b6c1c2ef82a0a953ea61afcbe4b121a88c710d89a0f4f7f8844a00d",
@@ -29,8 +26,8 @@ var goldenFiles = map[string]string{
 
 // writeGoldenFixture writes one of every durable file the store
 // produces, using only the exported API: three rotated observation
-// segments with two checkpoints that carry payloads, two rotated report
-// segments, and a committed two-segment corpus spill.
+// segments with two checkpoints that carry payloads and two rotated report
+// segments.
 func writeGoldenFixture(t *testing.T, root string) {
 	t.Helper()
 	s, err := Open(filepath.Join(root, "obs"), Options{SegmentSize: 1024, NoSync: true, CheckpointEvery: 1})
@@ -59,14 +56,6 @@ func writeGoldenFixture(t *testing.T, root string) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	cor := filepath.Join(root, "cor")
-	recs := corpusFixture()
-	writeCorpusSegment(t, cor, 0, recs[:3])
-	writeCorpusSegment(t, cor, 1, recs[3:])
-	if err := WriteCorpusMeta(cor, CorpusMeta{Version: 1, Seed: 7, ScaleFactor: 1000, Shards: 1, Records: 3}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestGoldenFiles pins the bytes of every durable format.
@@ -74,7 +63,7 @@ func TestGoldenFiles(t *testing.T) {
 	root := t.TempDir()
 	writeGoldenFixture(t, root)
 	got := make(map[string]string)
-	for _, sub := range []string{"obs", "rpt", "cor"} {
+	for _, sub := range []string{"obs", "rpt"} {
 		entries, err := os.ReadDir(filepath.Join(root, sub))
 		if err != nil {
 			t.Fatal(err)

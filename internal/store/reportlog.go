@@ -9,11 +9,11 @@ import "os"
 // producers), one frame per report.
 //
 // Segments rotate at a size threshold so a long ingest run never grows
-// one unbounded file, and segment order is arrival order. Like the
-// corpus — and unlike the observation log — a damaged record is a hard
-// error: the log is written by one collector in one run, so corruption
-// means the run must be repeated, not repaired around. The log is never
-// compacted, so its segments always run 0..n-1 and a gap is an error.
+// one unbounded file, and segment order is arrival order. Unlike the
+// observation log, a damaged record is a hard error: the log is written
+// by one collector in one run, so corruption means the run must be
+// repeated, not repaired around. The log is never compacted, so its
+// segments always run 0..n-1 and a gap is an error.
 //
 // reportSegmentMaxBytes triggers rotation; ~4 MiB keeps segments
 // mmap-friendly and bounds the cost of a torn tail to one segment.
@@ -36,7 +36,7 @@ func CreateReportLog(dir string) (*ReportLog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := reportKind.removeFrom(dir, 0); err != nil {
+	if err := reportKind.removeAll(dir); err != nil {
 		return nil, err
 	}
 	f, err := reportKind.create(dir, 0, os.O_TRUNC)
@@ -84,5 +84,5 @@ func (l *ReportLog) Close() error {
 // collector's arrival order. The payload slice is reused between calls;
 // fn must not retain it.
 func ScanReportLog(dir string, fn func(payload []byte) error) error {
-	return reportKind.scanLog(dir, -1, fn)
+	return reportKind.scanLog(dir, fn)
 }

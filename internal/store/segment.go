@@ -15,8 +15,8 @@ import (
 	"strings"
 )
 
-// The store's three logs — campaign observations, Expect-Staple reports
-// and the spilled certificate corpus — share one file format. A segment
+// The store's two logs — campaign observations and Expect-Staple
+// reports — share one file format. A segment
 // is a 16-byte header
 //
 //	8-byte magic | u32 LE version | u32 LE segment index
@@ -64,8 +64,6 @@ var (
 	obsKind = segKind{magic: "MSOBSLG1", version: codecVersion, prefix: "seg-", suffix: ".log", digits: 6}
 	// reportKind is the Expect-Staple report log (reportlog.go).
 	reportKind = segKind{magic: "MSRPTSG1", version: 1, prefix: "rpt-", suffix: ".seg", digits: 6}
-	// corpusKind is the spilled certificate corpus (corpus.go).
-	corpusKind = segKind{magic: "MSCORSG1", version: corpusVersion, prefix: "cor-", suffix: ".seg", digits: 6}
 	// ckptKind names checkpoints, indexed by sequence number. They are
 	// single-blob files (checkpoint.go), not segments.
 	ckptKind = segKind{magic: "MSOBSCK1", version: 1, prefix: "ckpt-", suffix: ".ckpt", digits: 16}
@@ -138,19 +136,16 @@ func (k segKind) checkHeader(r io.Reader, index uint64) error {
 	return nil
 }
 
-// removeFrom deletes the segments of kind k in dir whose index is at
-// least from: a run's leftovers that must not be read as part of the
-// next one.
-func (k segKind) removeFrom(dir string, from uint64) error {
+// removeAll deletes the segments of kind k in dir: a run's leftovers
+// that must not be read as part of the next one.
+func (k segKind) removeAll(dir string) error {
 	idx, err := k.list(dir)
 	if err != nil {
 		return err
 	}
 	for _, i := range idx {
-		if i >= from {
-			if err := os.Remove(filepath.Join(dir, k.name(i))); err != nil {
-				return err
-			}
+		if err := os.Remove(filepath.Join(dir, k.name(i))); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -239,23 +234,18 @@ func (k segKind) scanFile(path string, index uint64, limit int64, buf *[]byte, f
 }
 
 // scanLog scans every segment of a log that is never compacted. Its
-// segments must be exactly 0..n-1 (n < 0: however many dir holds) — a
-// gap or a stray file is an error, not a shorter log — and any damage is
-// an error.
-func (k segKind) scanLog(dir string, n int, fn func(payload []byte) error) error {
+// segments must be exactly 0..n-1 — a gap is an error, not a shorter
+// log — and any damage is an error.
+func (k segKind) scanLog(dir string, fn func(payload []byte) error) error {
 	idx, err := k.list(dir)
 	if err != nil {
 		return err
 	}
-	if n < 0 {
-		n = len(idx)
-	}
-	ok := len(idx) == n
-	for i := 0; ok && i < n; i++ {
-		ok = idx[i] == uint64(i)
-	}
-	if !ok {
-		return fmt.Errorf("store: %s holds %d %s* segment(s), want exactly indexes 0..%d", dir, len(idx), k.prefix, n-1)
+	n := len(idx)
+	for i, got := range idx {
+		if got != uint64(i) {
+			return fmt.Errorf("store: %s holds %d %s* segment(s), want exactly indexes 0..%d", dir, n, k.prefix, n-1)
+		}
 	}
 	var buf []byte
 	visit := func(payload []byte, _ int64) error { return fn(payload) }

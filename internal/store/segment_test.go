@@ -16,8 +16,8 @@ import (
 	"github.com/netmeasure/muststaple/internal/scanner"
 )
 
-// segKinds are the three segment kinds; checkpoints share only naming.
-var segKinds = []segKind{obsKind, reportKind, corpusKind}
+// segKinds are the two segment kinds; checkpoints share only naming.
+var segKinds = []segKind{obsKind, reportKind}
 
 // frameEnds scans a whole segment image of kind k and returns the offset
 // just past each frame.
@@ -54,9 +54,6 @@ func TestSegmentNames(t *testing.T) {
 		{reportKind, "rpt-12ab.seg", 0, false},
 		{reportKind, "obs-000000.seg", 0, false},
 		{reportKind, "rpt-000000.tmp", 0, false},
-		{reportKind, "cor-000000.seg", 0, false},
-		{corpusKind, "cor-000007.seg", 7, true},
-		{corpusKind, "rpt-000007.seg", 0, false},
 		{ckptKind, "ckpt-0000000000000007.ckpt", 7, true},
 		{ckptKind, "ckpt-18446744073709551615.ckpt", math.MaxUint64, true},
 		{ckptKind, "ckpt-18446744073709551616.ckpt", 0, false},
@@ -72,7 +69,6 @@ func TestSegmentNames(t *testing.T) {
 	for kind, want := range map[segKind]string{
 		obsKind:    "seg-000007.log",
 		reportKind: "rpt-000007.seg",
-		corpusKind: "cor-000007.seg",
 		ckptKind:   "ckpt-0000000000000007.ckpt",
 	} {
 		if got := kind.name(7); got != want {
@@ -224,26 +220,6 @@ var tornCases = []tornCase{
 		},
 	},
 	{
-		// The corpus is derived data: damage is an error (re-spill), and
-		// a cut on a frame boundary reads as exactly the prefix.
-		name:   "corpus segment",
-		frames: &corpusKind,
-		build: func(t *testing.T, dir string) string {
-			writeCorpusSegment(t, dir, 0, corpusFixture())
-			commitCorpus(t, dir, 0)
-			return corpusKind.name(0)
-		},
-		check: func(t *testing.T, dir, path string, cut int64, boundary bool, kept int) {
-			tear(t, path, cut)
-			var got []CorpusRecord
-			err := ScanCorpus(dir, func(rec CorpusRecord) error {
-				got = append(got, rec)
-				return nil
-			})
-			checkStrictScan(t, cut, boundary, err, got, corpusFixture()[:kept])
-		},
-	},
-	{
 		// A damaged checkpoint is superseded data: Open falls back to
 		// its predecessor.
 		name: "checkpoint",
@@ -368,8 +344,8 @@ func FuzzSegmentScan(f *testing.F) {
 	})
 }
 
-// TestFrameAppendAllocs: appending a report or a corpus record costs no
-// allocation once the buffers are warm.
+// TestFrameAppendAllocs: appending a report costs no allocation once the
+// buffers are warm.
 func TestFrameAppendAllocs(t *testing.T) {
 	l, err := CreateReportLog(t.TempDir())
 	if err != nil {
@@ -383,19 +359,5 @@ func TestFrameAppendAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("ReportLog.Append: %v allocations per record, want 0", n)
-	}
-
-	w, err := CreateCorpusSegment(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	rec := CorpusRecord{CA: "Let's Encrypt", Valid: true, SupportsOCSP: true}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("CorpusWriter.Append: %v allocations per record, want 0", n)
 	}
 }

@@ -3,9 +3,9 @@
 // one record per scanner.Observation, with CRC32-C checksummed record
 // framing, crash-safe recovery that truncates a torn tail record, and
 // periodic campaign checkpoints that let an interrupted campaign resume
-// exactly where it stopped. The Expect-Staple report log and the corpus
-// spill share its segment layer (segment.go). See DESIGN.md §11 for the
-// on-disk format and the recovery rules.
+// exactly where it stopped. The Expect-Staple report log shares its
+// segment layer (segment.go). See DESIGN.md §11 for the on-disk format
+// and the recovery rules.
 //
 // Concurrency: a Store has a single writer (Campaign.Run calls
 // AppendRound on its own goroutine) and any number of Readers; all

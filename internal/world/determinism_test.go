@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netmeasure/muststaple/internal/clock"
 	"github.com/netmeasure/muststaple/internal/scanner"
 )
 
@@ -175,6 +176,50 @@ func TestBuildSerialParallelEquivalence(t *testing.T) {
 	for v, r := range ratesS {
 		if ratesP[v] != r {
 			t.Fatalf("vantage %s: serial rate %v vs parallel %v", v, r, ratesP[v])
+		}
+	}
+}
+
+// TestBuildResponderPurity is the per-index contract the parallel fleet
+// build rests on: responders 0, n/2 and n−1 built alone through
+// buildResponder, on a fresh clock, equal the same indices of a full
+// Build at 1, 2 and 5 workers — CA DER, host, kind and profile — for a
+// non-default seed, since key material depends only on (seed, index).
+func TestBuildResponderPurity(t *testing.T) {
+	cfg := detConfig(99).withDefaults()
+	n := cfg.Responders
+	specs := buildSpecs(n, childRNG(cfg.Seed, streamSpecs, 0), cfg)
+	alone := make(map[int]*ResponderInfo)
+	for _, i := range []int{0, n / 2, n - 1} {
+		info, err := buildResponder(cfg, specs[i], clock.NewSimulated(cfg.Start), i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[i] = info
+	}
+	for _, workers := range []int{1, 2, 5} {
+		fullCfg := cfg
+		fullCfg.BuildWorkers = workers
+		w, err := Build(fullCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range alone {
+			want := w.Responders[i]
+			if got.Index != want.Index || got.Host != want.Host || got.Kind != want.Kind {
+				t.Fatalf("workers=%d responder %d: (%d,%s,%s) alone vs (%d,%s,%s) built",
+					workers, i, got.Index, got.Host, got.Kind, want.Index, want.Host, want.Kind)
+			}
+			if !bytes.Equal(got.CA.Certificate.Raw, want.CA.Certificate.Raw) {
+				t.Fatalf("workers=%d responder %d (%s): CA certificate DER differs from the full build", workers, i, got.Host)
+			}
+			if got.Profile.Validity != want.Profile.Validity ||
+				got.Profile.ThisUpdateOffset != want.Profile.ThisUpdateOffset ||
+				got.Profile.BlankNextUpdate != want.Profile.BlankNextUpdate ||
+				got.Profile.CacheResponses != want.Profile.CacheResponses ||
+				len(got.Profile.SuperfluousCerts) != len(want.Profile.SuperfluousCerts) {
+				t.Fatalf("workers=%d responder %d (%s): profile differs from the full build", workers, i, got.Host)
+			}
 		}
 	}
 }

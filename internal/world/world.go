@@ -75,11 +75,6 @@ type Config struct {
 	// real 1M). The corpus streams (see census.Corpus), so peak memory
 	// does not grow with WorldScale. 0 means 1.
 	WorldScale int
-	// SpillDir, when non-empty, spills the certificate corpus to
-	// internal/store corpus segments under this directory; analyses then
-	// stream from disk and repeated builds of the same (seed, scale)
-	// reuse the spill instead of regenerating.
-	SpillDir string
 }
 
 func (c Config) withDefaults() Config {
@@ -224,9 +219,9 @@ type World struct {
 	// AlexaScale is how many real Alexa domains one modelled domain
 	// represents.
 	AlexaScale int
-	// Corpus is the streaming certificate census behind §4 and the
-	// Alexa join — generated shard by shard on demand (or read back from
-	// Config.SpillDir), never materialized. Scaled by Config.WorldScale.
+	// Corpus is the streaming certificate census behind §4 — generated
+	// record by record on each Visit, never materialized. Scaled by
+	// Config.WorldScale.
 	Corpus *census.Corpus
 
 	// consistencyResponders are the OCSP halves of the consistency-study
@@ -272,11 +267,9 @@ func Build(cfg Config) (*World, error) {
 		Config:  cfg,
 		Network: netsim.New(),
 		Clock:   clock.NewSimulated(cfg.Start),
+		Corpus:  census.NewCorpus(census.CorpusConfig{Seed: cfg.Seed, ScaleFactor: cfg.CorpusScaleFactor()}),
 	}
 
-	if err := w.buildCorpus(); err != nil {
-		return nil, err
-	}
 	if err := w.buildResponders(); err != nil {
 		return nil, err
 	}
@@ -291,54 +284,59 @@ func Build(cfg Config) (*World, error) {
 	return w, nil
 }
 
-// buildCorpus wires up the streaming certificate census. Nothing is
-// generated here unless Config.SpillDir asks for an on-disk spill;
-// consumers pull shards on demand through Corpus.Visit.
-func (w *World) buildCorpus() error {
-	c, err := census.NewCorpus(census.CorpusConfig{
-		Seed:        w.Config.Seed,
-		ScaleFactor: w.Config.CorpusScaleFactor(),
-		Workers:     w.Config.BuildWorkers,
-		SpillDir:    w.Config.SpillDir,
-	})
-	if err != nil {
-		return fmt.Errorf("world: corpus: %w", err)
-	}
-	w.Corpus = c
-	return nil
-}
-
 // buildResponders creates the CA + responder fleet with the calibrated
 // behavior mix and registers everything on the network. Behavior specs are
 // assigned serially (they are one cheap shuffled stream); the expensive
 // part — per-responder CA key generation and certificate signing — fans
-// out across the worker pool shard by shard (see shard.go for the shard
-// contract), each index on its own child RNG, and the fleet is assembled
-// and registered in index order afterwards.
+// out across the worker pool one responder index at a time, each on its
+// own child RNG, and the fleet is registered in index order afterwards.
 func (w *World) buildResponders() error {
 	n := w.Config.Responders
 	specs := buildSpecs(n, childRNG(w.Config.Seed, streamSpecs, 0), w.Config)
-	shards := NumShards(w.Config)
-	built := make([][]*ResponderInfo, shards)
-	errs := make([]error, shards)
-	w.runParallel(shards, func(k int) {
-		lo, hi := shardBounds(k, n)
-		built[k], errs[k] = buildResponderRange(w.Config, specs, w.Clock, lo, hi)
+	infos := make([]*ResponderInfo, n)
+	errs := make([]error, n)
+	w.runParallel(n, func(i int) {
+		infos[i], errs[i] = buildResponder(w.Config, specs[i], w.Clock, i)
 	})
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	infos := make([]*ResponderInfo, 0, n)
-	for _, shard := range built {
-		infos = append(infos, shard...)
-	}
 	w.Responders = infos
 	for i, info := range infos {
 		w.Network.RegisterHost(info.Host, backendFor(i), ocspserver.NewHandler(info.Responder))
 	}
 	return nil
+}
+
+// buildResponder constructs fleet member i: its CA hierarchy from the
+// (streamResponderCA, i) child RNG, its behavior profile from the
+// precomputed spec, and the responder serving both. It touches no world
+// state, so indices build concurrently and in any order.
+func buildResponder(cfg Config, spec profileSpec, clk clock.Clock, i int) (*ResponderInfo, error) {
+	host := hostName(i)
+	ca, err := pki.NewRootCA(pki.Config{
+		Name:       fmt.Sprintf("CA %03d (%s)", i, host),
+		Rand:       childRNG(cfg.Seed, streamResponderCA, uint64(i)),
+		OCSPURL:    "http://" + host,
+		CRLURL:     fmt.Sprintf("http://crl%03d.world.test/ca.crl", i),
+		SerialBase: int64(i) * 1_000_000,
+		NotBefore:  cfg.Start.AddDate(-2, 0, 0),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("world: responder %d CA: %w", i, err)
+	}
+	profile := spec.profile
+	for c := 0; c < spec.superfluousCertCount; c++ {
+		profile.SuperfluousCerts = append(profile.SuperfluousCerts, ca.Certificate)
+	}
+	db := responder.NewDB()
+	r := responder.New(host, ca, db, clk, profile, cfg.responderOpts()...)
+	return &ResponderInfo{
+		Index: i, Host: host, Kind: spec.kind,
+		CA: ca, DB: db, Responder: r, Profile: profile,
+	}, nil
 }
 
 // buildTargets populates each responder's DB with probe certificates and

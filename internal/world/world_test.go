@@ -289,3 +289,36 @@ func TestWorldConsistencyStudy(t *testing.T) {
 		t.Error("expired CRL entries should have been filtered")
 	}
 }
+
+// TestWorldScaleCorpusAxes pins the WorldScale plumbing: scale 10 means
+// 10× the census records (scale factor 1000) and 10× the Alexa domains,
+// while the responder fleet stays fixed.
+func TestWorldScaleCorpusAxes(t *testing.T) {
+	cfg := detConfig(3)
+	cfg.WorldScale = 10
+	w, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Corpus.ScaleFactor(); got != 1000 {
+		t.Fatalf("corpus scale factor = %d, want 1000", got)
+	}
+	base, err := Build(detConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Corpus.NumRecords() != 10*base.Corpus.NumRecords() {
+		t.Fatalf("10× world has %d records, 1× has %d", w.Corpus.NumRecords(), base.Corpus.NumRecords())
+	}
+	if len(w.Responders) != len(base.Responders) {
+		t.Fatalf("fleet grew with WorldScale: %d vs %d", len(w.Responders), len(base.Responders))
+	}
+	if got, want := cfg.ScaledAlexaDomains(), 40_000; got != want {
+		t.Fatalf("ScaledAlexaDomains = %d, want %d", got, want)
+	}
+	// The cap: AlexaDomains × WorldScale never exceeds the real Top-1M.
+	huge := Config{AlexaDomains: 300_000, WorldScale: 100}
+	if got := huge.ScaledAlexaDomains(); got != 1_000_000 {
+		t.Fatalf("capped ScaledAlexaDomains = %d, want 1000000", got)
+	}
+}
