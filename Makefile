@@ -44,8 +44,9 @@
 #                 fuzzing engine for FUZZTIME (default 10s) instead of
 #                 only its seed corpus — the GET-path decoder, the
 #                 Expect-Staple report decoder, the store record codec,
-#                 the store's frame scan over every segment kind, and
-#                 CreateResponse against its encoding/asn1 reference.
+#                 the store's frame scan over every segment kind,
+#                 CreateResponse against its encoding/asn1 reference, and
+#                 ParseResponse and ParseRequest against theirs.
 #   racecheck   — focused race-detector pass over the concurrent hot-path
 #                 packages (serving tier, load generator, responder,
 #                 scanner, store, engine core, memo table, metrics
@@ -96,6 +97,8 @@ FUZZTIME ?= 10s
 fuzzcheck:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGETPath$$' -fuzztime $(FUZZTIME) ./internal/ocsp
 	$(GO) test -run '^$$' -fuzz '^FuzzCreateResponse$$' -fuzztime $(FUZZTIME) ./internal/ocsp
+	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime $(FUZZTIME) ./internal/ocsp
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/ocsp
 	$(GO) test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime $(FUZZTIME) ./internal/expectstaple
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime $(FUZZTIME) ./internal/store

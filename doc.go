@@ -9,7 +9,8 @@
 // The package tree:
 //
 //   - internal/ocsp, internal/crl, internal/pkixutil — the wire-format
-//     substrates, built on encoding/asn1 only.
+//     substrates, on the standard library only: the OCSP codec on
+//     pkixutil's DER writer and reader, the CRL codec on encoding/asn1.
 //   - internal/pki — synthetic root CAs and the leaves they issue (AIA,
 //     CRLDP, and the TLS-Feature Must-Staple extension).
 //   - internal/responder, internal/netsim, internal/clock — the simulated

@@ -1,8 +1,6 @@
 package census
 
 import (
-	"fmt"
-
 	"github.com/netmeasure/muststaple/internal/stats"
 )
 
@@ -10,8 +8,6 @@ import (
 type AlexaDomain struct {
 	// Rank is the 0-based popularity rank.
 	Rank int
-	// Name is the synthetic domain name.
-	Name string
 	// HTTPS marks domains serving a trusted certificate.
 	HTTPS bool
 	// OCSP marks HTTPS domains whose certificate carries an OCSP URL.
@@ -186,7 +182,6 @@ func visitAlexaShard(cfg AlexaConfig, k int, fn func(AlexaDomain)) {
 		x := float64(i) / float64(n)
 		d := AlexaDomain{
 			Rank:           i,
-			Name:           fmt.Sprintf("site-%06d.example", i),
 			ResponderIndex: -1,
 		}
 		d.HTTPS = rng.Float64() < httpsRate(x)

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"crypto"
 	"crypto/x509"
-	"encoding/asn1"
+	"errors"
 	"fmt"
 	"math/big"
 
@@ -19,14 +19,6 @@ type CertID struct {
 	// responders universally support SHA-1 here; SHA-256 is also
 	// accepted by this package.
 	HashAlgorithm  crypto.Hash
-	IssuerNameHash []byte
-	IssuerKeyHash  []byte
-	Serial         *big.Int
-}
-
-// certIDASN1 is the wire form of CertID.
-type certIDASN1 struct {
-	HashAlgorithm  pkixutil.AlgorithmIdentifier
 	IssuerNameHash []byte
 	IssuerKeyHash  []byte
 	Serial         *big.Int
@@ -99,25 +91,36 @@ func appendCertID(b []byte, id *CertID) ([]byte, error) {
 	return pkixutil.End(b, seq), nil
 }
 
-func certIDFromASN1(w certIDASN1) (CertID, error) {
-	h, err := pkixutil.HashFromOID(w.HashAlgorithm.Algorithm)
-	if err != nil {
-		return CertID{}, fmt.Errorf("ocsp: CertID hash: %w", err)
+// readCertID reads a CertID SEQUENCE, copying its hashes out of the
+// input:
+//
+//	CertID ::= SEQUENCE { hashAlgorithm AlgorithmIdentifier,
+//	                      issuerNameHash OCTET STRING,
+//	                      issuerKeyHash OCTET STRING,
+//	                      serialNumber INTEGER }
+func readCertID(s *pkixutil.Input) (CertID, error) {
+	var seq, name, key, serial pkixutil.Element
+	var alg pkixutil.Input
+	if !s.ReadElement(&seq, pkixutil.TagSequence) ||
+		!seq.Content.ReadAlgorithmIdentifier(&alg) ||
+		!seq.Content.ReadElement(&name, pkixutil.TagOctetString) ||
+		!seq.Content.ReadElement(&key, pkixutil.TagOctetString) ||
+		!seq.Content.ReadElement(&serial, pkixutil.TagInteger) {
+		return CertID{}, errors.New("ocsp: malformed CertID")
 	}
-	return CertID{
-		HashAlgorithm:  h,
-		IssuerNameHash: w.IssuerNameHash,
-		IssuerKeyHash:  w.IssuerKeyHash,
-		Serial:         w.Serial,
-	}, nil
-}
-
-// extensionASN1 mirrors pkix.Extension without importing crypto/x509/pkix
-// into the wire structures.
-type extensionASN1 struct {
-	ID       asn1.ObjectIdentifier
-	Critical bool `asn1:"optional"`
-	Value    []byte
+	id := CertID{Serial: new(big.Int)}
+	if !serial.Content.Integer(id.Serial) {
+		return CertID{}, errors.New("ocsp: CertID has a malformed serial number")
+	}
+	h, ok := pkixutil.HashFromOIDContents(alg)
+	if !ok {
+		oid, _ := alg.ObjectIdentifier()
+		return CertID{}, fmt.Errorf("ocsp: CertID hash: unknown hash OID %v", oid)
+	}
+	id.HashAlgorithm = h
+	id.IssuerNameHash = bytes.Clone(name.Content)
+	id.IssuerKeyHash = bytes.Clone(key.Content)
+	return id, nil
 }
 
 // appendNonceExtensions appends an extensions list, explicitly tagged
@@ -135,11 +138,75 @@ func appendNonceExtensions(b []byte, tag byte, nonce []byte) []byte {
 	return pkixutil.End(b, exts)
 }
 
-func findNonce(exts []extensionASN1) []byte {
-	for _, e := range exts {
-		if e.ID.Equal(pkixutil.OIDOCSPNonce) {
-			return e.Value
+// readExtensions checks exts, the contents of an Extensions SEQUENCE OF,
+// and returns the nonce its first nonce extension carries, nil if none:
+//
+//	Extension ::= SEQUENCE { extnID OBJECT IDENTIFIER,
+//	                         critical BOOLEAN DEFAULT FALSE,
+//	                         extnValue OCTET STRING }
+//
+// The nonce is the contents of the OCTET STRING the value should hold,
+// or the whole value when it holds none (some clients send it bare),
+// copied out of the input either way.
+func readExtensions(exts pkixutil.Input) ([]byte, bool) {
+	if _, ok := exts.CountElements(pkixutil.TagSequence); !ok {
+		return nil, false
+	}
+	var nonce []byte
+	found := false
+	for len(exts) > 0 {
+		var ext, id, critical, value pkixutil.Element
+		var present bool
+		exts.ReadElement(&ext, pkixutil.TagSequence) // CountElements checked it
+		if !ext.Content.ReadElement(&id, pkixutil.TagOID) || !id.Content.ValidOID() ||
+			!ext.Content.ReadOptionalElement(&critical, &present, pkixutil.TagBoolean) ||
+			!ext.Content.ReadElement(&value, pkixutil.TagOctetString) {
+			return nil, false
+		}
+		if present {
+			if _, ok := critical.Content.Boolean(); !ok {
+				return nil, false
+			}
+		}
+		if !found && bytes.Equal(id.Content, oidNonceContents) {
+			found = true
+			wrapped := value.Content
+			var octets pkixutil.Element
+			if wrapped.ReadElement(&octets, pkixutil.TagOctetString) {
+				nonce = bytes.Clone(octets.Content)
+			} else {
+				nonce = bytes.Clone(value.Content)
+			}
 		}
 	}
-	return nil
+	return nonce, true
 }
+
+// validExtensions reports whether exts is a well-formed Extensions
+// SEQUENCE OF contents.
+func validExtensions(exts pkixutil.Input) bool {
+	_, ok := readExtensions(exts)
+	return ok
+}
+
+// readVersion reads the optional explicit [0] version INTEGER that opens
+// TBSRequest and ResponseData. Its value is not checked, only that it
+// fits an int.
+func readVersion(s *pkixutil.Input) bool {
+	var v pkixutil.Element
+	var present bool
+	if !s.ReadOptionalExplicit(&v, &present, 0, pkixutil.TagInteger) {
+		return false
+	}
+	if present {
+		_, ok := v.Content.Int()
+		return ok
+	}
+	return true
+}
+
+// The OBJECT IDENTIFIER contents the parsers compare against.
+var (
+	oidBasicContents = pkixutil.OIDOCSPBasicDER[2:]
+	oidNonceContents = pkixutil.OIDOCSPNonceDER[2:]
+)

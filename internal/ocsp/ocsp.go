@@ -3,8 +3,8 @@
 // encoding/decoding, response signing and verification (including OCSP
 // signature authority delegation), the nonce extension, multi-certificate
 // requests and responses, and the HTTP GET/POST transport encodings.
-// Encoding uses internal/pkixutil's DER writer; parsing uses
-// encoding/asn1.
+// Encoding uses internal/pkixutil's DER writer and parsing its DER
+// reader, which accepts and rejects what encoding/asn1 would.
 //
 // Unlike golang.org/x/crypto/ocsp (which this module deliberately does not
 // use), this package supports multiple single requests per OCSP request and

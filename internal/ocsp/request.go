@@ -3,9 +3,7 @@ package ocsp
 import (
 	"crypto"
 	"crypto/x509"
-	"encoding/asn1"
 	"errors"
-	"fmt"
 	"math/big"
 
 	"github.com/netmeasure/muststaple/internal/pkixutil"
@@ -20,25 +18,6 @@ type Request struct {
 	// Nonce, if non-empty, is carried in the id-pkix-ocsp-nonce request
 	// extension to bind the response to this request.
 	Nonce []byte
-}
-
-// Wire structures (RFC 6960 §4.1.1). Request signing (optionalSignature) is
-// intentionally unsupported: no public responder requires it and the paper's
-// measurement client never signs requests.
-type ocspRequestASN1 struct {
-	TBSRequest tbsRequestASN1
-}
-
-type tbsRequestASN1 struct {
-	Version       int           `asn1:"explicit,tag:0,default:0,optional"`
-	RequestorName asn1.RawValue `asn1:"explicit,tag:1,optional"`
-	RequestList   []singleRequestASN1
-	Extensions    []extensionASN1 `asn1:"explicit,tag:2,optional"`
-}
-
-type singleRequestASN1 struct {
-	CertID     certIDASN1
-	Extensions []extensionASN1 `asn1:"explicit,tag:0,optional"`
 }
 
 // NewRequest builds a single-certificate request for cert issued by issuer.
@@ -84,35 +63,59 @@ func (r *Request) Marshal() ([]byte, error) {
 	return pkixutil.End(b, req), nil
 }
 
-// ParseRequest decodes a DER OCSP request.
+// ParseRequest decodes a DER OCSP request (RFC 6960 §4.1.1):
+//
+//	OCSPRequest ::= SEQUENCE { tbsRequest, optionalSignature [0] }
+//	TBSRequest  ::= SEQUENCE { version [0], requestorName [1],
+//	                           requestList SEQUENCE OF Request,
+//	                           requestExtensions [2] }
+//	Request     ::= SEQUENCE { reqCert CertID, singleRequestExtensions [0] }
+//
+// Request signing (optionalSignature) is intentionally unsupported: no
+// public responder requires it and the paper's measurement client never
+// signs requests, so the signature, like anything after the fields read
+// here, is skipped. The CertID hashes and the nonce are copied out of
+// der, which the serving tier reuses for the next request.
 func ParseRequest(der []byte) (*Request, error) {
-	var w ocspRequestASN1
-	rest, err := asn1.Unmarshal(der, &w)
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: parse request: %w", err)
+	in := pkixutil.Input(der)
+	var req, tbs, list, exts, e pkixutil.Element
+	var hasExts, present bool
+	if !in.ReadElement(&req, pkixutil.TagSequence) ||
+		!req.Content.ReadElement(&tbs, pkixutil.TagSequence) ||
+		!readVersion(&tbs.Content) ||
+		!tbs.Content.ReadOptionalExplicit(&e, &present, 1, pkixutil.AnyTag) ||
+		!tbs.Content.ReadElement(&list, pkixutil.TagSequence) ||
+		!tbs.Content.ReadOptionalExplicit(&exts, &hasExts, 2, pkixutil.TagSequence) {
+		return nil, errors.New("ocsp: parse request: malformed OCSPRequest")
 	}
-	if len(rest) != 0 {
+	if len(in) != 0 {
 		return nil, errors.New("ocsp: trailing data after request")
 	}
-	if len(w.TBSRequest.RequestList) == 0 {
+	n, ok := list.Content.CountElements(pkixutil.TagSequence)
+	if !ok {
+		return nil, errors.New("ocsp: parse request: malformed requestList")
+	}
+	if n == 0 {
 		return nil, errors.New("ocsp: request has empty requestList")
 	}
-	req := &Request{}
-	for _, sr := range w.TBSRequest.RequestList {
-		id, err := certIDFromASN1(sr.CertID)
+	r := &Request{CertIDs: make([]CertID, 0, n)}
+	for items := list.Content; len(items) > 0; {
+		var single pkixutil.Element
+		items.ReadElement(&single, pkixutil.TagSequence) // CountElements checked it
+		id, err := readCertID(&single.Content)
 		if err != nil {
 			return nil, err
 		}
-		req.CertIDs = append(req.CertIDs, id)
-	}
-	if nonceDER := findNonce(w.TBSRequest.Extensions); nonceDER != nil {
-		var nonce []byte
-		if _, err := asn1.Unmarshal(nonceDER, &nonce); err != nil {
-			// Some clients put the raw nonce bytes in the extension
-			// value without the OCTET STRING wrapper; tolerate that.
-			nonce = nonceDER
+		if !single.Content.ReadOptionalExplicit(&e, &present, 0, pkixutil.TagSequence) ||
+			present && !validExtensions(e.Content) {
+			return nil, errors.New("ocsp: parse request: malformed singleRequestExtensions")
 		}
-		req.Nonce = nonce
+		r.CertIDs = append(r.CertIDs, id)
 	}
-	return req, nil
+	if hasExts {
+		if r.Nonce, ok = readExtensions(exts.Content); !ok {
+			return nil, errors.New("ocsp: parse request: malformed requestExtensions")
+		}
+	}
+	return r, nil
 }

@@ -1,6 +1,7 @@
 package ocsp
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/x509"
 	"encoding/asn1"
@@ -82,45 +83,6 @@ type Response struct {
 	// ResponseData.
 	Raw    []byte
 	RawTBS []byte
-}
-
-// Wire structures.
-type ocspResponseASN1 struct {
-	Status        asn1.Enumerated
-	ResponseBytes responseBytesASN1 `asn1:"explicit,tag:0,optional"`
-}
-
-type responseBytesASN1 struct {
-	ResponseType asn1.ObjectIdentifier
-	Response     []byte
-}
-
-type basicResponseASN1 struct {
-	TBSResponseData    asn1.RawValue
-	SignatureAlgorithm pkixutil.AlgorithmIdentifier
-	Signature          asn1.BitString
-	Certificates       []asn1.RawValue `asn1:"explicit,tag:0,optional"`
-}
-
-type responseDataASN1 struct {
-	Version     int           `asn1:"explicit,tag:0,default:0,optional"`
-	ResponderID asn1.RawValue // CHOICE { byName [1] Name, byKey [2] OCTET STRING }
-	ProducedAt  time.Time     `asn1:"generalized"`
-	Responses   []singleResponseASN1
-	Extensions  []extensionASN1 `asn1:"explicit,tag:1,optional"`
-}
-
-type singleResponseASN1 struct {
-	CertID     certIDASN1
-	CertStatus asn1.RawValue   // CHOICE, context tags 0/1/2
-	ThisUpdate time.Time       `asn1:"generalized"`
-	NextUpdate time.Time       `asn1:"generalized,explicit,tag:0,optional"`
-	Extensions []extensionASN1 `asn1:"explicit,tag:1,optional"`
-}
-
-type revokedInfoASN1 struct {
-	RevocationTime time.Time       `asn1:"generalized"`
-	Reason         asn1.Enumerated `asn1:"explicit,tag:0,optional,default:-1"`
 }
 
 // ResponderTemplate describes the responder identity and signing setup used
@@ -349,140 +311,234 @@ func ErrorResponse(status ResponseStatus) []byte {
 	return e.der
 }
 
-// ParseResponse decodes a DER OCSP response. It performs structural
-// validation only; signature verification is a separate step
-// (CheckSignatureFrom) so that the measurement pipeline can classify
-// "parseable but badly signed" separately from "unparseable" — the two
-// distinct error classes in Figure 5 of the paper.
+// ParseResponse decodes a DER OCSP response (RFC 6960 §4.2.1). It
+// performs structural validation only; signature verification is a
+// separate step (CheckSignatureFrom) so that the measurement pipeline can
+// classify "parseable but badly signed" separately from "unparseable" —
+// the two distinct error classes in Figure 5 of the paper.
+//
+//	OCSPResponse      ::= SEQUENCE { responseStatus ENUMERATED,
+//	                                 responseBytes [0] ResponseBytes }
+//	ResponseBytes     ::= SEQUENCE { responseType OBJECT IDENTIFIER,
+//	                                 response OCTET STRING }
+//	BasicOCSPResponse ::= SEQUENCE { tbsResponseData ResponseData,
+//	                                 signatureAlgorithm AlgorithmIdentifier,
+//	                                 signature BIT STRING,
+//	                                 certs [0] SEQUENCE OF Certificate }
+//
+// Raw is der itself. Everything else the response holds is copied out
+// of der: the BasicOCSPResponse once (RawTBS, Signature and
+// ResponderRawName point into that copy) and each hash and nonce apart.
 func ParseResponse(der []byte) (*Response, error) {
-	var w ocspResponseASN1
-	rest, err := asn1.Unmarshal(der, &w)
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: parse response: %w", err)
+	in := pkixutil.Input(der)
+	var outer, status, rb, rtype, body pkixutil.Element
+	var hasBytes bool
+	if !in.ReadElement(&outer, pkixutil.TagSequence) ||
+		!outer.Content.ReadElement(&status, pkixutil.TagEnumerated) ||
+		!outer.Content.ReadOptionalExplicit(&rb, &hasBytes, 0, pkixutil.TagSequence) ||
+		hasBytes && (!rb.Content.ReadElement(&rtype, pkixutil.TagOID) || !rtype.Content.ValidOID() ||
+			!rb.Content.ReadElement(&body, pkixutil.TagOctetString)) {
+		return nil, errors.New("ocsp: parse response: malformed OCSPResponse")
 	}
-	if len(rest) != 0 {
+	st, ok := status.Content.Enum()
+	if !ok {
+		return nil, errors.New("ocsp: parse response: malformed responseStatus")
+	}
+	if len(in) != 0 {
 		return nil, errors.New("ocsp: trailing data after response")
 	}
-	resp := &Response{Status: ResponseStatus(w.Status), Raw: der}
+	resp := &Response{Status: ResponseStatus(st), Raw: der}
 	if !resp.Status.Valid() {
-		return nil, fmt.Errorf("ocsp: undefined response status %d", int(w.Status))
+		return nil, fmt.Errorf("ocsp: undefined response status %d", st)
 	}
 	if resp.Status != StatusSuccessful {
 		return resp, nil
 	}
-	if !w.ResponseBytes.ResponseType.Equal(pkixutil.OIDOCSPBasic) {
-		return nil, fmt.Errorf("ocsp: unsupported response type %v", w.ResponseBytes.ResponseType)
+	if !hasBytes || !bytes.Equal(rtype.Content, oidBasicContents) {
+		oid, _ := rtype.Content.ObjectIdentifier()
+		return nil, fmt.Errorf("ocsp: unsupported response type %v", oid)
 	}
-
-	var basic basicResponseASN1
-	rest, err = asn1.Unmarshal(w.ResponseBytes.Response, &basic)
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: parse basicResponse: %w", err)
+	if err := resp.parseBasic(bytes.Clone(body.Content)); err != nil {
+		return nil, err
 	}
-	if len(rest) != 0 {
-		return nil, errors.New("ocsp: trailing data after basicResponse")
-	}
-
-	resp.RawTBS = basic.TBSResponseData.FullBytes
-	resp.SignatureAlgorithm = basic.SignatureAlgorithm.Algorithm
-	resp.Signature = basic.Signature.RightAlign()
-
-	var rd responseDataASN1
-	rest, err = asn1.Unmarshal(basic.TBSResponseData.FullBytes, &rd)
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: parse responseData: %w", err)
-	}
-	if len(rest) != 0 {
-		return nil, errors.New("ocsp: trailing data after responseData")
-	}
-	resp.ProducedAt = rd.ProducedAt
-
-	switch rd.ResponderID.Tag {
-	case 1: // byName
-		resp.ResponderRawName = rd.ResponderID.Bytes
-	case 2: // byKey
-		var kh []byte
-		if _, err := asn1.Unmarshal(rd.ResponderID.Bytes, &kh); err != nil {
-			return nil, fmt.Errorf("ocsp: parse responder key hash: %w", err)
-		}
-		resp.ResponderKeyHash = kh
-	default:
-		return nil, fmt.Errorf("ocsp: invalid responderID tag %d", rd.ResponderID.Tag)
-	}
-
-	if len(rd.Responses) == 0 {
-		return nil, errors.New("ocsp: successful response with no single responses")
-	}
-	resp.Responses = make([]SingleResponse, 0, len(rd.Responses))
-	for _, sw := range rd.Responses {
-		s, err := singleFromASN1(sw)
-		if err != nil {
-			return nil, err
-		}
-		resp.Responses = append(resp.Responses, s)
-	}
-
-	if nonceDER := findNonce(rd.Extensions); nonceDER != nil {
-		var nonce []byte
-		if _, err := asn1.Unmarshal(nonceDER, &nonce); err != nil {
-			nonce = nonceDER
-		}
-		resp.Nonce = nonce
-	}
-
-	for _, raw := range basic.Certificates {
-		c, err := x509.ParseCertificate(raw.FullBytes)
-		if err != nil {
-			return nil, fmt.Errorf("ocsp: parse embedded certificate: %w", err)
-		}
-		resp.Certificates = append(resp.Certificates, c)
-	}
-
 	return resp, nil
 }
 
-func singleFromASN1(w singleResponseASN1) (SingleResponse, error) {
-	id, err := certIDFromASN1(w.CertID)
+// parseBasic fills r from basic, the DER BasicOCSPResponse, which r keeps.
+func (r *Response) parseBasic(basic pkixutil.Input) error {
+	var seq, tbs, sig, certs pkixutil.Element
+	var sigAlg pkixutil.Input
+	var hasCerts bool
+	if !basic.ReadElement(&seq, pkixutil.TagSequence) ||
+		!seq.Content.ReadElement(&tbs, pkixutil.AnyTag) ||
+		!seq.Content.ReadAlgorithmIdentifier(&sigAlg) ||
+		!seq.Content.ReadElement(&sig, pkixutil.TagBitString) ||
+		!seq.Content.ReadOptionalExplicit(&certs, &hasCerts, 0, pkixutil.TagSequence) {
+		return errors.New("ocsp: parse basicResponse: malformed DER")
+	}
+	if len(basic) != 0 {
+		return errors.New("ocsp: trailing data after basicResponse")
+	}
+	bits, ok := sig.Content.BitString()
+	if !ok {
+		return errors.New("ocsp: parse basicResponse: malformed signature")
+	}
+	if hasCerts {
+		if _, ok := certs.Content.CountElements(pkixutil.AnyTag); !ok {
+			return errors.New("ocsp: parse basicResponse: malformed certs")
+		}
+	}
+	if err := r.parseResponseData(tbs.Full); err != nil {
+		return err
+	}
+	r.RawTBS = tbs.Full
+	r.SignatureAlgorithm, _ = sigAlg.ObjectIdentifier() // ReadAlgorithmIdentifier checked it
+	r.Signature = bits.RightAlign()
+	for items := certs.Content; hasCerts && len(items) > 0; {
+		var cert pkixutil.Element
+		items.ReadElement(&cert, pkixutil.AnyTag) // CountElements checked it
+		c, err := x509.ParseCertificate(cert.Full)
+		if err != nil {
+			return fmt.Errorf("ocsp: parse embedded certificate: %w", err)
+		}
+		r.Certificates = append(r.Certificates, c)
+	}
+	return nil
+}
+
+// parseResponseData fills r from the DER ResponseData:
+//
+//	ResponseData ::= SEQUENCE { version [0],
+//	                            responderID CHOICE { byName [1] Name,
+//	                                                 byKey [2] OCTET STRING },
+//	                            producedAt GeneralizedTime,
+//	                            responses SEQUENCE OF SingleResponse,
+//	                            responseExtensions [1] }
+//
+// As in encoding/asn1, the responderID arm is told by its tag number
+// alone, and a byKey hash may be followed by anything.
+func (r *Response) parseResponseData(der pkixutil.Input) error {
+	var rd, rid, produced, list, exts pkixutil.Element
+	var hasExts bool
+	if !der.ReadElement(&rd, pkixutil.TagSequence) ||
+		!readVersion(&rd.Content) ||
+		!rd.Content.ReadElement(&rid, pkixutil.AnyTag) ||
+		!rd.Content.ReadElement(&produced, pkixutil.AnyTime) ||
+		!rd.Content.ReadElement(&list, pkixutil.TagSequence) ||
+		!rd.Content.ReadOptionalExplicit(&exts, &hasExts, 1, pkixutil.TagSequence) {
+		return errors.New("ocsp: parse responseData: malformed DER")
+	}
+	var ok bool
+	if r.ProducedAt, ok = produced.Time(); !ok {
+		return errors.New("ocsp: parse responseData: malformed producedAt")
+	}
+	n, ok := list.Content.CountElements(pkixutil.TagSequence)
+	if !ok {
+		return errors.New("ocsp: parse responseData: malformed responses")
+	}
+	if hasExts {
+		if r.Nonce, ok = readExtensions(exts.Content); !ok {
+			return errors.New("ocsp: parse responseData: malformed responseExtensions")
+		}
+	}
+
+	switch rid.Tag {
+	case 1: // byName
+		r.ResponderRawName = rid.Content
+	case 2: // byKey
+		var kh pkixutil.Element
+		if !rid.Content.ReadElement(&kh, pkixutil.TagOctetString) {
+			return errors.New("ocsp: parse responder key hash: malformed DER")
+		}
+		r.ResponderKeyHash = bytes.Clone(kh.Content)
+	default:
+		return fmt.Errorf("ocsp: invalid responderID tag %d", rid.Tag)
+	}
+
+	if n == 0 {
+		return errors.New("ocsp: successful response with no single responses")
+	}
+	r.Responses = make([]SingleResponse, 0, n)
+	for items := list.Content; len(items) > 0; {
+		var single pkixutil.Element
+		items.ReadElement(&single, pkixutil.TagSequence) // CountElements checked it
+		s, err := readSingleResponse(single.Content)
+		if err != nil {
+			return err
+		}
+		r.Responses = append(r.Responses, s)
+	}
+	return nil
+}
+
+// readSingleResponse decodes the contents of a SingleResponse:
+//
+//	SingleResponse ::= SEQUENCE { certID CertID,
+//	                              certStatus CHOICE { good [0] NULL,
+//	                                                  revoked [1] RevokedInfo,
+//	                                                  unknown [2] NULL },
+//	                              thisUpdate GeneralizedTime,
+//	                              nextUpdate [0] GeneralizedTime,
+//	                              singleExtensions [1] }
+//	RevokedInfo    ::= SEQUENCE { revocationTime GeneralizedTime,
+//	                              revocationReason [0] CRLReason }
+//
+// As in encoding/asn1, the certStatus arm is told by its class and tag
+// number alone.
+func readSingleResponse(s pkixutil.Input) (SingleResponse, error) {
+	id, err := readCertID(&s)
 	if err != nil {
 		return SingleResponse{}, err
 	}
-	s := SingleResponse{
-		CertID:     id,
-		ThisUpdate: w.ThisUpdate,
-		NextUpdate: w.NextUpdate,
-		Reason:     pkixutil.ReasonAbsent,
+	var status, this, next, exts pkixutil.Element
+	var hasNext, hasExts bool
+	if !s.ReadElement(&status, pkixutil.AnyTag) ||
+		!s.ReadElement(&this, pkixutil.AnyTime) ||
+		!s.ReadOptionalExplicit(&next, &hasNext, 0, pkixutil.AnyTime) ||
+		!s.ReadOptionalExplicit(&exts, &hasExts, 1, pkixutil.TagSequence) ||
+		hasExts && !validExtensions(exts.Content) {
+		return SingleResponse{}, errors.New("ocsp: parse singleResponse: malformed DER")
 	}
-	if w.CertStatus.Class != asn1.ClassContextSpecific {
-		return SingleResponse{}, fmt.Errorf("ocsp: certStatus has class %d", w.CertStatus.Class)
+	sr := SingleResponse{CertID: id, Reason: pkixutil.ReasonAbsent}
+	var ok bool
+	if sr.ThisUpdate, ok = this.Time(); !ok {
+		return SingleResponse{}, errors.New("ocsp: parse singleResponse: malformed thisUpdate")
 	}
-	switch w.CertStatus.Tag {
+	if hasNext {
+		if sr.NextUpdate, ok = next.Time(); !ok {
+			return SingleResponse{}, errors.New("ocsp: parse singleResponse: malformed nextUpdate")
+		}
+	}
+	if status.Class != 2 { // context-specific
+		return SingleResponse{}, fmt.Errorf("ocsp: certStatus has class %d", status.Class)
+	}
+	switch status.Tag {
 	case 0:
-		s.Status = Good
+		sr.Status = Good
 	case 2:
-		s.Status = Unknown
+		sr.Status = Unknown
 	case 1:
-		s.Status = Revoked
-		// Rebuild the SEQUENCE from the implicitly tagged contents.
-		seq, err := asn1.Marshal(asn1.RawValue{
-			Class:      asn1.ClassUniversal,
-			Tag:        asn1.TagSequence,
-			IsCompound: true,
-			Bytes:      w.CertStatus.Bytes,
-		})
-		if err != nil {
-			return SingleResponse{}, err
+		sr.Status = Revoked
+		var at, reason pkixutil.Element
+		var hasReason bool
+		if !status.Content.ReadElement(&at, pkixutil.AnyTime) ||
+			!status.Content.ReadOptionalExplicit(&reason, &hasReason, 0, pkixutil.TagEnumerated) {
+			return SingleResponse{}, errors.New("ocsp: parse revokedInfo: malformed DER")
 		}
-		var ri revokedInfoASN1
-		ri.Reason = asn1.Enumerated(pkixutil.ReasonAbsent)
-		if _, err := asn1.Unmarshal(seq, &ri); err != nil {
-			return SingleResponse{}, fmt.Errorf("ocsp: parse revokedInfo: %w", err)
+		if sr.RevokedAt, ok = at.Time(); !ok {
+			return SingleResponse{}, errors.New("ocsp: parse revokedInfo: malformed revocationTime")
 		}
-		s.RevokedAt = ri.RevocationTime
-		s.Reason = pkixutil.ReasonCode(ri.Reason)
+		if hasReason {
+			v, ok := reason.Content.Enum()
+			if !ok {
+				return SingleResponse{}, errors.New("ocsp: parse revokedInfo: malformed revocationReason")
+			}
+			sr.Reason = pkixutil.ReasonCode(v)
+		}
 	default:
-		return SingleResponse{}, fmt.Errorf("ocsp: certStatus has tag %d", w.CertStatus.Tag)
+		return SingleResponse{}, fmt.Errorf("ocsp: certStatus has tag %d", status.Tag)
 	}
-	return s, nil
+	return sr, nil
 }
 
 // Find returns the SingleResponse matching id, or nil if the response does

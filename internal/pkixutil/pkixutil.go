@@ -4,12 +4,12 @@
 // revocation reason codes, and the issuer name/key hashing used by OCSP
 // CertIDs.
 //
-// The OCSP encoders are built on this package's append-style DER writer
-// (der.go), which emits the same bytes encoding/asn1 would without
-// reflection. The parsers, the CRL codec and the one-time setup of
-// precomputed identifiers still use encoding/asn1. Everything is standard
-// library only; no golang.org/x/crypto dependency is used anywhere in this
-// module.
+// The OCSP codecs are built on this package's append-style DER writer
+// (der.go) and its DER reader (reader.go), which write and read what
+// encoding/asn1 would without reflection. The CRL codec and the one-time
+// setup of precomputed identifiers still use encoding/asn1. Everything is
+// standard library only; no golang.org/x/crypto dependency is used
+// anywhere in this module.
 package pkixutil
 
 import (
@@ -88,6 +88,8 @@ func HashOID(h crypto.Hash) (asn1.ObjectIdentifier, error) {
 }
 
 // HashFromOID is the inverse of HashOID.
+//
+//lint:allow unused the encoding/asn1 oracle in ocsp/reference_test.go decodes CertIDs with it
 func HashFromOID(oid asn1.ObjectIdentifier) (crypto.Hash, error) {
 	switch {
 	case oid.Equal(OIDSHA1):
@@ -266,13 +268,6 @@ func VerifyTBS(pub crypto.PublicKey, algOID asn1.ObjectIdentifier, tbs, sig []by
 	}
 }
 
-// subjectPublicKeyInfo is the minimal structure needed to extract the raw
-// public key BIT STRING from a certificate for key hashing.
-type subjectPublicKeyInfo struct {
-	Algorithm AlgorithmIdentifier
-	PublicKey asn1.BitString
-}
-
 // IssuerNameHash returns hash(issuer.RawSubject) as used in the OCSP
 // CertID issuerNameHash field.
 func IssuerNameHash(issuer *x509.Certificate, h crypto.Hash) ([]byte, error) {
@@ -282,12 +277,22 @@ func IssuerNameHash(issuer *x509.Certificate, h crypto.Hash) ([]byte, error) {
 // IssuerKeyHash returns the hash of the issuer's SubjectPublicKeyInfo
 // public-key BIT STRING contents (excluding tag, length, and unused-bits
 // byte), as required by RFC 6960 for the CertID issuerKeyHash field.
+// Anything after the SubjectPublicKeyInfo is ignored, as encoding/asn1
+// ignores it.
 func IssuerKeyHash(issuer *x509.Certificate, h crypto.Hash) ([]byte, error) {
-	var spki subjectPublicKeyInfo
-	if _, err := asn1.Unmarshal(issuer.RawSubjectPublicKeyInfo, &spki); err != nil {
-		return nil, fmt.Errorf("pkixutil: parse SubjectPublicKeyInfo: %w", err)
+	in := Input(issuer.RawSubjectPublicKeyInfo)
+	var spki, key Element
+	var alg Input
+	if !in.ReadElement(&spki, TagSequence) ||
+		!spki.Content.ReadAlgorithmIdentifier(&alg) ||
+		!spki.Content.ReadElement(&key, TagBitString) {
+		return nil, errors.New("pkixutil: parse SubjectPublicKeyInfo: malformed DER")
 	}
-	return hashBytes(spki.PublicKey.RightAlign(), h)
+	bits, ok := key.Content.BitString()
+	if !ok {
+		return nil, errors.New("pkixutil: parse SubjectPublicKeyInfo: invalid BIT STRING")
+	}
+	return hashBytes(bits.RightAlign(), h)
 }
 
 func hashBytes(b []byte, h crypto.Hash) ([]byte, error) {
