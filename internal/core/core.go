@@ -60,10 +60,12 @@ type Runner struct {
 	consistencyDone bool
 
 	// reg accumulates cross-experiment instrumentation (wall-time
-	// histogram, fleet cache counters); worlds tracks every world built
-	// so far, so per-experiment cache-stat deltas cover the whole fleet.
-	reg    *metrics.Registry
-	worlds []*world.World
+	// histogram, fleet cache counters).
+	reg *metrics.Registry
+	// releasedHits and releasedMisses sum the final cache counters of
+	// every world an experiment built for itself and released, so
+	// per-experiment cache-stat deltas cover them after they are gone.
+	releasedHits, releasedMisses uint64
 }
 
 type hourlyResults struct {
@@ -91,7 +93,8 @@ func NewRunner(cfg world.Config, out io.Writer) *Runner {
 // Campaigns never share a world: the simulated clock only moves forward,
 // so replaying a second campaign on an already-advanced world would skew
 // every time-derived field. freshWorld hands each campaign its own
-// identically seeded copy instead.
+// identically seeded copy instead, which the campaign releases when its
+// experiment returns.
 func (r *Runner) World() (*world.World, error) {
 	if r.w == nil {
 		w, err := r.buildWorld()
@@ -119,8 +122,18 @@ func (r *Runner) buildWorld() (*world.World, error) {
 		return nil, err
 	}
 	report.WorldBuild(r.Out, stop(), r.Config.BuildWorkers)
-	r.worlds = append(r.worlds, w)
 	return w, nil
+}
+
+// release adds the final cache counters of a world an experiment built
+// for itself (a fresh world or the consistency study) to the runner's
+// totals. Nothing refers to the world after its experiment returns, so
+// the collector can take it: a run of every experiment holds one such
+// world at a time, not all of them.
+func (r *Runner) release(w interface{ CacheStats() (uint64, uint64) }) {
+	h, m := w.CacheStats()
+	r.releasedHits += h
+	r.releasedMisses += m
 }
 
 // registry returns the runner's metrics registry, creating it on first use
@@ -133,10 +146,11 @@ func (r *Runner) registry() *metrics.Registry {
 }
 
 // cacheStats sums signed-response cache counters over every world built by
-// this runner so far.
+// this runner so far: the released ones and the cached one.
 func (r *Runner) cacheStats() (hits, misses uint64) {
-	for _, w := range r.worlds {
-		h, m := w.CacheStats()
+	hits, misses = r.releasedHits, r.releasedMisses
+	if r.w != nil {
+		h, m := r.w.CacheStats()
 		hits += h
 		misses += m
 	}
@@ -196,7 +210,7 @@ func (r *Runner) dispatch(ctx context.Context, name string) error {
 	case "fig4":
 		return r.runFigure4(ctx)
 	case "table1", "fig10":
-		return r.runConsistency(name)
+		return r.runConsistency()
 	case "table2":
 		return r.runTable2()
 	case "fig11":
@@ -342,6 +356,7 @@ func (r *Runner) ensureHourly(ctx context.Context) (*hourlyResults, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer r.release(w)
 	res := &hourlyResults{
 		avail:    scanner.NewAvailabilitySeries(w.Config.Stride),
 		unusable: scanner.NewUnusableSeries(w.Config.Stride),
@@ -412,6 +427,7 @@ func (r *Runner) ensureAlexa(ctx context.Context) (*alexaResults, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer r.release(w)
 	// The impact campaign always runs hourly regardless of the world's
 	// stride: the named outage events last only a few hours, and
 	// Figure 4's whole point is catching them. One weighted target per
@@ -457,22 +473,25 @@ func (r *Runner) runFigure4(ctx context.Context) error {
 	return nil
 }
 
-func (r *Runner) runConsistency(name string) error {
+// runConsistency runs the §5.4 CRL/OCSP study on its own population
+// (world.BuildConsistency): the study probes none of the responder fleet,
+// so it builds none.
+func (r *Runner) runConsistency() error {
 	// Table 1 and Figure 10 come from one study and render together;
 	// emit the block once per runner.
 	if r.consistencyDone {
 		return nil
 	}
-	w, err := r.freshWorld()
+	c, err := world.BuildConsistency(r.Config)
 	if err != nil {
 		return err
 	}
-	study := &consistency.Study{Network: w.Network, Vantage: netsim.PaperVantages()[1]}
-	rep, err := study.Run(w.Config.Start.Add(6*24*time.Hour), w.ConsistencySources)
+	defer r.release(c)
+	study := &consistency.Study{Network: c.Network, Vantage: netsim.PaperVantages()[1]}
+	rep, err := study.Run(c.Config.Start.Add(6*24*time.Hour), c.Sources)
 	if err != nil {
 		return err
 	}
-	_ = name
 	report.Table1(r.Out, rep)
 	r.consistencyDone = true
 	return nil
@@ -520,6 +539,7 @@ func (r *Runner) runCDN(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	defer r.release(w)
 	client := &scanner.Client{Transport: w.Network}
 	cdn := census.NewCDNCache(client, w.Clock, netsim.PaperVantages()[1])
 	// Replay an afternoon of CDN TLS traffic over the Alexa targets,

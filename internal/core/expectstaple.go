@@ -39,6 +39,7 @@ func (r *Runner) runExpectStaple(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	defer r.release(w)
 
 	// The report log persists every accepted report in arrival order —
 	// under StoreDir when configured, else in a scratch directory that

@@ -212,10 +212,31 @@ type responderQuality struct {
 	usable   int
 
 	// producedAt tracking for the on-demand analysis (§5.4).
-	lastProducedAt  time.Time
-	producedGaps    []float64 // seconds between distinct producedAt values
-	regressions     int       // producedAt went backwards (multi-instance farms)
-	onDemandSamples int       // receipt − producedAt < 2 minutes
+	lastProducedAt time.Time
+	// producedGaps counts each gap, in seconds, between distinct
+	// producedAt values: a responder's gaps repeat its update interval,
+	// so the counts stay few however many rounds a campaign scans.
+	producedGaps    map[float64]int
+	gaps            int // samples in producedGaps
+	regressions     int // producedAt went backwards (multi-instance farms)
+	onDemandSamples int // receipt − producedAt < 2 minutes
+}
+
+// medianGap returns the gap a sorted list of every sample would hold at
+// index len/2, or 0 if there are none.
+func (r *responderQuality) medianGap() float64 {
+	vals := make([]float64, 0, len(r.producedGaps))
+	for v := range r.producedGaps {
+		vals = append(vals, v)
+	}
+	sort.Float64s(vals)
+	seen := 0
+	for _, v := range vals {
+		if seen += r.producedGaps[v]; seen > r.gaps/2 {
+			return v
+		}
+	}
+	return 0
 }
 
 // QualityAggregator computes the per-responder distributions behind
@@ -268,7 +289,11 @@ func (q *QualityAggregator) Add(o Observation) {
 		if gap < 0 {
 			r.regressions++
 		} else {
-			r.producedGaps = append(r.producedGaps, gap)
+			if r.producedGaps == nil {
+				r.producedGaps = make(map[float64]int)
+			}
+			r.producedGaps[gap]++
+			r.gaps++
 		}
 	}
 	r.lastProducedAt = o.ProducedAt
@@ -407,10 +432,8 @@ func (q *QualityAggregator) OnDemand() []OnDemandStats {
 			ValiditySec:           r.validity.Mean(),
 			ProducedAtRegressions: r.regressions,
 		}
-		if !st.OnDemand && len(r.producedGaps) > 0 {
-			gaps := append([]float64(nil), r.producedGaps...)
-			sort.Float64s(gaps)
-			st.UpdateIntervalSec = gaps[len(gaps)/2]
+		if !st.OnDemand && r.gaps > 0 {
+			st.UpdateIntervalSec = r.medianGap()
 			if r.validity.N > 0 && st.ValiditySec <= st.UpdateIntervalSec {
 				st.NonOverlapping = true
 			}

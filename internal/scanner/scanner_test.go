@@ -2,7 +2,10 @@ package scanner
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"net/http"
+	"sort"
 	"testing"
 	"time"
 
@@ -467,5 +470,66 @@ func TestQualityAggregation(t *testing.T) {
 	}
 	if !nonOverlap["ocsp.cached.test"] {
 		t.Error("validity == update interval should flag non-overlapping")
+	}
+}
+
+// TestOnDemandMedianGapMatchesSlice checks the counted update-interval gaps
+// against the slice of every gap they replaced: over random producedAt
+// sequences (repeats, stale instances going backwards, a responder's few
+// update intervals, and arbitrary jumps), OnDemand reports the slice's
+// sorted(gaps)[len/2] for every responder.
+func TestOnDemandMedianGapMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	q := NewQualityAggregator()
+	want := map[string]float64{}
+	seen := 0
+	for r := 0; r < 200; r++ {
+		name := fmt.Sprintf("ocsp%03d.test", r)
+		intervals := []time.Duration{time.Hour, 2 * time.Hour, 24 * time.Hour}[:1+rng.Intn(3)]
+		var gaps []float64
+		var last time.Time
+		produced := t0
+		n := rng.Intn(300)
+		if n > 0 {
+			seen++
+		}
+		for i := 0; i < n; i++ {
+			switch x := rng.Intn(100); {
+			case x < 30: // the same response again
+			case x < 35:
+				produced = produced.Add(-time.Duration(rng.Intn(7200)) * time.Second)
+			case x < 45:
+				produced = produced.Add(time.Duration(1+rng.Intn(86400)) * time.Second)
+			default:
+				produced = produced.Add(intervals[rng.Intn(len(intervals))])
+			}
+			if !last.IsZero() && !produced.Equal(last) {
+				if gap := produced.Sub(last).Seconds(); gap >= 0 {
+					gaps = append(gaps, gap)
+				}
+			}
+			last = produced
+			q.Add(Observation{
+				Responder: name, Class: ClassOK, At: produced.Add(time.Hour),
+				ProducedAt: produced, ThisUpdate: produced,
+				NextUpdate: produced.Add(3 * time.Hour), HasNextUpdate: true,
+			})
+		}
+		if len(gaps) > 0 {
+			sort.Float64s(gaps)
+			want[name] = gaps[len(gaps)/2]
+		}
+	}
+	stats := q.OnDemand()
+	if len(stats) != seen {
+		t.Fatalf("OnDemand reports %d responders, want %d", len(stats), seen)
+	}
+	for _, st := range stats {
+		if st.OnDemand {
+			t.Fatalf("%s: classified on-demand with producedAt an hour before receipt", st.Responder)
+		}
+		if st.UpdateIntervalSec != want[st.Responder] {
+			t.Fatalf("%s: update interval %v s, want the slice median %v s", st.Responder, st.UpdateIntervalSec, want[st.Responder])
+		}
 	}
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"sort"
+	"time"
 )
 
 // refCDF is the slice-backed CDF the counted one replaced: it keeps every
@@ -77,4 +78,47 @@ func (c *refCDF) Max() float64 {
 		}
 	}
 	return max
+}
+
+// refTimeSeries is the map-of-maps TimeSeries the counter rows replaced: a
+// map of labels to counts per bucket. The tests check every query of
+// TimeSeries against it.
+type refTimeSeries struct {
+	Bucket time.Duration
+	counts map[time.Time]map[string]int
+}
+
+func newRefTimeSeries(bucket time.Duration) *refTimeSeries {
+	return &refTimeSeries{Bucket: bucket, counts: make(map[time.Time]map[string]int)}
+}
+
+func (s *refTimeSeries) AddN(at time.Time, label string, n int) {
+	b := at.Truncate(s.Bucket)
+	m := s.counts[b]
+	if m == nil {
+		m = make(map[string]int)
+		s.counts[b] = m
+	}
+	m[label] += n
+}
+
+func (s *refTimeSeries) Buckets() []time.Time {
+	out := make([]time.Time, 0, len(s.counts))
+	for b := range s.counts {
+		out = append(out, b)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
+	return out
+}
+
+func (s *refTimeSeries) Count(bucket time.Time, label string) int {
+	return s.counts[bucket.Truncate(s.Bucket)][label]
+}
+
+func (s *refTimeSeries) Rate(bucket time.Time, numLabel, totalLabel string) float64 {
+	m := s.counts[bucket.Truncate(s.Bucket)]
+	if m == nil || m[totalLabel] == 0 {
+		return 0
+	}
+	return float64(m[numLabel]) / float64(m[totalLabel])
 }

@@ -8,6 +8,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -208,14 +209,24 @@ func (b *RankBins) Rates() []BinRate {
 }
 
 // TimeSeries counts labelled events in fixed time buckets.
+//
+// Each bucket is a row of plain counters, one per label, in one flat
+// slice: a campaign adds a bucket per round to each of its series, and a
+// row costs 8 B per label where a map per bucket cost ~300 B. Rows are
+// kept in bucket order. Campaign events arrive in time order, so a new
+// bucket is appended; one that arrives out of order is inserted. A bucket
+// is identified by its instant, whatever the location of the times that
+// name it.
 type TimeSeries struct {
 	Bucket time.Duration
-	counts map[time.Time]map[string]int
+	labels []string    // column j counts labels[j]; in first-use order
+	starts []time.Time // bucket starts, ascending
+	counts []int       // counts[i*len(labels)+j]: bucket i, label j
 }
 
 // NewTimeSeries creates a series with the given bucket width.
 func NewTimeSeries(bucket time.Duration) *TimeSeries {
-	return &TimeSeries{Bucket: bucket, counts: make(map[time.Time]map[string]int)}
+	return &TimeSeries{Bucket: bucket}
 }
 
 // Add counts one event with the given label at time at.
@@ -223,38 +234,68 @@ func (s *TimeSeries) Add(at time.Time, label string) {
 	s.AddN(at, label, 1)
 }
 
-// AddN counts n events.
+// AddN counts n events. n may be 0: the bucket and the label still exist
+// afterwards.
 func (s *TimeSeries) AddN(at time.Time, label string, n int) {
+	j := s.column(label)
 	b := at.Truncate(s.Bucket)
-	m := s.counts[b]
-	if m == nil {
-		m = make(map[string]int)
-		s.counts[b] = m
+	i, ok := s.find(b)
+	if !ok {
+		k := len(s.labels)
+		s.starts = slices.Insert(s.starts, i, b)
+		s.counts = slices.Insert(s.counts, i*k, make([]int, k)...)
 	}
-	m[label] += n
+	s.counts[i*len(s.labels)+j] += n
+}
+
+// column returns label's column, widening every row on the label's first
+// use. A series has a handful of labels, so a scan beats a map.
+func (s *TimeSeries) column(label string) int {
+	if j := slices.Index(s.labels, label); j >= 0 {
+		return j
+	}
+	k := len(s.labels)
+	s.labels = append(s.labels, label)
+	if len(s.starts) > 0 {
+		wide := make([]int, len(s.starts)*(k+1))
+		for i := range s.starts {
+			copy(wide[i*(k+1):], s.counts[i*k:(i+1)*k])
+		}
+		s.counts = wide
+	}
+	return k
+}
+
+// find returns the row of the bucket starting at b, or where its row
+// belongs and false.
+func (s *TimeSeries) find(b time.Time) (int, bool) {
+	if n := len(s.starts); n > 0 && s.starts[n-1].Equal(b) {
+		return n - 1, true
+	}
+	return slices.BinarySearchFunc(s.starts, b, time.Time.Compare)
 }
 
 // Buckets returns the bucket start times in order.
 func (s *TimeSeries) Buckets() []time.Time {
-	out := make([]time.Time, 0, len(s.counts))
-	for b := range s.counts {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
-	return out
+	return append(make([]time.Time, 0, len(s.starts)), s.starts...)
 }
 
 // Count returns the count for (bucket, label).
 func (s *TimeSeries) Count(bucket time.Time, label string) int {
-	return s.counts[bucket.Truncate(s.Bucket)][label]
-}
-
-// Rate returns num/(num+denomRest) style fractions: the count of numLabel
-// divided by the count of totalLabel in the bucket (0 if empty).
-func (s *TimeSeries) Rate(bucket time.Time, numLabel, totalLabel string) float64 {
-	m := s.counts[bucket.Truncate(s.Bucket)]
-	if m == nil || m[totalLabel] == 0 {
+	i, ok := s.find(bucket.Truncate(s.Bucket))
+	j := slices.Index(s.labels, label)
+	if !ok || j < 0 {
 		return 0
 	}
-	return float64(m[numLabel]) / float64(m[totalLabel])
+	return s.counts[i*len(s.labels)+j]
+}
+
+// Rate returns the count of numLabel divided by the count of totalLabel in
+// the bucket (0 if the bucket or its total is empty).
+func (s *TimeSeries) Rate(bucket time.Time, numLabel, totalLabel string) float64 {
+	total := s.Count(bucket, totalLabel)
+	if total == 0 {
+		return 0
+	}
+	return float64(s.Count(bucket, numLabel)) / float64(total)
 }

@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -250,6 +252,157 @@ func TestTimeSeries(t *testing.T) {
 	buckets := s.Buckets()
 	if len(buckets) != 2 || !buckets[0].Equal(t0) || !buckets[1].Equal(t0.Add(time.Hour)) {
 		t.Errorf("buckets = %v", buckets)
+	}
+}
+
+// TestTimeSeriesEdgeCases pins what the counter rows must keep from the
+// map per bucket: AddN with n = 0 creates the bucket, a label first used
+// in a late bucket reads 0 in the earlier ones, a bucket added before the
+// others lands first, and a bucket whose total is 0 has rate 0.
+func TestTimeSeriesEdgeCases(t *testing.T) {
+	t0 := time.Date(2018, 4, 25, 0, 0, 0, 0, time.UTC)
+	s := NewTimeSeries(time.Hour)
+	s.Add(t0.Add(2*time.Hour), "total")
+	s.Add(t0.Add(3*time.Hour), "total")
+	s.AddN(t0.Add(5*time.Hour), "total", 0)        // an empty bucket
+	s.Add(t0.Add(3*time.Hour+time.Minute), "asn1") // a late label
+	s.Add(t0.Add(30*time.Minute), "total")         // out of order
+	s.AddN(t0.Add(4*time.Hour), "success", 2)      // no total
+	want := []time.Time{t0, t0.Add(2 * time.Hour), t0.Add(3 * time.Hour), t0.Add(4 * time.Hour), t0.Add(5 * time.Hour)}
+	if got := s.Buckets(); !slices.EqualFunc(got, want, time.Time.Equal) {
+		t.Fatalf("buckets = %v, want %v", got, want)
+	}
+	for _, c := range []struct {
+		at    time.Duration
+		label string
+		want  int
+	}{
+		{0, "total", 1}, {0, "asn1", 0}, {2 * time.Hour, "asn1", 0}, {3 * time.Hour, "asn1", 1},
+		{3 * time.Hour, "total", 1}, {4 * time.Hour, "success", 2}, {5 * time.Hour, "total", 0},
+		{time.Hour, "total", 0}, {4 * time.Hour, "never", 0},
+	} {
+		if got := s.Count(t0.Add(c.at), c.label); got != c.want {
+			t.Errorf("Count(+%v, %q) = %d, want %d", c.at, c.label, got, c.want)
+		}
+	}
+	if got := s.Rate(t0.Add(3*time.Hour), "asn1", "total"); got != 1 {
+		t.Errorf("rate at +3h = %v, want 1", got)
+	}
+	for _, at := range []time.Duration{time.Hour, 4 * time.Hour, 5 * time.Hour} {
+		if got := s.Rate(t0.Add(at), "success", "total"); got != 0 {
+			t.Errorf("rate at +%v = %v, want 0 (no total)", at, got)
+		}
+	}
+}
+
+// TestTimeSeriesMatchesReference feeds the counter rows and the map-of-maps
+// reference the same random events — buckets mostly in order with jumps
+// back, labels that first appear late, n = 0 and negative n — and compares
+// Buckets, and Count and Rate for every bucket, label pair and probe time,
+// between adds as well as at the end.
+func TestTimeSeriesMatchesReference(t *testing.T) {
+	t0 := time.Date(2018, 4, 25, 0, 0, 0, 0, time.UTC)
+	labels := []string{"total", "success", "asn1", "serial", "signature", "failed"}
+	widths := []time.Duration{time.Minute, time.Hour, 6 * time.Hour, 24 * time.Hour}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 40; trial++ {
+		width := widths[rng.Intn(len(widths))]
+		got := NewTimeSeries(width)
+		want := newRefTimeSeries(width)
+		n := rng.Intn(2000)
+		nlabels := 1 + rng.Intn(len(labels))
+		lateFrom := rng.Intn(n + 1) // the last label appears only from here on
+		queryEvery := 100 + rng.Intn(500)
+		var at time.Duration
+		for i := 0; i < n; i++ {
+			switch r := rng.Intn(100); {
+			case r < 5:
+				at -= time.Duration(rng.Int63n(int64(20 * width))) // back, often to a new bucket
+			case r < 40:
+				at += time.Duration(rng.Int63n(int64(2 * width)))
+			}
+			k := nlabels
+			if i < lateFrom && k > 1 {
+				k--
+			}
+			label := labels[rng.Intn(k)]
+			c := 1
+			switch r := rng.Intn(100); {
+			case r < 5:
+				c = 0
+			case r < 8:
+				c = -rng.Intn(3)
+			case r < 20:
+				c = rng.Intn(1000)
+			}
+			got.AddN(t0.Add(at), label, c)
+			want.AddN(t0.Add(at), label, c)
+			if i%queryEvery == 0 {
+				compareTimeSeries(t, trial, got, want, labels)
+			}
+		}
+		compareTimeSeries(t, trial, got, want, labels)
+	}
+}
+
+func compareTimeSeries(t *testing.T, trial int, got *TimeSeries, want *refTimeSeries, labels []string) {
+	t.Helper()
+	gb, wb := got.Buckets(), want.Buckets()
+	if !slices.EqualFunc(gb, wb, time.Time.Equal) {
+		t.Fatalf("trial %d: buckets = %v, want %v", trial, gb, wb)
+	}
+	var probes []time.Time
+	for _, b := range wb {
+		// The bucket's start, a time inside it, and the empty buckets
+		// on either side.
+		probes = append(probes, b, b.Add(want.Bucket/2), b.Add(-want.Bucket), b.Add(want.Bucket))
+	}
+	for _, p := range probes {
+		for _, l := range labels {
+			if g, w := got.Count(p, l), want.Count(p, l); g != w {
+				t.Fatalf("trial %d: Count(%v, %q) = %d, want %d", trial, p, l, g, w)
+			}
+			for _, total := range labels {
+				if g, w := got.Rate(p, l, total), want.Rate(p, l, total); g != w {
+					t.Fatalf("trial %d: Rate(%v, %q, %q) = %v, want %v", trial, p, l, total, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestTimeSeriesHeapPerBucket bounds the live heap a two-label series
+// holds per bucket, as a campaign's availability series adds one bucket
+// per round. The map per bucket held ~300 B; the bound is checked to
+// reject it, so it cannot drift loose.
+func TestTimeSeriesHeapPerBucket(t *testing.T) {
+	const buckets, bound = 20_000, 128
+	t0 := time.Date(2018, 4, 25, 0, 0, 0, 0, time.UTC)
+	perBucket := func(add func(at time.Time, label string)) float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < buckets; i++ {
+			at := t0.Add(time.Duration(i) * time.Hour)
+			add(at, "total")
+			add(at, "success")
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / buckets
+	}
+	s := NewTimeSeries(time.Hour)
+	got := perBucket(func(at time.Time, label string) { s.Add(at, label) })
+	runtime.KeepAlive(s)
+	ref := newRefTimeSeries(time.Hour)
+	old := perBucket(func(at time.Time, label string) { ref.AddN(at, label, 1) })
+	runtime.KeepAlive(ref)
+	t.Logf("live heap per bucket: %.0f B (map per bucket: %.0f B)", got, old)
+	if got > bound {
+		t.Errorf("a two-label series holds %.0f B per bucket, want at most %d", got, bound)
+	}
+	if old <= bound {
+		t.Errorf("the map-per-bucket reference holds %.0f B per bucket, within the %d B bound: the bound no longer tells them apart", old, bound)
 	}
 }
 

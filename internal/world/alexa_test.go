@@ -6,7 +6,7 @@ import (
 )
 
 func TestAlexaJoin(t *testing.T) {
-	w := build(t, Config{Seed: 11, AlexaDomains: 20_000, ConsistentCAs: 1, SerialsPerConsistentCA: 2, Table1Scale: 200})
+	w := build(t, Config{Seed: 11, AlexaDomains: 20_000})
 
 	// Every Alexa target carries a positive weight and points at a
 	// registered responder.
@@ -51,7 +51,7 @@ func TestAlexaJoin(t *testing.T) {
 }
 
 func TestResponderValidities(t *testing.T) {
-	w := build(t, Config{Seed: 12, Responders: 160, AlexaDomains: 2000, ConsistentCAs: 1, SerialsPerConsistentCA: 2, Table1Scale: 200})
+	w := build(t, Config{Seed: 12, Responders: 160, AlexaDomains: 2000})
 	vs := w.ResponderValidities()
 	if len(vs) != 160 {
 		t.Fatalf("validities = %d", len(vs))
@@ -79,7 +79,7 @@ func TestResponderValidities(t *testing.T) {
 }
 
 func TestEventScheduleDocumented(t *testing.T) {
-	w := build(t, Config{Seed: 13, AlexaDomains: 2000, ConsistentCAs: 1, SerialsPerConsistentCA: 2, Table1Scale: 200})
+	w := build(t, Config{Seed: 13, AlexaDomains: 2000})
 	names := map[string]bool{}
 	for _, e := range w.Events {
 		names[e.Name] = true

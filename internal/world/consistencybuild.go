@@ -6,13 +6,68 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/netmeasure/muststaple/internal/clock"
 	"github.com/netmeasure/muststaple/internal/consistency"
+	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/ocspserver"
 	"github.com/netmeasure/muststaple/internal/pki"
 	"github.com/netmeasure/muststaple/internal/pkixutil"
 	"github.com/netmeasure/muststaple/internal/responder"
 )
+
+// ConsistencyWorld is the population of the §5.4 CRL/OCSP consistency
+// study (Table 1, Figure 10): one OCSP responder and one CRL publisher per
+// CA pair, on a network of their own, stamping every response and CRL at
+// Config.Start. Only the study reads it, so it is built apart from the
+// responder fleet (BuildConsistency), and no World carries it.
+type ConsistencyWorld struct {
+	Config  Config
+	Network *netsim.Network
+	// Sources are the CRL/OCSP pairs, in job order.
+	Sources []consistency.Source
+
+	responders []*responder.Responder
+}
+
+// CacheStats sums signed-response cache hits and misses across the
+// study's OCSP responders.
+func (c *ConsistencyWorld) CacheStats() (hits, misses uint64) {
+	for _, r := range c.responders {
+		h, m := r.CacheStats()
+		hits += h
+		misses += m
+	}
+	return hits, misses
+}
+
+// BuildConsistency assembles the study population from cfg: the seven
+// Table 1 pairs, the Figure 10 time-skew pairs and cfg.ConsistentCAs
+// well-behaved ones. Pair i's key material and revocation draws come from
+// the (streamConsistency, i) child RNG of cfg.Seed, so the pairs are the
+// same at any BuildWorkers count.
+func BuildConsistency(cfg Config) (*ConsistencyWorld, error) {
+	cfg = cfg.withDefaults()
+	c := &ConsistencyWorld{Config: cfg, Network: netsim.New()}
+	clk := clock.NewSimulated(cfg.Start)
+	jobs := cfg.consistencyJobs()
+	results := make([]consistencyResult, len(jobs))
+	cfg.runParallel(len(jobs), func(i int) {
+		rng := childRNG(cfg.Seed, streamConsistency, uint64(i))
+		results[i] = buildConsistencyCA(cfg, clk, rng, jobs[i])
+	})
+	// Registration and the source list stay serial, in job order.
+	for _, res := range results {
+		if res.err != nil {
+			return nil, res.err
+		}
+		c.Network.RegisterHost(res.ocspHost, "", ocspserver.NewHandler(res.ocsp))
+		c.Network.RegisterHost(res.crlHost, "", res.crl)
+		c.Sources = append(c.Sources, res.src)
+		c.responders = append(c.responders, res.ocsp)
+	}
+	return c, nil
+}
 
 // table1Spec pins one discrepant CRL/OCSP pair of Table 1. Revoked counts
 // are the paper's CRL populations; Good/UnknownAll are the exact
@@ -78,8 +133,8 @@ type consistencyResult struct {
 // seven exact Table 1 pairs (scaled by Table1Scale), the pinned time-skew
 // pairs, then the well-behaved remainder. The slice index doubles as the
 // pair's child-seed index, so each job is reproducible in isolation.
-func (w *World) consistencyJobs() []consistencyJob {
-	scale := w.Config.Table1Scale
+func (c Config) consistencyJobs() []consistencyJob {
+	scale := c.Table1Scale
 	var jobs []consistencyJob
 
 	for _, spec := range table1Specs {
@@ -122,12 +177,12 @@ func (w *World) consistencyJobs() []consistencyJob {
 
 	// The well-behaved remainder. Roughly 15% of pairs differ only in
 	// reason codes — the CRL has one, the OCSP responder drops it.
-	for i := 0; i < w.Config.ConsistentCAs; i++ {
+	for i := 0; i < c.ConsistentCAs; i++ {
 		job := consistencyJob{
 			name:    fmt.Sprintf("consistent%03d", i),
-			revoked: w.Config.SerialsPerConsistentCA,
+			revoked: c.SerialsPerConsistentCA,
 		}
-		if float64(i) < 0.15*float64(w.Config.ConsistentCAs) {
+		if float64(i) < 0.15*float64(c.ConsistentCAs) {
 			job.profile.DropReasonCodes = true
 			job.explicitReasons = true
 		}
@@ -136,36 +191,13 @@ func (w *World) consistencyJobs() []consistencyJob {
 	return jobs
 }
 
-// buildConsistency constructs the study population across the build worker
-// pool — each pair is an independent CA with its own child RNG — then
-// registers the pairs on the network and appends the sources in job order,
-// so the assembled world is identical at any worker count.
-func (w *World) buildConsistency() error {
-	jobs := w.consistencyJobs()
-	results := make([]consistencyResult, len(jobs))
-	w.runParallel(len(jobs), func(i int) {
-		rng := childRNG(w.Config.Seed, streamConsistency, uint64(i))
-		results[i] = w.buildConsistencyCA(rng, jobs[i])
-	})
-	for _, res := range results {
-		if res.err != nil {
-			return res.err
-		}
-		w.Network.RegisterHost(res.ocspHost, "", ocspserver.NewHandler(res.ocsp))
-		w.Network.RegisterHost(res.crlHost, "", res.crl)
-		w.ConsistencySources = append(w.ConsistencySources, res.src)
-		w.consistencyResponders = append(w.consistencyResponders, res.ocsp)
-	}
-	return nil
-}
-
 // buildConsistencyCA creates one CRL/OCSP pair: a CA, a database with
 // job.revoked unexpired revoked serials plus ~1.8× expired revoked entries
 // (so the study's expiry cross-referencing step has real work to do, as in
 // the paper's 2,041,345 → 728,261 reduction), an OCSP responder with the
-// job's profile, and a CRL publisher. It touches no world state shared
-// with other jobs, so jobs run concurrently.
-func (w *World) buildConsistencyCA(rng *rand.Rand, job consistencyJob) consistencyResult {
+// job's profile, and a CRL publisher, both on clk. It touches no state
+// shared with other jobs, so jobs run concurrently.
+func buildConsistencyCA(cfg Config, clk clock.Clock, rng *rand.Rand, job consistencyJob) consistencyResult {
 	ocspHost := "ocsp." + job.name + ".test"
 	crlHost := "crl." + job.name + ".test"
 	ca, err := pki.NewRootCA(pki.Config{
@@ -173,7 +205,7 @@ func (w *World) buildConsistencyCA(rng *rand.Rand, job consistencyJob) consisten
 		Rand:      rng,
 		OCSPURL:   "http://" + ocspHost,
 		CRLURL:    "http://" + crlHost + "/ca.crl",
-		NotBefore: w.Config.Start.AddDate(-3, 0, 0),
+		NotBefore: cfg.Start.AddDate(-3, 0, 0),
 	})
 	if err != nil {
 		return consistencyResult{err: err}
@@ -184,8 +216,8 @@ func (w *World) buildConsistencyCA(rng *rand.Rand, job consistencyJob) consisten
 	var serials []*big.Int
 	for i := 0; i < job.revoked; i++ {
 		serial := big.NewInt(base + int64(i))
-		expiry := w.Config.Start.AddDate(1, 0, 0)
-		revokedAt := w.Config.Start.AddDate(0, 0, -1-rng.Intn(300)).Truncate(time.Second)
+		expiry := cfg.Start.AddDate(1, 0, 0)
+		revokedAt := cfg.Start.AddDate(0, 0, -1-rng.Intn(300)).Truncate(time.Second)
 		db.AddIssued(serial, expiry)
 		db.Revoke(serial, revokedAt, pkixutil.ReasonAbsent)
 		serials = append(serials, serial)
@@ -195,8 +227,8 @@ func (w *World) buildConsistencyCA(rng *rand.Rand, job consistencyJob) consisten
 	expiredCount := job.revoked * 9 / 5
 	for i := 0; i < expiredCount; i++ {
 		serial := big.NewInt(base + int64(job.revoked) + int64(i))
-		db.AddIssued(serial, w.Config.Start.AddDate(0, -1-rng.Intn(12), 0))
-		db.Revoke(serial, w.Config.Start.AddDate(-1, 0, 0), pkixutil.ReasonAbsent)
+		db.AddIssued(serial, cfg.Start.AddDate(0, -1-rng.Intn(12), 0))
+		db.Revoke(serial, cfg.Start.AddDate(-1, 0, 0), pkixutil.ReasonAbsent)
 	}
 	if job.explicitReasons {
 		// Re-revoke with explicit reasons so the CRL side carries codes
@@ -226,8 +258,8 @@ func (w *World) buildConsistencyCA(rng *rand.Rand, job consistencyJob) consisten
 				return rec.Expiry, true
 			},
 		},
-		ocsp:     responder.New(ocspHost, ca, db, w.Clock, profile, w.Config.responderOpts()...),
-		crl:      responder.NewCRLPublisher(ca, db, w.Clock),
+		ocsp:     responder.New(ocspHost, ca, db, clk, profile, cfg.responderOpts()...),
+		crl:      responder.NewCRLPublisher(ca, db, clk),
 		ocspHost: ocspHost,
 		crlHost:  crlHost,
 	}

@@ -10,13 +10,21 @@ import (
 )
 
 // detConfig is small enough for repeated builds but keeps every named
-// population and a non-trivial consistency study.
+// population.
 func detConfig(seed int64) Config {
 	return Config{
+		Seed:              seed,
+		Responders:        130,
+		CertsPerResponder: 2,
+		AlexaDomains:      4_000,
+	}
+}
+
+// detConsistencyConfig sizes a small but complete consistency study: every
+// Table 1 and time-skew pair plus three well-behaved ones.
+func detConsistencyConfig(seed int64) Config {
+	return Config{
 		Seed:                   seed,
-		Responders:             130,
-		CertsPerResponder:      2,
-		AlexaDomains:           4_000,
 		ConsistentCAs:          3,
 		SerialsPerConsistentCA: 10,
 		Table1Scale:            100,
@@ -48,19 +56,6 @@ func compareWorlds(t *testing.T, a, b *World) {
 	compareTargets(t, "targets", a.Targets, b.Targets)
 	compareTargets(t, "alexa targets", a.AlexaTargets, b.AlexaTargets)
 
-	if len(a.ConsistencySources) != len(b.ConsistencySources) {
-		t.Fatalf("consistency sources %d vs %d", len(a.ConsistencySources), len(b.ConsistencySources))
-	}
-	for i := range a.ConsistencySources {
-		sa, sb := a.ConsistencySources[i], b.ConsistencySources[i]
-		if sa.Name != sb.Name || sa.OCSPURL != sb.OCSPURL || sa.CRLURL != sb.CRLURL {
-			t.Fatalf("consistency source %d: %q vs %q", i, sa.Name, sb.Name)
-		}
-		if !bytes.Equal(sa.Issuer.Raw, sb.Issuer.Raw) {
-			t.Fatalf("consistency source %d (%s): issuer DER differs", i, sa.Name)
-		}
-	}
-
 	if len(a.Events) != len(b.Events) {
 		t.Fatalf("events %d vs %d", len(a.Events), len(b.Events))
 	}
@@ -73,6 +68,24 @@ func compareWorlds(t *testing.T, a, b *World) {
 
 	if a.AlexaScale != b.AlexaScale {
 		t.Fatalf("alexa scale %d vs %d", a.AlexaScale, b.AlexaScale)
+	}
+}
+
+// compareConsistency checks two study builds for identity: the same pairs
+// in the same order, with the same names, URLs and issuer DER.
+func compareConsistency(t *testing.T, a, b *ConsistencyWorld) {
+	t.Helper()
+	if len(a.Sources) != len(b.Sources) {
+		t.Fatalf("consistency sources %d vs %d", len(a.Sources), len(b.Sources))
+	}
+	for i := range a.Sources {
+		sa, sb := a.Sources[i], b.Sources[i]
+		if sa.Name != sb.Name || sa.OCSPURL != sb.OCSPURL || sa.CRLURL != sb.CRLURL || sa.Responder != sb.Responder {
+			t.Fatalf("consistency source %d: %q vs %q", i, sa.Name, sb.Name)
+		}
+		if !bytes.Equal(sa.Issuer.Raw, sb.Issuer.Raw) {
+			t.Fatalf("consistency source %d (%s): issuer DER differs", i, sa.Name)
+		}
 	}
 }
 
@@ -221,5 +234,30 @@ func TestBuildResponderPurity(t *testing.T) {
 				t.Fatalf("workers=%d responder %d (%s): profile differs from the full build", workers, i, got.Host)
 			}
 		}
+	}
+}
+
+// TestBuildConsistencyWorkerEquivalence pins the study's parallel build to
+// the serial reference: BuildConsistency at 2 and 5 workers, and a second
+// build at 1, assemble the same pairs — names, URLs and issuer DER — as
+// the first serial build, for a non-default seed.
+func TestBuildConsistencyWorkerEquivalence(t *testing.T) {
+	serialCfg := detConsistencyConfig(17)
+	serialCfg.BuildWorkers = 1
+	serial, err := BuildConsistency(serialCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial.Sources) != 13 { // 7 Table 1 + 3 time-skew + 3 consistent
+		t.Fatalf("consistency sources = %d, want 13", len(serial.Sources))
+	}
+	for _, workers := range []int{1, 2, 5} {
+		cfg := detConsistencyConfig(17)
+		cfg.BuildWorkers = workers
+		c, err := BuildConsistency(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareConsistency(t, serial, c)
 	}
 }

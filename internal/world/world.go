@@ -3,9 +3,10 @@
 // behavior mix (the §5.2 persistent failures and the named outage events,
 // the §5.3 malformed-response episodes, and the §5.4 quality-defect
 // population), the scheduled network failures on the simulated Internet,
-// the certificate population behind the Hourly dataset, the Alexa-domain
-// mapping behind Figure 4, and the CA pairs of the CRL/OCSP consistency
-// study.
+// the certificate population behind the Hourly dataset, and the
+// Alexa-domain mapping behind Figure 4. BuildConsistency assembles the CA
+// pairs of the §5.4 CRL/OCSP consistency study apart, on their own
+// network: only Table 1 and Figure 10 read them.
 //
 // A World is fully determined by its Config (including the seed):
 // rebuilding with the same Config reproduces the same measurements.
@@ -19,7 +20,6 @@ import (
 
 	"github.com/netmeasure/muststaple/internal/census"
 	"github.com/netmeasure/muststaple/internal/clock"
-	"github.com/netmeasure/muststaple/internal/consistency"
 	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/ocspserver"
 	"github.com/netmeasure/muststaple/internal/pki"
@@ -45,16 +45,19 @@ type Config struct {
 	Stride time.Duration
 	// AlexaDomains sizes the Alexa model; 0 means 100,000 (1:10).
 	AlexaDomains int
-	// ConsistentCAs is the number of well-behaved CRL/OCSP pairs in the
-	// consistency study; 0 means 24. The seven discrepant pairs of
-	// Table 1 are always generated exactly.
+	// ConsistentCAs is the number of well-behaved CRL/OCSP pairs
+	// BuildConsistency builds for the §5.4 study; 0 means 24. The seven
+	// discrepant pairs of Table 1 are always generated exactly. Build
+	// does not read it.
 	ConsistentCAs int
 	// SerialsPerConsistentCA is the revoked population per
-	// well-behaved CA; 0 means 200.
+	// well-behaved CA in BuildConsistency's study; 0 means 200. Build
+	// does not read it.
 	SerialsPerConsistentCA int
 	// Table1Scale divides the exact Table 1 revoked populations
-	// (369 … 28,023) to keep quick runs quick; 0 means 10. Set 1 for
-	// the paper's exact counts.
+	// (369 … 28,023) that BuildConsistency builds, to keep quick runs
+	// quick; 0 means 10. Set 1 for the paper's exact counts. Build does
+	// not read it.
 	Table1Scale int
 	// BuildWorkers bounds the construction worker pool: 0 means
 	// runtime.GOMAXPROCS(0), 1 forces the serial reference build. The
@@ -212,8 +215,6 @@ type World struct {
 	// AlexaTargets carries one weighted target per Alexa-serving
 	// responder, for the Figure 4 impact campaign.
 	AlexaTargets []scanner.Target
-	// ConsistencySources are the CRL/OCSP pairs of §5.4.
-	ConsistencySources []consistency.Source
 	// Events lists the scheduled outages.
 	Events []Event
 	// AlexaScale is how many real Alexa domains one modelled domain
@@ -223,10 +224,6 @@ type World struct {
 	// record by record on each Visit, never materialized. Scaled by
 	// Config.WorldScale.
 	Corpus *census.Corpus
-
-	// consistencyResponders are the OCSP halves of the consistency-study
-	// pairs, retained so CacheStats covers the whole fleet.
-	consistencyResponders []*responder.Responder
 }
 
 // responderOpts translates world-level configuration into per-responder
@@ -238,18 +235,13 @@ func (c Config) responderOpts() []responder.Option {
 	return nil
 }
 
-// CacheStats sums signed-response cache hits and misses across every
-// responder in the world (the Hourly fleet and the consistency study).
-// Misses count requests that were parsed and signed; hits were served as
-// stored bytes.
+// CacheStats sums signed-response cache hits and misses across the
+// responder fleet. Misses count requests that were parsed and signed;
+// hits were served as stored bytes. The consistency study's responders
+// are counted by ConsistencyWorld.CacheStats.
 func (w *World) CacheStats() (hits, misses uint64) {
 	for _, info := range w.Responders {
 		h, m := info.Responder.CacheStats()
-		hits += h
-		misses += m
-	}
-	for _, r := range w.consistencyResponders {
-		h, m := r.CacheStats()
 		hits += h
 		misses += m
 	}
@@ -259,8 +251,7 @@ func (w *World) CacheStats() (hits, misses uint64) {
 // Build assembles a world from cfg. All key material is derived from
 // per-index child seeds of cfg.Seed, so equal configs yield
 // bytewise-identical certificate hierarchies regardless of BuildWorkers:
-// the fleet and the consistency-study CAs are constructed concurrently and
-// assembled in index order.
+// the fleet is constructed concurrently and assembled in index order.
 func Build(cfg Config) (*World, error) {
 	cfg = cfg.withDefaults()
 	w := &World{
@@ -278,9 +269,6 @@ func Build(cfg Config) (*World, error) {
 		return nil, err
 	}
 	w.buildAlexa()
-	if err := w.buildConsistency(); err != nil {
-		return nil, err
-	}
 	return w, nil
 }
 
@@ -295,7 +283,7 @@ func (w *World) buildResponders() error {
 	specs := buildSpecs(n, childRNG(w.Config.Seed, streamSpecs, 0), w.Config)
 	infos := make([]*ResponderInfo, n)
 	errs := make([]error, n)
-	w.runParallel(n, func(i int) {
+	w.Config.runParallel(n, func(i int) {
 		infos[i], errs[i] = buildResponder(w.Config, specs[i], w.Clock, i)
 	})
 	for _, err := range errs {

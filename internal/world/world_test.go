@@ -31,9 +31,10 @@ func TestBuildShape(t *testing.T) {
 	if len(w.AlexaTargets) == 0 || len(w.AlexaTargets) > 128 {
 		t.Fatalf("alexa targets = %d", len(w.AlexaTargets))
 	}
-	// 7 Table 1 pairs + 3 time-skew pairs + 24 consistent.
-	if len(w.ConsistencySources) != 34 {
-		t.Fatalf("consistency sources = %d, want 34", len(w.ConsistencySources))
+	// The fleet is all the network holds: the consistency study is
+	// built apart (BuildConsistency).
+	if got := len(w.Network.Hosts()); got != len(w.Responders) {
+		t.Fatalf("network hosts = %d, want one per responder (%d)", got, len(w.Responders))
 	}
 	if len(w.Events) != 5 {
 		t.Errorf("events = %d, want 5", len(w.Events))
@@ -56,8 +57,8 @@ func TestBuildShape(t *testing.T) {
 }
 
 func TestBuildDeterminism(t *testing.T) {
-	a := build(t, Config{Seed: 7, Responders: 120, AlexaDomains: 5000, ConsistentCAs: 2, SerialsPerConsistentCA: 5})
-	b := build(t, Config{Seed: 7, Responders: 120, AlexaDomains: 5000, ConsistentCAs: 2, SerialsPerConsistentCA: 5})
+	a := build(t, Config{Seed: 7, Responders: 120, AlexaDomains: 5000})
+	b := build(t, Config{Seed: 7, Responders: 120, AlexaDomains: 5000})
 	ka := a.Responders[50].CA.Key.Public().(*ecdsa.PublicKey)
 	kb := b.Responders[50].CA.Key.Public().(*ecdsa.PublicKey)
 	if ka.X.Cmp(kb.X) != 0 {
@@ -144,7 +145,7 @@ func runCampaign(t testing.TB, w *World, start, end time.Time, targets []scanner
 func TestComodoOutageVisibility(t *testing.T) {
 	// The April 25 event: two hours, Oregon/Sydney/Seoul only, the
 	// whole 15-responder Comodo group.
-	w := build(t, Config{Seed: 2, AlexaDomains: 2000, ConsistentCAs: 1, SerialsPerConsistentCA: 2, Table1Scale: 200})
+	w := build(t, Config{Seed: 2, AlexaDomains: 2000})
 	start := time.Date(2018, 4, 25, 18, 0, 0, 0, time.UTC)
 	end := start.Add(4 * time.Hour)
 
@@ -186,7 +187,7 @@ func TestPersistentFailuresMeasured(t *testing.T) {
 	// happen to cover the short classification window below, or a healthy
 	// responder masquerades as persistently failing. Seed 5 keeps the
 	// window quiet under the PR 2 per-phase seed-derivation scheme.
-	w := build(t, Config{Seed: 5, AlexaDomains: 2000, ConsistentCAs: 1, SerialsPerConsistentCA: 2, Table1Scale: 200})
+	w := build(t, Config{Seed: 5, AlexaDomains: 2000})
 	// A quiet week (no named events) suffices to classify persistent
 	// failures; use one target per responder to keep it fast.
 	var targets []scanner.Target
@@ -213,7 +214,7 @@ func TestPersistentFailuresMeasured(t *testing.T) {
 }
 
 func TestShecaMalformedEpisode(t *testing.T) {
-	w := build(t, Config{Seed: 4, AlexaDomains: 2000, ConsistentCAs: 1, SerialsPerConsistentCA: 2, Table1Scale: 200})
+	w := build(t, Config{Seed: 4, AlexaDomains: 2000})
 	var shecaTargets []scanner.Target
 	for _, tgt := range w.Targets {
 		if tgt.Responder == "ocsp0.sheca.test" {
@@ -237,10 +238,38 @@ func TestShecaMalformedEpisode(t *testing.T) {
 	}
 }
 
+// TestBuildConsistencyShape pins the default study population and its
+// network: 7 Table 1 pairs, 3 time-skew pairs and 24 consistent ones, each
+// an OCSP host and a CRL host, and no other host.
+func TestBuildConsistencyShape(t *testing.T) {
+	c, err := BuildConsistency(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Sources) != 34 {
+		t.Fatalf("consistency sources = %d, want 34", len(c.Sources))
+	}
+	hosts := map[string]bool{}
+	for _, h := range c.Network.Hosts() {
+		hosts[h] = true
+	}
+	if len(hosts) != 2*len(c.Sources) {
+		t.Fatalf("network hosts = %d, want an OCSP and a CRL host per pair (%d)", len(hosts), 2*len(c.Sources))
+	}
+	for _, src := range c.Sources {
+		if !hosts[src.Responder] || !hosts["crl."+src.Name+".test"] {
+			t.Fatalf("%s: hosts not registered", src.Name)
+		}
+	}
+}
+
 func TestWorldConsistencyStudy(t *testing.T) {
-	w := build(t, Config{Seed: 5, AlexaDomains: 2000, ConsistentCAs: 6, SerialsPerConsistentCA: 20, Table1Scale: 50})
-	study := &consistency.Study{Network: w.Network, Vantage: netsim.PaperVantages()[1]}
-	rep, err := study.Run(w.Config.Start, w.ConsistencySources)
+	c, err := BuildConsistency(Config{Seed: 5, ConsistentCAs: 6, SerialsPerConsistentCA: 20, Table1Scale: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	study := &consistency.Study{Network: c.Network, Vantage: netsim.PaperVantages()[1]}
+	rep, err := study.Run(c.Config.Start, c.Sources)
 	if err != nil {
 		t.Fatal(err)
 	}

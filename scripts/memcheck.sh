@@ -7,18 +7,24 @@
 # Alexa domains, so if the corpus were ever materialized the peak would
 # grow roughly 10×. The corpus streams one record at a time on the
 # caller's goroutine, so nothing but that record is in flight and the
-# peak stays flat (1.03–1.21× over 10 runs on 2 vCPUs; the shard pipeline
-# it replaced held a 64Ki-record shard per worker and read 1.28–2.49×).
-# Fails when the ratio exceeds MAX_RATIO (default 1.5).
+# peak stays flat: 1.02–1.06× over 3 runs on 2 vCPUs (1× peaks ~3.8 MB),
+# and 1.26–1.29× while every world also built the consistency study (1×
+# peaks ~8 MB); the shard pipeline the stream replaced held a
+# 64Ki-record shard per worker and read 1.28–2.49×. Fails when the ratio
+# exceeds MAX_RATIO (default 1.5).
 #
 # Campaign length (DESIGN.md §23): the fig3 campaign at -stride 24h and
 # at -stride 3h, which scans 8× the rounds. A scanner that kept every
 # response body it had seen grew the peak ~4.5×; responder caches that
 # kept every past epoch's response, and a latency CDF that kept every
 # sample, still grew it ~2.1–2.4×. With one body per target, one cached
-# response per request and a CDF of distinct values, the peak grows
-# ~1.3×, with the rounds' store and series. Fails when the ratio exceeds
-# CAMPAIGN_MAX_RATIO.
+# response per request and a CDF of distinct values, it grew 1.16–1.29×,
+# with a map of labels per time-series bucket and a slice of every
+# update-interval gap. Those are counters now, and the campaign's world
+# no longer carries the consistency study, so the peak grows 0.96–1.29×
+# (11 runs on 2 vCPUs, 9 of them at most 1.04×; 24h peaks ~8.5 MB, ~20 MB
+# before). Without the study but with the maps it read 1.82–1.86×. Fails
+# when the ratio exceeds CAMPAIGN_MAX_RATIO.
 set -eu
 
 GO=${GO:-go}
@@ -75,7 +81,7 @@ echo "memcheck: fig3 campaign at -stride 3h (8x the rounds)"
 P3=$(peak "$WORK/stride3h.out")
 
 if ! check "24h -> 3h stride" "$P24" "$P3" "$CAMPAIGN_MAX_RATIO"; then
-    echo "memcheck: FAIL — 8x the campaign rounds grew the heap high-water mark ${RATIO}x (limit ${CAMPAIGN_MAX_RATIO}x); is something keeping state per round (response bodies, past epochs' signed responses, latency samples)?" >&2
+    echo "memcheck: FAIL — 8x the campaign rounds grew the heap high-water mark ${RATIO}x (limit ${CAMPAIGN_MAX_RATIO}x); is something keeping state per round (response bodies, past epochs' signed responses, latency samples, a map per time-series bucket)?" >&2
     exit 1
 fi
 echo "memcheck: OK — the campaign's heap grew ${RATIO}x over 8x the rounds"
