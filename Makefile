@@ -99,6 +99,7 @@ fuzzcheck:
 	$(GO) test -run '^$$' -fuzz '^FuzzCreateResponse$$' -fuzztime $(FUZZTIME) ./internal/ocsp
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime $(FUZZTIME) ./internal/ocsp
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/ocsp
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCRL$$' -fuzztime $(FUZZTIME) ./internal/crl
 	$(GO) test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime $(FUZZTIME) ./internal/expectstaple
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime $(FUZZTIME) ./internal/store

@@ -1,6 +1,7 @@
 package census
 
 import (
+	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/stats"
 )
 
@@ -117,7 +118,7 @@ func NewAlexaModel(cfg AlexaConfig) *AlexaModel {
 	}
 	m.msAt = make(map[int]bool, want)
 	if want > 0 {
-		rng := childRNG(cfg.Seed, streamAlexaMustStaple, 0)
+		rng := hashx.ChildRNG(cfg.Seed, streamAlexaMustStaple, 0)
 		for len(m.msAt) < want {
 			m.msAt[rng.Intn(m.ocspTotal)] = true
 		}
@@ -177,7 +178,7 @@ func visitAlexaShard(cfg AlexaConfig, k int, fn func(AlexaDomain)) {
 	if hi > n {
 		hi = n
 	}
-	rng := childRNG(cfg.Seed, streamAlexaShard, uint64(k))
+	rng := hashx.ChildRNG(cfg.Seed, streamAlexaShard, uint64(k))
 	for i := lo; i < hi; i++ {
 		x := float64(i) / float64(n)
 		d := AlexaDomain{

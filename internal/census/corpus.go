@@ -1,6 +1,10 @@
 package census
 
-import "sort"
+import (
+	"sort"
+
+	"github.com/netmeasure/muststaple/internal/hashx"
+)
 
 // CorpusShardSize is the general-population records per RNG shard. Shard
 // k covers record indices [k*CorpusShardSize, (k+1)*CorpusShardSize) of
@@ -60,7 +64,7 @@ func (c *Corpus) Visit(fn func(CertInfo) error) error {
 func (c *Corpus) visitShard(k int, fn func(CertInfo) error) error {
 	lo := k * CorpusShardSize
 	hi := min(lo+CorpusShardSize, c.records)
-	rng := childRNG(c.cfg.Seed, streamCorpusShard, uint64(k))
+	rng := hashx.ChildRNG(c.cfg.Seed, streamCorpusShard, uint64(k))
 	validP := float64(PaperValidCerts) / float64(PaperTotalCerts)
 	ocspP := float64(PaperOCSPCerts) / float64(PaperValidCerts)
 	for i := lo; i < hi; i++ {

@@ -1,24 +1,22 @@
 // Package crl is a from-scratch implementation of X.509 Certificate
-// Revocation Lists (RFC 5280 §5) on top of encoding/asn1: issuing, signing,
-// parsing, and verifying CertificateLists, with per-entry reason codes, the
-// CRL number extension, and expired-entry pruning (CAs may drop revoked
-// certificates from CRLs once they expire — paper §2.2, footnote 3).
+// Revocation Lists (RFC 5280 §5) on pkixutil's DER writer and reader:
+// issuing, signing, parsing, and verifying CertificateLists, with
+// per-entry reason codes and the CRL number extension.
 //
 // The CRL-vs-OCSP consistency study (paper §5.4, Table 1, Figure 10) runs
 // on this package and internal/ocsp.
 package crl
 
 import (
+	"bytes"
 	"crypto"
 	cryptorand "crypto/rand"
 	"crypto/x509"
 	"encoding/asn1"
 	"errors"
-	"fmt"
 	"io"
 	"math/big"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/pkixutil"
@@ -46,59 +44,17 @@ type CRL struct {
 	// Number is the monotonically increasing CRL number extension
 	// value, or nil if absent.
 	Number *big.Int
-	// Entries are the revoked certificates, sorted by serial.
+	// Entries are the revoked certificates: sorted by serial in what
+	// Create issues, in wire order in what Parse returns.
 	Entries []Entry
 
 	// Raw is the full DER, RawTBS the signed portion; populated by
-	// Parse and Create.
+	// Parse. They, RawIssuer and Signature alias Parse's input.
 	Raw    []byte
 	RawTBS []byte
 	// SignatureAlgorithm and Signature are the outer signature fields.
 	SignatureAlgorithm asn1.ObjectIdentifier
 	Signature          []byte
-
-	// sortedState caches whether Entries is sorted by serial, so Find
-	// decides between binary and linear search once instead of paying a
-	// full linear fallback on every miss. Parse and Create record it;
-	// for hand-built lists Find verifies lazily on first use. Entries
-	// must not be reordered after the first Find call.
-	sortedState int32
-}
-
-// sortedState values.
-const (
-	sortednessUnknown int32 = iota
-	sortednessSorted
-	sortednessUnsorted
-)
-
-// Wire structures (RFC 5280 §5.1).
-type certificateListASN1 struct {
-	TBSCertList        asn1.RawValue
-	SignatureAlgorithm pkixutil.AlgorithmIdentifier
-	Signature          asn1.BitString
-}
-
-type tbsCertListASN1 struct {
-	Version             int `asn1:"optional,default:0"`
-	Signature           pkixutil.AlgorithmIdentifier
-	Issuer              asn1.RawValue
-	ThisUpdate          time.Time
-	NextUpdate          time.Time         `asn1:"optional"`
-	RevokedCertificates []revokedCertASN1 `asn1:"optional"`
-	Extensions          []extensionASN1   `asn1:"explicit,tag:0,optional"`
-}
-
-type revokedCertASN1 struct {
-	Serial     *big.Int
-	RevokedAt  time.Time
-	Extensions []extensionASN1 `asn1:"optional"`
-}
-
-type extensionASN1 struct {
-	ID       asn1.ObjectIdentifier
-	Critical bool `asn1:"optional"`
-	Value    []byte
 }
 
 // CreateOptions configures Create.
@@ -110,6 +66,10 @@ type CreateOptions struct {
 // Create issues a signed CRL from the given issuer CA certificate and key.
 // Entries need not be sorted; the encoder sorts them by serial for
 // deterministic output.
+//
+//	CertificateList ::= SEQUENCE { tbsCertList TBSCertList,
+//	                               signatureAlgorithm AlgorithmIdentifier,
+//	                               signatureValue BIT STRING }
 func Create(issuer *x509.Certificate, key crypto.Signer, list *CRL, opts CreateOptions) ([]byte, error) {
 	if issuer == nil || key == nil || list == nil {
 		return nil, errors.New("crl: nil issuer, key, or list")
@@ -121,17 +81,13 @@ func Create(issuer *x509.Certificate, key crypto.Signer, list *CRL, opts CreateO
 	if rand == nil {
 		rand = cryptorand.Reader
 	}
-
 	entries := make([]Entry, len(list.Entries))
 	copy(entries, list.Entries)
-	sorted := int32(sortednessSorted)
-	for i := 1; i < len(entries); i++ {
-		if entries[i-1].Serial.Cmp(entries[i].Serial) > 0 {
-			sorted = sortednessUnsorted
-			break
+	for _, e := range entries {
+		if e.Serial == nil {
+			return nil, errors.New("crl: entry has nil serial")
 		}
 	}
-	atomic.StoreInt32(&list.sortedState, sorted)
 	sort.Slice(entries, func(i, j int) bool {
 		return entries[i].Serial.Cmp(entries[j].Serial) < 0
 	})
@@ -141,163 +97,228 @@ func Create(issuer *x509.Certificate, key crypto.Signer, list *CRL, opts CreateO
 	if err != nil {
 		return nil, err
 	}
-
-	tbs := tbsCertListASN1{
-		Version:    1, // v2
-		Signature:  sigAlg,
-		Issuer:     asn1.RawValue{FullBytes: issuer.RawSubject},
-		ThisUpdate: list.ThisUpdate.UTC().Truncate(time.Second),
-	}
-	if !list.NextUpdate.IsZero() {
-		tbs.NextUpdate = list.NextUpdate.UTC().Truncate(time.Second)
-	}
-	for _, e := range entries {
-		w := revokedCertASN1{Serial: e.Serial, RevokedAt: e.RevokedAt.UTC().Truncate(time.Second)}
-		if e.Reason != pkixutil.ReasonAbsent {
-			val, err := pkixutil.MarshalReasonCodeExtension(e.Reason)
-			if err != nil {
-				return nil, err
-			}
-			w.Extensions = []extensionASN1{{ID: pkixutil.OIDExtensionReasonCode, Value: val}}
-		}
-		tbs.RevokedCertificates = append(tbs.RevokedCertificates, w)
-	}
-	if list.Number != nil {
-		numDER, err := asn1.Marshal(list.Number)
-		if err != nil {
-			return nil, fmt.Errorf("crl: marshal CRL number: %w", err)
-		}
-		tbs.Extensions = append(tbs.Extensions, extensionASN1{ID: pkixutil.OIDExtensionCRLNumber, Value: numDER})
-	}
-
-	tbsDER, err := asn1.Marshal(tbs)
-	if err != nil {
-		return nil, fmt.Errorf("crl: marshal tbsCertList: %w", err)
-	}
-	alg, sig, err := pkixutil.SignTBS(rand, key, tbsDER)
+	tbs, err := appendTBSCertList(nil, issuer.RawSubject, sigAlg, list, entries)
 	if err != nil {
 		return nil, err
 	}
-	der, err := asn1.Marshal(certificateListASN1{
-		TBSCertList:        asn1.RawValue{FullBytes: tbsDER},
-		SignatureAlgorithm: alg,
-		Signature:          asn1.BitString{Bytes: sig, BitLength: len(sig) * 8},
-	})
+	alg, sig, err := pkixutil.SignTBS(rand, key, tbs)
 	if err != nil {
-		return nil, fmt.Errorf("crl: marshal certificateList: %w", err)
+		return nil, err
 	}
-	return der, nil
+	n := len(tbs) + len(alg) + pkixutil.HeaderLen(1+len(sig)) + 1 + len(sig)
+	out := make([]byte, 0, pkixutil.HeaderLen(n)+n)
+	out = pkixutil.AppendHeader(out, pkixutil.TagSequence, n)
+	out = append(out, tbs...)
+	out = append(out, alg...)
+	return pkixutil.AppendBitString(out, sig), nil
+}
+
+// appendTBSCertList appends the DER TBSCertList of list with the given
+// sorted entries. Times are written in UTC with whole seconds, as a
+// UTCTime for years 1950–2049 (RFC 5280 §5.1.2.4).
+//
+//	TBSCertList ::= SEQUENCE { version INTEGER OPTIONAL, -- v2
+//	                           signature AlgorithmIdentifier,
+//	                           issuer Name,
+//	                           thisUpdate Time,
+//	                           nextUpdate Time OPTIONAL,
+//	                           revokedCertificates SEQUENCE OF SEQUENCE {
+//	                               userCertificate INTEGER,
+//	                               revocationDate Time,
+//	                               crlEntryExtensions Extensions OPTIONAL
+//	                           } OPTIONAL,
+//	                           crlExtensions [0] EXPLICIT Extensions OPTIONAL }
+func appendTBSCertList(b, issuer, sigAlg []byte, list *CRL, entries []Entry) ([]byte, error) {
+	b, tbs := pkixutil.Begin(b, pkixutil.TagSequence)
+	b = append(b, pkixutil.TagInteger, 1, 1) // v2
+	b = append(b, sigAlg...)
+	b = append(b, issuer...)
+	b, err := pkixutil.AppendTime(b, list.ThisUpdate.UTC().Truncate(time.Second))
+	if err != nil {
+		return nil, err
+	}
+	// A nextUpdate that truncates to the zero time is omitted.
+	if next := list.NextUpdate.UTC().Truncate(time.Second); !next.IsZero() {
+		if b, err = pkixutil.AppendTime(b, next); err != nil {
+			return nil, err
+		}
+	}
+	if len(entries) > 0 {
+		var revoked int
+		b, revoked = pkixutil.Begin(b, pkixutil.TagSequence)
+		for i := range entries {
+			if b, err = appendEntry(b, &entries[i]); err != nil {
+				return nil, err
+			}
+		}
+		b = pkixutil.End(b, revoked)
+	}
+	if list.Number != nil {
+		var exts int
+		b, exts = pkixutil.Begin(b, pkixutil.TagContextExplicit|0)
+		b = appendExtensions(b, pkixutil.OIDExtensionCRLNumberDER, pkixutil.AppendInteger(nil, list.Number))
+		b = pkixutil.End(b, exts)
+	}
+	return pkixutil.End(b, tbs), nil
+}
+
+// appendExtensions appends an Extensions list holding one non-critical
+// extension with the given DER extnID and extnValue contents.
+func appendExtensions(b, oid, value []byte) []byte {
+	n := len(oid) + pkixutil.HeaderLen(len(value)) + len(value)
+	b = pkixutil.AppendHeader(b, pkixutil.TagSequence, pkixutil.HeaderLen(n)+n)
+	b = pkixutil.AppendHeader(b, pkixutil.TagSequence, n)
+	b = append(b, oid...)
+	return pkixutil.AppendElement(b, pkixutil.TagOctetString, value)
+}
+
+// appendEntry appends one revokedCertificates entry. Its only extension
+// is the reasonCode, an ENUMERATED, when the entry has a reason.
+func appendEntry(b []byte, e *Entry) ([]byte, error) {
+	b, seq := pkixutil.Begin(b, pkixutil.TagSequence)
+	b = pkixutil.AppendInteger(b, e.Serial)
+	b, err := pkixutil.AppendTime(b, e.RevokedAt.UTC().Truncate(time.Second))
+	if err != nil {
+		return nil, err
+	}
+	if e.Reason != pkixutil.ReasonAbsent {
+		var value [10]byte // an int64 ENUMERATED
+		b = appendExtensions(b, pkixutil.OIDExtensionReasonCodeDER, pkixutil.AppendEnumerated(value[:0], int64(e.Reason)))
+	}
+	return pkixutil.End(b, seq), nil
 }
 
 // Parse decodes a DER CRL. Signature verification is separate
 // (CheckSignatureFrom) so callers can classify parse and signature failures
-// independently.
+// independently. Parse accepts what encoding/asn1 accepted on the old wire
+// structs, quirks included (DESIGN.md §17).
 func Parse(der []byte) (*CRL, error) {
-	var w certificateListASN1
-	rest, err := asn1.Unmarshal(der, &w)
-	if err != nil {
-		return nil, fmt.Errorf("crl: parse certificateList: %w", err)
+	in := pkixutil.Input(der)
+	var outer, tbs, sig pkixutil.Element
+	var sigAlg pkixutil.Input
+	if !in.ReadElement(&outer, pkixutil.TagSequence) ||
+		!outer.Content.ReadElement(&tbs, pkixutil.AnyTag) ||
+		!outer.Content.ReadAlgorithmIdentifier(&sigAlg) ||
+		!outer.Content.ReadElement(&sig, pkixutil.TagBitString) {
+		return nil, errors.New("crl: parse certificateList: malformed DER")
 	}
-	if len(rest) != 0 {
+	bits, ok := sig.Content.BitString()
+	if !ok {
+		return nil, errors.New("crl: parse certificateList: malformed signature")
+	}
+	if len(in) != 0 {
 		return nil, errors.New("crl: trailing data")
 	}
-	var tbs tbsCertListASN1
-	rest, err = asn1.Unmarshal(w.TBSCertList.FullBytes, &tbs)
-	if err != nil {
-		return nil, fmt.Errorf("crl: parse tbsCertList: %w", err)
-	}
-	if len(rest) != 0 {
-		return nil, errors.New("crl: trailing data after tbsCertList")
-	}
-
-	out := &CRL{
-		RawIssuer:          tbs.Issuer.FullBytes,
-		ThisUpdate:         tbs.ThisUpdate,
-		NextUpdate:         tbs.NextUpdate,
-		Raw:                der,
-		RawTBS:             w.TBSCertList.FullBytes,
-		SignatureAlgorithm: w.SignatureAlgorithm.Algorithm,
-		Signature:          w.Signature.RightAlign(),
-	}
-	out.sortedState = sortednessSorted //lint:allow atomicsafe not yet published; Parse builds the list single-threaded before returning it
-	for i, rc := range tbs.RevokedCertificates {
-		e := Entry{Serial: rc.Serial, RevokedAt: rc.RevokedAt, Reason: pkixutil.ReasonAbsent}
-		for _, ext := range rc.Extensions {
-			if ext.ID.Equal(pkixutil.OIDExtensionReasonCode) {
-				r, err := pkixutil.ParseReasonCodeExtension(ext.Value)
-				if err != nil {
-					return nil, err
-				}
-				e.Reason = r
-			}
-		}
-		// Record order violations as we go: issuers are not obliged to
-		// emit sorted entries, and Find must not assume they do.
-		if i > 0 && out.Entries[i-1].Serial.Cmp(rc.Serial) > 0 {
-			out.sortedState = sortednessUnsorted //lint:allow atomicsafe not yet published; Parse builds the list single-threaded before returning it
-		}
-		out.Entries = append(out.Entries, e)
-	}
-	for _, ext := range tbs.Extensions {
-		if ext.ID.Equal(pkixutil.OIDExtensionCRLNumber) {
-			n := new(big.Int)
-			if _, err := asn1.Unmarshal(ext.Value, &n); err != nil {
-				return nil, fmt.Errorf("crl: parse CRL number: %w", err)
-			}
-			out.Number = n
-		}
+	out := &CRL{Raw: der, RawTBS: tbs.Full, Signature: bits.RightAlign()}
+	out.SignatureAlgorithm, _ = sigAlg.ObjectIdentifier() // ReadAlgorithmIdentifier checked it
+	if err := out.parseTBSCertList(tbs.Full); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// CheckSignatureFrom verifies the CRL signature against the issuer.
-func (c *CRL) CheckSignatureFrom(issuer *x509.Certificate) error {
-	return pkixutil.VerifyTBS(issuer.PublicKey, c.SignatureAlgorithm, c.RawTBS, c.Signature)
-}
-
-// Find returns the entry for serial, or nil if the serial is not revoked
-// according to this CRL. Sorted lists (everything Create emits, and most
-// parsed CRLs) get a binary search; only lists whose entries genuinely
-// violate serial order pay the linear scan — previously every miss did.
-func (c *CRL) Find(serial *big.Int) *Entry {
-	if c.sortedness() == sortednessSorted {
-		n := len(c.Entries)
-		i := sort.Search(n, func(i int) bool { return c.Entries[i].Serial.Cmp(serial) >= 0 })
-		if i < n && c.Entries[i].Serial.Cmp(serial) == 0 {
-			return &c.Entries[i]
-		}
-		return nil
+// parseTBSCertList fills c from the DER TBSCertList (see appendTBSCertList).
+func (c *CRL) parseTBSCertList(der pkixutil.Input) error {
+	var seq, version, issuer, this, next, revoked, exts pkixutil.Element
+	var sigAlg pkixutil.Input
+	var hasVersion, hasNext, hasRevoked, hasExts bool
+	if !der.ReadElement(&seq, pkixutil.TagSequence) ||
+		!seq.Content.ReadOptionalElement(&version, &hasVersion, pkixutil.TagInteger) ||
+		!seq.Content.ReadAlgorithmIdentifier(&sigAlg) ||
+		!seq.Content.ReadElement(&issuer, pkixutil.AnyTag) ||
+		!seq.Content.ReadElement(&this, pkixutil.AnyTime) ||
+		!seq.Content.ReadOptionalElement(&next, &hasNext, pkixutil.AnyTime) ||
+		!seq.Content.ReadOptionalElement(&revoked, &hasRevoked, pkixutil.TagSequence) ||
+		!seq.Content.ReadOptionalExplicit(&exts, &hasExts, 0, pkixutil.TagSequence) {
+		return errors.New("crl: parse tbsCertList: malformed DER")
 	}
-	for j := range c.Entries {
-		if c.Entries[j].Serial.Cmp(serial) == 0 {
-			return &c.Entries[j]
+	if hasVersion {
+		if _, ok := version.Content.Int(); !ok {
+			return errors.New("crl: parse tbsCertList: malformed version")
+		}
+	}
+	c.RawIssuer = issuer.Full
+	var ok bool
+	if c.ThisUpdate, ok = this.Time(); !ok {
+		return errors.New("crl: parse tbsCertList: malformed thisUpdate")
+	}
+	if hasNext {
+		if c.NextUpdate, ok = next.Time(); !ok {
+			return errors.New("crl: parse tbsCertList: malformed nextUpdate")
+		}
+	}
+	for items := revoked.Content; hasRevoked && len(items) > 0; {
+		e, err := readEntry(&items)
+		if err != nil {
+			return err
+		}
+		c.Entries = append(c.Entries, e)
+	}
+	if hasExts {
+		decodeNumber := func(value pkixutil.Input) bool {
+			// What follows the INTEGER is ignored.
+			var n pkixutil.Element
+			c.Number = new(big.Int)
+			return value.ReadElement(&n, pkixutil.TagInteger) && n.Content.Integer(c.Number)
+		}
+		if !readExtensions(exts.Content, oidCRLNumber, decodeNumber) {
+			return errors.New("crl: parse crlExtensions: malformed DER")
 		}
 	}
 	return nil
 }
 
-// sortedness returns the cached sort state, verifying the invariant once
-// for lists built by hand rather than by Parse or Create.
-func (c *CRL) sortedness() int32 {
-	if s := atomic.LoadInt32(&c.sortedState); s != sortednessUnknown {
-		return s
+// readEntry reads one revokedCertificates entry (see appendEntry).
+func readEntry(s *pkixutil.Input) (Entry, error) {
+	var seq, serial, at, exts pkixutil.Element
+	var hasExts bool
+	if !s.ReadElement(&seq, pkixutil.TagSequence) ||
+		!seq.Content.ReadElement(&serial, pkixutil.TagInteger) ||
+		!seq.Content.ReadElement(&at, pkixutil.AnyTime) ||
+		!seq.Content.ReadOptionalElement(&exts, &hasExts, pkixutil.TagSequence) {
+		return Entry{}, errors.New("crl: parse revokedCertificate: malformed DER")
 	}
-	s := sortednessSorted
-	for i := 1; i < len(c.Entries); i++ {
-		if c.Entries[i-1].Serial.Cmp(c.Entries[i].Serial) > 0 {
-			s = sortednessUnsorted
-			break
+	e := Entry{Serial: new(big.Int), Reason: pkixutil.ReasonAbsent}
+	var ok bool
+	if e.RevokedAt, ok = at.Time(); !ok || !serial.Content.Integer(e.Serial) {
+		return Entry{}, errors.New("crl: parse revokedCertificate: malformed serial or revocationDate")
+	}
+	decodeReason := func(value pkixutil.Input) bool {
+		// The value is one ENUMERATED and nothing more.
+		var r pkixutil.Element
+		if !value.ReadElement(&r, pkixutil.TagEnumerated) || len(value) != 0 {
+			return false
 		}
+		v, ok := r.Content.Enum()
+		e.Reason = pkixutil.ReasonCode(v)
+		return ok
 	}
-	atomic.StoreInt32(&c.sortedState, s)
-	return s
+	if hasExts && !readExtensions(exts.Content, oidReasonCode, decodeReason) {
+		return Entry{}, errors.New("crl: parse crlEntryExtensions: malformed DER")
+	}
+	return e, nil
 }
 
-// ValidAt reports whether the CRL is within its validity window at t. A
-// missing NextUpdate is treated as never expiring.
-func (c *CRL) ValidAt(t time.Time) bool {
-	if t.Before(c.ThisUpdate) {
-		return false
+// readExtensions reads exts, the contents of an Extensions SEQUENCE OF,
+// and calls decode on the value of each extension whose extnID has the
+// contents oid. It reports false if an extension or a decode fails.
+func readExtensions(exts pkixutil.Input, oid []byte, decode func(value pkixutil.Input) bool) bool {
+	for len(exts) > 0 {
+		var id, value pkixutil.Input
+		if !exts.ReadExtension(&id, &value) || bytes.Equal(id, oid) && !decode(value) {
+			return false
+		}
 	}
-	return c.NextUpdate.IsZero() || !t.After(c.NextUpdate)
+	return true
+}
+
+// The OBJECT IDENTIFIER contents Parse compares against.
+var (
+	oidCRLNumber  = pkixutil.OIDExtensionCRLNumberDER[2:]
+	oidReasonCode = pkixutil.OIDExtensionReasonCodeDER[2:]
+)
+
+// CheckSignatureFrom verifies the CRL signature against the issuer.
+func (c *CRL) CheckSignatureFrom(issuer *x509.Certificate) error {
+	return pkixutil.VerifyTBS(issuer.PublicKey, c.SignatureAlgorithm, c.RawTBS, c.Signature)
 }

@@ -6,6 +6,8 @@
 // formulas.
 package hashx
 
+import "math/rand"
+
 // FNV-1a parameters.
 const (
 	offset64 = 14695981039346656037
@@ -55,4 +57,12 @@ func Mix(seed uint64, words ...uint64) uint64 {
 		x ^= x >> 31
 	}
 	return x
+}
+
+// ChildRNG returns the dedicated generator for one (stream, index) cell
+// of a seeded construction, seeded by folding (seed, stream, index)
+// through Mix: each phase owns a stream tag, and adjacent indices yield
+// uncorrelated seeds.
+func ChildRNG(seed int64, stream, index uint64) *rand.Rand {
+	return rand.New(rand.NewSource(int64(Mix(uint64(seed), stream, index))))
 }

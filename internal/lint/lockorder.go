@@ -10,8 +10,8 @@ import (
 
 // LockOrderAnalyzer builds the module-wide lock-acquisition graph and
 // reports cycles. locksafe (per-function, lexical) keeps channel
-// operations out of critical sections; lockorder extends the same lexical
-// held-set tracking across the whole module: every time mutex B is
+// operations out of critical sections; lockorder runs the same lexical
+// held-set walk (lockWalk) across the whole module: every time mutex B is
 // acquired while mutex A is held, the analyzer records the edge A→B, and
 // a cycle in the merged graph means two code paths acquire the same
 // locks in opposite orders — the classic deadlock that no single
@@ -47,118 +47,22 @@ type lockEdge struct {
 func runLockOrder(mp *ModulePass) error {
 	var edges []lockEdge
 	for _, p := range mp.Pkgs {
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch fn := n.(type) {
-				case *ast.FuncDecl:
-					if fn.Body != nil {
-						edges = collectLockEdges(mp, p.Info, fn.Body.List, map[string]bool{}, edges)
-					}
-				case *ast.FuncLit:
-					edges = collectLockEdges(mp, p.Info, fn.Body.List, map[string]bool{}, edges)
+		info := p.Info
+		w := &lockWalk{
+			info: info,
+			key:  func(x ast.Expr) (string, bool) { return lockID(info, x) },
+			acquire: func(to string, call ast.Expr, held map[string]bool) {
+				for from := range held {
+					edges = append(edges, lockEdge{from: from, to: to, pos: mp.Fset.Position(call.Pos())})
 				}
-				return true
-			})
+			},
+		}
+		for _, f := range p.Files {
+			w.file(f)
 		}
 	}
 	reportLockCycles(mp, edges)
 	return nil
-}
-
-// collectLockEdges walks one statement list with the lexical held set,
-// mirroring locksafe's region tracking: Lock/RLock adds, Unlock/RUnlock
-// removes, deferred unlocks keep the lock held to function end, and
-// sibling blocks do not leak state to each other. Function literals are
-// not entered — a goroutine or callback body runs on its own stack and
-// is walked as its own function.
-func collectLockEdges(mp *ModulePass, info *types.Info, stmts []ast.Stmt, held map[string]bool, edges []lockEdge) []lockEdge {
-	local := make(map[string]bool, len(held))
-	for k, v := range held {
-		local[k] = v
-	}
-	handleOp := func(expr ast.Expr, acquireOnly bool) bool {
-		recv, op, ok := lockOpExpr(info, expr)
-		if !ok {
-			return false
-		}
-		id, idOK := lockID(info, recv)
-		switch op {
-		case "Lock", "RLock":
-			if idOK {
-				for from := range local {
-					edges = append(edges, lockEdge{from: from, to: id, pos: mp.Fset.Position(expr.Pos())})
-				}
-				local[id] = true
-			}
-		case "Unlock", "RUnlock":
-			if idOK && !acquireOnly {
-				delete(local, id)
-			}
-		}
-		return true
-	}
-	for _, stmt := range stmts {
-		switch s := stmt.(type) {
-		case *ast.ExprStmt:
-			if handleOp(s.X, false) {
-				continue
-			}
-		case *ast.DeferStmt:
-			// defer mu.Unlock() keeps the lock held to function end.
-			if _, _, ok := lockOpExpr(info, s.Call); ok {
-				continue
-			}
-		case *ast.BlockStmt:
-			edges = collectLockEdges(mp, info, s.List, local, edges)
-			continue
-		case *ast.IfStmt:
-			edges = collectLockIf(mp, info, s, local, edges)
-			continue
-		case *ast.ForStmt:
-			edges = collectLockEdges(mp, info, s.Body.List, local, edges)
-			continue
-		case *ast.RangeStmt:
-			edges = collectLockEdges(mp, info, s.Body.List, local, edges)
-			continue
-		}
-	}
-	return edges
-}
-
-func collectLockIf(mp *ModulePass, info *types.Info, s *ast.IfStmt, held map[string]bool, edges []lockEdge) []lockEdge {
-	edges = collectLockEdges(mp, info, s.Body.List, held, edges)
-	switch e := s.Else.(type) {
-	case *ast.BlockStmt:
-		edges = collectLockEdges(mp, info, e.List, held, edges)
-	case *ast.IfStmt:
-		edges = collectLockIf(mp, info, e, held, edges)
-	}
-	return edges
-}
-
-// lockOpExpr recognizes x.Lock / x.RLock / x.Unlock / x.RUnlock calls on
-// sync.Mutex/RWMutex values and returns the lock expression (x) and the
-// operation. It is mutexOp without the Pass dependency, shared with the
-// module-wide walk.
-func lockOpExpr(info *types.Info, expr ast.Expr) (recv ast.Expr, op string, ok bool) {
-	call, isCall := ast.Unparen(expr).(*ast.CallExpr)
-	if !isCall {
-		return nil, "", false
-	}
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return nil, "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return nil, "", false
-	}
-	t := info.TypeOf(sel.X)
-	if t == nil || !isSyncMutex(t) {
-		return nil, "", false
-	}
-	return sel.X, sel.Sel.Name, true
 }
 
 // lockID canonicalizes a lock expression to its structural identity:

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"maps"
 )
 
 // LockSafeAnalyzer flags channel operations performed while a
@@ -26,116 +27,148 @@ var LockSafeAnalyzer = &Analyzer{
 }
 
 func runLockSafe(pass *Pass) error {
+	w := &lockWalk{
+		info:      pass.Info,
+		key:       func(x ast.Expr) (string, bool) { return types.ExprString(x), true },
+		underLock: func(n ast.Node, held map[string]bool) { reportUnderLock(pass, n, held) },
+	}
 	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					checkLockRegions(pass, fn.Body)
-				}
-			case *ast.FuncLit:
-				checkLockRegions(pass, fn.Body)
-			}
-			return true
-		})
+		w.file(f)
 	}
 	return nil
 }
 
-// checkLockRegions scans one function body's top-level statement lists.
-// held maps the printed receiver expression ("c.mu") to true while locked.
-func checkLockRegions(pass *Pass, body *ast.BlockStmt) {
-	scanStmtList(pass, body.List, map[string]bool{})
+// lockWalk is the lexical held-set walk that locksafe and lockorder
+// share. Within one function body it tracks Lock/RLock … Unlock/RUnlock
+// on sync.Mutex and RWMutex values: a deferred call keeps the held set as
+// it is to function end, and sibling blocks do not leak lock state to
+// each other. Function literals are not entered here: a goroutine or
+// callback body runs on its own stack and is walked as its own function.
+type lockWalk struct {
+	info *types.Info
+	// key names the lock x of x.Lock(); false leaves it untracked.
+	key func(x ast.Expr) (string, bool)
+	// acquire, if set, sees each tracked Lock or RLock call before its
+	// key joins held.
+	acquire func(key string, call ast.Expr, held map[string]bool)
+	// underLock, if set, sees what runs while a lock is held that the
+	// walk does not enter itself: every other statement, an if's Init
+	// and Cond, and a range statement, whose Body is walked after.
+	underLock func(n ast.Node, held map[string]bool)
 }
 
-func scanStmtList(pass *Pass, stmts []ast.Stmt, held map[string]bool) {
-	// Copy so sibling blocks do not leak lock state to each other.
+// file walks every function body in f, each with nothing held.
+func (w *lockWalk) file(f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch fn := n.(type) {
+		case *ast.FuncDecl:
+			if fn.Body != nil {
+				w.stmts(fn.Body.List, map[string]bool{})
+			}
+		case *ast.FuncLit:
+			w.stmts(fn.Body.List, map[string]bool{})
+		}
+		return true
+	})
+}
+
+// stmts walks one statement list on a copy of held.
+func (w *lockWalk) stmts(list []ast.Stmt, held map[string]bool) {
 	local := make(map[string]bool, len(held))
-	for k, v := range held {
-		local[k] = v
-	}
-	for _, stmt := range stmts {
+	maps.Copy(local, held)
+	for _, stmt := range list {
 		switch s := stmt.(type) {
 		case *ast.ExprStmt:
-			if recv, op, ok := mutexOp(pass, s.X); ok {
-				switch op {
-				case "Lock", "RLock":
-					local[recv] = true
-				case "Unlock", "RUnlock":
-					delete(local, recv)
-				}
+			if w.lockOp(s.X, local) {
 				continue
 			}
 		case *ast.DeferStmt:
-			// defer mu.Unlock() keeps the lock held to function end;
-			// nothing to update — the lock stays in the held set.
-			if _, _, ok := mutexOp(pass, s.Call); ok {
+			// defer mu.Unlock() keeps the lock held to function end.
+			if _, _, ok := mutexOp(w.info, s.Call); ok {
 				continue
 			}
 		case *ast.BlockStmt:
-			scanStmtList(pass, s.List, local)
+			w.stmts(s.List, local)
 			continue
 		case *ast.IfStmt:
-			scanBranches(pass, s, local)
+			w.branches(s, local)
 			continue
 		case *ast.ForStmt:
-			scanStmtList(pass, s.Body.List, local)
+			w.stmts(s.Body.List, local)
 			continue
 		case *ast.RangeStmt:
-			if len(local) > 0 {
-				if t := pass.Info.TypeOf(s.X); t != nil {
-					if _, isChan := t.Underlying().(*types.Chan); isChan {
-						pass.Reportf(s.Pos(), "range over a channel while holding %s; the loop blocks until senders close it — drain outside the critical section", anyKey(local))
-					}
-				}
-			}
-			scanStmtList(pass, s.Body.List, local)
+			w.visit(s, local)
+			w.stmts(s.Body.List, local)
 			continue
 		}
-		if len(local) > 0 {
-			reportChannelOps(pass, stmt, local)
-		}
+		w.visit(stmt, local)
 	}
 }
 
-func scanBranches(pass *Pass, s *ast.IfStmt, held map[string]bool) {
-	if s.Init != nil && len(held) > 0 {
-		reportChannelOps(pass, s.Init, held)
+func (w *lockWalk) branches(s *ast.IfStmt, held map[string]bool) {
+	if s.Init != nil {
+		w.visit(s.Init, held)
 	}
-	if len(held) > 0 {
-		reportChannelOps(pass, s.Cond, held)
-	}
-	scanStmtList(pass, s.Body.List, held)
+	w.visit(s.Cond, held)
+	w.stmts(s.Body.List, held)
 	switch e := s.Else.(type) {
 	case *ast.BlockStmt:
-		scanStmtList(pass, e.List, held)
+		w.stmts(e.List, held)
 	case *ast.IfStmt:
-		scanBranches(pass, e, held)
+		w.branches(e, held)
 	}
+}
+
+// visit hands n to underLock while a lock is held.
+func (w *lockWalk) visit(n ast.Node, held map[string]bool) {
+	if w.underLock != nil && len(held) > 0 {
+		w.underLock(n, held)
+	}
+}
+
+// lockOp applies expr to held if it is a mutex operation, and reports
+// whether it was one.
+func (w *lockWalk) lockOp(expr ast.Expr, held map[string]bool) bool {
+	recv, op, ok := mutexOp(w.info, expr)
+	if !ok {
+		return false
+	}
+	key, tracked := w.key(recv)
+	switch {
+	case !tracked:
+	case op == "Lock" || op == "RLock":
+		if w.acquire != nil {
+			w.acquire(key, expr, held)
+		}
+		held[key] = true
+	default:
+		delete(held, key)
+	}
+	return true
 }
 
 // mutexOp recognizes x.Lock / x.RLock / x.Unlock / x.RUnlock calls where
 // x is a sync.Mutex or sync.RWMutex (possibly behind a pointer), and
-// returns the printed receiver and the operation.
-func mutexOp(pass *Pass, expr ast.Expr) (recv, op string, ok bool) {
+// returns x and the operation.
+func mutexOp(info *types.Info, expr ast.Expr) (recv ast.Expr, op string, ok bool) {
 	call, isCall := ast.Unparen(expr).(*ast.CallExpr)
 	if !isCall {
-		return "", "", false
+		return nil, "", false
 	}
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
-		return "", "", false
+		return nil, "", false
 	}
 	switch sel.Sel.Name {
 	case "Lock", "Unlock", "RLock", "RUnlock":
 	default:
-		return "", "", false
+		return nil, "", false
 	}
-	t := pass.Info.TypeOf(sel.X)
+	t := info.TypeOf(sel.X)
 	if t == nil || !isSyncMutex(t) {
-		return "", "", false
+		return nil, "", false
 	}
-	return types.ExprString(sel.X), sel.Sel.Name, true
+	return sel.X, sel.Sel.Name, true
 }
 
 func isSyncMutex(t types.Type) bool {
@@ -153,11 +186,18 @@ func isSyncMutex(t types.Type) bool {
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
-// reportChannelOps flags channel operations in node, without descending
-// into function literals.
-func reportChannelOps(pass *Pass, node ast.Node, held map[string]bool) {
+// reportUnderLock flags channel operations in n, run while held is
+// held, without descending into function literals. A range statement is
+// its header alone: its body is walked apart.
+func reportUnderLock(pass *Pass, n ast.Node, held map[string]bool) {
 	name := anyKey(held)
-	ast.Inspect(node, func(n ast.Node) bool {
+	if rs, ok := n.(*ast.RangeStmt); ok {
+		if isChan(pass, rs.X) {
+			pass.Reportf(rs.Pos(), "range over a channel while holding %s; the loop blocks until senders close it — drain outside the critical section", name)
+		}
+		return
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
 		switch op := n.(type) {
 		case *ast.FuncLit:
 			return false
@@ -171,14 +211,21 @@ func reportChannelOps(pass *Pass, node ast.Node, held map[string]bool) {
 			pass.Reportf(op.Pos(), "select while holding %s; channel operations under a mutex risk deadlock — select outside the critical section", name)
 			return false
 		case *ast.RangeStmt:
-			if t := pass.Info.TypeOf(op.X); t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					pass.Reportf(op.Pos(), "range over a channel while holding %s; the loop blocks until senders close it — drain outside the critical section", name)
-				}
+			if isChan(pass, op.X) {
+				pass.Reportf(op.Pos(), "range over a channel while holding %s; the loop blocks until senders close it — drain outside the critical section", name)
 			}
 		}
 		return true
 	})
+}
+
+// isChan reports whether x has a channel type.
+func isChan(pass *Pass, x ast.Expr) bool {
+	if t := pass.Info.TypeOf(x); t != nil {
+		_, ok := t.Underlying().(*types.Chan)
+		return ok
+	}
+	return false
 }
 
 func anyKey(m map[string]bool) string {

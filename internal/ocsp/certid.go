@@ -139,43 +139,25 @@ func appendNonceExtensions(b []byte, tag byte, nonce []byte) []byte {
 }
 
 // readExtensions checks exts, the contents of an Extensions SEQUENCE OF,
-// and returns the nonce its first nonce extension carries, nil if none:
-//
-//	Extension ::= SEQUENCE { extnID OBJECT IDENTIFIER,
-//	                         critical BOOLEAN DEFAULT FALSE,
-//	                         extnValue OCTET STRING }
-//
+// and returns the nonce its first nonce extension carries, nil if none.
 // The nonce is the contents of the OCTET STRING the value should hold,
 // or the whole value when it holds none (some clients send it bare),
 // copied out of the input either way.
 func readExtensions(exts pkixutil.Input) ([]byte, bool) {
-	if _, ok := exts.CountElements(pkixutil.TagSequence); !ok {
-		return nil, false
-	}
 	var nonce []byte
 	found := false
 	for len(exts) > 0 {
-		var ext, id, critical, value pkixutil.Element
-		var present bool
-		exts.ReadElement(&ext, pkixutil.TagSequence) // CountElements checked it
-		if !ext.Content.ReadElement(&id, pkixutil.TagOID) || !id.Content.ValidOID() ||
-			!ext.Content.ReadOptionalElement(&critical, &present, pkixutil.TagBoolean) ||
-			!ext.Content.ReadElement(&value, pkixutil.TagOctetString) {
+		var id, value pkixutil.Input
+		if !exts.ReadExtension(&id, &value) {
 			return nil, false
 		}
-		if present {
-			if _, ok := critical.Content.Boolean(); !ok {
-				return nil, false
-			}
-		}
-		if !found && bytes.Equal(id.Content, oidNonceContents) {
+		if !found && bytes.Equal(id, oidNonceContents) {
 			found = true
-			wrapped := value.Content
 			var octets pkixutil.Element
-			if wrapped.ReadElement(&octets, pkixutil.TagOctetString) {
+			if value.ReadElement(&octets, pkixutil.TagOctetString) {
 				nonce = bytes.Clone(octets.Content)
 			} else {
-				nonce = bytes.Clone(value.Content)
+				nonce = bytes.Clone(value)
 			}
 		}
 	}

@@ -18,6 +18,37 @@ import (
 // the parsers whose verdicts and fields the reader must match
 // (parse_differential_test.go).
 
+// algorithmIdentifierASN1 is the encoding/asn1 wire form of an
+// AlgorithmIdentifier.
+type algorithmIdentifierASN1 struct {
+	Algorithm  asn1.ObjectIdentifier
+	Parameters asn1.RawValue `asn1:"optional"`
+}
+
+// hashOIDs maps each CertID hash to its OBJECT IDENTIFIER.
+var hashOIDs = map[crypto.Hash]asn1.ObjectIdentifier{
+	crypto.SHA1:   pkixutil.OIDSHA1,
+	crypto.SHA256: pkixutil.OIDSHA256,
+	crypto.SHA384: pkixutil.OIDSHA384,
+	crypto.SHA512: pkixutil.OIDSHA512,
+}
+
+func hashOID(h crypto.Hash) (asn1.ObjectIdentifier, error) {
+	if oid, ok := hashOIDs[h]; ok {
+		return oid, nil
+	}
+	return nil, fmt.Errorf("pkixutil: unsupported hash %v", h)
+}
+
+func hashFromOID(oid asn1.ObjectIdentifier) (crypto.Hash, error) {
+	for h, o := range hashOIDs {
+		if o.Equal(oid) {
+			return h, nil
+		}
+	}
+	return 0, fmt.Errorf("pkixutil: unknown hash OID %v", oid)
+}
+
 // Wire structures (RFC 6960 §4.1.1, §4.2.1).
 type ocspRequestASN1 struct {
 	TBSRequest tbsRequestASN1
@@ -36,7 +67,7 @@ type singleRequestASN1 struct {
 }
 
 type certIDASN1 struct {
-	HashAlgorithm  pkixutil.AlgorithmIdentifier
+	HashAlgorithm  algorithmIdentifierASN1
 	IssuerNameHash []byte
 	IssuerKeyHash  []byte
 	Serial         *big.Int
@@ -62,7 +93,7 @@ type responseBytesASN1 struct {
 
 type basicResponseASN1 struct {
 	TBSResponseData    asn1.RawValue
-	SignatureAlgorithm pkixutil.AlgorithmIdentifier
+	SignatureAlgorithm algorithmIdentifierASN1
 	Signature          asn1.BitString
 	Certificates       []asn1.RawValue `asn1:"explicit,tag:0,optional"`
 }
@@ -254,7 +285,7 @@ func singleFromASN1(w singleResponseASN1) (SingleResponse, error) {
 }
 
 func certIDFromASN1(w certIDASN1) (CertID, error) {
-	h, err := pkixutil.HashFromOID(w.HashAlgorithm.Algorithm)
+	h, err := hashFromOID(w.HashAlgorithm.Algorithm)
 	if err != nil {
 		return CertID{}, fmt.Errorf("ocsp: CertID hash: %w", err)
 	}
@@ -309,8 +340,12 @@ func referenceCreateResponse(tmpl *ResponderTemplate, producedAt time.Time, sing
 		return nil, fmt.Errorf("ocsp: marshal responseData: %w", err)
 	}
 
-	sigAlg, sig, err := pkixutil.SignTBS(tmpl.Rand, tmpl.Signer, tbs)
+	sigAlgDER, sig, err := pkixutil.SignTBS(tmpl.Rand, tmpl.Signer, tbs)
 	if err != nil {
+		return nil, err
+	}
+	var sigAlg algorithmIdentifierASN1
+	if _, err := asn1.Unmarshal(sigAlgDER, &sigAlg); err != nil {
 		return nil, err
 	}
 	basic := basicResponseASN1{
@@ -388,7 +423,7 @@ func referenceSingle(s SingleResponse) (singleResponseASN1, error) {
 }
 
 func referenceCertID(c CertID) (certIDASN1, error) {
-	oid, err := pkixutil.HashOID(c.HashAlgorithm)
+	oid, err := hashOID(c.HashAlgorithm)
 	if err != nil {
 		return certIDASN1{}, err
 	}
@@ -396,7 +431,7 @@ func referenceCertID(c CertID) (certIDASN1, error) {
 		return certIDASN1{}, fmt.Errorf("ocsp: CertID has nil serial")
 	}
 	return certIDASN1{
-		HashAlgorithm:  pkixutil.AlgorithmIdentifier{Algorithm: oid, Parameters: asn1.RawValue{Tag: asn1.TagNull}},
+		HashAlgorithm:  algorithmIdentifierASN1{Algorithm: oid, Parameters: asn1.RawValue{Tag: asn1.TagNull}},
 		IssuerNameHash: c.IssuerNameHash,
 		IssuerKeyHash:  c.IssuerKeyHash,
 		Serial:         c.Serial,

@@ -165,7 +165,7 @@ func CreateResponse(tmpl *ResponderTemplate, producedAt time.Time, singles []Sin
 	if err != nil {
 		return nil, err
 	}
-	sigAlg, sig, err := pkixutil.SignTBSDER(tmpl.Rand, tmpl.Signer, tbs)
+	sigAlg, sig, err := pkixutil.SignTBS(tmpl.Rand, tmpl.Signer, tbs)
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,6 @@ import (
 	"crypto/sha512"
 	"crypto/x509"
 	"crypto/x509/pkix"
-	"encoding/asn1"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -369,11 +368,7 @@ func (ca *CA) IssueLeaf(opts LeafOptions) (*Leaf, error) {
 		tmpl.CRLDistributionPoints = []string{crlURL}
 	}
 	if opts.MustStaple {
-		ext, err := MustStapleExtension()
-		if err != nil {
-			return nil, err
-		}
-		tmpl.ExtraExtensions = append(tmpl.ExtraExtensions, ext)
+		tmpl.ExtraExtensions = append(tmpl.ExtraExtensions, MustStapleExtension())
 	}
 
 	der, err := x509.CreateCertificate(cryptorand.Reader, tmpl, ca.Certificate, key.Public(), ca.Key)
@@ -427,29 +422,40 @@ const tlsFeatureStatusRequest = 5
 
 // MustStapleExtension builds the X.509v3 TLS Feature extension asserting
 // status_request — i.e., OCSP Must-Staple.
-func MustStapleExtension() (pkix.Extension, error) {
-	val, err := asn1.Marshal([]int{tlsFeatureStatusRequest})
-	if err != nil {
-		return pkix.Extension{}, fmt.Errorf("pki: marshal TLS feature: %w", err)
-	}
-	return pkix.Extension{Id: pkixutil.OIDExtensionTLSFeature, Value: val}, nil
+func MustStapleExtension() pkix.Extension {
+	features := pkixutil.AppendInteger(nil, big.NewInt(tlsFeatureStatusRequest))
+	return pkix.Extension{Id: pkixutil.OIDExtensionTLSFeature, Value: pkixutil.AppendElement(nil, pkixutil.TagSequence, features)}
 }
 
 // HasMustStaple reports whether cert carries the TLS-Feature extension with
 // status_request — the check the paper runs over the Censys corpus (§4).
+// As with encoding/asn1, a feature list must be a SEQUENCE OF INTEGERs
+// that each fit an int, and what follows it is ignored; the first
+// malformed list ends the search.
 func HasMustStaple(cert *x509.Certificate) bool {
 	for _, ext := range cert.Extensions {
 		if !ext.Id.Equal(pkixutil.OIDExtensionTLSFeature) {
 			continue
 		}
-		var features []int
-		if _, err := asn1.Unmarshal(ext.Value, &features); err != nil {
+		in := pkixutil.Input(ext.Value)
+		var list pkixutil.Element
+		if !in.ReadElement(&list, pkixutil.TagSequence) {
 			return false
 		}
-		for _, f := range features {
-			if f == tlsFeatureStatusRequest {
-				return true
+		found := false
+		for items := list.Content; len(items) > 0; {
+			var f pkixutil.Element
+			if !items.ReadElement(&f, pkixutil.TagInteger) {
+				return false
 			}
+			v, ok := f.Content.Int()
+			if !ok {
+				return false
+			}
+			found = found || v == tlsFeatureStatusRequest
+		}
+		if found {
+			return true
 		}
 	}
 	return false

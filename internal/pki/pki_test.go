@@ -7,10 +7,14 @@ import (
 	"crypto/rsa"
 	"crypto/sha256"
 	"crypto/x509"
+	"crypto/x509/pkix"
+	"encoding/asn1"
 	"math/big"
 	"math/rand"
 	"testing"
 	"time"
+
+	"github.com/netmeasure/muststaple/internal/pkixutil"
 )
 
 func TestRootCA(t *testing.T) {
@@ -58,6 +62,70 @@ func TestMustStapleExtension(t *testing.T) {
 	}
 	if !found {
 		t.Error("TLS-Feature OID 1.3.6.1.5.5.7.1.24 missing from parsed extensions")
+	}
+}
+
+// referenceHasMustStaple is HasMustStaple on encoding/asn1.
+func referenceHasMustStaple(cert *x509.Certificate) bool {
+	for _, ext := range cert.Extensions {
+		if !ext.Id.Equal(pkixutil.OIDExtensionTLSFeature) {
+			continue
+		}
+		var features []int
+		if _, err := asn1.Unmarshal(ext.Value, &features); err != nil {
+			return false
+		}
+		for _, f := range features {
+			if f == tlsFeatureStatusRequest {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestMustStapleMatchesASN1 holds MustStapleExtension to encoding/asn1's
+// bytes, and HasMustStaple to the encoding/asn1 version on feature lists,
+// each truncation and byte flip of them, trailing bytes, and a malformed
+// list ahead of a good one.
+func TestMustStapleMatchesASN1(t *testing.T) {
+	want, err := asn1.Marshal([]int{tlsFeatureStatusRequest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := MustStapleExtension(); !bytes.Equal(got.Value, want) || !got.Id.Equal(pkixutil.OIDExtensionTLSFeature) {
+		t.Fatalf("MustStapleExtension = %v %x, want %x", got.Id, got.Value, want)
+	}
+	var values [][]byte
+	for _, features := range [][]int{{5}, {17}, {17, 5}, {5, 1 << 40}, {}, {-5, 300, 5}} {
+		v, err := asn1.Marshal(features)
+		if err != nil {
+			t.Fatal(err)
+		}
+		values = append(values, v, append(bytes.Clone(v), 0x05, 0x00))
+		for i := range v {
+			values = append(values, v[:i])
+			for _, x := range []byte{0x01, 0x20, 0x80, 0xff} {
+				m := bytes.Clone(v)
+				m[i] ^= x
+				values = append(values, m)
+			}
+		}
+	}
+	check := func(exts ...[]byte) {
+		t.Helper()
+		cert := &x509.Certificate{}
+		for _, v := range exts {
+			cert.Extensions = append(cert.Extensions, pkix.Extension{Id: pkixutil.OIDExtensionTLSFeature, Value: v})
+		}
+		if got, want := HasMustStaple(cert), referenceHasMustStaple(cert); got != want {
+			t.Fatalf("HasMustStaple(%x) = %v, encoding/asn1 %v", exts, got, want)
+		}
+	}
+	for _, v := range values {
+		check(v)
+		check(v, want)
+		check([]byte{0x30, 0x03, 0x02, 0x01, 0x11}, v)
 	}
 }
 

@@ -10,11 +10,11 @@ import (
 	"time"
 )
 
-// The DER writer is the one encoder on the responder's signing path. It
+// The DER writer is the one encoder of the OCSP and CRL codecs. It
 // appends elements to a byte slice instead of reflecting over wire
 // structs, and its output is byte-identical to encoding/asn1.Marshal of
 // the equivalent struct: minimal lengths, minimal two's-complement
-// integers, and GeneralizedTime in UTC with whole seconds. The codecs
+// integers, and times in UTC with whole seconds. The codecs
 // keep an encoding/asn1 reference encoder in their tests and fuzz the two
 // against each other.
 //
@@ -34,14 +34,18 @@ const (
 	TagBitString        = 0x03
 	TagOctetString      = 0x04
 	TagEnumerated       = 0x0a
+	TagUTCTime          = 0x17
 	TagGeneralizedTime  = 0x18
 	TagSequence         = 0x30
 	TagContextPrimitive = 0x80 // | n: implicit [n], primitive
 	TagContextExplicit  = 0xa0 // | n: explicit or constructed [n]
 )
 
-// generalizedTimeLen is the size of YYYYMMDDHHMMSSZ.
-const generalizedTimeLen = 15
+// The sizes of YYYYMMDDHHMMSSZ and YYMMDDHHMMSSZ.
+const (
+	generalizedTimeLen = 15
+	utcTimeLen         = 13
+)
 
 var errGeneralizedTimeRange = errors.New("pkixutil: cannot represent time as GeneralizedTime")
 
@@ -228,28 +232,31 @@ func AppendEnumerated(b []byte, v int64) []byte {
 	return b
 }
 
-// putGeneralizedTime writes t as YYYYMMDDHHMMSSZ to dst, in UTC with any
-// fraction of a second dropped. Years outside 0–9999 are an error, as in
-// encoding/asn1.
+// putTime writes t, in UTC with any fraction of a second dropped, to
+// dst: YYYYMMDDHHMMSSZ if dst has room for the four-digit year of a
+// GeneralizedTime, YYMMDDHHMMSSZ for a UTCTime. Years outside 0–9999 are
+// an error, as in encoding/asn1.
 //
 //lint:allocfree
-func putGeneralizedTime(dst []byte, t time.Time) error {
+func putTime(dst []byte, t time.Time) error {
 	year, month, day := t.UTC().Date()
 	if year < 0 || year > 9999 {
 		return errGeneralizedTimeRange
 	}
 	hour, min, sec := t.UTC().Clock()
-	putDigits(dst[0:4], year)
-	putDigits(dst[4:6], int(month))
-	putDigits(dst[6:8], day)
-	putDigits(dst[8:10], hour)
-	putDigits(dst[10:12], min)
-	putDigits(dst[12:14], sec)
-	dst[14] = 'Z'
+	y := len(dst) - 11 // digits of the year
+	putDigits(dst[:y], year)
+	putDigits(dst[y:y+2], int(month))
+	putDigits(dst[y+2:y+4], day)
+	putDigits(dst[y+4:y+6], hour)
+	putDigits(dst[y+6:y+8], min)
+	putDigits(dst[y+8:y+10], sec)
+	dst[y+10] = 'Z'
 	return nil
 }
 
-// putDigits writes v as len(dst) zero-padded decimal digits.
+// putDigits writes v as len(dst) zero-padded decimal digits, dropping any
+// higher ones.
 //
 //lint:allocfree
 func putDigits(dst []byte, v int) {
@@ -259,29 +266,47 @@ func putDigits(dst []byte, v int) {
 	}
 }
 
-// AppendGeneralizedTime appends t as a DER GeneralizedTime (see
-// putGeneralizedTime). On error b is returned unchanged.
-func AppendGeneralizedTime(b []byte, t time.Time) ([]byte, error) {
-	b, dst := grow(b, 2+generalizedTimeLen)
-	dst[0], dst[1] = TagGeneralizedTime, generalizedTimeLen
-	if err := putGeneralizedTime(dst[2:], t); err != nil {
+// appendTime appends t as an n-octet time of the given tag (see putTime).
+// On error b is returned unchanged.
+func appendTime(b []byte, tag byte, n int, t time.Time) ([]byte, error) {
+	b, dst := grow(b, 2+n)
+	dst[0], dst[1] = tag, byte(n)
+	if err := putTime(dst[2:], t); err != nil {
 		return b[:len(b)-len(dst)], err
 	}
 	return b, nil
 }
 
-// mustDER is the one-time setup of the precomputed DER below.
-func mustDER(v any) []byte {
-	der, err := asn1.Marshal(v)
+// AppendGeneralizedTime appends t as a DER GeneralizedTime (see putTime).
+// On error b is returned unchanged.
+func AppendGeneralizedTime(b []byte, t time.Time) ([]byte, error) {
+	return appendTime(b, TagGeneralizedTime, generalizedTimeLen, t)
+}
+
+// AppendTime appends t the way encoding/asn1 writes a time.Time field
+// with no time type: a UTCTime for years 1950–2049 and a GeneralizedTime
+// otherwise (RFC 5280 §4.1.2.5). On error b is returned unchanged.
+func AppendTime(b []byte, t time.Time) ([]byte, error) {
+	if y := t.UTC().Year(); y < 1950 || y >= 2050 {
+		return AppendGeneralizedTime(b, t)
+	}
+	return appendTime(b, TagUTCTime, utcTimeLen, t)
+}
+
+// mustDER is the one-time setup of the precomputed object identifiers.
+func mustDER(oid asn1.ObjectIdentifier) []byte {
+	der, err := asn1.Marshal(oid)
 	if err != nil {
-		panic(fmt.Sprintf("pkixutil: marshal %v: %v", v, err))
+		panic(fmt.Sprintf("pkixutil: marshal %v: %v", oid, err))
 	}
 	return der
 }
 
-// Precomputed DER of the object identifiers the OCSP encoders emit on
-// every call.
+// Precomputed DER of the object identifiers the codecs write and compare
+// against.
 var (
-	OIDOCSPBasicDER = mustDER(OIDOCSPBasic)
-	OIDOCSPNonceDER = mustDER(OIDOCSPNonce)
+	OIDOCSPBasicDER           = mustDER(OIDOCSPBasic)
+	OIDOCSPNonceDER           = mustDER(OIDOCSPNonce)
+	OIDExtensionCRLNumberDER  = mustDER(OIDExtensionCRLNumber)
+	OIDExtensionReasonCodeDER = mustDER(OIDExtensionReasonCode)
 )

@@ -105,6 +105,37 @@ func TestAppendGeneralizedTimeMatchesASN1(t *testing.T) {
 	}
 }
 
+// TestAppendTimeMatchesASN1 holds AppendTime to encoding/asn1's untagged
+// time.Time field: UTCTime from 1950 to 2049, GeneralizedTime outside,
+// an error outside years 0–9999.
+func TestAppendTimeMatchesASN1(t *testing.T) {
+	type wire struct{ T time.Time }
+	east := time.FixedZone("east", 5*3600+30*60)
+	var tms []time.Time
+	for _, y := range []int{-1, 0, 1, 1949, 1950, 1999, 2000, 2018, 2049, 2050, 9999, 10000} {
+		tms = append(tms,
+			time.Date(y, 1, 1, 0, 0, 0, 0, time.UTC),
+			time.Date(y, 12, 31, 23, 59, 59, 999_999_999, time.UTC),
+			time.Date(y, 6, 1, 2, 30, 15, 0, east))
+	}
+	for _, tm := range tms {
+		want, wantErr := asn1.Marshal(wire{tm.UTC()})
+		got, gotErr := AppendTime([]byte{0x30, 0}, tm)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("%v: writer error %v, asn1 error %v", tm, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			if len(got) != 2 {
+				t.Errorf("%v: failed append left %d bytes, want the 2 it was given", tm, len(got))
+			}
+			continue
+		}
+		if !bytes.Equal(got[2:], want[2:]) {
+			t.Errorf("%v: got %x, want %x", tm, got[2:], want[2:])
+		}
+	}
+}
+
 // TestBeginEndMatchesASN1 frames contents across every length form,
 // including the sizes where End must shift the contents for a long-form
 // length, and nests one element inside another.
@@ -154,15 +185,15 @@ func TestAppendBitStringMatchesASN1(t *testing.T) {
 // TestPrecomputedIdentifiers pins the precomputed DER against the structs
 // it stands for.
 func TestPrecomputedIdentifiers(t *testing.T) {
-	for _, h := range []crypto.Hash{crypto.SHA1, crypto.SHA256, crypto.SHA384, crypto.SHA512} {
-		oid, err := HashOID(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := asn1.Marshal(AlgorithmIdentifier{Algorithm: oid, Parameters: asn1.RawValue{Tag: asn1.TagNull}})
-		got, err := HashAlgorithmIdentifierDER(h)
+	null := asn1.RawValue{Tag: asn1.TagNull}
+	for _, c := range []struct {
+		h   crypto.Hash
+		oid asn1.ObjectIdentifier
+	}{{crypto.SHA1, OIDSHA1}, {crypto.SHA256, OIDSHA256}, {crypto.SHA384, OIDSHA384}, {crypto.SHA512, OIDSHA512}} {
+		want, _ := asn1.Marshal(algorithmIdentifierASN1{Algorithm: c.oid, Parameters: null})
+		got, err := HashAlgorithmIdentifierDER(c.h)
 		if err != nil || !bytes.Equal(got, want) {
-			t.Errorf("%v: got %x (%v), want %x", h, got, err, want)
+			t.Errorf("%v: got %x (%v), want %x", c.h, got, err, want)
 		}
 	}
 	if _, err := HashAlgorithmIdentifierDER(crypto.MD5); err == nil {
@@ -176,15 +207,32 @@ func TestPrecomputedIdentifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []crypto.Signer{ec, rk} {
-		id, err := SignatureAlgorithmForKey(k)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		k  crypto.Signer
+		id algorithmIdentifierASN1
+	}{
+		{ec, algorithmIdentifierASN1{Algorithm: OIDSignatureECDSAWithSHA256}},
+		{rk, algorithmIdentifierASN1{Algorithm: OIDSignatureSHA256WithRSA, Parameters: null}},
+	} {
+		want, _ := asn1.Marshal(c.id)
+		id, err := SignatureAlgorithmForKey(c.k)
+		if err != nil || !bytes.Equal(id, want) {
+			t.Errorf("%T: SignatureAlgorithmForKey %x (%v), want %x", c.k, id, err, want)
 		}
-		want, _ := asn1.Marshal(id)
-		der, sig, err := SignTBSDER(nil, k, []byte("tbs"))
+		der, sig, err := SignTBS(nil, c.k, []byte("tbs"))
 		if err != nil || len(sig) == 0 || !bytes.Equal(der, want) {
-			t.Errorf("%T: SignTBSDER identifier %x (%v), want %x", k, der, err, want)
+			t.Errorf("%T: SignTBS identifier %x (%v), want %x", c.k, der, err, want)
+		}
+	}
+	for _, c := range []struct {
+		der []byte
+		oid asn1.ObjectIdentifier
+	}{
+		{OIDOCSPBasicDER, OIDOCSPBasic}, {OIDOCSPNonceDER, OIDOCSPNonce},
+		{OIDExtensionCRLNumberDER, OIDExtensionCRLNumber}, {OIDExtensionReasonCodeDER, OIDExtensionReasonCode},
+	} {
+		if want, _ := asn1.Marshal(c.oid); !bytes.Equal(c.der, want) {
+			t.Errorf("%v: got %x, want %x", c.oid, c.der, want)
 		}
 	}
 }

@@ -1,18 +1,19 @@
 // Package pkixutil provides the low-level PKIX plumbing shared by the
 // from-scratch OCSP (RFC 6960) and CRL (RFC 5280) codecs: object
-// identifiers, AlgorithmIdentifier handling, TBS signing and verification,
+// identifiers, AlgorithmIdentifiers, TBS signing and verification,
 // revocation reason codes, and the issuer name/key hashing used by OCSP
 // CertIDs.
 //
-// The OCSP codecs are built on this package's append-style DER writer
+// Both codecs are built on this package's append-style DER writer
 // (der.go) and its DER reader (reader.go), which write and read what
-// encoding/asn1 would without reflection. The CRL codec and the one-time
-// setup of precomputed identifiers still use encoding/asn1. Everything is
+// encoding/asn1 would without reflection. Only the one-time setup of
+// precomputed object identifiers still uses encoding/asn1. Everything is
 // standard library only; no golang.org/x/crypto dependency is used
 // anywhere in this module.
 package pkixutil
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/ecdsa"
 	"crypto/rsa"
@@ -58,90 +59,73 @@ var (
 	OIDExtensionTLSFeature = asn1.ObjectIdentifier{1, 3, 6, 1, 5, 5, 7, 1, 24}
 )
 
-// AlgorithmIdentifier mirrors the ASN.1 AlgorithmIdentifier structure.
-// It is identical in shape to crypto/x509/pkix.AlgorithmIdentifier but
-// redeclared here so that the codecs in this module are self-contained.
-type AlgorithmIdentifier struct {
-	Algorithm  asn1.ObjectIdentifier
-	Parameters asn1.RawValue `asn1:"optional"`
+// hashAlgorithms holds each hash a CertID may name: its OBJECT
+// IDENTIFIER contents, which the reader compares against, and its DER
+// AlgorithmIdentifier, which the writer emits. RFC 6960 encodes the SHA-1
+// identifier with an explicit NULL parameter, matching OpenSSL; we do the
+// same for every hash, for compatibility.
+var hashAlgorithms = []struct {
+	h     crypto.Hash
+	oid   []byte
+	algID []byte
+}{
+	{crypto.SHA1, mustDER(OIDSHA1)[2:], algorithmIdentifier(OIDSHA1, true)},
+	{crypto.SHA256, mustDER(OIDSHA256)[2:], algorithmIdentifier(OIDSHA256, true)},
+	{crypto.SHA384, mustDER(OIDSHA384)[2:], algorithmIdentifier(OIDSHA384, true)},
+	{crypto.SHA512, mustDER(OIDSHA512)[2:], algorithmIdentifier(OIDSHA512, true)},
 }
 
-// asn1NULL is the DER encoding of an ASN.1 NULL, required as the parameter
-// field of RSA signature AlgorithmIdentifiers.
-var asn1NULL = asn1.RawValue{Tag: asn1.TagNull}
-
-// HashOID returns the OID for a supported crypto.Hash.
-//
-//lint:allow unused the encoding/asn1 oracle in ocsp/reference_test.go encodes CertIDs with it
-func HashOID(h crypto.Hash) (asn1.ObjectIdentifier, error) {
-	switch h {
-	case crypto.SHA1:
-		return OIDSHA1, nil
-	case crypto.SHA256:
-		return OIDSHA256, nil
-	case crypto.SHA384:
-		return OIDSHA384, nil
-	case crypto.SHA512:
-		return OIDSHA512, nil
+// algorithmIdentifier returns the DER AlgorithmIdentifier of oid, with an
+// explicit NULL parameter if withNULL.
+func algorithmIdentifier(oid asn1.ObjectIdentifier, withNULL bool) []byte {
+	content := mustDER(oid)
+	if withNULL {
+		content = append(content, 0x05, 0x00)
 	}
-	return nil, fmt.Errorf("pkixutil: unsupported hash %v", h)
-}
-
-// HashFromOID is the inverse of HashOID.
-//
-//lint:allow unused the encoding/asn1 oracle in ocsp/reference_test.go decodes CertIDs with it
-func HashFromOID(oid asn1.ObjectIdentifier) (crypto.Hash, error) {
-	switch {
-	case oid.Equal(OIDSHA1):
-		return crypto.SHA1, nil
-	case oid.Equal(OIDSHA256):
-		return crypto.SHA256, nil
-	case oid.Equal(OIDSHA384):
-		return crypto.SHA384, nil
-	case oid.Equal(OIDSHA512):
-		return crypto.SHA512, nil
-	}
-	return 0, fmt.Errorf("pkixutil: unknown hash OID %v", oid)
-}
-
-// hashAlgorithmIDs holds the DER AlgorithmIdentifier of each hash
-// HashOID supports, as used inside OCSP CertIDs.
-var hashAlgorithmIDs = map[crypto.Hash][]byte{
-	crypto.SHA1:   mustDER(AlgorithmIdentifier{Algorithm: OIDSHA1, Parameters: asn1NULL}),
-	crypto.SHA256: mustDER(AlgorithmIdentifier{Algorithm: OIDSHA256, Parameters: asn1NULL}),
-	crypto.SHA384: mustDER(AlgorithmIdentifier{Algorithm: OIDSHA384, Parameters: asn1NULL}),
-	crypto.SHA512: mustDER(AlgorithmIdentifier{Algorithm: OIDSHA512, Parameters: asn1NULL}),
+	return AppendElement(nil, TagSequence, content)
 }
 
 // HashAlgorithmIdentifierDER returns the DER AlgorithmIdentifier for a
-// hash as used inside OCSP CertIDs. RFC 6960 encodes the SHA-1 identifier
-// with an explicit NULL parameter, matching OpenSSL; we do the same for
-// every hash, for compatibility. The slice is shared: do not modify it.
+// hash as used inside OCSP CertIDs. The slice is shared: do not modify it.
 func HashAlgorithmIdentifierDER(h crypto.Hash) ([]byte, error) {
-	if der, ok := hashAlgorithmIDs[h]; ok {
-		return der, nil
+	for _, e := range hashAlgorithms {
+		if e.h == h {
+			return e.algID, nil
+		}
 	}
 	return nil, fmt.Errorf("pkixutil: unsupported hash %v", h)
+}
+
+// HashFromOIDContents returns the hash named by the contents octets of an
+// OBJECT IDENTIFIER the reader returned.
+//
+//lint:allocfree
+func HashFromOIDContents(oid Input) (crypto.Hash, bool) {
+	for _, e := range hashAlgorithms {
+		if bytes.Equal(oid, e.oid) {
+			return e.h, true
+		}
+	}
+	return 0, false
 }
 
 // SignatureAlgorithm describes a signature scheme supported by SignTBS and
 // VerifyTBS.
 type SignatureAlgorithm struct {
-	OID           asn1.ObjectIdentifier
-	Hash          crypto.Hash
-	IsRSA         bool
-	HasNULLParams bool // RSA identifiers carry an explicit NULL parameter
+	OID   asn1.ObjectIdentifier
+	Hash  crypto.Hash
+	IsRSA bool
 }
 
 var signatureAlgorithms = []SignatureAlgorithm{
-	{OIDSignatureSHA256WithRSA, crypto.SHA256, true, true},
-	{OIDSignatureSHA384WithRSA, crypto.SHA384, true, true},
-	{OIDSignatureSHA512WithRSA, crypto.SHA512, true, true},
-	{OIDSignatureSHA1WithRSA, crypto.SHA1, true, true},
-	{OIDSignatureECDSAWithSHA256, crypto.SHA256, false, false},
-	{OIDSignatureECDSAWithSHA384, crypto.SHA384, false, false},
-	{OIDSignatureECDSAWithSHA512, crypto.SHA512, false, false},
-	{OIDSignatureECDSAWithSHA1, crypto.SHA1, false, false},
+	{OIDSignatureSHA256WithRSA, crypto.SHA256, true},
+	{OIDSignatureSHA384WithRSA, crypto.SHA384, true},
+	{OIDSignatureSHA512WithRSA, crypto.SHA512, true},
+	{OIDSignatureSHA1WithRSA, crypto.SHA1, true},
+	{OIDSignatureECDSAWithSHA256, crypto.SHA256, false},
+	{OIDSignatureECDSAWithSHA384, crypto.SHA384, false},
+	{OIDSignatureECDSAWithSHA512, crypto.SHA512, false},
+	{OIDSignatureECDSAWithSHA1, crypto.SHA1, false},
 }
 
 // SignatureAlgorithmByOID looks up a supported signature algorithm.
@@ -155,22 +139,16 @@ func SignatureAlgorithmByOID(oid asn1.ObjectIdentifier) (SignatureAlgorithm, err
 }
 
 // signScheme is a signature scheme SignTBS signs with: SHA-256 with the
-// signer's key family, its AlgorithmIdentifier as a struct (for the
-// encoding/asn1 CRL codec) and as precomputed DER (for the DER writer).
+// signer's key family, and its AlgorithmIdentifier as precomputed DER.
 type signScheme struct {
 	family string
-	id     AlgorithmIdentifier
 	der    []byte
 }
 
 var (
-	schemeRSA   = newSignScheme("RSA", AlgorithmIdentifier{Algorithm: OIDSignatureSHA256WithRSA, Parameters: asn1NULL})
-	schemeECDSA = newSignScheme("ECDSA", AlgorithmIdentifier{Algorithm: OIDSignatureECDSAWithSHA256})
+	schemeRSA   = &signScheme{"RSA", algorithmIdentifier(OIDSignatureSHA256WithRSA, true)}
+	schemeECDSA = &signScheme{"ECDSA", algorithmIdentifier(OIDSignatureECDSAWithSHA256, false)}
 )
-
-func newSignScheme(family string, id AlgorithmIdentifier) *signScheme {
-	return &signScheme{family: family, id: id, der: mustDER(id)}
-}
 
 // schemeForKey picks the scheme for the signer's key family.
 func schemeForKey(signer crypto.Signer) (*signScheme, error) {
@@ -184,42 +162,24 @@ func schemeForKey(signer crypto.Signer) (*signScheme, error) {
 	}
 }
 
-// SignatureAlgorithmForKey returns the AlgorithmIdentifier SignTBS will use
-// for the given signer's key family, without signing anything. CRL encoding
-// needs this because the inner tbsCertList carries a copy of the signature
-// algorithm that must be fixed before signing.
-func SignatureAlgorithmForKey(signer crypto.Signer) (AlgorithmIdentifier, error) {
+// SignatureAlgorithmForKey returns the DER AlgorithmIdentifier SignTBS
+// will use for the given signer's key family, without signing anything.
+// CRL encoding needs this because the inner tbsCertList carries a copy of
+// the signature algorithm that must be fixed before signing. The slice is
+// shared: do not modify it.
+func SignatureAlgorithmForKey(signer crypto.Signer) ([]byte, error) {
 	s, err := schemeForKey(signer)
 	if err != nil {
-		return AlgorithmIdentifier{}, err
+		return nil, err
 	}
-	return s.id, nil
+	return s.der, nil
 }
 
 // SignTBS signs the DER encoding of a to-be-signed structure with the given
 // signer, choosing SHA-256 with the signer's key family (RSA PKCS#1 v1.5 or
-// ECDSA). It returns the AlgorithmIdentifier to embed alongside the
-// signature.
-func SignTBS(rand io.Reader, signer crypto.Signer, tbs []byte) (AlgorithmIdentifier, []byte, error) {
-	s, sig, err := signTBS(rand, signer, tbs)
-	if err != nil {
-		return AlgorithmIdentifier{}, nil, err
-	}
-	return s.id, sig, nil
-}
-
-// SignTBSDER is SignTBS for the DER writer: it returns the
-// AlgorithmIdentifier as precomputed DER. The slice is shared: do not
-// modify it.
-func SignTBSDER(rand io.Reader, signer crypto.Signer, tbs []byte) ([]byte, []byte, error) {
-	s, sig, err := signTBS(rand, signer, tbs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.der, sig, nil
-}
-
-func signTBS(rand io.Reader, signer crypto.Signer, tbs []byte) (*signScheme, []byte, error) {
+// ECDSA). It returns the DER AlgorithmIdentifier to embed alongside the
+// signature, which is shared: do not modify it.
+func SignTBS(rand io.Reader, signer crypto.Signer, tbs []byte) ([]byte, []byte, error) {
 	s, err := schemeForKey(signer)
 	if err != nil {
 		return nil, nil, err
@@ -229,7 +189,7 @@ func signTBS(rand io.Reader, signer crypto.Signer, tbs []byte) (*signScheme, []b
 	if err != nil {
 		return nil, nil, fmt.Errorf("pkixutil: %s sign: %w", s.family, err)
 	}
-	return s, sig, nil
+	return s.der, sig, nil
 }
 
 // VerifyTBS verifies a signature over a TBS blob produced by SignTBS or any
@@ -356,33 +316,4 @@ func (r ReasonCode) String() string {
 		return s
 	}
 	return fmt.Sprintf("reason(%d)", int(r))
-}
-
-// Valid reports whether r is a reason code defined by RFC 5280 (or the
-// ReasonAbsent sentinel).
-func (r ReasonCode) Valid() bool {
-	_, ok := reasonNames[r]
-	return ok
-}
-
-// MarshalReasonCodeExtension encodes a CRLReason as the crl-entry
-// reasonCode extension value (an ENUMERATED).
-func MarshalReasonCodeExtension(r ReasonCode) ([]byte, error) {
-	if r == ReasonAbsent {
-		return nil, errors.New("pkixutil: cannot encode absent reason code")
-	}
-	return asn1.Marshal(asn1.Enumerated(r))
-}
-
-// ParseReasonCodeExtension decodes a reasonCode extension value.
-func ParseReasonCodeExtension(der []byte) (ReasonCode, error) {
-	var e asn1.Enumerated
-	rest, err := asn1.Unmarshal(der, &e)
-	if err != nil {
-		return ReasonAbsent, fmt.Errorf("pkixutil: parse reasonCode: %w", err)
-	}
-	if len(rest) != 0 {
-		return ReasonAbsent, errors.New("pkixutil: trailing bytes after reasonCode")
-	}
-	return ReasonCode(e), nil
 }

@@ -1,6 +1,7 @@
 package pkixutil
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/ecdsa"
 	"crypto/elliptic"
@@ -14,26 +15,41 @@ import (
 	"testing/quick"
 )
 
+// TestHashOIDRoundTrip reads each hash's AlgorithmIdentifier back to the
+// hash it names.
 func TestHashOIDRoundTrip(t *testing.T) {
 	for _, h := range []crypto.Hash{crypto.SHA1, crypto.SHA256, crypto.SHA384, crypto.SHA512} {
-		oid, err := HashOID(h)
+		der, err := HashAlgorithmIdentifierDER(h)
 		if err != nil {
-			t.Fatalf("HashOID(%v): %v", h, err)
+			t.Fatalf("HashAlgorithmIdentifierDER(%v): %v", h, err)
 		}
-		got, err := HashFromOID(oid)
-		if err != nil {
-			t.Fatalf("HashFromOID(%v): %v", oid, err)
+		in := Input(der)
+		var oid Input
+		if !in.ReadAlgorithmIdentifier(&oid) || len(in) != 0 {
+			t.Fatalf("%v: %x is not one AlgorithmIdentifier", h, der)
 		}
-		if got != h {
-			t.Errorf("round trip %v → %v", h, got)
+		if got, ok := HashFromOIDContents(oid); !ok || got != h {
+			t.Errorf("round trip %v → %v %v", h, got, ok)
 		}
 	}
-	if _, err := HashOID(crypto.MD5); err == nil {
+	if _, err := HashAlgorithmIdentifierDER(crypto.MD5); err == nil {
 		t.Error("MD5 must be unsupported")
 	}
-	if _, err := HashFromOID(asn1.ObjectIdentifier{1, 2, 3}); err == nil {
+	if _, ok := HashFromOIDContents(Input{0x2a, 0x03}); ok {
 		t.Error("unknown OID must fail")
 	}
+}
+
+// algorithmOID reads the algorithm OID of a DER AlgorithmIdentifier.
+func algorithmOID(t *testing.T, der []byte) asn1.ObjectIdentifier {
+	t.Helper()
+	in := Input(der)
+	var contents Input
+	if !in.ReadAlgorithmIdentifier(&contents) || len(in) != 0 {
+		t.Fatalf("%x is not one AlgorithmIdentifier", der)
+	}
+	oid, _ := contents.ObjectIdentifier()
+	return oid
 }
 
 func TestSignVerifyECDSA(t *testing.T) {
@@ -42,23 +58,24 @@ func TestSignVerifyECDSA(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbs := []byte("to be signed bytes")
-	alg, sig, err := SignTBS(nil, key, tbs)
+	der, sig, err := SignTBS(nil, key, tbs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !alg.Algorithm.Equal(OIDSignatureECDSAWithSHA256) {
-		t.Errorf("alg = %v", alg.Algorithm)
+	alg := algorithmOID(t, der)
+	if !alg.Equal(OIDSignatureECDSAWithSHA256) {
+		t.Errorf("alg = %v", alg)
 	}
-	if err := VerifyTBS(key.Public(), alg.Algorithm, tbs, sig); err != nil {
+	if err := VerifyTBS(key.Public(), alg, tbs, sig); err != nil {
 		t.Errorf("VerifyTBS: %v", err)
 	}
 	// Wrong message.
-	if err := VerifyTBS(key.Public(), alg.Algorithm, []byte("other"), sig); err == nil {
+	if err := VerifyTBS(key.Public(), alg, []byte("other"), sig); err == nil {
 		t.Error("verification of wrong message must fail")
 	}
 	// Wrong key.
 	other, _ := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err := VerifyTBS(other.Public(), alg.Algorithm, tbs, sig); err == nil {
+	if err := VerifyTBS(other.Public(), alg, tbs, sig); err == nil {
 		t.Error("verification under wrong key must fail")
 	}
 	// Algorithm/key family mismatch.
@@ -76,17 +93,18 @@ func TestSignVerifyRSA(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbs := []byte("rsa tbs")
-	alg, sig, err := SignTBS(nil, key, tbs)
+	der, sig, err := SignTBS(nil, key, tbs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !alg.Algorithm.Equal(OIDSignatureSHA256WithRSA) {
-		t.Errorf("alg = %v", alg.Algorithm)
+	alg := algorithmOID(t, der)
+	if !alg.Equal(OIDSignatureSHA256WithRSA) {
+		t.Errorf("alg = %v", alg)
 	}
-	if alg.Parameters.Tag != asn1.TagNull {
+	if !bytes.HasSuffix(der, []byte{0x05, 0x00}) {
 		t.Error("RSA AlgorithmIdentifier must carry NULL params")
 	}
-	if err := VerifyTBS(key.Public(), alg.Algorithm, tbs, sig); err != nil {
+	if err := VerifyTBS(key.Public(), alg, tbs, sig); err != nil {
 		t.Errorf("VerifyTBS: %v", err)
 	}
 	if err := VerifyTBS(key.Public(), OIDSignatureECDSAWithSHA256, tbs, sig); err == nil {
@@ -96,9 +114,12 @@ func TestSignVerifyRSA(t *testing.T) {
 
 func TestSignatureAlgorithmForKey(t *testing.T) {
 	ec, _ := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	alg, err := SignatureAlgorithmForKey(ec)
-	if err != nil || !alg.Algorithm.Equal(OIDSignatureECDSAWithSHA256) {
-		t.Errorf("ECDSA: %v %v", alg.Algorithm, err)
+	der, err := SignatureAlgorithmForKey(ec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alg := algorithmOID(t, der); !alg.Equal(OIDSignatureECDSAWithSHA256) {
+		t.Errorf("ECDSA: %v", alg)
 	}
 }
 
@@ -141,55 +162,64 @@ func TestReasonCodes(t *testing.T) {
 	if ReasonAbsent.String() != "absent" {
 		t.Errorf("got %q", ReasonAbsent.String())
 	}
-	if ReasonCode(7).Valid() {
-		t.Error("reason 7 is not defined by RFC 5280")
-	}
-	if !ReasonRemoveFromCRL.Valid() {
-		t.Error("removeFromCRL is defined")
+	if ReasonRemoveFromCRL.String() != "removeFromCRL" {
+		t.Errorf("got %q", ReasonRemoveFromCRL.String())
 	}
 	if ReasonCode(7).String() != "reason(7)" {
 		t.Errorf("got %q", ReasonCode(7).String())
 	}
 }
 
+// reasonCodeExtension writes the crl-entry reasonCode extension for r
+// with the DER writer, as the CRL encoder does.
+func reasonCodeExtension(r ReasonCode) []byte {
+	value := AppendEnumerated(nil, int64(r))
+	return AppendElement(nil, TagSequence, AppendElement(OIDExtensionReasonCodeDER, TagOctetString, value))
+}
+
+// readReasonCode reads a reasonCode extension back with ReadExtension.
+func readReasonCode(der []byte) (ReasonCode, bool) {
+	in := Input(der)
+	var oid, value Input
+	var e Element
+	if !in.ReadExtension(&oid, &value) || !bytes.Equal(oid, OIDExtensionReasonCodeDER[2:]) ||
+		!value.ReadElement(&e, TagEnumerated) || len(value) != 0 {
+		return ReasonAbsent, false
+	}
+	v, ok := e.Content.Enum()
+	return ReasonCode(v), ok
+}
+
 func TestReasonCodeExtensionRoundTrip(t *testing.T) {
 	for _, r := range []ReasonCode{ReasonUnspecified, ReasonKeyCompromise, ReasonCertificateHold, ReasonAACompromise} {
-		der, err := MarshalReasonCodeExtension(r)
-		if err != nil {
-			t.Fatalf("marshal %v: %v", r, err)
+		der := reasonCodeExtension(r)
+		want, err := asn1.Marshal(struct {
+			ID    asn1.ObjectIdentifier
+			Value []byte
+		}{OIDExtensionReasonCode, mustMarshal(t, asn1.Enumerated(r))})
+		if err != nil || !bytes.Equal(der, want) {
+			t.Fatalf("%v: writer %x, encoding/asn1 %x (%v)", r, der, want, err)
 		}
-		got, err := ParseReasonCodeExtension(der)
-		if err != nil {
-			t.Fatalf("parse %v: %v", r, err)
-		}
-		if got != r {
-			t.Errorf("round trip %v → %v", r, got)
+		if got, ok := readReasonCode(der); !ok || got != r {
+			t.Errorf("round trip %v → %v %v", r, got, ok)
 		}
 	}
-	if _, err := MarshalReasonCodeExtension(ReasonAbsent); err == nil {
-		t.Error("absent reason must not encode")
-	}
-	if _, err := ParseReasonCodeExtension([]byte("junk")); err == nil {
+	if _, ok := readReasonCode([]byte("junk")); ok {
 		t.Error("junk must not parse")
 	}
-	if _, err := ParseReasonCodeExtension(append(mustMarshal(t, asn1.Enumerated(1)), 0x00)); err == nil {
+	trailing := AppendElement(nil, TagSequence, AppendElement(OIDExtensionReasonCodeDER, TagOctetString, append(AppendEnumerated(nil, 1), 0x00)))
+	if _, ok := readReasonCode(trailing); ok {
 		t.Error("trailing bytes must be rejected")
 	}
 }
 
-// Property: every valid reason code survives the extension round trip.
+// Property: every reason code RFC 5280 defines survives the extension
+// round trip.
 func TestReasonRoundTripProperty(t *testing.T) {
 	f := func(raw uint8) bool {
 		r := ReasonCode(raw % 11)
-		if !r.Valid() || r == ReasonAbsent {
-			return true
-		}
-		der, err := MarshalReasonCodeExtension(r)
-		if err != nil {
-			return false
-		}
-		got, err := ParseReasonCodeExtension(der)
-		return err == nil && got == r
+		got, ok := readReasonCode(reasonCodeExtension(r))
+		return ok && got == r
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

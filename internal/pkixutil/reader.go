@@ -1,8 +1,6 @@
 package pkixutil
 
 import (
-	"bytes"
-	"crypto"
 	"encoding/asn1"
 	"math"
 	"math/big"
@@ -10,14 +8,15 @@ import (
 	"time"
 )
 
-// The DER reader is the one parser on the OCSP paths, beside the writer
-// in der.go. An Input is read from the front, like cryptobyte.String:
-// each Read method consumes one field and reports success, and a copy of
-// an Input is a saved position.
+// The DER reader is the one parser on the OCSP and CRL paths, beside the
+// writer in der.go. An Input is read from the front, like
+// cryptobyte.String: each Read method consumes one field and reports
+// success, and a copy of an Input is a saved position.
 //
 // Its contract is encoding/asn1.Unmarshal's on the wire structs it
-// replaced (kept as the oracle in internal/ocsp/reference_test.go): the
-// same accept or reject verdict and the same values, quirks included.
+// replaced (kept as the oracles in internal/ocsp/reference_test.go and
+// internal/crl/reference_test.go): the same accept or reject verdict and
+// the same values, quirks included.
 // A Read method reads one field of a SEQUENCE the way Unmarshal reads one
 // struct field:
 //
@@ -51,7 +50,6 @@ type Element struct {
 const (
 	TagBoolean = 0x01
 	TagOID     = 0x06
-	TagUTCTime = 0x17
 )
 
 // Field types that are not one identifier octet. Neither value is matched
@@ -284,6 +282,35 @@ func (s *Input) ReadAlgorithmIdentifier(oid *Input) bool {
 	return seq.Content.ReadOptionalElement(&params, &present, AnyTag)
 }
 
+// ReadExtension reads one Extension of an Extensions SEQUENCE OF and sets
+// *oid and *value to its extnID and extnValue contents:
+//
+//	Extension ::= SEQUENCE { extnID OBJECT IDENTIFIER,
+//	                         critical BOOLEAN DEFAULT FALSE,
+//	                         extnValue OCTET STRING }
+//
+// The critical flag is checked, not returned; what follows extnValue is
+// ignored.
+//
+//lint:allocfree
+func (s *Input) ReadExtension(oid, value *Input) bool {
+	var ext, id, critical, val Element
+	var present bool
+	if !s.ReadElement(&ext, TagSequence) ||
+		!ext.Content.ReadElement(&id, TagOID) || !id.Content.ValidOID() ||
+		!ext.Content.ReadOptionalElement(&critical, &present, TagBoolean) ||
+		!ext.Content.ReadElement(&val, TagOctetString) {
+		return false
+	}
+	if present {
+		if _, ok := critical.Content.Boolean(); !ok {
+			return false
+		}
+	}
+	*oid, *value = id.Content, val.Content
+	return true
+}
+
 // validInteger reports whether c is the contents of a DER INTEGER as
 // encoding/asn1 accepts it: not empty, and minimal.
 //
@@ -419,15 +446,17 @@ func (c Input) Boolean() (bool, bool) {
 }
 
 // Time decodes e, a UTCTime or a GeneralizedTime, to the time.Time
-// encoding/asn1 gives. The form every responder writes,
-// YYYYMMDDHHMMSSZ, is decoded directly; any other goes through
-// time.Parse and must format back to its own octets, as in encoding/asn1.
+// encoding/asn1 gives. The forms every responder and CA writes,
+// YYYYMMDDHHMMSSZ and YYMMDDHHMMSSZ, are decoded directly; any other
+// goes through time.Parse and must format back to its own octets, as in
+// encoding/asn1.
 func (e *Element) Time() (time.Time, bool) {
 	// A universal primitive's tag number is its identifier octet.
-	if e.Tag == TagGeneralizedTime {
-		if t, ok := generalizedTimeUTC(e.Content); ok {
-			return t, true
-		}
+	generalized := e.Tag == TagGeneralizedTime
+	if t, ok := fixedTimeUTC(e.Content, generalized); ok {
+		return t, true
+	}
+	if generalized {
 		return parseTime(e.Content, "20060102150405.999999999Z0700")
 	}
 	// UTCTime: seconds are optional, and years run 1950 to 2049
@@ -448,16 +477,21 @@ func (e *Element) Time() (time.Time, bool) {
 	return t, true
 }
 
-// generalizedTimeUTC decodes c when it is a valid YYYYMMDDHHMMSSZ, and
-// otherwise reports false, leaving the verdict to parseTime.
+// fixedTimeUTC decodes c when it is a valid YYYYMMDDHHMMSSZ (generalized)
+// or YYMMDDHHMMSSZ, and otherwise reports false, leaving the verdict to
+// time.Parse. A two-digit year is one of 1950–2049.
 //
 //lint:allocfree
-func generalizedTimeUTC(c Input) (time.Time, bool) {
-	if len(c) != generalizedTimeLen || c[generalizedTimeLen-1] != 'Z' {
+func fixedTimeUTC(c Input, generalized bool) (time.Time, bool) {
+	widths := [...]int{4, 2, 2, 2, 2, 2}
+	if !generalized {
+		widths[0] = 2
+	}
+	if len(c) != widths[0]+11 || c[len(c)-1] != 'Z' {
 		return time.Time{}, false
 	}
 	var f [6]int // year, month, day, hour, minute, second
-	for i, w := range [...]int{4, 2, 2, 2, 2, 2} {
+	for i, w := range widths {
 		for _, d := range c[:w] {
 			if d < '0' || d > '9' {
 				return time.Time{}, false
@@ -465,6 +499,12 @@ func generalizedTimeUTC(c Input) (time.Time, bool) {
 			f[i] = f[i]*10 + int(d-'0')
 		}
 		c = c[w:]
+	}
+	if !generalized {
+		f[0] += 1900
+		if f[0] < 1950 {
+			f[0] += 100
+		}
 	}
 	if f[1] < 1 || f[1] > 12 || f[3] > 23 || f[4] > 59 || f[5] > 59 {
 		return time.Time{}, false
@@ -485,29 +525,4 @@ func parseTime(c Input, layout string) (time.Time, bool) {
 		return time.Time{}, false
 	}
 	return t, true
-}
-
-// hashOIDs holds the OBJECT IDENTIFIER contents of each hash HashOID
-// supports.
-var hashOIDs = []struct {
-	h   crypto.Hash
-	oid []byte
-}{
-	{crypto.SHA1, mustDER(OIDSHA1)[2:]},
-	{crypto.SHA256, mustDER(OIDSHA256)[2:]},
-	{crypto.SHA384, mustDER(OIDSHA384)[2:]},
-	{crypto.SHA512, mustDER(OIDSHA512)[2:]},
-}
-
-// HashFromOIDContents is HashFromOID for the contents octets of an
-// OBJECT IDENTIFIER the reader returned.
-//
-//lint:allocfree
-func HashFromOIDContents(oid Input) (crypto.Hash, bool) {
-	for _, e := range hashOIDs {
-		if bytes.Equal(oid, e.oid) {
-			return e.h, true
-		}
-	}
-	return 0, false
 }

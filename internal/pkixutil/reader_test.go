@@ -231,10 +231,17 @@ func TestExplicitFieldMatchesASN1(t *testing.T) {
 	}
 }
 
+// algorithmIdentifierASN1 is the encoding/asn1 wire form of an
+// AlgorithmIdentifier.
+type algorithmIdentifierASN1 struct {
+	Algorithm  asn1.ObjectIdentifier
+	Parameters asn1.RawValue `asn1:"optional"`
+}
+
 // subjectPublicKeyInfo is the encoding/asn1 wire form IssuerKeyHash read
 // before the DER reader.
 type subjectPublicKeyInfo struct {
-	Algorithm AlgorithmIdentifier
+	Algorithm algorithmIdentifierASN1
 	PublicKey asn1.BitString
 }
 
@@ -287,17 +294,59 @@ func TestIssuerKeyHashMatchesASN1(t *testing.T) {
 	}
 }
 
-// TestHashFromOIDContents pins the contents lookup to HashFromOID.
+// TestHashFromOIDContents pins the contents lookup to the hash OIDs.
 func TestHashFromOIDContents(t *testing.T) {
-	for _, oid := range []asn1.ObjectIdentifier{OIDSHA1, OIDSHA256, OIDSHA384, OIDSHA512, OIDOCSPNonce, {1, 3, 14, 3, 2, 27}} {
-		want, wantErr := HashFromOID(oid)
-		der, err := asn1.Marshal(oid)
+	for _, c := range []struct {
+		oid  asn1.ObjectIdentifier
+		want crypto.Hash
+	}{
+		{OIDSHA1, crypto.SHA1}, {OIDSHA256, crypto.SHA256}, {OIDSHA384, crypto.SHA384}, {OIDSHA512, crypto.SHA512},
+		{OIDOCSPNonce, 0}, {asn1.ObjectIdentifier{1, 3, 14, 3, 2, 27}, 0},
+	} {
+		der, err := asn1.Marshal(c.oid)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, ok := HashFromOIDContents(der[2:])
-		if ok != (wantErr == nil) || got != want {
-			t.Errorf("%v: got %v %v, want %v %v", oid, got, ok, want, wantErr)
+		if ok != (c.want != 0) || got != c.want {
+			t.Errorf("%v: got %v %v, want %v", c.oid, got, ok, c.want)
+		}
+	}
+}
+
+// TestReadExtensionMatchesASN1 reads every input as one Extension,
+// against Unmarshal into the Extension wire struct.
+func TestReadExtensionMatchesASN1(t *testing.T) {
+	type extension struct {
+		ID       asn1.ObjectIdentifier
+		Critical bool `asn1:"optional"`
+		Value    []byte
+	}
+	oid := AppendElement(nil, TagOID, []byte{0x55, 0x1d, 0x15})
+	var ins [][]byte
+	for _, in := range readerInputs() {
+		// Each input as a whole Extension, and as what follows its
+		// extnID, with and without a critical flag.
+		ins = append(ins, in,
+			AppendElement(nil, TagSequence, append(bytes.Clone(oid), in...)),
+			AppendElement(nil, TagSequence, append(append(bytes.Clone(oid), TagBoolean, 1, 0xff), in...)),
+			AppendElement(nil, TagSequence, append(append(bytes.Clone(oid), TagBoolean, 1, 0x01), in...)))
+	}
+	for _, in := range ins {
+		var w extension
+		rest, err := asn1.Unmarshal(in, &w)
+		s := Input(in)
+		var id, value Input
+		ok := s.ReadExtension(&id, &value)
+		if ok != (err == nil) {
+			t.Fatalf("%x: reader ok=%v, encoding/asn1 %v", in, ok, err)
+		}
+		if !ok {
+			continue
+		}
+		got, _ := id.ObjectIdentifier()
+		if !got.Equal(w.ID) || !bytes.Equal(value, w.Value) || !bytes.Equal(s, rest) {
+			t.Fatalf("%x: reader %v %x rest %x, encoding/asn1 %+v rest %x", in, got, value, s, w, rest)
 		}
 	}
 }

@@ -458,15 +458,15 @@ func TestCRLPublisher(t *testing.T) {
 	if err := list.CheckSignatureFrom(f.ca.Certificate); err != nil {
 		t.Errorf("CRL signature: %v", err)
 	}
-	e := list.Find(serial)
+	e := findEntry(list, serial)
 	if e == nil {
 		t.Fatal("revoked serial missing from CRL")
 	}
 	if e.Reason != pkixutil.ReasonSuperseded {
 		t.Errorf("reason = %v", e.Reason)
 	}
-	if !list.ValidAt(f.clk.Now()) {
-		t.Error("fresh CRL should be valid now")
+	if now := f.clk.Now(); now.Before(list.ThisUpdate) || now.After(list.NextUpdate) {
+		t.Errorf("fresh CRL [%v, %v] should be valid now (%v)", list.ThisUpdate, list.NextUpdate, now)
 	}
 
 	// Same window → same bytes; new window → new CRL number.
@@ -509,12 +509,22 @@ func TestCRLPublisherPruneExpired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if list.Find(expired.Certificate.SerialNumber) != nil {
+	if findEntry(list, expired.Certificate.SerialNumber) != nil {
 		t.Error("expired revoked cert should be pruned from the CRL")
 	}
-	if list.Find(f.leaf.Certificate.SerialNumber) == nil {
+	if findEntry(list, f.leaf.Certificate.SerialNumber) == nil {
 		t.Error("unexpired revoked cert must remain")
 	}
+}
+
+// findEntry returns list's entry for serial, or nil.
+func findEntry(list *crl.CRL, serial *big.Int) *crl.Entry {
+	for i := range list.Entries {
+		if list.Entries[i].Serial.Cmp(serial) == 0 {
+			return &list.Entries[i]
+		}
+	}
+	return nil
 }
 
 func TestCRLServeHTTP(t *testing.T) {

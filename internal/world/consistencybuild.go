@@ -8,6 +8,7 @@ import (
 
 	"github.com/netmeasure/muststaple/internal/clock"
 	"github.com/netmeasure/muststaple/internal/consistency"
+	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/ocspserver"
@@ -53,7 +54,7 @@ func BuildConsistency(cfg Config) (*ConsistencyWorld, error) {
 	jobs := cfg.consistencyJobs()
 	results := make([]consistencyResult, len(jobs))
 	cfg.runParallel(len(jobs), func(i int) {
-		rng := childRNG(cfg.Seed, streamConsistency, uint64(i))
+		rng := hashx.ChildRNG(cfg.Seed, streamConsistency, uint64(i))
 		results[i] = buildConsistencyCA(cfg, clk, rng, jobs[i])
 	})
 	// Registration and the source list stay serial, in job order.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/scanner"
 )
 
@@ -201,7 +202,7 @@ func TestBuildSerialParallelEquivalence(t *testing.T) {
 func TestBuildResponderPurity(t *testing.T) {
 	cfg := detConfig(99).withDefaults()
 	n := cfg.Responders
-	specs := buildSpecs(n, childRNG(cfg.Seed, streamSpecs, 0), cfg)
+	specs := buildSpecs(n, hashx.ChildRNG(cfg.Seed, streamSpecs, 0), cfg)
 	alone := make(map[int]*ResponderInfo)
 	for _, i := range []int{0, n / 2, n - 1} {
 		info, err := buildResponder(cfg, specs[i], clock.NewSimulated(cfg.Start), i)

@@ -1,15 +1,13 @@
 package world
 
 import (
-	"math/rand"
 	"runtime"
 
-	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/par"
 )
 
 // Child-seed derivation. Every construction phase owns an independent
-// random stream derived from (Config.Seed, stream tag, index): per-phase
+// random stream, hashx.ChildRNG(Config.Seed, stream tag, index): per-phase
 // tags keep the phases decoupled, and per-index seeds within a phase make
 // each responder's (or consistency CA's) key material a pure function of
 // (seed, index) — independent of build order, which is what lets the
@@ -23,13 +21,6 @@ const (
 	streamTargets
 	streamConsistency
 )
-
-// childRNG returns the dedicated RNG for one (stream, index) cell, seeded
-// by folding (seed, stream, index) through hashx.Mix: adjacent indices
-// yield uncorrelated seeds.
-func childRNG(seed int64, stream, index uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(hashx.Mix(uint64(seed), stream, index))))
-}
 
 // runParallel executes fn(i) for every i in [0, n) across the configured
 // build worker pool. BuildWorkers == 1 degenerates to a plain in-order

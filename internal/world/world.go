@@ -20,6 +20,7 @@ import (
 
 	"github.com/netmeasure/muststaple/internal/census"
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/hashx"
 	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/ocspserver"
 	"github.com/netmeasure/muststaple/internal/pki"
@@ -264,8 +265,8 @@ func Build(cfg Config) (*World, error) {
 	if err := w.buildResponders(); err != nil {
 		return nil, err
 	}
-	w.scheduleEvents(childRNG(cfg.Seed, streamEvents, 0))
-	if err := w.buildTargets(childRNG(cfg.Seed, streamTargets, 0)); err != nil {
+	w.scheduleEvents(hashx.ChildRNG(cfg.Seed, streamEvents, 0))
+	if err := w.buildTargets(hashx.ChildRNG(cfg.Seed, streamTargets, 0)); err != nil {
 		return nil, err
 	}
 	w.buildAlexa()
@@ -280,7 +281,7 @@ func Build(cfg Config) (*World, error) {
 // own child RNG, and the fleet is registered in index order afterwards.
 func (w *World) buildResponders() error {
 	n := w.Config.Responders
-	specs := buildSpecs(n, childRNG(w.Config.Seed, streamSpecs, 0), w.Config)
+	specs := buildSpecs(n, hashx.ChildRNG(w.Config.Seed, streamSpecs, 0), w.Config)
 	infos := make([]*ResponderInfo, n)
 	errs := make([]error, n)
 	w.Config.runParallel(n, func(i int) {
@@ -306,7 +307,7 @@ func buildResponder(cfg Config, spec profileSpec, clk clock.Clock, i int) (*Resp
 	host := hostName(i)
 	ca, err := pki.NewRootCA(pki.Config{
 		Name:       fmt.Sprintf("CA %03d (%s)", i, host),
-		Rand:       childRNG(cfg.Seed, streamResponderCA, uint64(i)),
+		Rand:       hashx.ChildRNG(cfg.Seed, streamResponderCA, uint64(i)),
 		OCSPURL:    "http://" + host,
 		CRLURL:     fmt.Sprintf("http://crl%03d.world.test/ca.crl", i),
 		SerialBase: int64(i) * 1_000_000,
