@@ -38,8 +38,9 @@
 #                 the same quick cmd/repro pipeline at -world-scale 1 and
 #                 10 and fails if the 10× world's heap high-water mark
 #                 exceeds ~1.5× the 1× run's (DESIGN.md §13); then runs the
-#                 fig3 campaign at -stride 24h and 3h and fails if 8× the
-#                 rounds peak above 1.6× the 24h run (DESIGN.md §23).
+#                 fig3 campaign three times at -stride 24h and at 3h and
+#                 fails if 8× the rounds' median peak is above 1.6× the
+#                 24h median (DESIGN.md §23).
 #   fuzzcheck   — tier-2 fuzzing pass: runs each fuzz target with the
 #                 fuzzing engine for FUZZTIME (default 10s) instead of
 #                 only its seed corpus — the GET-path decoder, the
@@ -128,8 +129,8 @@ staplecheck:
 
 # memcheck asserts two fixed-memory properties: a 10× world must not grow
 # the heap high-water mark past MAX_RATIO (default 1.5) times the 1× run's,
-# and a campaign with 8× the rounds must not grow it past 1.6× (a
-# constant in the script).
+# and a campaign with 8× the rounds must not grow the median of three
+# runs' high-water marks past 1.6× (a constant in the script).
 memcheck:
 	./scripts/memcheck.sh
 

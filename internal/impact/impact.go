@@ -75,31 +75,32 @@ func (c *cacheState) usableAt(t time.Time) bool {
 // HardFail is a scanner.Aggregator replaying observations through the
 // server models.
 type HardFail struct {
-	states map[string]map[ServerModel]*cacheState
+	// states holds each pair's caches, indexed by ServerModel.
+	states map[pair]*[numModels]cacheState
 	// ok/total per model.
-	ok    map[ServerModel]int
+	ok    [numModels]int
 	total int
 }
 
+// pair names one (responder, vantage) timeline.
+type pair struct{ responder, vantage string }
+
+// numModels is the number of ServerModels.
+const numModels = int(ModelCorrect) + 1
+
 // NewHardFail returns an empty analysis.
 func NewHardFail() *HardFail {
-	return &HardFail{
-		states: make(map[string]map[ServerModel]*cacheState),
-		ok:     make(map[ServerModel]int),
-	}
+	return &HardFail{states: make(map[pair]*[numModels]cacheState)}
 }
 
 // Add implements scanner.Aggregator: each observation is simultaneously
 // (a) the server's refresh attempt and (b) one client handshake at that
 // instant.
 func (h *HardFail) Add(o scanner.Observation) {
-	key := o.Responder + "|" + o.Vantage
+	key := pair{o.Responder, o.Vantage}
 	perModel := h.states[key]
 	if perModel == nil {
-		perModel = make(map[ServerModel]*cacheState)
-		for _, m := range Models() {
-			perModel[m] = &cacheState{}
-		}
+		perModel = new([numModels]cacheState)
 		h.states[key] = perModel
 	}
 
@@ -117,7 +118,7 @@ func (h *HardFail) Add(o scanner.Observation) {
 
 	h.total++
 	for _, m := range Models() {
-		st := perModel[m]
+		st := &perModel[m]
 		switch {
 		case fetchOK && m == ModelCorrect:
 			// A correct server never replaces a staple its clients
@@ -178,7 +179,7 @@ type Result struct {
 
 // Results returns per-model breakage, in Models() order.
 func (h *HardFail) Results() []Result {
-	out := make([]Result, 0, len(h.ok))
+	out := make([]Result, 0, numModels)
 	for _, m := range Models() {
 		r := Result{Model: m, Handshakes: h.total}
 		if h.total > 0 {

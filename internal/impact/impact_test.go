@@ -144,3 +144,24 @@ func TestModelStrings(t *testing.T) {
 		t.Error("model list wrong")
 	}
 }
+
+// TestAddAllocatesOncePerPair pins Add's allocations: a pair's first
+// observation creates its caches, and every later one, usable or not,
+// allocates nothing.
+func TestAddAllocatesOncePerPair(t *testing.T) {
+	h := NewHardFail()
+	good, bad := obs(0, true), obs(1, false)
+	h.Add(good)
+	next := good
+	n := testing.AllocsPerRun(200, func() {
+		h.Add(next)
+		if next.Class == scanner.ClassOK {
+			next = bad
+		} else {
+			next = good
+		}
+	})
+	if n != 0 {
+		t.Errorf("a pair's later observations allocate %.0f times each, want 0", n)
+	}
+}

@@ -53,7 +53,8 @@ type lockWalk struct {
 	acquire func(key string, call ast.Expr, held map[string]bool)
 	// underLock, if set, sees what runs while a lock is held that the
 	// walk does not enter itself: every other statement, an if's Init
-	// and Cond, and a range statement, whose Body is walked after.
+	// and Cond, a for's Init, Cond and Post, and a range statement,
+	// whose Body is walked after.
 	underLock func(n ast.Node, held map[string]bool)
 }
 
@@ -94,7 +95,7 @@ func (w *lockWalk) stmts(list []ast.Stmt, held map[string]bool) {
 			w.branches(s, local)
 			continue
 		case *ast.ForStmt:
-			w.stmts(s.Body.List, local)
+			w.loop(s, local)
 			continue
 		case *ast.RangeStmt:
 			w.visit(s, local)
@@ -103,6 +104,17 @@ func (w *lockWalk) stmts(list []ast.Stmt, held map[string]bool) {
 		}
 		w.visit(stmt, local)
 	}
+}
+
+// loop walks a for statement: its Init, Cond and Post run under the
+// locks held where the loop starts, as its Body does.
+func (w *lockWalk) loop(s *ast.ForStmt, held map[string]bool) {
+	for _, n := range []ast.Node{s.Init, s.Cond, s.Post} {
+		if n != nil {
+			w.visit(n, held)
+		}
+	}
+	w.stmts(s.Body.List, held)
 }
 
 func (w *lockWalk) branches(s *ast.IfStmt, held map[string]bool) {

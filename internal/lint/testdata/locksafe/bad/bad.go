@@ -50,3 +50,56 @@ func (s *Shard) Drain() int {
 	s.mu.Unlock()
 	return total
 }
+
+// TakeIf receives in an if's Init under the lock.
+func (s *Shard) TakeIf() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v := <-s.in; v > 0 { // want "channel receive while holding s.mu"
+		return v
+	}
+	return 0
+}
+
+// TakeIfCond receives in an if's Cond under the lock.
+func (s *Shard) TakeIfCond() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if <-s.in > 0 { // want "channel receive while holding s.mu"
+		return true
+	}
+	return false
+}
+
+// CountFrom receives in a for's Init under the lock.
+func (s *Shard) CountFrom() int {
+	n := 0
+	s.mu.Lock()
+	for x := <-s.in; x > 0; x-- { // want "channel receive while holding s.mu"
+		n++
+	}
+	s.mu.Unlock()
+	return n
+}
+
+// SkipZeros receives in a for's Cond under the lock.
+func (s *Shard) SkipZeros() int {
+	n := 0
+	s.mu.Lock()
+	for <-s.in != 0 { // want "channel receive while holding s.mu"
+		n++
+	}
+	s.mu.Unlock()
+	return n
+}
+
+// Pump receives in a for's Post under the lock.
+func (s *Shard) Pump() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for ; ; <-s.in { // want "channel receive while holding s.mu"
+		if len(s.data) > 0 {
+			return
+		}
+	}
+}

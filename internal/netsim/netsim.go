@@ -293,9 +293,17 @@ func (n *Network) Do(vantage Vantage, at time.Time, req *http.Request) (*Result,
 		return nil, &Error{Kind: FailDNS, Host: host, Vantage: vantage.Name}
 	}
 
-	rec := newRecorder()
-	entry.handler.ServeHTTP(rec, req)
-	return &Result{Status: rec.status, Body: rec.body.Bytes(), Headers: rec.header, Latency: n.latency(vantage, host, at)}, nil
+	x := &delivery{rec: recorder{status: http.StatusOK, header: make(http.Header)}}
+	entry.handler.ServeHTTP(&x.rec, req)
+	x.res = Result{Status: x.rec.status, Body: x.rec.body.Bytes(), Headers: x.rec.header, Latency: n.latency(vantage, host, at)}
+	return &x.res, nil
+}
+
+// delivery is one delivered exchange's recorder and the Result read from
+// it, allocated as one object.
+type delivery struct {
+	rec recorder
+	res Result
 }
 
 // firstMatch returns the earliest-installed rule among a host's and its
@@ -368,10 +376,6 @@ type recorder struct {
 	status int
 	header http.Header
 	body   bytes.Buffer
-}
-
-func newRecorder() *recorder {
-	return &recorder{status: http.StatusOK, header: make(http.Header)}
 }
 
 func (r *recorder) Header() http.Header         { return r.header }

@@ -109,15 +109,14 @@ func HashFromOIDContents(oid Input) (crypto.Hash, bool) {
 	return 0, false
 }
 
-// SignatureAlgorithm describes a signature scheme supported by SignTBS and
-// VerifyTBS.
-type SignatureAlgorithm struct {
+// signatureAlgorithm describes a signature scheme VerifyTBS accepts.
+type signatureAlgorithm struct {
 	OID   asn1.ObjectIdentifier
 	Hash  crypto.Hash
 	IsRSA bool
 }
 
-var signatureAlgorithms = []SignatureAlgorithm{
+var signatureAlgorithms = []signatureAlgorithm{
 	{OIDSignatureSHA256WithRSA, crypto.SHA256, true},
 	{OIDSignatureSHA384WithRSA, crypto.SHA384, true},
 	{OIDSignatureSHA512WithRSA, crypto.SHA512, true},
@@ -128,14 +127,14 @@ var signatureAlgorithms = []SignatureAlgorithm{
 	{OIDSignatureECDSAWithSHA1, crypto.SHA1, false},
 }
 
-// SignatureAlgorithmByOID looks up a supported signature algorithm.
-func SignatureAlgorithmByOID(oid asn1.ObjectIdentifier) (SignatureAlgorithm, error) {
+// signatureAlgorithmByOID looks up a supported signature algorithm.
+func signatureAlgorithmByOID(oid asn1.ObjectIdentifier) (signatureAlgorithm, error) {
 	for _, alg := range signatureAlgorithms {
 		if alg.OID.Equal(oid) {
 			return alg, nil
 		}
 	}
-	return SignatureAlgorithm{}, fmt.Errorf("pkixutil: unsupported signature algorithm %v", oid)
+	return signatureAlgorithm{}, fmt.Errorf("pkixutil: unsupported signature algorithm %v", oid)
 }
 
 // signScheme is a signature scheme SignTBS signs with: SHA-256 with the
@@ -195,7 +194,7 @@ func SignTBS(rand io.Reader, signer crypto.Signer, tbs []byte) ([]byte, []byte, 
 // VerifyTBS verifies a signature over a TBS blob produced by SignTBS or any
 // other RFC-conformant signer using one of the supported algorithms.
 func VerifyTBS(pub crypto.PublicKey, algOID asn1.ObjectIdentifier, tbs, sig []byte) error {
-	alg, err := SignatureAlgorithmByOID(algOID)
+	alg, err := signatureAlgorithmByOID(algOID)
 	if err != nil {
 		return err
 	}

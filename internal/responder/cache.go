@@ -14,10 +14,12 @@ import (
 //
 // The cache holds one entry per request, stamped with the epoch it was
 // signed for: a cached-mode entry with its update-window start, an
-// on-demand memoization entry with the exact virtual instant plus the
-// revocation database's status generation, so six vantage points probing
-// on the same clock tick share one signature while a Revoke between ticks
-// forces regeneration. A hit needs the current epoch; a miss signs and
+// on-demand or multi-instance-farm entry with the exact virtual instant
+// plus the revocation database's status generation, so six vantage points
+// probing on the same clock tick share one signature while a Revoke
+// between ticks forces regeneration. A farm picks its instance from the
+// request and the instant, so it is coherent within an instant though not
+// across a window. A hit needs the current epoch; a miss signs and
 // overwrites the entry, so a past epoch's response is dropped the moment
 // the next epoch asks. A past epoch is not asked for again: a campaign's
 // simulated clock only moves forward, and so does the wall clock, where a
@@ -43,8 +45,8 @@ const respShardBudget = 256
 // table is keyed by the hash alone; the entry keeps the whole key.
 type respKey struct {
 	hash  uint64 // FNV-64 of the raw request DER
-	epoch int64  // window start (cached mode) or scan instant (on-demand), UnixNano
-	gen   uint64 // DB status generation (on-demand memoization; 0 in cached mode)
+	epoch int64  // window start (cached mode) or scan instant (on-demand, farm), UnixNano
+	gen   uint64 // DB status generation (on-demand, farm; 0 in cached mode)
 }
 
 type respEntry struct {

@@ -230,12 +230,55 @@ func TestCachedVsOnDemandSigningEquivalence(t *testing.T) {
 				}
 				f.clk.Advance(37 * time.Minute)
 			}
-			if name != "multi-inst" {
-				if hits, _ := cached.CacheStats(); hits == 0 {
-					t.Error("cached responder never hit its cache")
-				}
+			if hits, _ := cached.CacheStats(); hits == 0 {
+				t.Error("cached responder never hit its cache")
 			}
 		})
+	}
+}
+
+// TestFarmSignsOncePerInstant: a multi-instance farm picks its instance
+// from the request and the instant, so the six vantages of one round share
+// one signature, and the bytes are those its on-demand twin signs. Between
+// instants the pick still varies, and so does producedAt, within one
+// update window.
+func TestFarmSignsOncePerInstant(t *testing.T) {
+	f := newFixture(t)
+	p := Profile{CacheResponses: true, Validity: 4 * time.Hour, UpdateInterval: 2 * time.Hour, Instances: 3, InstanceSkew: 3 * time.Minute}
+	farm := f.responder(p)
+	twin := New("ocsp.resp.test", f.ca, f.db, f.clk, p, WithOnDemandSigning())
+	reqDER, _ := f.request(t)
+
+	want := firstBody(respondDER(twin, reqDER))
+	for v := 0; v < 6; v++ {
+		if got := firstBody(respondDER(farm, reqDER)); !bytes.Equal(got, want) {
+			t.Fatalf("vantage %d: farm and on-demand twin DER differ (%d vs %d bytes)", v, len(got), len(want))
+		}
+	}
+	if hits, misses := farm.CacheStats(); hits != 5 || misses != 1 {
+		t.Errorf("six requests at one instant: %d hits, %d misses; want 5, 1", hits, misses)
+	}
+
+	// Two instants in one window whose instance picks differ: from the
+	// start of the next window, minute by minute.
+	window := farm.windowStart(f.clk.Now()).Add(p.UpdateInterval)
+	f.clk.Set(window)
+	var first time.Time
+	for i := 0; ; i++ {
+		f.clk.Advance(time.Minute)
+		if i == 60 || !farm.windowStart(f.clk.Now()).Equal(window) {
+			t.Fatalf("no two instants of window %v gave different producedAt", window)
+		}
+		got := firstBody(respondDER(farm, reqDER))
+		if want := firstBody(respondDER(twin, reqDER)); !bytes.Equal(got, want) {
+			t.Fatalf("at %v: farm and on-demand twin DER differ", f.clk.Now())
+		}
+		produced := mustParse(t, got).ProducedAt
+		if first.IsZero() {
+			first = produced
+		} else if !produced.Equal(first) {
+			break
+		}
 	}
 }
 

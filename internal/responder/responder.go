@@ -47,12 +47,13 @@ type CertRecord struct {
 type DB struct {
 	mu     sync.RWMutex
 	issued map[string]*CertRecord
-	// gen counts status mutations. The responder's on-demand
-	// memoization folds it into its cache key, so a Revoke between two
-	// scans at the same virtual instant forces regeneration instead of
-	// serving the pre-revocation answer. Window-cached responses
-	// deliberately ignore it: a pre-generated response keeps serving
-	// the stale status until its window rolls over (§2.2).
+	// gen counts status mutations. The responder's per-instant
+	// memoization (on-demand signers, farms) folds it into its cache
+	// key, so a Revoke between two scans at the same virtual instant
+	// forces regeneration instead of serving the pre-revocation answer.
+	// Window-cached responses deliberately ignore it: a pre-generated
+	// response keeps serving the stale status until its window rolls
+	// over (§2.2).
 	gen atomic.Uint64
 }
 
@@ -413,7 +414,8 @@ func (r *Responder) ServingEpoch(now time.Time) (window int64, gen uint64) {
 // transport-level response memoization keyed on (request bytes, serving
 // epoch). Only window-cached, single-instance, well-formed-body profiles
 // qualify: on-demand signers key on the exact instant (nothing to replay
-// across requests), multi-instance farms are incoherent by design, and
+// across requests), multi-instance farms are incoherent across instants
+// by design (their responses are memoized per instant), and
 // malformed/error profiles may be time-windowed so their bodies cannot be
 // pinned to an update-window epoch.
 func (r *Responder) FastServeEligible() bool {
@@ -553,21 +555,23 @@ func (r *Responder) respond(reqDER []byte) (der []byte, meta Meta, hasMeta, ok b
 
 // cacheKeyFor derives the cache key for raw request bytes at virtual time
 // now, without parsing them: the request's hash and the epoch a stored
-// response must carry to be served. Cached-mode responders key on
-// their update window (a pre-generated response serves its whole window,
-// revocations included — §2.2); on-demand responders key on the exact
-// instant plus the database's status generation, memoizing only the
-// same-tick fan-out across vantage points. That fan-out exists only under
-// a simulated clock: on the wall clock an instant never repeats, so an
-// on-demand responder there stores nothing — every entry would be dead
-// weight on the heap (DESIGN.md §17).
+// response must carry to be served. Single-instance cached-mode
+// responders key on their update window (a pre-generated response serves
+// its whole window, revocations included — §2.2). On-demand responders
+// and multi-instance farms key on the exact instant plus the database's
+// status generation, memoizing only the same-tick fan-out across vantage
+// points: a farm's instance pick is a function of the request and the
+// instant, so within one instant it is as coherent as an on-demand
+// signer. That fan-out exists only under a simulated clock: on the wall
+// clock an instant never repeats, so such a responder there stores
+// nothing — every entry would be dead weight on the heap (DESIGN.md §17).
 //
 //lint:allocfree
 func (r *Responder) cacheKeyFor(reqDER []byte, now time.Time) (respKey, bool) {
 	if r.onDemandSign {
 		return respKey{}, false
 	}
-	if r.Profile.CacheResponses {
+	if r.Profile.CacheResponses && r.Profile.Instances <= 1 {
 		return respKey{hash: hashx.Sum64(reqDER), epoch: r.windowStart(now).UnixNano()}, true
 	}
 	if _, wall := r.Clock.(clock.Real); wall {
@@ -581,14 +585,12 @@ func (r *Responder) cacheKeyFor(reqDER []byte, now time.Time) (respKey, bool) {
 }
 
 // shouldCache reports whether a freshly generated response may be stored.
-// Multi-instance farms are incoherent by design (each fetch may hit a
-// differently skewed instance), and on-demand responders must not replay
-// nonce-echoing responses.
+// On-demand responders must not replay nonce-echoing responses. A cached
+// mode response never echoes a nonce, and a multi-instance farm's is
+// coherent within the instant its key names (cacheKeyFor), though not
+// across instants: each fetch may hit a differently skewed instance.
 func (r *Responder) shouldCache(req *ocsp.Request) bool {
-	if r.Profile.CacheResponses {
-		return r.Profile.Instances <= 1
-	}
-	return len(req.Nonce) == 0
+	return r.Profile.CacheResponses || len(req.Nonce) == 0
 }
 
 // windowStart returns the start of the update window containing now.

@@ -8,12 +8,16 @@ import (
 	"io"
 	"math/big"
 	"net/http"
+	"net/http/cookiejar"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/ocsp"
+	"github.com/netmeasure/muststaple/internal/ocspserver"
 	"github.com/netmeasure/muststaple/internal/pki"
 	"github.com/netmeasure/muststaple/internal/pkixutil"
 	"github.com/netmeasure/muststaple/internal/responder"
@@ -28,10 +32,11 @@ func windowCached() responder.Profile {
 
 // maxCachedScanAllocs bounds the allocations of one window-cached lookup
 // through netsim, ocspserver and the responder. What remains is per
-// exchange by construction — the http.Request, the simulated exchange's
-// recorder and Result, the body copy — 14 in all; the bound leaves two
-// for toolchain drift.
-const maxCachedScanAllocs = 16
+// exchange by construction: the request's shallow copy and its body
+// reader with its closer (three), the simulated exchange's recorder with
+// its Result, its header map and its body buffer (three), and the
+// handler's response header and request-body limit (two).
+const maxCachedScanAllocs = 8
 
 // TestCachedScanAllocs pins the allocation count of the lookup a campaign
 // performs for every (vantage, target) pair once the responder has a
@@ -50,7 +55,9 @@ func TestCachedScanAllocs(t *testing.T) {
 		c.scanProbe(ctx, c.Retry, v, at, p)
 	})
 	t.Logf("%.0f allocs per window-cached lookup", n)
-	if n > maxCachedScanAllocs {
+	// The handler's pooled request buffer makes the count vary under the
+	// race detector; the bound is a normal build's.
+	if n > maxCachedScanAllocs && !raceEnabled {
 		t.Errorf("window-cached lookup allocates %.0f times, want <= %d", n, maxCachedScanAllocs)
 	}
 }
@@ -131,6 +138,184 @@ func TestVerifyCacheDistinguishesIssuers(t *testing.T) {
 	}
 	if got := scan("ocsp.b.test", caB); got != ClassSignature {
 		t.Errorf("lookup against B after A: class %v, want %v", got, ClassSignature)
+	}
+}
+
+// TestRealTransportRetriesResendBody sends POST lookups with retries over
+// real sockets to a server that answers 503 twice and then 200. Every
+// attempt sends a copy of the probe's one request, and the server must
+// receive the whole request DER each time, not the drained reader of an
+// earlier attempt. The concurrent half shares two probes among eight
+// goroutines, as a campaign's workers do.
+func TestRealTransportRetriesResendBody(t *testing.T) {
+	w := newWorld(t, responder.Profile{})
+	leaf2, err := w.ca.IssueLeaf(pki.LeafOptions{DNSNames: []string{"www2.scan.test"}, NotBefore: t0.AddDate(0, -1, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.db.AddIssued(leaf2.Certificate.SerialNumber, leaf2.Certificate.NotAfter)
+	inner := ocspserver.NewHandler(responder.New("ocsp.scan.test", w.ca, w.db, w.clk, responder.Profile{}))
+
+	var (
+		mu       sync.Mutex
+		requests = map[string]int{} // by request body
+		ders     = map[string]bool{}
+		short    int
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		body, err := io.ReadAll(req.Body)
+		mu.Lock()
+		known := err == nil && ders[string(body)]
+		requests[string(body)]++
+		n := requests[string(body)]
+		if !known {
+			short++
+		}
+		mu.Unlock()
+		switch {
+		case !known:
+			http.Error(rw, "not a probe's request", http.StatusBadRequest)
+		case n%3 != 0:
+			http.Error(rw, "busy", http.StatusServiceUnavailable)
+		default:
+			req.Body = io.NopCloser(bytes.NewReader(body))
+			inner.ServeHTTP(rw, req)
+		}
+	}))
+	defer srv.Close()
+
+	c := &Client{Transport: &RealTransport{Client: srv.Client()}}
+	policy := RetryPolicy{Attempts: 3, PerAttemptTimeout: 10 * time.Second, BaseBackoff: time.Millisecond}
+	var probes []*probe
+	for _, serial := range []*big.Int{w.leaf.Certificate.SerialNumber, leaf2.Certificate.SerialNumber} {
+		tgt := w.target
+		tgt.ResponderURL, tgt.Serial = srv.URL, serial
+		p := c.newProbe(tgt)
+		body, err := p.req.GetBody()
+		if err != nil {
+			t.Fatal(err)
+		}
+		der, err := io.ReadAll(body)
+		if err != nil || len(der) == 0 {
+			t.Fatalf("probe request body: %d bytes, %v", len(der), err)
+		}
+		ders[string(der)] = true
+		probes = append(probes, p)
+	}
+	ctx := context.Background()
+
+	obs := c.scanProbe(ctx, policy, oregon(), t0, probes[0])
+	if obs.Class != ClassHTTPStatus || obs.HTTPStatus != http.StatusServiceUnavailable ||
+		obs.Attempts != 3 || obs.FinalClass != ClassOK || !obs.Salvaged {
+		t.Fatalf("lookup: class %v (HTTP %d), %d attempts, final %v, salvaged %v; want http-status (HTTP 503), 3 attempts, final ok, salvaged",
+			obs.Class, obs.HTTPStatus, obs.Attempts, obs.FinalClass, obs.Salvaged)
+	}
+
+	const workers, lookups = 8, 6
+	var (
+		wg       sync.WaitGroup
+		attempts atomic.Int64
+	)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(p *probe) {
+			defer wg.Done()
+			for i := 0; i < lookups; i++ {
+				o := c.scanProbe(ctx, policy, oregon(), t0, p)
+				attempts.Add(int64(o.Attempts))
+				if o.FinalClass != ClassOK && (o.FinalClass != ClassHTTPStatus || o.Attempts != 3) {
+					t.Errorf("lookup ended %v after %d attempts, want ok or 3 attempts of 503", o.FinalClass, o.Attempts)
+				}
+			}
+		}(probes[g%len(probes)])
+	}
+	wg.Wait()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if short != 0 {
+		t.Errorf("%d attempts reached the server without the whole request DER", short)
+	}
+	total := 0
+	for _, n := range requests {
+		total += n
+	}
+	if want := 3 + int(attempts.Load()); total != want {
+		t.Errorf("server saw %d requests, lookups made %d attempts", total, want)
+	}
+}
+
+// TestRealTransportCookieJarKeepsSharedHeader scans through a client with
+// a cookie jar, which adds its cookies to the request it sends. The probe's
+// request, whose Header every lookup of the target shares, must stay
+// without cookies, and each request must carry the jar's cookie once.
+func TestRealTransportCookieJarKeepsSharedHeader(t *testing.T) {
+	w := newWorld(t, responder.Profile{})
+	var (
+		mu      sync.Mutex
+		cookies []int
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		mu.Lock()
+		cookies = append(cookies, len(req.Cookies()))
+		mu.Unlock()
+		http.SetCookie(rw, &http.Cookie{Name: "session", Value: "1"})
+		http.Error(rw, "busy", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	jar, err := cookiejar.New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := srv.Client()
+	client.Jar = jar
+	c := &Client{Transport: &RealTransport{Client: client}}
+	tgt := w.target
+	tgt.ResponderURL = srv.URL
+	p := c.newProbe(tgt)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				c.scanProbe(context.Background(), c.Retry, oregon(), t0, p)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := p.req.Header.Values("Cookie"); len(got) != 0 {
+		t.Errorf("the probe's shared request gained cookies: %q", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, n := range cookies {
+		if n > 1 {
+			t.Errorf("request %d carried %d cookies, want at most 1", i, n)
+		}
+	}
+}
+
+// TestScanUnparseableURLIsDNS keeps the classification of a responder URL
+// that does not parse: every lookup of the target, by either method, is a
+// DNS failure, as it was when each lookup built its own request.
+func TestScanUnparseableURLIsDNS(t *testing.T) {
+	w := newWorld(t, responder.Profile{})
+	tgt := w.target
+	tgt.ResponderURL = "http://[::1"
+	for _, method := range []string{http.MethodPost, http.MethodGet} {
+		c := w.client()
+		c.Method = method
+		p := c.newProbe(tgt)
+		for i := 0; i < 3; i++ {
+			if got := c.scanProbe(context.Background(), c.Retry, oregon(), t0, p).Class; got != ClassDNS {
+				t.Errorf("%s lookup %d: class %v, want %v", method, i, got, ClassDNS)
+			}
+		}
+		if got := c.Scan(context.Background(), oregon(), t0, tgt).Class; got != ClassDNS {
+			t.Errorf("%s Scan: class %v, want %v", method, got, ClassDNS)
+		}
 	}
 }
 

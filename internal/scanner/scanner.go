@@ -24,8 +24,10 @@
 // engine.
 //
 // Everything about a target that stays fixed across lookups — the request
-// DER and its CertID, the decimal serial — is computed once into a probe:
-// per campaign run for every target, per call for Scan. The probe also
+// DER and its CertID, the HTTP request that carries it, the decimal serial
+// — is computed once into a probe: per campaign run for every target, per
+// call for Scan. Each lookup sends a shallow copy of the probe's request
+// with its own context and, for POST, its own body. The probe also
 // keeps the last 200 body its target returned, with that body's parse and
 // signature verdict, and a lookup reuses them only when the new body is
 // byte-identical. The client itself holds no cache, so a campaign keeps
@@ -200,6 +202,10 @@ type Observation struct {
 
 // Transport abstracts how the scanner reaches responders: the simulated
 // network (vantage- and time-aware) or the real Internet.
+//
+// Every lookup of one target sends a shallow copy of the same request, so
+// the copies share req.URL and req.Header: a transport treats them as
+// read-only. Each copy has its own context and, for POST, its own body.
 type Transport interface {
 	Do(vantage netsim.Vantage, at time.Time, req *http.Request) (*netsim.Result, error)
 }
@@ -222,6 +228,12 @@ func (t *RealTransport) Do(_ netsim.Vantage, _ time.Time, req *http.Request) (*n
 	clk := t.Clock
 	if clk == nil {
 		clk = clock.Real{}
+	}
+	if client.Jar != nil {
+		// The client adds the jar's cookies to req.Header, which a
+		// target's lookups share: this exchange gets its own copy.
+		req = req.WithContext(req.Context())
+		req.Header = req.Header.Clone()
 	}
 	start := clk.Now()
 	resp, err := client.Do(req)
@@ -264,12 +276,17 @@ type Client struct {
 // round; Scan and ScanWithPolicy build one per call.
 type probe struct {
 	tgt Target
-	// der is the encoded OCSP request and certID its only CertID; err
-	// records a target whose request cannot be built (every lookup of it
-	// classifies as ClassASN1).
-	der    []byte
+	// certID is the OCSP request's only CertID; err records a target
+	// whose request cannot be built (every lookup of it classifies as
+	// ClassASN1).
 	certID ocsp.CertID
 	err    error
+	// req carries the encoded OCSP request to the target's responder.
+	// Lookups send shallow copies of it and never modify it. It is nil
+	// when the responder URL does not parse (or the client's Method is
+	// neither POST nor GET), and every lookup of the target then
+	// classifies as ClassDNS.
+	req *http.Request
 	// serial is tgt.Serial in decimal, for Observation.Serial.
 	serial string
 	// last is the most recent 200 body the target returned. A responder
@@ -307,14 +324,19 @@ func (c *Client) newProbe(tgt Target) *probe {
 		p.serial = tgt.Serial.String()
 	}
 	req, err := ocsp.NewRequestForSerial(tgt.Serial, tgt.Issuer, c.hash())
+	var der []byte
 	if err == nil {
-		p.der, err = req.Marshal()
+		der, err = req.Marshal()
 	}
 	if err != nil {
 		p.err = err
 		return p
 	}
 	p.certID = req.CertIDs[0]
+	// Each lookup sets its own context on a copy of the request.
+	if httpReq, err := ocsp.NewHTTPRequest(context.Background(), c.method(), tgt.ResponderURL, der); err == nil {
+		p.req = httpReq
+	}
 	return p
 }
 
@@ -399,10 +421,20 @@ func (c *Client) scanOnce(ctx context.Context, vantage netsim.Vantage, at time.T
 		obs.Class = ClassASN1
 		return obs
 	}
-	httpReq, err := ocsp.NewHTTPRequest(ctx, c.method(), p.tgt.ResponderURL, p.der)
-	if err != nil {
+	if p.req == nil {
 		obs.Class = ClassDNS
 		return obs
+	}
+	httpReq := p.req.WithContext(ctx)
+	if p.req.GetBody != nil {
+		// A POST body is a reader, consumed by the exchange: every
+		// attempt gets a fresh one over the same DER.
+		body, err := p.req.GetBody()
+		if err != nil {
+			obs.Class = classifyTransportError(err)
+			return obs
+		}
+		httpReq.Body = body
 	}
 
 	res, err := c.Transport.Do(vantage, at, httpReq)

@@ -43,6 +43,17 @@ func TestCachedVsPerScanSignedCampaignEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Multi-instance farms share a signature only within an instant,
+	// which the comparison must cover.
+	var farms []*ResponderInfo
+	for _, info := range cached.Responders {
+		if info.Profile.CacheResponses && info.Profile.Instances > 1 {
+			farms = append(farms, info)
+		}
+	}
+	if len(farms) == 0 {
+		t.Fatal("the world holds no multi-instance farm")
+	}
 	signedCfg := detConfig(13)
 	signedCfg.OnDemandSigning = true
 	signed, err := Build(signedCfg)
@@ -63,6 +74,14 @@ func TestCachedVsPerScanSignedCampaignEquivalence(t *testing.T) {
 	// per-scan-signed run must not have.
 	if hits, misses := cached.CacheStats(); hits == 0 {
 		t.Errorf("cached world recorded no cache hits (misses=%d)", misses)
+	}
+	var farmHits uint64
+	for _, info := range farms {
+		hits, _ := info.Responder.CacheStats()
+		farmHits += hits
+	}
+	if farmHits == 0 {
+		t.Errorf("none of the cached world's %d farms hit its cache", len(farms))
 	}
 	if hits, misses := signed.CacheStats(); hits != 0 || misses != 0 {
 		t.Errorf("per-scan-signed world recorded cache traffic: hits=%d misses=%d", hits, misses)
