@@ -55,10 +55,12 @@
 #                 data-race gate on the paths the lint contracts annotate
 #                 runs in minutes, not the full-suite tier-2 budget.
 #   crash-recovery — end-to-end durability check: runs a campaign, kills
-#                 a second run mid-round via the store failpoint, resumes
-#                 it, and asserts the resumed figures, segment bytes
-#                 and `storedump -keys` listing match
-#                 (scripts/crash_recovery.sh).
+#                 a second run mid-round via the store failpoint (in
+#                 round 1, before any checkpoint, and in round 5),
+#                 checks that `storedump` of the crashed store counts
+#                 only its checkpoint's rounds, resumes it, and asserts
+#                 the resumed figures, segment bytes and `storedump -keys`
+#                 listing match (scripts/crash_recovery.sh).
 
 GO ?= go
 
@@ -161,4 +163,5 @@ bench:
 	$(GO) test -run - -bench . -benchtime 1x .
 
 crash-recovery:
-	./scripts/crash_recovery.sh
+	CRASH_AFTER=1 ./scripts/crash_recovery.sh
+	CRASH_AFTER=5 ./scripts/crash_recovery.sh

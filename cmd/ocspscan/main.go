@@ -117,7 +117,7 @@ func main() {
 			fail("open store: %v", err)
 		}
 		defer st.Close()
-		if stats := st.Stats(); stats.Records > 0 || stats.Rounds > 0 {
+		if stats := st.Stats(); stats.HasCheckpoint {
 			if !*resume {
 				fail("store %s already holds %d rounds; pass -resume to continue it", *storeDir, stats.Rounds)
 			}

@@ -1,12 +1,13 @@
 // Command storedump inspects a durable observation store written by
 // repro -store or ocspscan -store: it prints the store's shape (segments,
 // records, rounds, checkpoint), optionally streams every observation as a
-// canonical line, re-runs the paper's streaming analyses over the log, or
-// compacts the store in place.
+// canonical line or lists the distinct keys, or re-runs the paper's
+// streaming analyses over the log. Like every Open, it first cuts the log
+// back to its newest checkpoint, so it sees only committed rounds.
 //
 // Usage:
 //
-//	storedump [-v] [-analyze] [-compact] [-keys] <store-dir>
+//	storedump [-v] [-analyze] [-keys] <store-dir>
 package main
 
 import (
@@ -25,11 +26,10 @@ import (
 func main() {
 	verbose := flag.Bool("v", false, "stream every observation as its canonical line")
 	analyze := flag.Bool("analyze", false, "stream the log through the paper's aggregators and render figures")
-	compact := flag.Bool("compact", false, "merge under-full sealed segments and drop superseded checkpoints")
 	keys := flag.Bool("keys", false, "list every distinct (round, responder, vantage) key")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: storedump [-v] [-analyze] [-compact] [-keys] <store-dir>")
+		fmt.Fprintln(os.Stderr, "usage: storedump [-v] [-analyze] [-keys] <store-dir>")
 		os.Exit(2)
 	}
 	dir := flag.Arg(0)
@@ -45,15 +45,6 @@ func main() {
 		if err := dumpKeys(os.Stdout, st); err != nil {
 			fail("keys: %v", err)
 		}
-	}
-	if *compact {
-		cs, err := st.Compact()
-		if err != nil {
-			fail("compact: %v", err)
-		}
-		fmt.Printf("\ncompacted: merged %d segment(s), dropped %d checkpoint(s)\n",
-			cs.SegmentsMerged, cs.CheckpointsDropped)
-		summary(os.Stdout, st)
 	}
 	if *verbose {
 		fmt.Println()
@@ -147,14 +138,23 @@ func runAnalyses(st *store.Store) {
 
 // analysisBucket infers the campaign stride from the gap between the
 // first two persisted rounds, defaulting to the paper's hourly cadence.
+// The scan stops at the first record of the second round.
 func analysisBucket(st *store.Store) time.Duration {
-	rounds := st.Rounds()
-	if len(rounds) >= 2 {
-		if d := time.Duration(rounds[1] - rounds[0]); d > 0 {
-			return d
+	var first time.Time
+	bucket := time.Hour
+	err := st.Reader().Scan(func(o scanner.Observation) error {
+		if first.IsZero() {
+			first = o.At
+		} else if d := o.At.Sub(first); d > 0 {
+			bucket = d
+			return store.ErrStop
 		}
+		return nil
+	})
+	if err != nil {
+		fail("analyze: %v", err)
 	}
-	return time.Hour
+	return bucket
 }
 
 func fail(format string, args ...any) {

@@ -278,10 +278,11 @@ func (r *Runner) runFigure12() error {
 // openCampaignStore opens the durable observation store for one campaign
 // (a subdirectory of StoreDir) and derives the campaign options wiring it
 // in: the per-round sink always; on resume, additionally the replay of
-// the persisted prefix and a window that restarts scanning at the round
-// after the last checkpoint. Returns (nil, nil, nil) when no store is
-// configured. The caller owns the returned store and must Close it after
-// the campaign.
+// the committed rounds and a window that restarts scanning at the round
+// after the checkpoint. Open has already cut the log back to that
+// checkpoint, so a store whose crash left none opens empty and runs from
+// the start. Returns (nil, nil, nil) when no store is configured. The
+// caller owns the returned store and must Close it after the campaign.
 func (r *Runner) openCampaignStore(sub string, end time.Time, stride time.Duration) (*store.Store, []scanner.Option, error) {
 	if r.StoreDir == "" {
 		return nil, nil, nil
@@ -296,32 +297,17 @@ func (r *Runner) openCampaignStore(sub string, end time.Time, stride time.Durati
 	}
 	opts := []scanner.Option{scanner.WithStore(st)}
 	stats := st.Stats()
-	if stats.Rounds == 0 && stats.Records == 0 {
-		// A fresh store; resuming nothing just runs from the start.
+	if !stats.HasCheckpoint {
 		return st, opts, nil
 	}
 	if !r.Resume {
 		err := fmt.Errorf("core: store %s already holds %d rounds; pass -resume to continue it or use a fresh -store directory", dir, stats.Rounds)
 		return nil, nil, errors.Join(err, st.Close())
 	}
-	ck, ok := st.LastCheckpoint()
-	if !ok {
-		// Records but no checkpoint: the campaign died before its first
-		// checkpoint landed. Nothing is resumable — cut back to empty
-		// and rescan the whole window.
-		first := st.Rounds()
-		if err := st.TruncateAfter(first[0] - 1); err != nil {
-			return nil, nil, errors.Join(err, st.Close())
-		}
-		return st, opts, nil
-	}
-	// Discard any partially persisted round past the checkpoint, replay
-	// everything up to it, and scan on from the next round. The replay
-	// restores aggregator state and engine counters exactly, so the
-	// resumed run's output matches an uninterrupted one.
-	if err := st.TruncateAfter(ck.Round); err != nil {
-		return nil, nil, errors.Join(err, st.Close())
-	}
+	// Replay the committed rounds and scan on from the next one. The
+	// replay restores aggregator state and engine counters exactly, so
+	// the resumed run's output matches an uninterrupted one.
+	ck := stats.Checkpoint
 	resumeAt := time.Unix(0, ck.Round).UTC().Add(stride)
 	if resumeAt.After(end) {
 		resumeAt = end // fully persisted campaign: replay only, no scans

@@ -116,6 +116,50 @@ func TestResumeReproducesUninterruptedRun(t *testing.T) {
 	}
 }
 
+// TestCrashBeforeFirstCheckpointReruns: a campaign that dies in its first
+// round commits nothing, so its store opens empty, and a rerun with or
+// without Resume leaves the uninterrupted run's stream and output.
+func TestCrashBeforeFirstCheckpointReruns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs five measurement campaigns")
+	}
+	cfg := resumeConfig()
+	cfg.End = cfg.Start.Add(8 * time.Hour)
+	cfg.Responders = 30
+
+	fullDir := t.TempDir()
+	var fullOut strings.Builder
+	full := NewRunner(cfg, &fullOut)
+	full.StoreDir = fullDir
+	if err := full.Run(context.Background(), "fig3"); err != nil {
+		t.Fatalf("uninterrupted run: %v", err)
+	}
+	fullLog := storeLog(t, filepath.Join(fullDir, "hourly"))
+
+	for _, resume := range []bool{false, true} {
+		dir := t.TempDir()
+		crashed := NewRunner(cfg, io.Discard)
+		crashed.StoreDir = dir
+		crashed.CrashAfterRounds = 1
+		if err := crashed.Run(context.Background(), "fig3"); !errors.Is(err, store.ErrSimulatedCrash) {
+			t.Fatalf("resume=%v: crash run error = %v, want ErrSimulatedCrash", resume, err)
+		}
+		var out strings.Builder
+		rerun := NewRunner(cfg, &out)
+		rerun.StoreDir = dir
+		rerun.Resume = resume
+		if err := rerun.Run(context.Background(), "fig3"); err != nil {
+			t.Fatalf("resume=%v: rerun: %v", resume, err)
+		}
+		if d := fullLog.Diff(storeLog(t, filepath.Join(dir, "hourly"))); d != "" {
+			t.Errorf("resume=%v: stores diverge: %s", resume, d)
+		}
+		if got, want := filterWallClock(out.String()), filterWallClock(fullOut.String()); got != want {
+			t.Errorf("resume=%v: rendered output diverges\n--- uninterrupted ---\n%s\n--- rerun ---\n%s", resume, want, got)
+		}
+	}
+}
+
 // TestStoreRefusesSilentOverwrite: pointing -store at a directory that
 // already holds a campaign without -resume must fail loudly instead of
 // appending garbage.
@@ -189,7 +233,8 @@ func TestCheckpointPayloadMatchesHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	ck, ok := st.LastCheckpoint()
+	stats := st.Stats()
+	ck, ok := stats.Checkpoint, stats.HasCheckpoint
 	if !ok {
 		t.Fatal("campaign store holds no checkpoint")
 	}

@@ -156,12 +156,13 @@ func WithRetryPolicy(p RetryPolicy) Option {
 }
 
 // WithStore attaches a durable per-round sink. Run appends each round to
-// it on Run's own goroutine, after the round's scans and before its
-// aggregation, so a slow disk slows the campaign instead of growing a
-// backlog. A sink error stops the campaign at the failing round, before
-// that round is aggregated, and is returned from Run. A round in flight
-// when a cancellation arrives is not persisted (a canceled round is not a
-// complete measurement).
+// it on Run's own goroutine, after the round's scans and after the round
+// is folded into the aggregators, so a slow disk slows the campaign
+// instead of growing a backlog and a checkpoint payload sees the round in
+// the campaign's counters. A sink error stops the campaign at the failing
+// round, which is then aggregated but not persisted, and is returned from
+// Run. A round in flight when a cancellation arrives is not persisted (a
+// canceled round is not a complete measurement).
 func WithStore(sink RoundSink) Option {
 	return func(c *Campaign) error {
 		if sink == nil {

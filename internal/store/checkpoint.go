@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -22,11 +21,12 @@ import (
 // checkpoint; anything larger is a corrupt length field.
 const maxCheckpointPayload = 8 << 20
 
-// Checkpoint records the store's durable high-water mark after a fully
-// persisted round. Resume truncates the log back to Round and replays it;
-// Payload is an opaque informational snapshot (see SetCheckpointPayload).
+// Checkpoint commits a fully persisted round: the newest intact one is
+// the store's commit point, and Open keeps exactly the Scans records it
+// counts. Payload is an opaque informational snapshot (see
+// SetCheckpointPayload).
 type Checkpoint struct {
-	// Seq orders checkpoints; higher supersedes lower.
+	// Seq orders checkpoints; higher supersedes lower. The first is 1.
 	Seq uint64
 	// Round is the last fully persisted round (UnixNano).
 	Round int64
@@ -82,11 +82,7 @@ func decodeCheckpoint(b []byte) (Checkpoint, error) {
 
 // writeCheckpoint atomically writes ck into dir.
 func writeCheckpoint(dir string, ck Checkpoint, noSync bool) error {
-	b := encodeCheckpoint(ck)
-	if err := writeFileAtomic(dir, ckptKind.name(ck.Seq), !noSync, func(w io.Writer) error {
-		_, err := w.Write(b)
-		return err
-	}); err != nil {
+	if err := writeFileAtomic(dir, ckptKind.name(ck.Seq), !noSync, encodeCheckpoint(ck)); err != nil {
 		return err
 	}
 	if noSync {
@@ -96,36 +92,37 @@ func writeCheckpoint(dir string, ck Checkpoint, noSync bool) error {
 }
 
 // loadLatestCheckpoint returns the newest checkpoint that decodes intact
-// (nil when none exists) plus the highest sequence number present on
-// disk, intact or not, so new checkpoints never reuse a sequence.
-func loadLatestCheckpoint(dir string) (*Checkpoint, uint64, error) {
+// (the zero value when none does) plus the highest sequence number present
+// on disk, intact or not, so new checkpoints never reuse a sequence. It
+// deletes the undecodable checkpoints newer than the one it returns, so
+// retention never keeps one of them in place of an intact predecessor.
+func loadLatestCheckpoint(dir string) (Checkpoint, uint64, error) {
 	seqs, err := ckptKind.list(dir)
-	if err != nil {
-		return nil, 0, err
+	if err != nil || len(seqs) == 0 {
+		return Checkpoint{}, 0, err
 	}
-	var maxSeq uint64
-	if len(seqs) > 0 {
-		maxSeq = seqs[len(seqs)-1]
-	}
+	maxSeq := seqs[len(seqs)-1]
 	for i := len(seqs) - 1; i >= 0; i-- {
-		b, err := os.ReadFile(filepath.Join(dir, ckptKind.name(seqs[i])))
+		path := filepath.Join(dir, ckptKind.name(seqs[i]))
+		b, err := os.ReadFile(path)
 		if err != nil {
-			return nil, 0, err
+			return Checkpoint{}, 0, err
 		}
-		ck, err := decodeCheckpoint(b)
-		if err != nil {
-			// A corrupt checkpoint is superseded data, not fatal:
-			// fall back to the previous one.
-			continue
+		if ck, err := decodeCheckpoint(b); err == nil {
+			return ck, maxSeq, nil
 		}
-		return &ck, maxSeq, nil
+		// A corrupt checkpoint is superseded data, not fatal: drop it
+		// and fall back to the previous one.
+		if err := os.Remove(path); err != nil {
+			return Checkpoint{}, 0, err
+		}
 	}
-	return nil, maxSeq, nil
+	return Checkpoint{}, maxSeq, nil
 }
 
-// pruneCheckpoints deletes superseded checkpoints, keeping the newest
-// `keep` files at or below seq.
-func pruneCheckpoints(dir string, seq uint64, keep int) error {
+// pruneCheckpoints deletes superseded checkpoints, keeping the newest two
+// at or below seq: the commit point and its fallback.
+func pruneCheckpoints(dir string, seq uint64) error {
 	seqs, err := ckptKind.list(dir)
 	if err != nil {
 		return err
@@ -134,7 +131,7 @@ func pruneCheckpoints(dir string, seq uint64, keep int) error {
 	for i := len(seqs) - 1; i >= 0; i-- {
 		if seqs[i] <= seq {
 			kept++
-			if kept <= keep {
+			if kept <= 2 {
 				continue
 			}
 		} else if kept == 0 {
@@ -144,31 +141,6 @@ func pruneCheckpoints(dir string, seq uint64, keep int) error {
 			continue
 		}
 		if err := os.Remove(filepath.Join(dir, ckptKind.name(seqs[i]))); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// removeCheckpointsAfter deletes every checkpoint whose round high-water
-// mark lies past round, plus any that no longer decode — the truncation
-// path's way of keeping only checkpoints that still describe real data.
-func removeCheckpointsAfter(dir string, round int64) error {
-	seqs, err := ckptKind.list(dir)
-	if err != nil {
-		return err
-	}
-	for _, seq := range seqs {
-		path := filepath.Join(dir, ckptKind.name(seq))
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		ck, err := decodeCheckpoint(b)
-		if err == nil && ck.Round <= round {
-			continue
-		}
-		if err := os.Remove(path); err != nil {
 			return err
 		}
 	}

@@ -100,7 +100,7 @@ func decodeObservationInterned(b []byte, it *wire.Interns) (scanner.Observation,
 }
 
 // decodeRecordAt reads only the leading At field of a payload — enough
-// for TruncateAfter to find a round boundary without a full decode.
+// for Open to check a record's round without a full decode.
 func decodeRecordAt(b []byte) (int64, error) {
 	d := wire.NewDecoder(b, errPrefix, nil)
 	t := d.Time()

@@ -30,7 +30,7 @@ var goldenFiles = map[string]string{
 // segments.
 func writeGoldenFixture(t *testing.T, root string) {
 	t.Helper()
-	s, err := Open(filepath.Join(root, "obs"), Options{SegmentSize: 1024, NoSync: true, CheckpointEvery: 1})
+	s, err := Open(filepath.Join(root, "obs"), Options{SegmentSize: 1024, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

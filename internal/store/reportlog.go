@@ -12,8 +12,8 @@ import "os"
 // one unbounded file, and segment order is arrival order. Unlike the
 // observation log, a damaged record is a hard error: the log is written
 // by one collector in one run, so corruption means the run must be
-// repeated, not repaired around. The log is never compacted, so its
-// segments always run 0..n-1 and a gap is an error.
+// repeated, not repaired around. Nothing merges or removes a segment of
+// a run, so its segments always run 0..n-1 and a gap is an error.
 //
 // reportSegmentMaxBytes triggers rotation; ~4 MiB keeps segments
 // mmap-friendly and bounds the cost of a torn tail to one segment.

@@ -203,7 +203,7 @@ func TestCreateReportLogClearsStaleSegments(t *testing.T) {
 	}
 }
 
-// TestReportLogRejectsGap: the report log is never compacted, so a
+// TestReportLogRejectsGap: nothing removes a report segment, so a
 // missing segment is lost data, not a shorter log.
 func TestReportLogRejectsGap(t *testing.T) {
 	dir := t.TempDir()

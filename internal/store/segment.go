@@ -59,8 +59,9 @@ type segKind struct {
 }
 
 var (
-	// obsKind is the observation log. Indexes ascend but may gap after
-	// Compact merges neighbours, so readers order by index.
+	// obsKind is the observation log. Its segments run 0..n-1: nothing
+	// merges sealed segments, and Open removes only whole segments past
+	// the commit point, at the end of the log.
 	obsKind = segKind{magic: "MSOBSLG1", version: codecVersion, prefix: "seg-", suffix: ".log", digits: 6}
 	// reportKind is the Expect-Staple report log (reportlog.go).
 	reportKind = segKind{magic: "MSRPTSG1", version: 1, prefix: "rpt-", suffix: ".seg", digits: 6}
@@ -233,9 +234,9 @@ func (k segKind) scanFile(path string, index uint64, limit int64, buf *[]byte, f
 	return k.scan(bufio.NewReaderSize(r, 64<<10), path, index, buf, fn)
 }
 
-// scanLog scans every segment of a log that is never compacted. Its
-// segments must be exactly 0..n-1 — a gap is an error, not a shorter
-// log — and any damage is an error.
+// scanLog scans every segment of a log that nothing cuts back (the report
+// log). Its segments must be exactly 0..n-1 — a gap is an error, not a
+// shorter log — and any damage is an error.
 func (k segKind) scanLog(dir string, fn func(payload []byte) error) error {
 	idx, err := k.list(dir)
 	if err != nil {
@@ -321,17 +322,17 @@ func (w *frameWriter) close(sync bool) error {
 	return err
 }
 
-// writeFileAtomic writes dir/name through a temporary file and a rename,
-// so readers see the old file or the new one, never a torn one. With
-// sync set the data is fsynced before the rename; making the rename
+// writeFileAtomic writes data to dir/name through a temporary file and a
+// rename, so readers see the old file or the new one, never a torn one.
+// With sync set the data is fsynced before the rename; making the rename
 // itself durable (syncDir) is left to the caller.
-func writeFileAtomic(dir, name string, sync bool, write func(io.Writer) error) error {
+func writeFileAtomic(dir, name string, sync bool, data []byte) error {
 	tmp := filepath.Join(dir, name+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	err = write(f)
+	_, err = f.Write(data)
 	if err == nil && sync {
 		err = f.Sync()
 	}

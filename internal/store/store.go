@@ -1,11 +1,12 @@
 // Package store is the durable observation store behind `-store` /
 // `-resume`: a dependency-free embedded segmented append-only log holding
 // one record per scanner.Observation, with CRC32-C checksummed record
-// framing, crash-safe recovery that truncates a torn tail record, and
-// periodic campaign checkpoints that let an interrupted campaign resume
-// exactly where it stopped. The Expect-Staple report log shares its
-// segment layer (segment.go). See DESIGN.md §11 for the on-disk format
-// and the recovery rules.
+// framing and a checkpoint after every round. The newest intact
+// checkpoint is the store's one commit point: Open keeps exactly the
+// records it counts and cuts whatever a crash left past them, so an
+// interrupted campaign resumes exactly where it stopped. The Expect-Staple
+// report log shares its segment layer (segment.go). See DESIGN.md §11 for
+// the on-disk format and the recovery rules.
 //
 // Concurrency: a Store has a single writer (Campaign.Run calls
 // AppendRound on its own goroutine) and any number of Readers; all
@@ -41,10 +42,6 @@ type Options struct {
 	// reaches it is sealed and a new one started. 0 means
 	// DefaultSegmentSize.
 	SegmentSize int64
-	// CheckpointEvery is how many appended rounds lie between
-	// checkpoints. 0 means 1: every completed round is checkpointed,
-	// so a crash loses at most the round in flight.
-	CheckpointEvery int
 	// NoSync disables fsync entirely (benchmarks; crash safety is then
 	// up to the OS).
 	NoSync bool
@@ -60,8 +57,8 @@ type Options struct {
 }
 
 // DefaultSegmentSize is the rotation threshold when Options.SegmentSize
-// is zero. Small enough that compaction and truncation touch little data,
-// large enough that a paper-scale campaign stays in tens of files.
+// is zero: large enough that a paper-scale campaign stays in tens of
+// files.
 const DefaultSegmentSize = 4 << 20
 
 // segment is the in-memory description of one observation segment file.
@@ -86,18 +83,13 @@ type Store struct {
 	segs    []*segment
 	w       *frameWriter // appends to the last segment
 	flushed int64        // bytes of the active segment durable enough to read
-	rounds  []int64      // distinct record round timestamps, ascending
-	// roundCount includes empty rounds (every target expired), which
-	// leave no records — the checkpoint carries their count across
-	// reopens. lastRound/hasRound track the append high-water mark.
-	roundCount int64
-	lastRound  int64
-	hasRound   bool
-	scans      int64 // records on disk
-	ckpt       *Checkpoint
-	ckptSeq    uint64        // highest checkpoint sequence ever observed
-	sinceCk    int           // rounds appended since the last checkpoint
-	payload    func() []byte // optional engine snapshot for checkpoints
+	// ckpt is the commit point: the newest checkpoint, or the zero value
+	// (Seq 0) before the first. Its Round, Rounds and Scans are the
+	// store's round high-water mark and counts; a round that carried no
+	// records (every target expired) is counted only there.
+	ckpt    Checkpoint
+	ckptSeq uint64        // highest checkpoint sequence ever observed
+	payload func() []byte // optional engine snapshot for checkpoints
 
 	encBuf  []byte // reusable observation encode buffer
 	scanBuf []byte // reusable segment-scan payload buffer
@@ -110,15 +102,11 @@ type Store struct {
 	mRecov    *metrics.Counter
 }
 
-// Open opens (creating if needed) the store in dir. Opening scans every
-// segment, truncates a torn tail left by a crash, and loads the newest
-// intact checkpoint.
+// Open opens (creating if needed) the store in dir and rolls the log back
+// to its newest intact checkpoint (load).
 func Open(dir string, opt Options) (*Store, error) {
 	if opt.SegmentSize <= 0 {
 		opt.SegmentSize = DefaultSegmentSize
-	}
-	if opt.CheckpointEvery <= 0 {
-		opt.CheckpointEvery = 1
 	}
 	reg := opt.Metrics
 	if reg == nil {
@@ -147,101 +135,109 @@ func Open(dir string, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// load rebuilds the in-memory state — segment list, round list,
-// checkpoint — from the files in s.dir, dropping a torn tail of the final
-// segment. It does not open the active segment for writing.
+// errPastCommit stops load's scan at the first record past the commit
+// point.
+var errPastCommit = errors.New("store: record past the commit point")
+
+// load rebuilds the in-memory state — commit point and segment list —
+// from the files in s.dir. It is the only code that cuts the log. The
+// newest intact checkpoint is the commit point: load keeps exactly the
+// Scans records it counts and cuts whatever follows them (a round a crash
+// cut short, a torn frame, whole later segments), counting the bytes in
+// store_recovered_truncated_bytes_total. Damage or missing records inside
+// the committed prefix are an error, and so is a committed record later
+// than the checkpoint's round. With nothing committed, the first segment
+// is cut back to its header. load does not open the active segment for
+// writing.
 func (s *Store) load() error {
+	ck, seq, err := loadLatestCheckpoint(s.dir)
+	if err != nil {
+		return err
+	}
+	s.ckpt, s.ckptSeq = ck, seq
 	idx, err := obsKind.list(s.dir)
 	if err != nil {
 		return err
 	}
 	s.segs = make([]*segment, 0, len(idx))
-	s.rounds = nil
-	s.scans = 0
 
-	var lastRound int64
-	for i, n := range idx {
-		seg := &segment{index: int(n), path: filepath.Join(s.dir, obsKind.name(n))}
-		committed, err := obsKind.scanFile(seg.path, n, -1, &s.scanBuf, func(payload []byte, off int64) error {
+	var kept, lastAt int64
+	past := false // an earlier segment was cut: drop whole segments
+	for _, n := range idx {
+		path := filepath.Join(s.dir, obsKind.name(n))
+		if past {
+			if err := s.cut(path, 0); err != nil {
+				return err
+			}
+			continue
+		}
+		seg := &segment{index: int(n), path: path}
+		end := int64(-1) // where the segment is cut; -1 keeps it whole
+		committed, err := obsKind.scanFile(path, n, -1, &s.scanBuf, func(payload []byte, off int64) error {
+			if kept == ck.Scans {
+				end = off
+				return errPastCommit
+			}
 			at, err := decodeRecordAt(payload)
 			if err != nil {
-				return fmt.Errorf("store: %s offset %d: %w", seg.path, off, err)
+				return fmt.Errorf("store: %s offset %d: %w", path, off, err)
 			}
-			if at < lastRound {
-				return fmt.Errorf("store: %s offset %d: round %d out of order (after %d)", seg.path, off, at, lastRound)
-			}
-			if at > lastRound || len(s.rounds) == 0 {
-				s.rounds = append(s.rounds, at)
-				lastRound = at
+			if (kept > 0 && at < lastAt) || at > ck.Round {
+				return fmt.Errorf("store: %s offset %d: round %d is out of order or later than checkpoint %d's round %d", path, off, at, ck.Seq, ck.Round)
 			}
 			if seg.records == 0 {
 				seg.firstAt = at
 			}
-			seg.lastAt = at
+			seg.lastAt, lastAt = at, at
 			seg.records++
-			s.scans++
+			kept++
 			return nil
 		})
-		if errors.Is(err, errDamaged) {
-			if i != len(idx)-1 {
-				return fmt.Errorf("store: sealed segment %s is damaged (%d bytes intact); only the final segment may carry a torn tail: %w", seg.path, committed, err)
-			}
-			// Crash recovery: an interrupted append. Cut the segment back
-			// to its last intact frame, or drop it whole when even its
-			// header is torn.
-			info, err := os.Stat(seg.path)
-			if err != nil {
-				return err
-			}
-			if committed == 0 {
-				err = os.Remove(seg.path)
-			} else {
-				err = os.Truncate(seg.path, committed)
-			}
-			if err != nil {
-				return err
-			}
-			s.mRecov.Add(info.Size() - committed)
-			if committed == 0 {
-				break
-			}
-		} else if err != nil {
+		switch {
+		case errors.Is(err, errPastCommit):
+		case errors.Is(err, errDamaged) && kept == ck.Scans:
+			end = committed
+		case errors.Is(err, errDamaged):
+			return fmt.Errorf("store: %s is damaged inside the %d record(s) checkpoint %d commits: %w", path, ck.Scans, ck.Seq, err)
+		case err != nil:
 			return err
 		}
 		seg.size = committed
-		s.segs = append(s.segs, seg)
+		if end >= 0 {
+			if err := s.cut(path, end); err != nil {
+				return err
+			}
+			seg.size, past = end, true
+		}
+		if seg.size > 0 { // 0: not even its header was intact, and cut removed it
+			s.segs = append(s.segs, seg)
+		}
 	}
-
-	s.roundCount = int64(len(s.rounds))
-	s.hasRound = len(s.rounds) > 0
-	if s.hasRound {
-		s.lastRound = s.rounds[len(s.rounds)-1]
+	if kept < ck.Scans {
+		// A checkpoint is written only after its data is durable, so
+		// the log can never legitimately hold fewer records.
+		return fmt.Errorf("store: checkpoint %d commits %d record(s) but the log holds only %d — segment data is missing or foreign", ck.Seq, ck.Scans, kept)
 	}
+	s.publishGauges()
+	return nil
+}
 
-	ck, seq, err := loadLatestCheckpoint(s.dir)
+// cut truncates the segment file at path to size bytes, removing it when
+// size is 0, and counts the bytes dropped.
+func (s *Store) cut(path string, size int64) error {
+	info, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
-	s.ckptSeq = seq
-	if ck != nil {
-		if ck.Scans > s.scans {
-			// A checkpoint is written only after its data is durable, so
-			// it can never legitimately describe more records than the
-			// log holds.
-			return fmt.Errorf("store: checkpoint %d claims %d scans but the log holds only %d — segment data is missing or foreign", ck.Seq, ck.Scans, s.scans)
-		}
-		// Trailing empty rounds leave no records; the checkpoint is
-		// their only trace.
-		if !s.hasRound || ck.Round > s.lastRound {
-			s.lastRound = ck.Round
-			s.hasRound = true
-		}
-		if ck.Rounds > s.roundCount {
-			s.roundCount = ck.Rounds
-		}
+	if size == 0 {
+		err = os.Remove(path)
+	} else {
+		err = os.Truncate(path, size)
 	}
-	s.ckpt = ck
-	s.publishGauges()
+	if err != nil {
+		return err
+	}
+	s.mRecov.Add(info.Size() - size)
 	return nil
 }
 
@@ -296,12 +292,14 @@ func (s *Store) publishGauges() {
 	s.mBytes.Set(bytes)
 }
 
-// AppendRound durably appends one completed round: every observation is
-// framed, checksummed, and written to the active segment; the segment is
-// flushed, and — every CheckpointEvery rounds — fsynced and checkpointed.
-// Rounds must arrive in strictly increasing virtual-time order. The
-// first write failure is sticky: the store refuses further appends so a
-// half-written round is never extended.
+// AppendRound durably appends one completed round and commits it: every
+// observation is framed, checksummed, and written to the active segment;
+// the segment is flushed and fsynced, and a checkpoint is written. Rounds
+// must arrive in strictly increasing virtual-time order, and each
+// observation carries its round's time (Open rejects a committed record
+// later than its checkpoint's round). The first write failure is sticky:
+// the store refuses further appends so a half-written round is never
+// extended.
 func (s *Store) AppendRound(at time.Time, obs []scanner.Observation) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -312,12 +310,12 @@ func (s *Store) AppendRound(at time.Time, obs []scanner.Observation) error {
 		return s.failed
 	}
 	round := at.UnixNano()
-	if s.hasRound && round <= s.lastRound {
+	if s.ckpt.Rounds > 0 && round <= s.ckpt.Round {
 		return fmt.Errorf("store: round %s does not advance past the last persisted round %s",
-			at.UTC().Format(time.RFC3339Nano), time.Unix(0, s.lastRound).UTC().Format(time.RFC3339Nano))
+			at.UTC().Format(time.RFC3339Nano), time.Unix(0, s.ckpt.Round).UTC().Format(time.RFC3339Nano))
 	}
 
-	crash := s.opt.CrashAfterRounds > 0 && s.roundCount+1 >= int64(s.opt.CrashAfterRounds)
+	crash := s.opt.CrashAfterRounds > 0 && s.ckpt.Rounds+1 >= int64(s.opt.CrashAfterRounds)
 	n := len(obs)
 	if crash {
 		n = len(obs) / 2
@@ -343,21 +341,11 @@ func (s *Store) AppendRound(at time.Time, obs []scanner.Observation) error {
 		return err
 	}
 	s.flushed = s.segs[len(s.segs)-1].size
-	if len(obs) > 0 {
-		s.rounds = append(s.rounds, round)
-	}
-	s.roundCount++
-	s.lastRound, s.hasRound = round, true
-	s.scans += int64(len(obs))
 	s.mRecords.Add(int64(len(obs)))
 	s.mRounds.Inc()
-	s.sinceCk++
-	if s.sinceCk >= s.opt.CheckpointEvery {
-		if err := s.checkpointLocked(); err != nil {
-			s.failed = err
-			return err
-		}
-		s.sinceCk = 0
+	if err := s.checkpointLocked(round, int64(len(obs))); err != nil {
+		s.failed = err
+		return err
 	}
 	stop()
 	s.publishGauges()
@@ -403,8 +391,8 @@ func (s *Store) rotateLocked() error {
 
 // simulateCrash is the CrashAfterRounds failpoint body: the first half of
 // the round is already buffered; write one deliberately torn record
-// (header plus half a payload), make it all durable, and stop. Recovery
-// on the next Open must truncate the torn record and resume from the last
+// (header plus half a payload), make it all durable, and stop. The next
+// Open cuts the half round and the torn record back to the last
 // checkpoint.
 func (s *Store) simulateCrash(obs []scanner.Observation, written int) error {
 	if len(obs) > 0 {
@@ -440,19 +428,10 @@ func (s *Store) SetCheckpointPayload(fn func() []byte) {
 	s.payload = fn
 }
 
-// LastCheckpoint returns the newest intact checkpoint, if any.
-func (s *Store) LastCheckpoint() (Checkpoint, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ckpt == nil {
-		return Checkpoint{}, false
-	}
-	return *s.ckpt, true
-}
-
-// checkpointLocked fsyncs the active segment and writes a new checkpoint
-// recording the round high-water mark.
-func (s *Store) checkpointLocked() error {
+// checkpointLocked fsyncs the active segment and commits the round just
+// appended — at round (UnixNano), with scans records — by writing the
+// next checkpoint.
+func (s *Store) checkpointLocked(round, scans int64) error {
 	if !s.opt.NoSync {
 		if err := s.w.f.Sync(); err != nil {
 			return err
@@ -460,9 +439,9 @@ func (s *Store) checkpointLocked() error {
 	}
 	ck := Checkpoint{
 		Seq:    s.ckptSeq + 1,
-		Round:  s.lastRound,
-		Rounds: s.roundCount,
-		Scans:  s.scans,
+		Round:  round,
+		Rounds: s.ckpt.Rounds + 1,
+		Scans:  s.ckpt.Scans + scans,
 	}
 	if s.payload != nil {
 		ck.Payload = s.payload()
@@ -470,103 +449,18 @@ func (s *Store) checkpointLocked() error {
 	if err := writeCheckpoint(s.dir, ck, s.opt.NoSync); err != nil {
 		return err
 	}
-	s.ckptSeq = ck.Seq
-	s.ckpt = &ck
+	s.ckpt, s.ckptSeq = ck, ck.Seq
 	s.mCkpts.Inc()
-	// Retention: the newest checkpoint plus one predecessor survive;
-	// anything older is superseded.
-	return pruneCheckpoints(s.dir, ck.Seq, 2)
-}
-
-// TruncateAfter removes every record whose round is later than round
-// (UnixNano) — the resume path's way of discarding a partially persisted
-// round beyond the last checkpoint — then drops the checkpoints past the
-// new tail and reloads.
-func (s *Store) TruncateAfter(round int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if err := s.w.close(false); err != nil {
-		return err
-	}
-
-	cut := -1 // first segment slice position to delete entirely
-	for i, seg := range s.segs {
-		if seg.records == 0 || seg.lastAt <= round {
-			continue
-		}
-		if seg.firstAt > round {
-			cut = i
-			break
-		}
-		// The boundary segment: find the offset of the first record
-		// past the cut and truncate there.
-		var cutOff int64 = -1
-		committed, err := obsKind.scanFile(seg.path, uint64(seg.index), -1, &s.scanBuf, func(payload []byte, off int64) error {
-			at, err := decodeRecordAt(payload)
-			if err != nil {
-				return err
-			}
-			if at > round {
-				cutOff = off
-				return ErrStop
-			}
-			return nil
-		})
-		if err != nil && !errors.Is(err, ErrStop) {
-			return err
-		}
-		if cutOff < 0 {
-			cutOff = committed
-		}
-		if err := os.Truncate(seg.path, cutOff); err != nil {
-			return err
-		}
-		cut = i + 1
-		break
-	}
-	if cut >= 0 {
-		for _, seg := range s.segs[cut:] {
-			if err := os.Remove(seg.path); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Checkpoints past the cut describe rounds that no longer exist;
-	// remove them so the newest survivor matches the new tail. In the
-	// resume path round IS the newest checkpoint's round, so that
-	// checkpoint — including its empty-round accounting — survives.
-	if err := removeCheckpointsAfter(s.dir, round); err != nil {
-		return err
-	}
-	if err := s.load(); err != nil {
-		return err
-	}
-	if err := s.openActive(); err != nil {
-		return err
-	}
-	s.sinceCk = 0
-	return nil
-}
-
-// Rounds returns the persisted round timestamps (UnixNano), ascending.
-// Rounds that carried no records (every target expired) leave no
-// timestamps here; Stats().Rounds and the checkpoint count them.
-func (s *Store) Rounds() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]int64(nil), s.rounds...)
+	return pruneCheckpoints(s.dir, ck.Seq)
 }
 
 // Stats summarizes the store for inspection tools.
 type Stats struct {
 	Segments int
-	Records  int64
-	Rounds   int
-	Bytes    int64
+	// Records and Rounds count what the checkpoint commits.
+	Records int64
+	Rounds  int
+	Bytes   int64
 	// Checkpoint is the newest intact checkpoint; HasCheckpoint reports
 	// whether one exists.
 	Checkpoint    Checkpoint
@@ -578,15 +472,14 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Segments: len(s.segs),
-		Records:  s.scans,
-		Rounds:   int(s.roundCount),
+		Segments:      len(s.segs),
+		Records:       s.ckpt.Scans,
+		Rounds:        int(s.ckpt.Rounds),
+		Checkpoint:    s.ckpt,
+		HasCheckpoint: s.ckpt.Seq > 0,
 	}
 	for _, seg := range s.segs {
 		st.Bytes += seg.size
-	}
-	if s.ckpt != nil {
-		st.Checkpoint, st.HasCheckpoint = *s.ckpt, true
 	}
 	return st
 }

@@ -77,6 +77,12 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
+// lastCheckpoint is the store's commit point as Stats reports it.
+func lastCheckpoint(s *Store) (Checkpoint, bool) {
+	st := s.Stats()
+	return st.Checkpoint, st.HasCheckpoint
+}
+
 func countFiles(t *testing.T, dir, suffix string) int {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -104,9 +110,6 @@ func TestOpenEmpty(t *testing.T) {
 	}
 	if got := collectStream(t, s); len(got) != 0 {
 		t.Fatalf("empty store streamed %d observations", len(got))
-	}
-	if _, ok := s.LastCheckpoint(); ok {
-		t.Fatal("empty store reported a checkpoint")
 	}
 }
 
@@ -199,6 +202,43 @@ func TestRotation(t *testing.T) {
 	}
 }
 
+// TestReopenKeepsEmptyActiveSegment: Open starts a fresh segment when the
+// last one is full. Reopening a store that ends in such a header-only
+// segment keeps it and cuts nothing.
+func TestReopenKeepsEmptyActiveSegment(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{SegmentSize: 512, NoSync: true}
+	s, err := Open(dir, opt)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	want := appendRounds(t, s, 1, 4)
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		reg := metrics.NewRegistry()
+		opt.Metrics = reg
+		s, err := Open(dir, opt)
+		if err != nil {
+			t.Fatalf("reopen %d: %v", i, err)
+		}
+		segs := s.Segments()
+		if len(segs) != 2 || segs[1].Bytes != segHeaderSize {
+			t.Fatalf("reopen %d: segments %+v, want the full one and a header-only one", i, segs)
+		}
+		if n := reg.Snapshot().Counters["store_recovered_truncated_bytes_total"]; n != 0 {
+			t.Fatalf("reopen %d: Open cut %d bytes of a cleanly closed store", i, n)
+		}
+		if got := collectStream(t, s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reopen %d: stream has %d obs, want %d", i, len(got), len(want))
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+}
+
 func TestMonotonicRounds(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{NoSync: true})
 	if err != nil {
@@ -222,7 +262,7 @@ func TestMonotonicRounds(t *testing.T) {
 
 func TestCheckpointRetention(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{NoSync: true, CheckpointEvery: 1})
+	s, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -231,7 +271,7 @@ func TestCheckpointRetention(t *testing.T) {
 	if n := countFiles(t, dir, ckptKind.suffix); n != 2 {
 		t.Fatalf("%d checkpoint files on disk, want 2 (newest plus one predecessor)", n)
 	}
-	ck, ok := s.LastCheckpoint()
+	ck, ok := lastCheckpoint(s)
 	if !ok {
 		t.Fatal("no checkpoint after 5 rounds")
 	}
@@ -240,27 +280,9 @@ func TestCheckpointRetention(t *testing.T) {
 	}
 }
 
-func TestCheckpointEvery(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{NoSync: true, CheckpointEvery: 3})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer s.Close()
-	appendRounds(t, s, 7, 1)
-	ck, ok := s.LastCheckpoint()
-	if !ok {
-		t.Fatal("no checkpoint after 7 rounds")
-	}
-	// Rounds 3 and 6 checkpoint; round 7 is ahead of the checkpoint.
-	if ck.Rounds != 6 {
-		t.Fatalf("checkpoint covers %d rounds, want 6", ck.Rounds)
-	}
-}
-
 func TestCheckpointPayload(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{NoSync: true, CheckpointEvery: 1})
+	s, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -274,7 +296,7 @@ func TestCheckpointPayload(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
-	ck, ok := s2.LastCheckpoint()
+	ck, ok := lastCheckpoint(s2)
 	if !ok || string(ck.Payload) != "engine snapshot" {
 		t.Fatalf("checkpoint payload = %q, ok=%v", ck.Payload, ok)
 	}
@@ -282,7 +304,7 @@ func TestCheckpointPayload(t *testing.T) {
 
 func TestEmptyRoundsSurviveReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{NoSync: true, CheckpointEvery: 1})
+	s, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -301,7 +323,7 @@ func TestEmptyRoundsSurviveReopen(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	s2, err := Open(dir, Options{NoSync: true, CheckpointEvery: 1})
+	s2, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -319,49 +341,79 @@ func TestEmptyRoundsSurviveReopen(t *testing.T) {
 	}
 }
 
-func TestTruncateAfter(t *testing.T) {
+// TestOpenRollsBackToCheckpoint: the newest intact checkpoint is the
+// commit point. With the newest one gone, Open cuts the last round, in
+// the middle of one segment and all of the next, and counts every byte it
+// drops; appends then carry on from the surviving checkpoint.
+func TestOpenRollsBackToCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	// Small segments so truncation crosses file boundaries.
-	s, err := Open(dir, Options{SegmentSize: 512, NoSync: true, CheckpointEvery: 1})
+	// Small segments so the cut crosses file boundaries.
+	s, err := Open(dir, Options{SegmentSize: 512, NoSync: true})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	defer s.Close()
-	all := appendRounds(t, s, 6, 4)
-	cut := round0.Add(2 * time.Hour) // keep rounds 0..2
-	if err := s.TruncateAfter(cut.UnixNano()); err != nil {
-		t.Fatalf("TruncateAfter: %v", err)
+	all := appendRounds(t, s, 6, 3)
+	ck, _ := lastCheckpoint(s)
+	last := round0.Add(5 * time.Hour).UnixNano()
+	var before, kept int64
+	var straddles, whole bool // the last round starts mid-segment and fills one
+	for _, seg := range s.Segments() {
+		before += seg.Bytes
+		straddles = straddles || (seg.FirstAt < last && seg.LastAt == last)
+		whole = whole || (seg.FirstAt == last && seg.Records > 0)
 	}
-	want := all[:3*4]
-	if got := collectStream(t, s); !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-truncate stream has %d obs, want %d", len(collectStream(t, s)), len(want))
+	if !straddles || !whole {
+		t.Fatalf("fixture's last round does not span a segment boundary: %+v", s.Segments())
 	}
-	st := s.Stats()
-	if st.Records != 12 {
-		t.Fatalf("post-truncate stats = %+v, want 12 records", st)
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	if st.HasCheckpoint && st.Checkpoint.Round > cut.UnixNano() {
-		t.Fatalf("surviving checkpoint %+v is past the cut", st.Checkpoint)
+	if err := os.Remove(filepath.Join(dir, ckptKind.name(ck.Seq))); err != nil {
+		t.Fatal(err)
 	}
-	// The store keeps working after a truncation.
-	at := cut.Add(time.Hour)
+
+	reg := metrics.NewRegistry()
+	s2, err := Open(dir, Options{SegmentSize: 512, NoSync: true, Metrics: reg})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	want := all[:5*3]
+	if got := collectStream(t, s2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened stream has %d obs, want the first 5 rounds' %d", len(got), len(want))
+	}
+	st := s2.Stats()
+	if st.Rounds != 5 || st.Records != 15 || st.Checkpoint.Seq != ck.Seq-1 {
+		t.Fatalf("reopened stats = %+v, want 5 rounds, 15 records, checkpoint %d", st, ck.Seq-1)
+	}
+	for _, seg := range s2.Segments() {
+		if seg.Records > 0 {
+			kept += seg.Bytes
+		}
+	}
+	if n := reg.Snapshot().Counters["store_recovered_truncated_bytes_total"]; n != before-kept {
+		t.Fatalf("Open counted %d cut bytes, want %d", n, before-kept)
+	}
+	// The store keeps working after the rollback.
+	at := round0.Add(5 * time.Hour)
 	extra := []scanner.Observation{obsAt(at, 9, 1)}
-	if err := s.AppendRound(at, extra); err != nil {
-		t.Fatalf("append after truncate: %v", err)
+	if err := s2.AppendRound(at, extra); err != nil {
+		t.Fatalf("append after rollback: %v", err)
 	}
-	if got := collectStream(t, s); !reflect.DeepEqual(got, append(want, extra...)) {
-		t.Fatal("stream mismatch after truncate-append")
+	if got := collectStream(t, s2); !reflect.DeepEqual(got, append(want, extra...)) {
+		t.Fatal("stream mismatch after rollback-append")
 	}
 }
 
 func TestRecoveryTornTailCorpus(t *testing.T) {
-	// Build a single-segment store with no checkpoints, then replay every
-	// possible torn-tail length — including a header cut short, which a
+	// Build a single-segment store of three committed rounds, then replay
+	// every cut of its segment — including a header cut short, which a
 	// crash between creating a segment and writing its header leaves —
-	// and check recovery keeps exactly the records that were fully
-	// written and counts every byte it drops.
+	// against two commit points: no checkpoint, and the first two rounds'
+	// checkpoint. A cut inside a committed record is damage; any later cut
+	// keeps exactly the committed records and counts every byte dropped.
 	src := t.TempDir()
-	s, err := Open(src, Options{NoSync: true, CheckpointEvery: 1 << 20})
+	s, err := Open(src, Options{NoSync: true})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -369,60 +421,70 @@ func TestRecoveryTornTailCorpus(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	full, err := os.ReadFile(filepath.Join(src, obsKind.name(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := mustRead(t, filepath.Join(src, obsKind.name(0)))
 	ends := frameEnds(t, obsKind, full)
 	if len(ends) != len(all) {
 		t.Fatalf("scan saw %d records, appended %d", len(ends), len(all))
 	}
 
-	for cut := int64(0); cut < int64(len(full)); cut++ {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, obsKind.name(0)), full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		intact := 0
-		for _, end := range ends {
-			if end <= cut {
-				intact++
+	for _, commit := range []struct {
+		name    string
+		ckpts   []uint64 // checkpoints kept beside the cut segment
+		records int      // what they commit
+	}{
+		{"no checkpoint", nil, 0},
+		{"two of three rounds", []uint64{2}, 6},
+	} {
+		for cut := int64(0); cut < int64(len(full)); cut++ {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, obsKind.name(0)), full[:cut], 0o644); err != nil {
+				t.Fatal(err)
 			}
-		}
-		// kept is what recovery leaves of the torn file: nothing when
-		// the header itself is torn (Open then starts a fresh segment).
-		var kept int64
-		switch {
-		case intact > 0:
-			kept = ends[intact-1]
-		case cut >= segHeaderSize:
-			kept = segHeaderSize
-		}
-		reg := metrics.NewRegistry()
-		s2, err := Open(dir, Options{NoSync: true, Metrics: reg})
-		if err != nil {
-			t.Fatalf("cut=%d: Open after torn tail: %v", cut, err)
-		}
-		want := all[:intact]
-		if intact == 0 {
-			want = nil
-		}
-		got := collectStream(t, s2)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cut=%d: recovered %d obs, want the first %d", cut, len(got), intact)
-		}
-		if n := reg.Snapshot().Counters["store_recovered_truncated_bytes_total"]; n != cut-kept {
-			t.Fatalf("cut=%d: recovery counted %d truncated bytes, want %d", cut, n, cut-kept)
-		}
-		info, err := os.Stat(filepath.Join(dir, obsKind.name(0)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantSize := max(kept, segHeaderSize); info.Size() != wantSize {
-			t.Fatalf("cut=%d: segment is %d bytes after recovery, want %d", cut, info.Size(), wantSize)
-		}
-		if err := s2.Close(); err != nil {
-			t.Fatalf("cut=%d: Close: %v", cut, err)
+			for _, seq := range commit.ckpts {
+				name := ckptKind.name(seq)
+				if err := os.WriteFile(filepath.Join(dir, name), mustRead(t, filepath.Join(src, name)), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// kept is what Open leaves of the cut file: the committed
+			// records, or with none its header, or nothing when even the
+			// header is torn (Open then starts a fresh segment).
+			var kept int64
+			switch {
+			case commit.records > 0:
+				kept = ends[commit.records-1]
+			case cut >= segHeaderSize:
+				kept = segHeaderSize
+			}
+			reg := metrics.NewRegistry()
+			s2, err := Open(dir, Options{NoSync: true, Metrics: reg})
+			if cut < kept {
+				if err == nil {
+					s2.Close()
+					t.Fatalf("%s, cut=%d: Open succeeded with a committed record cut", commit.name, cut)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s, cut=%d: Open: %v", commit.name, cut, err)
+			}
+			got := collectStream(t, s2)
+			if want := all[:commit.records]; len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("%s, cut=%d: recovered %d obs, want the %d committed", commit.name, cut, len(got), len(want))
+			}
+			if n := reg.Snapshot().Counters["store_recovered_truncated_bytes_total"]; n != cut-kept {
+				t.Fatalf("%s, cut=%d: Open counted %d truncated bytes, want %d", commit.name, cut, n, cut-kept)
+			}
+			info, err := os.Stat(filepath.Join(dir, obsKind.name(0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantSize := max(kept, segHeaderSize); info.Size() != wantSize {
+				t.Fatalf("%s, cut=%d: segment is %d bytes after recovery, want %d", commit.name, cut, info.Size(), wantSize)
+			}
+			if err := s2.Close(); err != nil {
+				t.Fatalf("%s, cut=%d: Close: %v", commit.name, cut, err)
+			}
 		}
 	}
 }
@@ -450,42 +512,53 @@ func TestOpenRejectsForeignFinalSegment(t *testing.T) {
 	}
 }
 
+// TestRecoveryCorruptFinalRecord: a corrupt final record that a
+// checkpoint commits is damage, and Open refuses it. Once that round's
+// checkpoint is gone, the record lies past the commit point and Open cuts
+// its round.
 func TestRecoveryCorruptFinalRecord(t *testing.T) {
 	src := t.TempDir()
-	s, err := Open(src, Options{NoSync: true, CheckpointEvery: 1 << 20})
+	s, err := Open(src, Options{NoSync: true})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	all := appendRounds(t, s, 2, 2)
+	ck, _ := lastCheckpoint(s)
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	reg := metrics.NewRegistry()
 	segPath := filepath.Join(src, obsKind.name(0))
-	b, err := os.ReadFile(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustRead(t, segPath)
+	ends := frameEnds(t, obsKind, b)
 	b[len(b)-1] ^= 0xFF // flip a payload byte of the final record
 	if err := os.WriteFile(segPath, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if s2, err := Open(src, Options{NoSync: true}); err == nil {
+		s2.Close()
+		t.Fatal("Open succeeded with a committed record corrupt")
+	}
+
+	if err := os.Remove(filepath.Join(src, ckptKind.name(ck.Seq))); err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
 	s2, err := Open(src, Options{NoSync: true, Metrics: reg})
 	if err != nil {
-		t.Fatalf("Open after corrupt final record: %v", err)
+		t.Fatalf("Open after the corrupt round's checkpoint is gone: %v", err)
 	}
 	defer s2.Close()
-	if got := collectStream(t, s2); !reflect.DeepEqual(got, all[:len(all)-1]) {
-		t.Fatalf("recovered %d obs, want %d (only the corrupted record lost)", len(got), len(all)-1)
+	if got := collectStream(t, s2); !reflect.DeepEqual(got, all[:2]) {
+		t.Fatalf("recovered %d obs, want the first round's 2", len(got))
 	}
-	if n := reg.Snapshot().Counters["store_recovered_truncated_bytes_total"]; n == 0 {
-		t.Fatal("recovery did not count truncated bytes")
+	if n, want := reg.Snapshot().Counters["store_recovered_truncated_bytes_total"], int64(len(b))-ends[1]; n != want {
+		t.Fatalf("Open counted %d truncated bytes, want the second round's %d", n, want)
 	}
 }
 
 func TestMidStreamCorruptionIsFatal(t *testing.T) {
 	src := t.TempDir()
-	s, err := Open(src, Options{SegmentSize: 512, NoSync: true, CheckpointEvery: 1 << 20})
+	s, err := Open(src, Options{SegmentSize: 512, NoSync: true})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -496,9 +569,9 @@ func TestMidStreamCorruptionIsFatal(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	// Corrupt a record in the FIRST segment: that data is supposed to be
-	// sealed and durable, so recovery must refuse rather than silently
-	// dropping everything after it.
+	// Corrupt a record in the FIRST segment: a checkpoint commits it, so
+	// recovery must refuse rather than silently dropping everything
+	// after it.
 	segPath := filepath.Join(src, obsKind.name(0))
 	b, err := os.ReadFile(segPath)
 	if err != nil {
@@ -515,12 +588,12 @@ func TestMidStreamCorruptionIsFatal(t *testing.T) {
 
 func TestCheckpointCorruptionFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{NoSync: true, CheckpointEvery: 1})
+	s, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	appendRounds(t, s, 3, 1)
-	ck, _ := s.LastCheckpoint()
+	ck, _ := lastCheckpoint(s)
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -534,12 +607,12 @@ func TestCheckpointCorruptionFallsBack(t *testing.T) {
 	if err := os.WriteFile(newest, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir, Options{NoSync: true, CheckpointEvery: 1})
+	s2, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
-	got, ok := s2.LastCheckpoint()
+	got, ok := lastCheckpoint(s2)
 	if !ok || got.Seq != ck.Seq-1 || got.Rounds != ck.Rounds-1 {
 		t.Fatalf("fallback checkpoint = %+v ok=%v, want seq %d", got, ok, ck.Seq-1)
 	}
@@ -547,16 +620,30 @@ func TestCheckpointCorruptionFallsBack(t *testing.T) {
 	if err := s2.AppendRound(round0.Add(10*time.Hour), nil); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	next, _ := s2.LastCheckpoint()
+	next, _ := lastCheckpoint(s2)
 	if next.Seq <= ck.Seq {
 		t.Fatalf("new checkpoint seq %d does not supersede the corrupt one (%d)", next.Seq, ck.Seq)
+	}
+	// Open dropped the undecodable file, so retention keeps the intact
+	// predecessor as the new checkpoint's fallback.
+	seqs, err := ckptKind.list(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seqs, []uint64{ck.Seq - 1, next.Seq}) {
+		t.Fatalf("retained checkpoints %v, want [%d %d]", seqs, ck.Seq-1, next.Seq)
+	}
+	for _, seq := range seqs {
+		if _, err := decodeCheckpoint(mustRead(t, filepath.Join(dir, ckptKind.name(seq)))); err != nil {
+			t.Errorf("retained checkpoint %d: %v", seq, err)
+		}
 	}
 }
 
 func TestCrashFailpoint(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
-	s, err := Open(dir, Options{CheckpointEvery: 1, CrashAfterRounds: 2, Metrics: reg})
+	s, err := Open(dir, Options{CrashAfterRounds: 2, Metrics: reg})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -577,33 +664,22 @@ func TestCrashFailpoint(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Reopen: the torn record is truncated, the half round survives as
-	// committed records, and the checkpoint still describes round 1.
-	s2, err := Open(dir, Options{CheckpointEvery: 1})
+	// Reopen: the half round and the torn record lie past the
+	// checkpoint, which commits round 1 alone, so Open cuts them.
+	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
 	defer s2.Close()
-	ck, ok := s2.LastCheckpoint()
-	if !ok {
-		t.Fatal("no checkpoint after crash")
-	}
-	if ck.Round != round0.UnixNano() || ck.Rounds != 1 || ck.Scans != 4 {
+	st := s2.Stats()
+	if ck := st.Checkpoint; !st.HasCheckpoint || ck.Round != round0.UnixNano() || ck.Rounds != 1 || ck.Scans != 4 {
 		t.Fatalf("checkpoint after crash = %+v, want round 1 only", ck)
 	}
-	if st := s2.Stats(); st.Records != 4+2 {
-		t.Fatalf("log holds %d records, want 4 committed + 2 from the half round", st.Records)
-	}
-	// The resume path: cut back to the checkpoint, leaving exactly the
-	// fully persisted rounds.
-	if err := s2.TruncateAfter(ck.Round); err != nil {
-		t.Fatalf("TruncateAfter: %v", err)
+	if st.Rounds != 1 || st.Records != 4 {
+		t.Fatalf("reopened stats = %+v, want round 1's 1 round and 4 records", st)
 	}
 	if got := collectStream(t, s2); !reflect.DeepEqual(got, round1) {
-		t.Fatalf("post-resume stream has %d obs, want round 1's %d", len(got), len(round1))
-	}
-	if st := s2.Stats(); st.Rounds != 1 || st.Records != 4 {
-		t.Fatalf("post-resume stats = %+v", st)
+		t.Fatalf("reopened stream has %d obs, want round 1's %d", len(got), len(round1))
 	}
 }
 
@@ -655,7 +731,7 @@ func TestReaderErrStop(t *testing.T) {
 
 func TestStoreMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s, err := Open(t.TempDir(), Options{SegmentSize: 512, NoSync: true, CheckpointEvery: 1, Metrics: reg})
+	s, err := Open(t.TempDir(), Options{SegmentSize: 512, NoSync: true, Metrics: reg})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

@@ -4,11 +4,14 @@
 #
 #   1. uninterrupted, persisting into $WORK/full
 #   2. with the store's crash failpoint armed, so the process dies
-#      mid-append after N rounds (expected exit code 3)
+#      mid-append in round N (expected exit code 3)
 #   3. resumed over the crashed store with -resume
 #
-# and then asserts the resumed run rendered byte-identical figures to the
-# uninterrupted one. Wall-clock-dependent lines (the "[...]" timing lines
+# Between 2 and 3 it checks that `storedump` of (a copy of) the crashed
+# store counts only what its checkpoint commits: the same records and
+# rounds as the checkpoint line, and 0 and 0 under `checkpoint: none` (a
+# crash in round 1). It then asserts the resumed run rendered
+# byte-identical figures to the uninterrupted one. Wall-clock-dependent lines (the "[...]" timing lines
 # and the engine stats line with real scan latencies) are filtered before
 # diffing; everything derived from observations must match exactly. The
 # resumed store must also hold byte-identical observation segments, and
@@ -33,7 +36,7 @@ filter() {
 echo "crash-recovery: uninterrupted run"
 "$WORK/repro" $ARGS -store "$WORK/full" > "$WORK/full.out"
 
-echo "crash-recovery: crashing run (failpoint after $CRASH_AFTER rounds)"
+echo "crash-recovery: crashing run (failpoint in round $CRASH_AFTER)"
 set +e
 "$WORK/repro" $ARGS -store "$WORK/crashed" -crash-after-rounds "$CRASH_AFTER" \
     > "$WORK/crash.out" 2> "$WORK/crash.err"
@@ -45,6 +48,26 @@ if [ "$status" -ne 3 ]; then
     exit 1
 fi
 
+$GO build -o "$WORK/storedump" ./cmd/storedump
+# storedump opens a copy: Open cuts the log back to its checkpoint, and
+# the resume below must start from the store exactly as the crash left it.
+cp -R "$WORK/crashed" "$WORK/inspect"
+for store in "$WORK/inspect"/*/; do
+    name=$(basename "$store")
+    echo "crash-recovery: checking $name's summary after the crash"
+    "$WORK/storedump" "$store" > "$WORK/summary.out"
+    counts=$(sed -n 's/^store: \([0-9]*\) record(s) across \([0-9]*\) round(s).*/\1 \2/p' "$WORK/summary.out")
+    committed=$(sed -n 's/^checkpoint: seq [0-9]* at round [^ ]* (\([0-9]*\) round(s), \([0-9]*\) scan(s).*/\2 \1/p' "$WORK/summary.out")
+    if grep -q '^checkpoint: none$' "$WORK/summary.out"; then
+        committed="0 0"
+    fi
+    if [ -z "$counts" ] || [ "$counts" != "$committed" ]; then
+        echo "crash-recovery: FAIL — $name summary counts '$counts' (records rounds), its checkpoint commits '$committed'" >&2
+        cat "$WORK/summary.out" >&2
+        exit 1
+    fi
+done
+
 echo "crash-recovery: resuming"
 "$WORK/repro" $ARGS -store "$WORK/crashed" -resume > "$WORK/resumed.out"
 
@@ -55,7 +78,6 @@ if ! diff -u "$WORK/full.flt" "$WORK/resumed.flt"; then
     exit 1
 fi
 
-$GO build -o "$WORK/storedump" ./cmd/storedump
 keys() {
     "$WORK/storedump" -keys "$1" | grep '^  [0-9]'
 }
