@@ -664,7 +664,7 @@ func BenchmarkCRLCreateAndParse(b *testing.B) {
 }
 
 // BenchmarkHardFailImpact replays two days of the campaign through the §8
-// what-if analysis (hard-failing clients vs server stapling models).
+// what-if analysis (hard-failing clients vs server stapling policies).
 func BenchmarkHardFailImpact(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -676,16 +676,16 @@ func BenchmarkHardFailImpact(b *testing.B) {
 		hf := impact.NewHardFail()
 		benchCampaign(b, w, w.Targets, 48, hf)
 		results := hf.Results()
-		if len(results) != 3 {
-			b.Fatal("model results missing")
+		if len(results) != 4 {
+			b.Fatal("policy results missing")
 		}
 		// Invariant: the correct policy never loses to no-cache.
 		var nocache, correct float64
 		for _, r := range results {
 			switch r.Model {
-			case impact.ModelNoCache:
+			case webserver.NoCachePolicy().Name:
 				nocache = r.BrokenFraction
-			case impact.ModelCorrect:
+			case webserver.CorrectPolicy().Name:
 				correct = r.BrokenFraction
 			}
 		}

@@ -5,14 +5,17 @@
 //
 // It generates a CA + Must-Staple certificate, runs the CA's OCSP
 // responder on one port, and serves HTTPS with live stapling on another.
-// Midway it simulates a responder outage and shows the staple surviving.
+// The demo then takes the responder down and lets 90 minutes of simulated
+// time pass, so the engine's hourly refresh fails and the retained staple
+// is what the second client gets.
 //
 // Run it with:
 //
 //	go run ./examples/stapling-server
 //
-// and in another terminal:
+// or serve on the wall clock until interrupted:
 //
+//	go run ./examples/stapling-server -demo=false
 //	curl -vk https://localhost:8443/   # look for "OCSP response: ..." in the TLS details
 package main
 
@@ -40,37 +43,48 @@ func main() {
 	demo := flag.Bool("demo", true, "run the self-driving demo (handshake + simulated outage) and exit")
 	flag.Parse()
 
+	// The demo's responder, engine and client share one simulated clock,
+	// so that it can skip past the engine's hourly refresh.
+	sim := clock.NewSimulated(time.Now())
+	var clk clock.Clock = sim
+	if !*demo {
+		clk = clock.Real{}
+	}
+
+	ocspLn, err := net.Listen("tcp", *ocspAddr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ocspURL := "http://" + ocspLn.Addr().String()
+
 	// The CA and its Must-Staple certificate.
 	ca, err := pki.NewRootCA(pki.Config{
 		Name:      "Stapling Example CA",
-		OCSPURL:   "http://" + *ocspAddr,
-		NotBefore: time.Now().Add(-time.Hour),
+		OCSPURL:   ocspURL,
+		NotBefore: clk.Now().Add(-time.Hour),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	leaf, err := ca.IssueLeaf(pki.LeafOptions{
 		DNSNames:   []string{"localhost"},
-		NotBefore:  time.Now().Add(-time.Hour),
-		NotAfter:   time.Now().AddDate(0, 3, 0),
+		NotBefore:  clk.Now().Add(-time.Hour),
+		NotAfter:   clk.Now().AddDate(0, 3, 0),
 		MustStaple: true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// The CA's responder on its own listener.
+	// The CA's responder on its own listener, signing responses that
+	// outlive the engine's one-hour refresh.
 	db := responder.NewDB()
 	db.AddIssued(leaf.Certificate.SerialNumber, leaf.Certificate.NotAfter)
-	ocspResponder := responder.New("localhost", ca, db, clock.Real{}, responder.Profile{
-		Validity:         time.Hour,
+	ocspResponder := responder.New("localhost", ca, db, clk, responder.Profile{
+		Validity:         4 * time.Hour,
 		ThisUpdateOffset: time.Minute,
 	})
-	go func() {
-		if err := http.ListenAndServe(*ocspAddr, ocspserver.NewHandler(ocspResponder)); err != nil {
-			log.Fatalf("ocsp listener: %v", err)
-		}
-	}()
+	go http.Serve(ocspLn, ocspserver.NewHandler(ocspResponder))
 
 	// The correct stapling engine, with an outage switch between the
 	// engine and the responder.
@@ -84,10 +98,8 @@ func main() {
 			return nil, errors.New("simulated responder outage")
 		}
 		return fetch()
-	}, clock.Real{})
+	}, clk)
 
-	// Wait for the responder to come up, then prefetch.
-	waitReady("http://" + *ocspAddr)
 	if err := engine.Start(); err != nil {
 		log.Fatalf("prefetch: %v", err)
 	}
@@ -107,7 +119,7 @@ func main() {
 	})
 	server := &http.Server{Handler: mux, TLSConfig: tlsCfg}
 	go server.ServeTLS(ln, "", "")
-	fmt.Printf("HTTPS with stapling on https://%s/ (OCSP responder on http://%s)\n", *httpsAddr, *ocspAddr)
+	fmt.Printf("HTTPS with stapling on https://%s/ (OCSP responder on %s)\n", ln.Addr(), ocspURL)
 
 	if !*demo {
 		select {}
@@ -116,7 +128,7 @@ func main() {
 	// Self-driving demo: connect like a Must-Staple-respecting browser,
 	// then break the responder and connect again.
 	connectOnce := func(label string) {
-		conn, err := net.Dial("tcp", *httpsAddr)
+		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -124,6 +136,7 @@ func main() {
 		client := &browser.Client{
 			Behavior: browser.Behavior{Name: "Firefox 60", OS: "Linux", RequestsStaple: true, RespectsMustStaple: true},
 			Root:     ca.Certificate,
+			Now:      clk.Now,
 		}
 		res, err := client.Connect(conn, "localhost")
 		if err != nil {
@@ -134,17 +147,7 @@ func main() {
 
 	connectOnce("client #1 (responder healthy)")
 	outage.Store(true)
-	fmt.Println("-- simulating OCSP responder outage --")
+	sim.Advance(90 * time.Minute)
+	fmt.Println("-- simulating OCSP responder outage; 90 minutes pass --")
 	connectOnce("client #2 (responder down, staple retained from cache)")
-}
-
-func waitReady(url string) {
-	for i := 0; i < 50; i++ {
-		if resp, err := http.Get(url); err == nil {
-			resp.Body.Close()
-			return
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	log.Fatal("ocsp responder did not come up")
 }

@@ -3,19 +3,20 @@ package census
 import (
 	"context"
 	"sync"
-	"time"
 
 	"github.com/netmeasure/muststaple/internal/clock"
 	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/scanner"
+	"github.com/netmeasure/muststaple/internal/webserver"
 )
 
 // CDNCache models the CDN perspective of §5.2: a CDN (the paper used
 // Akamai logs) fronts OCSP responders with a response cache, so only a
 // small fraction of TLS connections trigger upstream OCSP fetches, those
 // fetches touch a small set of responders (~20), and — because fetches
-// happen only when a cached response expires, with retry headroom inside
-// the old response's validity — the upstream success rate is ~100%.
+// happen only when a cached response reaches half its validity, with
+// retry headroom inside the old response's validity — the upstream
+// success rate is ~100%. The cache runs webserver.CDNPolicy's transition.
 type CDNCache struct {
 	// Client performs the upstream OCSP fetches.
 	Client *scanner.Client
@@ -23,18 +24,14 @@ type CDNCache struct {
 	Clock clock.Clock
 	// Vantage is the CDN's network location.
 	Vantage netsim.Vantage
-	// TTL is how long a fetched response is reused; 0 derives it from
-	// the response's own validity with a safety margin.
-	TTL time.Duration
 
 	mu    sync.Mutex
-	cache map[string]cdnEntry
+	held  map[string]webserver.Held
 	stats CDNStats
 }
 
-type cdnEntry struct {
-	expires time.Time
-}
+// cdnPolicy is the CDN cache's stapling policy.
+var cdnPolicy = webserver.CDNPolicy()
 
 // CDNStats summarizes cache behavior.
 type CDNStats struct {
@@ -73,54 +70,41 @@ func NewCDNCache(client *scanner.Client, clk clock.Clock, vantage netsim.Vantage
 		Client:  client,
 		Clock:   clk,
 		Vantage: vantage,
-		cache:   make(map[string]cdnEntry),
+		held:    make(map[string]webserver.Held),
 		stats:   CDNStats{contacted: make(map[string]bool)},
 	}
 }
 
 // Lookup serves one TLS connection's OCSP need for the target, fetching
-// upstream only on cache miss. It returns true when a valid status was
-// available (from cache or upstream). ctx bounds the upstream fetch.
+// upstream only when the policy says the cached response is due. It
+// returns true when a valid status was available (from cache or
+// upstream). ctx bounds the upstream fetch.
 func (c *CDNCache) Lookup(ctx context.Context, tgt scanner.Target) bool {
 	now := c.Clock.Now()
 	key := tgt.Responder + "|" + tgt.Serial.String()
 
 	c.mu.Lock()
 	c.stats.Lookups++
-	if e, ok := c.cache[key]; ok && now.Before(e.expires) {
+	if h := c.held[key]; !cdnPolicy.Due(h, now) {
 		c.stats.Hits++
 		c.mu.Unlock()
-		return true
+		return cdnPolicy.Staple(h, now, nil)
 	}
 	c.mu.Unlock()
 
-	obs := c.Client.Scan(ctx, c.Vantage, now, tgt)
+	f := webserver.Observed(c.Client.Scan(ctx, c.Vantage, now, tgt))
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.UpstreamFetches++
 	c.stats.contacted[tgt.Responder] = true
 	c.stats.RespondersContacted = len(c.stats.contacted)
-	if !obs.Class.Usable() {
-		return false
+	if f.Usable {
+		c.stats.UpstreamSuccesses++
 	}
-	c.stats.UpstreamSuccesses++
-
-	ttl := c.TTL
-	if ttl == 0 {
-		if obs.HasNextUpdate {
-			// Refresh at half-life, like production stapling CDNs,
-			// so there is always a valid cached copy while
-			// retrying a flaky upstream.
-			ttl = obs.NextUpdate.Sub(now) / 2
-		} else {
-			ttl = time.Hour
-		}
-	}
-	if ttl > 0 {
-		c.cache[key] = cdnEntry{expires: now.Add(ttl)}
-	}
-	return true
+	h := c.held[key]
+	c.held[key], _ = cdnPolicy.Apply(h, f, now)
+	return cdnPolicy.Staple(h, now, &f)
 }
 
 // Stats snapshots the counters.

@@ -171,7 +171,10 @@ func TestHistorySeries(t *testing.T) {
 	}
 }
 
-func TestCDNCache(t *testing.T) {
+// newCDNFixture serves one leaf's status from a responder signing 24 h
+// responses on n, behind a CDN cache at Virginia.
+func newCDNFixture(t *testing.T) (*clock.Simulated, *netsim.Network, *CDNCache, scanner.Target) {
+	t.Helper()
 	t0 := time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC)
 	clk := clock.NewSimulated(t0)
 	ca, err := pki.NewRootCA(pki.Config{Name: "CDN CA", OCSPURL: "http://ocsp.cdn.test"})
@@ -188,13 +191,17 @@ func TestCDNCache(t *testing.T) {
 	n.RegisterHost("ocsp.cdn.test", "", ocspserver.NewHandler(responder.New("ocsp.cdn.test", ca, db, clk, responder.Profile{Validity: 24 * time.Hour})))
 
 	client := &scanner.Client{Transport: n}
-	cdn := NewCDNCache(client, clk, netsim.PaperVantages()[1])
 	tgt := scanner.Target{
 		ResponderURL: "http://ocsp.cdn.test",
 		Responder:    "ocsp.cdn.test",
 		Issuer:       ca.Certificate,
 		Serial:       leaf.Certificate.SerialNumber,
 	}
+	return clk, n, NewCDNCache(client, clk, netsim.PaperVantages()[1]), tgt
+}
+
+func TestCDNCache(t *testing.T) {
+	clk, _, cdn, tgt := newCDNFixture(t)
 
 	// 1000 TLS connections over an hour: one upstream fetch.
 	for i := 0; i < 1000; i++ {
@@ -225,6 +232,28 @@ func TestCDNCache(t *testing.T) {
 	cdn.Lookup(context.Background(), tgt)
 	if got := cdn.Stats().UpstreamFetches; got != 2 {
 		t.Errorf("after TTL expiry upstream fetches = %d, want 2", got)
+	}
+}
+
+// TestCDNCacheKeepsValidResponseWhileUpstreamFails: past half-life the
+// CDN refreshes, and while the upstream is down it keeps answering from
+// the response it holds until that response's nextUpdate.
+func TestCDNCacheKeepsValidResponseWhileUpstreamFails(t *testing.T) {
+	clk, n, cdn, tgt := newCDNFixture(t)
+	if !cdn.Lookup(context.Background(), tgt) {
+		t.Fatal("cold lookup failed")
+	}
+	n.AddRule(&netsim.Rule{Host: "ocsp.cdn.test", Kind: netsim.FailTCP, Windows: []netsim.Window{{From: clk.Now().Add(time.Hour), To: clk.Now().AddDate(1, 0, 0)}}})
+	clk.Advance(13 * time.Hour)
+	if !cdn.Lookup(context.Background(), tgt) {
+		t.Error("lookup past half-life with the upstream down = false, want the held response, still valid for ~10 h")
+	}
+	if st := cdn.Stats(); st.UpstreamFetches != 2 || st.UpstreamSuccesses != 1 {
+		t.Errorf("fetches = %d, successes = %d, want 2 and 1", st.UpstreamFetches, st.UpstreamSuccesses)
+	}
+	clk.Advance(12 * time.Hour)
+	if cdn.Lookup(context.Background(), tgt) {
+		t.Error("lookup past nextUpdate with the upstream down = true, want false")
 	}
 }
 

@@ -3,10 +3,13 @@ package crl_test
 import (
 	"bytes"
 	"crypto/x509"
+	"encoding/hex"
 	"math/big"
 	"math/rand"
 	"net/http"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -192,7 +195,7 @@ func FuzzParseCRL(f *testing.F) {
 	for _, der := range stdlibCRLs(f) {
 		f.Add(der)
 	}
-	for _, body := range malformedBodies {
+	for _, body := range malformedBodies(f) {
 		f.Add(body)
 	}
 	for _, q := range parseQuirks {
@@ -248,15 +251,28 @@ func stdlibCRLs(t testing.TB) [][]byte {
 	return out
 }
 
-// malformedBodies are the 200 bodies that Figure 5 counts as
-// unparseable, as the simulated world's responders serve them
-// (responder.malformedBody): empty, "0", a JavaScript page and truncated
-// DER.
-var malformedBodies = [][]byte{
-	{},
-	[]byte("0"),
-	[]byte("<html><script>window.location='/login';</script></html>"),
-	{0x30, 0x82, 0x01, 0xff, 0x0a, 0x01, 0x00, 0xa0},
+// malformedBodies reads the 200 bodies that Figure 5 counts as
+// unparseable from the list the responder package pins to what its
+// responders serve (responder.malformedBody): empty, "0", a JavaScript
+// page and truncated DER.
+func malformedBodies(tb testing.TB) [][]byte {
+	data, err := os.ReadFile("../responder/testdata/malformed-bodies.txt")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out [][]byte
+	for _, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line == "" || line[0] == '#' {
+			continue
+		}
+		_, hexBody, _ := strings.Cut(line, " ")
+		body, err := hex.DecodeString(hexBody)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, body)
+	}
+	return out
 }
 
 // Hand-built DER for the quirk seeds. tlv wraps the concatenated parts in

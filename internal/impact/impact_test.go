@@ -1,10 +1,12 @@
 package impact
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/scanner"
+	"github.com/netmeasure/muststaple/internal/webserver"
 )
 
 var t0 = time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -27,8 +29,16 @@ func obs(hour int, usable bool) scanner.Observation {
 	return o
 }
 
-func results(h *HardFail) map[ServerModel]Result {
-	out := map[ServerModel]Result{}
+// The replayed policies' names.
+var (
+	noCache = webserver.NoCachePolicy().Name
+	apache  = webserver.ApachePolicy().Name
+	nginx   = webserver.NginxPolicy().Name
+	correct = webserver.CorrectPolicy().Name
+)
+
+func results(h *HardFail) map[string]Result {
+	out := map[string]Result{}
 	for _, r := range h.Results() {
 		out[r.Model] = r
 	}
@@ -41,8 +51,14 @@ func TestAllHealthy(t *testing.T) {
 		h.Add(obs(i, true))
 	}
 	for m, r := range results(h) {
-		if r.BrokenFraction != 0 {
-			t.Errorf("%v: broken = %v, want 0", m, r.BrokenFraction)
+		want := 0.0
+		if m == nginx {
+			// Nginx sends its first client no staple while it
+			// fetches in the background.
+			want = 1.0 / 24
+		}
+		if math.Abs(r.BrokenFraction-want) > 1e-12 {
+			t.Errorf("%v: broken = %v, want %v", m, r.BrokenFraction, want)
 		}
 		if r.Handshakes != 24 {
 			t.Errorf("%v: handshakes = %d", m, r.Handshakes)
@@ -61,15 +77,15 @@ func TestTransientOutageWithinValidity(t *testing.T) {
 	}
 	h.Add(obs(4, true))
 	got := results(h)
-	if got[ModelCorrect].BrokenFraction != 0 {
-		t.Errorf("correct: broken = %v, want 0 (outage ≪ validity)", got[ModelCorrect].BrokenFraction)
+	if got[correct].BrokenFraction != 0 {
+		t.Errorf("correct: broken = %v, want 0 (outage ≪ validity)", got[correct].BrokenFraction)
 	}
 	want := 3.0 / 5.0
-	if got[ModelNoCache].BrokenFraction != want {
-		t.Errorf("no-cache: broken = %v, want %v", got[ModelNoCache].BrokenFraction, want)
+	if got[noCache].BrokenFraction != want {
+		t.Errorf("no-cache: broken = %v, want %v", got[noCache].BrokenFraction, want)
 	}
-	if got[ModelApache].BrokenFraction != want {
-		t.Errorf("apache: broken = %v, want %v (drop-on-error)", got[ModelApache].BrokenFraction, want)
+	if got[apache].BrokenFraction != want {
+		t.Errorf("apache: broken = %v, want %v (drop-on-error)", got[apache].BrokenFraction, want)
 	}
 }
 
@@ -82,7 +98,7 @@ func TestOutageOutlastingValidity(t *testing.T) {
 	for i := 1; i <= 9*24; i++ {
 		h.Add(obs(i, false))
 		if brokenHour < 0 {
-			if r := results(h)[ModelCorrect]; r.BrokenFraction > 0 {
+			if r := results(h)[correct]; r.BrokenFraction > 0 {
 				brokenHour = i
 			}
 		}
@@ -105,7 +121,7 @@ func TestBlankNextUpdateNeverExpires(t *testing.T) {
 	for i := 1; i < 100*24; i += 24 {
 		h.Add(obs(i, false))
 	}
-	if got := results(h)[ModelCorrect].BrokenFraction; got != 0 {
+	if got := results(h)[correct].BrokenFraction; got != 0 {
 		t.Errorf("blank nextUpdate staple should serve forever: broken = %v", got)
 	}
 }
@@ -130,18 +146,9 @@ func TestPerResponderIsolation(t *testing.T) {
 	bad.Responder = "ocsp.other.test"
 	h.Add(good)
 	h.Add(bad)
-	got := results(h)[ModelCorrect]
+	got := results(h)[correct]
 	if got.Handshakes != 2 || got.BrokenFraction != 0.5 {
 		t.Errorf("result = %+v, want 2 handshakes with 0.5 broken", got)
-	}
-}
-
-func TestModelStrings(t *testing.T) {
-	if ModelNoCache.String() != "no-cache" || ModelApache.String() != "apache-like" || ModelCorrect.String() != "correct" {
-		t.Error("model names wrong")
-	}
-	if len(Models()) != 3 {
-		t.Error("model list wrong")
 	}
 }
 

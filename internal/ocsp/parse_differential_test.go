@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"crypto"
 	"crypto/x509"
+	"encoding/hex"
 	"math/big"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,7 +90,7 @@ func FuzzParseResponse(f *testing.F) {
 	for _, der := range worldResponses(f) {
 		f.Add(der)
 	}
-	for _, body := range malformedBodies {
+	for _, body := range malformedBodies(f) {
 		f.Add(body)
 	}
 	for _, q := range parseQuirks {
@@ -103,7 +106,7 @@ func FuzzParseRequest(f *testing.F) {
 	for _, der := range worldRequests(f) {
 		f.Add(der)
 	}
-	for _, body := range malformedBodies {
+	for _, body := range malformedBodies(f) {
 		f.Add(body)
 	}
 	for _, q := range parseQuirks {
@@ -114,15 +117,28 @@ func FuzzParseRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, der []byte) { sameRequest(t, der) })
 }
 
-// malformedBodies are the 200 bodies that Figure 5 counts as
-// unparseable, as the simulated world's responders serve them
-// (responder.malformedBody): empty, "0", a JavaScript page and truncated
-// DER.
-var malformedBodies = [][]byte{
-	{},
-	[]byte("0"),
-	[]byte("<html><script>window.location='/login';</script></html>"),
-	{0x30, 0x82, 0x01, 0xff, 0x0a, 0x01, 0x00, 0xa0},
+// malformedBodies reads the 200 bodies that Figure 5 counts as
+// unparseable from the list the responder package pins to what its
+// responders serve (responder.malformedBody): empty, "0", a JavaScript
+// page and truncated DER.
+func malformedBodies(tb testing.TB) [][]byte {
+	data, err := os.ReadFile("../responder/testdata/malformed-bodies.txt")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out [][]byte
+	for _, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line == "" || line[0] == '#' {
+			continue
+		}
+		_, hexBody, _ := strings.Cut(line, " ")
+		body, err := hex.DecodeString(hexBody)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, body)
+	}
+	return out
 }
 
 // worldResponses returns every shape of response the simulated world

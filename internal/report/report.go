@@ -307,7 +307,7 @@ func CDNReport(w io.Writer, st census.CDNStats) {
 }
 
 // HardFail prints the §8 what-if analysis: handshake breakage under
-// hard-failing clients, per server stapling model.
+// hard-failing clients, per server stapling policy.
 func HardFail(w io.Writer, results []impact.Result) {
 	header(w, "Section 8 (extension): if every client hard-failed today")
 	fmt.Fprintf(w, "%-14s %12s %14s\n", "server model", "handshakes", "broken")

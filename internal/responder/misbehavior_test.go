@@ -2,8 +2,12 @@ package responder
 
 import (
 	"flag"
+	"fmt"
 	"io"
+	"os"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -106,5 +110,27 @@ func TestApplyLayersOverBase(t *testing.T) {
 	}
 	if p.Validity != 24*time.Hour {
 		t.Error("unrelated fields must survive Apply")
+	}
+}
+
+// TestMalformedBodiesFile pins testdata/malformed-bodies.txt, from which
+// the OCSP and CRL parsers' fuzz targets take their Figure 5 seeds, to the
+// bodies malformed responders serve: one line per MalformedKind.
+func TestMalformedBodiesFile(t *testing.T) {
+	data, err := os.ReadFile("testdata/malformed-bodies.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line != "" && line[0] != '#' {
+			got = append(got, line)
+		}
+	}
+	for k := MalformedEmpty; malformedBody(k) != nil; k++ {
+		want = append(want, strings.TrimSpace(fmt.Sprintf("%d %x", k, malformedBody(k))))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("testdata/malformed-bodies.txt lists\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

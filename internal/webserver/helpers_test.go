@@ -13,9 +13,14 @@ import (
 // responderForLeaf builds a live responder for the fixture's leaf.
 func responderForLeaf(t *testing.T, fx *engineFixture) *responder.Responder {
 	t.Helper()
+	return responder.New("ocsp.http.test", fx.leaf.Issuer, responderDB(fx.leaf), fx.clk, responder.Profile{})
+}
+
+// responderDB is a status database that knows only leaf, as good.
+func responderDB(leaf *pki.Leaf) *responder.DB {
 	db := responder.NewDB()
-	db.AddIssued(fx.leaf.Certificate.SerialNumber, fx.leaf.Certificate.NotAfter)
-	return responder.New("ocsp.http.test", fx.leaf.Issuer, db, fx.clk, responder.Profile{})
+	db.AddIssued(leaf.Certificate.SerialNumber, leaf.Certificate.NotAfter)
+	return db
 }
 
 // httpFetcherFor serves resp over a real HTTP listener and returns a

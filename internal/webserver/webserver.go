@@ -1,26 +1,33 @@
-// Package webserver models how web server software implements OCSP
-// Stapling, reproducing the behavioral differences the paper measures in
-// §7.2 (Table 3) between Apache 2.4.18 and Nginx 1.13.12, plus the
-// "correct" policy the paper recommends in §8 (prefetch on startup,
-// respect nextUpdate, retain the last valid response across upstream
-// errors).
+// Package webserver decides what a stapling server holds and what it
+// staples, for every server model the reproduction measures: Apache
+// 2.4.18 and Nginx 1.13.12 as §7.2 (Table 3) found them, the "correct"
+// policy §8 recommends (prefetch on startup, refresh hourly, respect
+// nextUpdate, retain the last valid response across upstream errors), a
+// cacheless server, the §5.2 CDN's OCSP cache, and a serve-stale CDN
+// tier.
 //
-// The engine serves real TLS: its *tls.Config staples the engine's current
-// response into the handshake via GetCertificate, so the browser models in
+// Each model is a Policy row, and one pure transition serves them all:
+// Due says whether a handshake fetches, Apply folds a fetch into the Held
+// state, and Staple says whether the handshake staples. Engine runs the
+// transition behind real TLS: its *tls.Config staples the held response
+// into the handshake via GetCertificate, so the browser models in
 // internal/browser and the Table 3 experiments observe exactly what a real
-// client would.
+// client would. The §8 hard-fail replay (internal/impact) and the CDN
+// model (internal/census) drive the same transition from scan
+// observations.
 package webserver
 
 import (
 	"crypto/tls"
 	"errors"
-	"fmt"
+	"math"
 	"sync"
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/clock"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/pki"
+	"github.com/netmeasure/muststaple/internal/scanner"
 )
 
 // Policy captures a server implementation's stapling behavior.
@@ -48,7 +55,9 @@ type Policy struct {
 	// refresh attempt fails (Nginx). When false the cache is dropped:
 	// the server then staples nothing (upstream unreachable) or staples
 	// the error response itself (upstream returned an OCSP error) —
-	// both Apache behaviors.
+	// both Apache behaviors. A retaining server also never replaces a
+	// response its clients accept with a fresh one they would reject
+	// now or that expires sooner.
 	RetainOnError bool
 
 	// CacheLifetime is how long a fetched response is served before a
@@ -56,10 +65,27 @@ type Policy struct {
 	// response-age cache, default 1 hour).
 	CacheLifetime time.Duration
 
+	// RefreshAtHalfLife refreshes once half the validity the response
+	// had left when fetched has passed, or hourly for a blank nextUpdate
+	// (the §5.2 CDN).
+	RefreshAtHalfLife bool
+
 	// MinRefreshInterval rate-limits refreshes (Nginx refreshes at most
 	// once every 5 minutes, so short-validity responses can be served
 	// expired — §7.2 footnote 28).
 	MinRefreshInterval time.Duration
+}
+
+// NoCachePolicy is a server without a stapling cache: it staples only
+// what a fetch at the handshake's own instant returned, the worst case of
+// §8. Handshakes at one instant share that fetch; every handshake at a
+// later instant fetches.
+func NoCachePolicy() Policy {
+	return Policy{
+		Name:                 "no-cache",
+		PauseFirstConnection: true,
+		CacheLifetime:        time.Nanosecond,
+	}
 }
 
 // ApachePolicy models Apache 2.4.18 mod_ssl.
@@ -86,8 +112,8 @@ func NginxPolicy() Policy {
 	}
 }
 
-// CorrectPolicy is the §8 recommendation: prefetch, respect expiry, retain
-// the last good response while retrying errors.
+// CorrectPolicy is the §8 recommendation: prefetch, refresh hourly,
+// respect expiry, retain the last good response while retrying errors.
 func CorrectPolicy() Policy {
 	return Policy{
 		Name:                 "correct",
@@ -95,6 +121,7 @@ func CorrectPolicy() Policy {
 		PauseFirstConnection: true, // never triggers: prefetch fills the cache
 		RespectNextUpdate:    true,
 		RetainOnError:        true,
+		CacheLifetime:        time.Hour,
 	}
 }
 
@@ -117,22 +144,164 @@ func StaleServingCDNPolicy() Policy {
 	}
 }
 
+// CDNPolicy models the §5.2 CDN's OCSP cache: fetch on a cold cache,
+// refresh at half-life so that a valid copy is always held while a flaky
+// upstream is retried, and retain the response until its nextUpdate.
+func CDNPolicy() Policy {
+	return Policy{
+		Name:                 "cdn-half-life",
+		PauseFirstConnection: true,
+		RespectNextUpdate:    true,
+		RetainOnError:        true,
+		RefreshAtHalfLife:    true,
+	}
+}
+
+// Held is what a server holds for one certificate. The zero Held is a
+// cold cache. Instants are Unix nanoseconds, 0 for the zero time.Time (a
+// blank nextUpdate, or no attempt yet), which keeps the §8 replay's four
+// states per (responder, vantage) pair at 40 bytes each.
+type Held struct {
+	thisUpdate, nextUpdate int64 // the held response's validity window
+	fetchedAt              int64 // when the held state was last refreshed
+	lastAttempt            int64 // the most recent fetch, for MinRefreshInterval
+	has                    bool  // a response is held
+	isError                bool  // the held response is an OCSP error response
+	failing                bool  // the most recent fetch failed
+}
+
+// Fetched is what one upstream fetch yields.
+type Fetched struct {
+	// Failed means no OCSP bytes at all: the responder was unreachable
+	// or answered with an HTTP error.
+	Failed bool
+	// Usable means a successful OCSP response carrying a single
+	// response, whose window ThisUpdate and NextUpdate give (NextUpdate
+	// zero if blank).
+	Usable                 bool
+	ThisUpdate, NextUpdate time.Time
+}
+
+// Observed is the fetch a scan observation stands for: the §8 replay and
+// the §5.2 CDN fetch through the scanner rather than through a Fetcher.
+func Observed(o scanner.Observation) Fetched {
+	f := Fetched{Failed: !o.Class.HTTPSuccessful(), Usable: o.Class.Usable(), ThisUpdate: o.ThisUpdate}
+	if o.HasNextUpdate {
+		f.NextUpdate = o.NextUpdate
+	}
+	return f
+}
+
+var minInstant, maxInstant = time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+
+// unixNano is t in Unix nanoseconds, 0 for the zero Time; instants outside
+// int64's range (before 1678 or after 2262) saturate.
+func unixNano(t time.Time) int64 {
+	switch {
+	case t.IsZero():
+		return 0
+	case t.Before(minInstant):
+		return math.MinInt64
+	case t.After(maxInstant):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
+}
+
+// Accepted reports whether a hard-failing client accepts the held
+// response at now: a successful response inside its validity window.
+func (h Held) Accepted(now time.Time) bool { return h.acceptedAt(unixNano(now)) }
+
+func (h Held) acceptedAt(t int64) bool {
+	return h.has && !h.isError && t >= h.thisUpdate && !h.expiredAt(t)
+}
+
+func (h Held) expiredAt(t int64) bool { return h.nextUpdate != 0 && t > h.nextUpdate }
+
+// expiresBefore reports whether h expires strictly before o; a blank
+// nextUpdate never expires.
+func (h Held) expiresBefore(o Held) bool {
+	return h.nextUpdate != 0 && (o.nextUpdate == 0 || h.nextUpdate < o.nextUpdate)
+}
+
+// halfLife is how long after fetchedAt a RefreshAtHalfLife server
+// refreshes. Halving each term first cannot overflow.
+func (h Held) halfLife() int64 {
+	if h.nextUpdate == 0 {
+		return int64(time.Hour)
+	}
+	return h.nextUpdate/2 - h.fetchedAt/2
+}
+
+// Due reports whether a handshake at now fetches before it staples.
+func (p Policy) Due(h Held, now time.Time) bool {
+	t := unixNano(now)
+	switch {
+	case p.MinRefreshInterval > 0 && h.lastAttempt != 0 && t-h.lastAttempt < int64(p.MinRefreshInterval):
+		return false
+	case !h.has || h.isError:
+		return true
+	case p.RespectNextUpdate && h.expiredAt(t):
+		return true
+	case p.RefreshAtHalfLife && t-h.fetchedAt >= h.halfLife():
+		return true
+	}
+	return p.CacheLifetime > 0 && t-h.fetchedAt >= int64(p.CacheLifetime)
+}
+
+// Apply folds a fetch made at now into h. kept reports whether the
+// fetched response replaced the held one, so that a caller holding the
+// response bytes swaps them.
+func (p Policy) Apply(h Held, f Fetched, now time.Time) (next Held, kept bool) {
+	t := unixNano(now)
+	switch {
+	case f.Usable:
+		fresh := Held{thisUpdate: unixNano(f.ThisUpdate), nextUpdate: unixNano(f.NextUpdate), fetchedAt: t, lastAttempt: t, has: true}
+		if p.RetainOnError && h.acceptedAt(t) && (!fresh.acceptedAt(t) || fresh.expiresBefore(h)) {
+			// Keep the staple clients accept; the refresh itself
+			// succeeded.
+			h.fetchedAt, h.lastAttempt, h.failing = t, t, false
+			return h, false
+		}
+		return fresh, true
+	case p.RetainOnError:
+		h.lastAttempt, h.failing = t, true
+		return h, false
+	case f.Failed:
+		// Apache: drop the old response entirely.
+		return Held{lastAttempt: t, failing: true}, false
+	}
+	// Apache: cache and staple the error response itself.
+	return Held{fetchedAt: t, lastAttempt: t, has: true, isError: true}, true
+}
+
+// Staple reports whether a handshake at now staples the response held
+// after it. h is the state the handshake found; f is what its own fetch
+// yielded, nil when Due said no.
+func (p Policy) Staple(h Held, now time.Time, f *Fetched) bool {
+	switch {
+	case f == nil:
+		// Served from the cache. A server that respects nextUpdate
+		// gets here with an expired response only while its refresh
+		// is rate-limited.
+		return h.has
+	case !h.has && !p.PauseFirstConnection:
+		// Nginx: the fetch completes after this handshake.
+		return false
+	case f.Usable:
+		return true
+	case !p.RetainOnError:
+		// Apache staples an error response, and nothing when the
+		// responder is unreachable.
+		return !f.Failed
+	}
+	return h.has && !(p.RespectNextUpdate && h.expiredAt(unixNano(now)))
+}
+
 // Fetcher obtains a fresh OCSP response DER for the server's certificate.
 // Implementations fetch over HTTP from the CA's responder; tests inject
 // failures.
 type Fetcher func() ([]byte, error)
-
-// staple is one cached OCSP response.
-type staple struct {
-	der        []byte
-	nextUpdate time.Time // zero if blank
-	fetchedAt  time.Time
-	isError    bool // an OCSP error response (tryLater etc.)
-}
-
-func (s *staple) expired(now time.Time) bool {
-	return !s.nextUpdate.IsZero() && now.After(s.nextUpdate)
-}
 
 // Engine is a stapling web server instance.
 type Engine struct {
@@ -147,12 +316,11 @@ type Engine struct {
 	// report-uri.
 	ExpectStaple *ExpectStaple
 
-	mu             sync.Mutex
-	cached         *staple
-	lastAttempt    time.Time
-	fetchCount     int
-	lastRefreshErr error
-	asyncWG        sync.WaitGroup
+	mu         sync.Mutex
+	held       Held
+	der        []byte // the held response's bytes
+	fetchCount int
+	asyncWG    sync.WaitGroup
 }
 
 // NewEngine builds an engine; Start must be called before serving.
@@ -170,7 +338,11 @@ func (e *Engine) Start() error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.refreshLocked()
+	f, err := e.refreshLocked(e.Clock.Now())
+	if err == nil && !f.Usable {
+		err = errors.New("webserver: upstream returned unusable response")
+	}
+	return err
 }
 
 // FetchCount reports how many upstream fetches the engine has made — the
@@ -184,38 +356,22 @@ func (e *Engine) FetchCount() int {
 // WaitIdle blocks until background fetches complete (test determinism).
 func (e *Engine) WaitIdle() { e.asyncWG.Wait() }
 
-// refreshLocked fetches a fresh response and applies the policy's error
-// handling. Callers hold e.mu.
-func (e *Engine) refreshLocked() error {
+// refreshLocked fetches once, parses what came back and applies the
+// policy to it. Callers hold e.mu.
+func (e *Engine) refreshLocked(now time.Time) (Fetched, error) {
 	e.fetchCount++
-	e.lastAttempt = e.Clock.Now()
 	der, err := e.Fetch()
-	if err != nil {
-		e.lastRefreshErr = err
-		if !e.Policy.RetainOnError {
-			// Apache: drop the old response entirely.
-			e.cached = nil
+	f := Fetched{Failed: err != nil}
+	if err == nil {
+		if resp, perr := ocsp.ParseResponse(der); perr == nil && resp.Status == ocsp.StatusSuccessful && len(resp.Responses) > 0 {
+			f.Usable, f.ThisUpdate, f.NextUpdate = true, resp.Responses[0].ThisUpdate, resp.Responses[0].NextUpdate
 		}
-		return err
 	}
-	parsed, perr := ocsp.ParseResponse(der)
-	if perr != nil || parsed.Status != ocsp.StatusSuccessful || len(parsed.Responses) == 0 {
-		if e.Policy.RetainOnError {
-			e.lastRefreshErr = fmt.Errorf("webserver: upstream returned unusable response")
-			return e.lastRefreshErr
-		}
-		// Apache: cache and staple the error response itself.
-		e.cached = &staple{der: der, fetchedAt: e.Clock.Now(), isError: true}
-		e.lastRefreshErr = nil
-		return nil
+	var kept bool
+	if e.held, kept = e.Policy.Apply(e.held, f, now); kept {
+		e.der = der
 	}
-	e.cached = &staple{
-		der:        der,
-		nextUpdate: parsed.Responses[0].NextUpdate,
-		fetchedAt:  e.Clock.Now(),
-	}
-	e.lastRefreshErr = nil
-	return nil
+	return f, err
 }
 
 // RefreshFailing reports whether the engine's most recent upstream fetch
@@ -226,90 +382,42 @@ func (e *Engine) refreshLocked() error {
 func (e *Engine) RefreshFailing() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.lastRefreshErr != nil
-}
-
-// refreshDueLocked decides whether the policy wants a refresh now.
-func (e *Engine) refreshDueLocked(now time.Time) bool {
-	if e.cached == nil {
-		return true
-	}
-	if e.Policy.MinRefreshInterval > 0 && now.Sub(e.lastAttempt) < e.Policy.MinRefreshInterval {
-		return false
-	}
-	if e.Policy.RespectNextUpdate && e.cached.expired(now) {
-		return true
-	}
-	if e.Policy.CacheLifetime > 0 && now.Sub(e.cached.fetchedAt) >= e.Policy.CacheLifetime {
-		return true
-	}
-	if e.cached.isError {
-		return true
-	}
-	return false
+	return e.held.failing
 }
 
 // StapleForHandshake returns the bytes to staple into a TLS handshake
-// starting now, applying the full policy state machine. A nil return
-// staples nothing.
+// starting now, as the policy's transition decides. A nil return staples
+// nothing.
 func (e *Engine) StapleForHandshake() []byte {
 	now := e.Clock.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	if e.cached == nil {
-		if e.Policy.PauseFirstConnection {
-			// Apache: the first client's handshake blocks on the
-			// fetch.
-			if err := e.refreshLocked(); err != nil {
-				return nil
-			}
-			return e.cached.der
-		}
-		// Nginx: no staple for the first client; fetch in the
-		// background for the next one.
-		if e.rateLimitedLocked(now) {
-			return nil
-		}
-		e.lastAttempt = now
+	h := e.held
+	var fetched *Fetched
+	switch {
+	case !e.Policy.Due(h, now):
+	case !h.has && !e.Policy.PauseFirstConnection:
+		// Nginx: no staple for this client; fetch in the background
+		// for the next one. The launch counts as the attempt, so the
+		// rate limit holds while the fetch runs.
+		e.held.lastAttempt = unixNano(now)
 		e.asyncWG.Add(1)
 		go func() {
 			defer e.asyncWG.Done()
 			e.mu.Lock()
 			defer e.mu.Unlock()
-			e.refreshLocked()
+			e.refreshLocked(e.Clock.Now())
 		}()
 		return nil
+	default:
+		f, _ := e.refreshLocked(now) // f and the held state carry a failure
+		fetched = &f
 	}
-
-	if e.refreshDueLocked(now) {
-		stale := e.cached
-		if err := e.refreshLocked(); err != nil {
-			if e.Policy.RetainOnError {
-				// Nginx: keep the old one until it expires —
-				// but do respect nextUpdate.
-				if e.Policy.RespectNextUpdate && stale.expired(now) {
-					return nil
-				}
-				return stale.der
-			}
-			// Apache dropped the cache in refreshLocked.
-			return nil
-		}
-		return e.cached.der
-	}
-
-	// Serve from cache. Apache serves even expired entries
-	// (RespectNextUpdate == false); Nginx can serve an expired entry
-	// only while rate-limited (validity < MinRefreshInterval).
-	if e.cached.expired(now) && e.Policy.RespectNextUpdate && !e.rateLimitedLocked(now) {
+	if !e.Policy.Staple(h, now, fetched) {
 		return nil
 	}
-	return e.cached.der
-}
-
-func (e *Engine) rateLimitedLocked(now time.Time) bool {
-	return e.Policy.MinRefreshInterval > 0 && !e.lastAttempt.IsZero() && now.Sub(e.lastAttempt) < e.Policy.MinRefreshInterval
+	return e.der
 }
 
 // TLSConfig returns a server TLS configuration that staples according to

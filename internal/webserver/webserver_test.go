@@ -1,6 +1,7 @@
 package webserver
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -91,9 +92,7 @@ func newEngineFixture(t *testing.T, policy Policy, validity time.Duration) *engi
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := responder.NewDB()
-	db.AddIssued(leaf.Certificate.SerialNumber, leaf.Certificate.NotAfter)
-	resp := responder.New("ocsp.engine.test", ca, db, clk, responder.Profile{Validity: validity, ThisUpdateOffset: time.Second})
+	resp := responder.New("ocsp.engine.test", ca, responderDB(leaf), clk, responder.Profile{Validity: validity, ThisUpdateOffset: time.Second})
 	inner, err := ResponderFetcher(resp, leaf)
 	if err != nil {
 		t.Fatal(err)
@@ -160,6 +159,52 @@ func TestNginxRateLimitServesExpired(t *testing.T) {
 	staple = fx.eng.StapleForHandshake()
 	if staple == nil || stapleIsExpired(staple, fx.clk.Now()) {
 		t.Error("after the rate limit, nginx should staple a fresh response")
+	}
+}
+
+// TestCorrectPolicyRefetchesHourly: the §8 policy refreshes once its
+// hour has passed, as Apache's cache does, instead of waiting for expiry.
+func TestCorrectPolicyRefetchesHourly(t *testing.T) {
+	fx := newEngineFixture(t, CorrectPolicy(), 4*time.Hour)
+	if err := fx.eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	fx.clk.Advance(59 * time.Minute)
+	fx.eng.StapleForHandshake()
+	if got := fx.eng.FetchCount(); got != 1 {
+		t.Fatalf("fetches within the hour = %d, want 1", got)
+	}
+	fx.clk.Advance(time.Minute)
+	if fx.eng.StapleForHandshake() == nil {
+		t.Fatal("no staple after the hourly refresh")
+	}
+	if got := fx.eng.FetchCount(); got != 2 {
+		t.Errorf("fetches after the hour = %d, want 2", got)
+	}
+}
+
+// TestRetainingEngineKeepsAcceptedStaple: a retaining server whose hourly
+// refresh returns a response that is not yet valid keeps stapling the one
+// its clients accept.
+func TestRetainingEngineKeepsAcceptedStaple(t *testing.T) {
+	fx := newEngineFixture(t, StaleServingCDNPolicy(), 24*time.Hour)
+	early := responder.New("ocsp.engine.test", fx.leaf.Issuer, responderDB(fx.leaf), fx.clk, responder.Profile{Validity: 24 * time.Hour, ThisUpdateOffset: -30 * time.Minute})
+	future, err := ResponderFetcher(early, fx.leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	first := fx.eng.StapleForHandshake()
+	fx.eng.Fetch = future
+	fx.clk.Advance(90 * time.Minute)
+	got := fx.eng.StapleForHandshake()
+	if n := fx.eng.FetchCount(); n != 2 {
+		t.Fatalf("fetches = %d, want the hourly refresh to make 2", n)
+	}
+	if stapleIsExpired(got, fx.clk.Now()) || !bytes.Equal(got, first) {
+		t.Error("the refresh replaced the accepted staple with one clients reject now")
 	}
 }
 
