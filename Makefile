@@ -48,12 +48,12 @@
 #                 the store's frame scan over every segment kind,
 #                 CreateResponse against its encoding/asn1 reference, and
 #                 ParseResponse and ParseRequest against theirs.
-#   racecheck   — focused race-detector pass over the concurrent hot-path
+#   racecheck   — focused race-detector pass over the concurrent
 #                 packages (serving tier, load generator, responder,
 #                 scanner, store, engine core, memo table, metrics
-#                 timers, the bounded parallel loop) under -short, so the
-#                 data-race gate on the paths the lint contracts annotate
-#                 runs in minutes, not the full-suite tier-2 budget.
+#                 timers, the bounded parallel loop, the stapling engine
+#                 and the browser harness) under -short, so the data-race
+#                 gate runs in minutes, not the full-suite tier-2 budget.
 #   crash-recovery — end-to-end durability check: runs a campaign, kills
 #                 a second run mid-round via the store failpoint (in
 #                 round 1, before any checkpoint, and in round 5),
@@ -64,12 +64,14 @@
 
 GO ?= go
 
-# The concurrent hot-path packages: every package that either serves the
-# request path, drives load at it, or feeds it. racecheck and the
-# //lint:allocfree contracts (DESIGN.md §15) cover the same surface.
+# The concurrent packages: every package that serves the request path,
+# drives load at it or feeds it, and the stapling engine and browser
+# harness, whose handshakes fetch through netsim and ocspserver from a
+# second goroutine.
 RACE_PKGS = ./internal/ocspserver ./internal/loadgen ./internal/responder \
 	./internal/scanner ./internal/store ./internal/core ./internal/expectstaple \
-	./internal/memo ./internal/metrics ./internal/par
+	./internal/memo ./internal/metrics ./internal/par ./internal/webserver \
+	./internal/browser
 
 .PHONY: all tier1 tier2 benchcheck loadcheck capacitycheck staplecheck memcheck racecheck fuzzcheck bench-guard bench crash-recovery vet fmt fmt-check lint
 

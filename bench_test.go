@@ -569,7 +569,9 @@ func BenchmarkAblationStaplePolicy(b *testing.B) {
 		b.Run(policy.Name, func(b *testing.B) {
 			f := newRespFixture(b, pki.ECDSAP256)
 			r := responder.New("ocsp.bench.test", f.ca, f.db, f.clk, responder.Profile{ThisUpdateOffset: time.Minute})
-			fetch, err := webserver.ResponderFetcher(r, f.leaf)
+			n := netsim.New()
+			n.RegisterHost("ocsp.bench.test", "", ocspserver.NewHandler(r))
+			fetch, err := webserver.NewFetcher(n, netsim.PaperVantages()[0], f.clk, f.leaf)
 			if err != nil {
 				b.Fatal(err)
 			}

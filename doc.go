@@ -9,8 +9,8 @@
 // The package tree:
 //
 //   - internal/ocsp, internal/crl, internal/pkixutil — the wire-format
-//     substrates, on the standard library only: the OCSP codec on
-//     pkixutil's DER writer and reader, the CRL codec on encoding/asn1.
+//     substrates, on the standard library only: the OCSP and CRL codecs
+//     on pkixutil's DER writer and reader.
 //   - internal/pki — synthetic root CAs and the leaves they issue (AIA,
 //     CRLDP, and the TLS-Feature Must-Staple extension).
 //   - internal/responder, internal/netsim, internal/clock — the simulated
@@ -25,7 +25,8 @@
 //   - internal/metrics — the lightweight counters/gauges/histograms
 //     behind Campaign.Stats().
 //   - internal/browser, internal/webserver — the client and server test
-//     suites (§6, §7).
+//     suites (§6, §7). Every stapling server and client fetch reaches its
+//     responder through webserver.NewFetcher over a scanner.Transport.
 //   - internal/world, internal/core, internal/report — the calibrated
 //     scenario, the experiment runners, and the table/figure renderers.
 //

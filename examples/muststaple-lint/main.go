@@ -8,9 +8,9 @@
 // quality warnings (blank nextUpdate, zero thisUpdate margin, oversized
 // validity, superfluous certificates).
 //
-// Without -connect, it lints three built-in demonstration servers (a
-// correct one, one that staples nothing, and one stapling an expired
-// response).
+// Without -connect, it lints four built-in demonstration servers (a
+// correct one, one that staples nothing, one stapling an expired response
+// and one stapling a low-quality response).
 //
 // Run it with:
 //
@@ -25,9 +25,10 @@ import (
 	"log"
 	"time"
 
-	"github.com/netmeasure/muststaple/internal/browser"
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/ocsp"
+	"github.com/netmeasure/muststaple/internal/ocspserver"
 	"github.com/netmeasure/muststaple/internal/pki"
 	"github.com/netmeasure/muststaple/internal/responder"
 	"github.com/netmeasure/muststaple/internal/webserver"
@@ -61,17 +62,18 @@ func lint(name string, leaf, issuer *x509.Certificate, staple []byte, now time.T
 	check("certificate carries OCSP Must-Staple (TLS-Feature status_request)", mustStaple)
 	check("certificate advertises an OCSP responder (AIA)", pki.SupportsOCSP(leaf))
 
-	verdict := browser.EvaluateStaple(staple, leaf, issuer, now)
-	check("server stapled an OCSP response", verdict != browser.StapleMissing)
-	if verdict == browser.StapleMissing {
+	check("server stapled an OCSP response", len(staple) > 0)
+	if len(staple) == 0 {
 		if mustStaple {
 			fmt.Println("  ✗ VERDICT: a Must-Staple-respecting client (Firefox) hard-fails this handshake")
 		}
 		fmt.Println()
 		return
 	}
-	check("staple parses, verifies, and covers this certificate", verdict == browser.StapleGood || verdict == browser.StapleRevoked)
-	check("staple reports Good", verdict == browser.StapleGood)
+	single, err := ocsp.VerifiedSingle(staple, leaf, issuer)
+	check("staple parses, verifies, and covers this certificate", err == nil)
+	check("staple is inside its validity window (thisUpdate to nextUpdate)", err == nil && single.ValidAt(now))
+	check("staple reports Good", err == nil && single.Status == ocsp.Good)
 
 	// §5.4 quality warnings.
 	if resp, err := ocsp.ParseResponse(staple); err == nil && len(resp.Responses) > 0 {
@@ -139,9 +141,13 @@ func runDemos() {
 	lint("server stapling a low-quality (blank nextUpdate, zero margin) response", leaf.Certificate, ca.Certificate, sloppy, clk.Now())
 }
 
+// mustStapleBytes fetches leaf's staple as a stapling server would, from a
+// responder signing with profile behind the OCSP handler at the leaf's AIA
+// host on a simulated network.
 func mustStapleBytes(ca *pki.CA, db *responder.DB, clk clock.Clock, leaf *pki.Leaf, profile responder.Profile) []byte {
-	r := responder.New("lint", ca, db, clk, profile)
-	fetch, err := webserver.ResponderFetcher(r, leaf)
+	n := netsim.New()
+	n.RegisterHost("ocsp.lint.example", "", ocspserver.NewHandler(responder.New("lint", ca, db, clk, profile)))
+	fetch, err := webserver.NewFetcher(n, netsim.Vantage{}, clk, leaf)
 	if err != nil {
 		log.Fatal(err)
 	}

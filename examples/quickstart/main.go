@@ -11,27 +11,38 @@
 package main
 
 import (
-	"context"
-	"crypto"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/browser"
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/ocspserver"
 	"github.com/netmeasure/muststaple/internal/pki"
 	"github.com/netmeasure/muststaple/internal/pkixutil"
 	"github.com/netmeasure/muststaple/internal/responder"
+	"github.com/netmeasure/muststaple/internal/scanner"
+	"github.com/netmeasure/muststaple/internal/webserver"
 )
 
 func main() {
+	// The responder's listener comes first: the CA names it in every
+	// certificate's OCSP URL.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer ln.Close()
+	ocspURL := "http://" + ln.Addr().String()
+
 	// 1. A CA and a Must-Staple leaf certificate.
 	ca, err := pki.NewRootCA(pki.Config{
 		Name:      "Quickstart Root CA",
+		OCSPURL:   ocspURL,
 		NotBefore: time.Now().Add(-time.Hour),
 	})
 	if err != nil {
@@ -54,36 +65,42 @@ func main() {
 	db := responder.NewDB()
 	db.AddIssued(leaf.Certificate.SerialNumber, leaf.Certificate.NotAfter)
 	resp := responder.New("quickstart", ca, db, clock.Real{}, responder.Profile{})
-	srv := httptest.NewServer(ocspserver.NewHandler(resp))
-	defer srv.Close()
-	fmt.Printf("OCSP responder listening at %s\n", srv.URL)
+	go http.Serve(ln, ocspserver.NewHandler(resp))
+	fmt.Printf("OCSP responder listening at %s\n", ocspURL)
 
-	// 3. Fetch a response like a stapling web server would.
-	req, err := ocsp.NewRequest(leaf.Certificate, ca.Certificate, crypto.SHA1)
+	// 3. Fetch a response like a stapling web server would: POST to the
+	// URL the certificate names.
+	fetch, err := webserver.NewFetcher(&scanner.RealTransport{}, netsim.Vantage{}, clock.Real{}, leaf)
 	if err != nil {
 		log.Fatal(err)
 	}
-	staple, err := ocsp.Get(context.Background(), http.DefaultClient, http.MethodPost, srv.URL, req)
-	if err != nil {
-		log.Fatal(err)
-	}
-	single := staple.Find(req.CertIDs[0])
+	staple, single := fetchVerified(fetch, leaf, ca)
 	fmt.Printf("fetched OCSP response: status=%v thisUpdate=%s nextUpdate=%s\n",
 		single.Status, single.ThisUpdate.Format(time.RFC3339), single.NextUpdate.Format(time.RFC3339))
 
 	// 4. Validate it the way a Must-Staple-respecting browser does.
-	verdict := browser.EvaluateStaple(staple.Raw, leaf.Certificate, ca.Certificate, time.Now())
+	verdict := browser.EvaluateStaple(staple, leaf.Certificate, ca.Certificate, time.Now())
 	fmt.Printf("browser-side staple verdict: %v\n", verdict)
 
 	// 5. Revoke and watch the verdict change.
 	db.Revoke(leaf.Certificate.SerialNumber, time.Now(), pkixutil.ReasonKeyCompromise)
-	staple, err = ocsp.Get(context.Background(), http.DefaultClient, http.MethodPost, srv.URL, req)
-	if err != nil {
-		log.Fatal(err)
-	}
-	single = staple.Find(req.CertIDs[0])
+	staple, single = fetchVerified(fetch, leaf, ca)
 	fmt.Printf("after revocation: status=%v revokedAt=%s reason=%v\n",
 		single.Status, single.RevokedAt.Format(time.RFC3339), single.Reason)
 	fmt.Printf("browser-side staple verdict: %v\n",
-		browser.EvaluateStaple(staple.Raw, leaf.Certificate, ca.Certificate, time.Now()))
+		browser.EvaluateStaple(staple, leaf.Certificate, ca.Certificate, time.Now()))
+}
+
+// fetchVerified fetches a response and checks that it parses, is signed
+// by the CA and covers the leaf, returning it with the leaf's entry.
+func fetchVerified(fetch webserver.Fetcher, leaf *pki.Leaf, ca *pki.CA) ([]byte, *ocsp.SingleResponse) {
+	staple, err := fetch()
+	if err != nil {
+		log.Fatal(err)
+	}
+	single, err := ocsp.VerifiedSingle(staple, leaf.Certificate, ca.Certificate)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return staple, single
 }

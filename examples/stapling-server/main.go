@@ -31,9 +31,11 @@ import (
 
 	"github.com/netmeasure/muststaple/internal/browser"
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/ocspserver"
 	"github.com/netmeasure/muststaple/internal/pki"
 	"github.com/netmeasure/muststaple/internal/responder"
+	"github.com/netmeasure/muststaple/internal/scanner"
 	"github.com/netmeasure/muststaple/internal/webserver"
 )
 
@@ -87,9 +89,9 @@ func main() {
 	go http.Serve(ocspLn, ocspserver.NewHandler(ocspResponder))
 
 	// The correct stapling engine, with an outage switch between the
-	// engine and the responder.
+	// engine and the responder: real sockets have no netsim rules.
 	var outage atomic.Bool
-	fetch, err := webserver.HTTPFetcher(&http.Client{Timeout: 5 * time.Second}, leaf)
+	fetch, err := webserver.NewFetcher(&scanner.RealTransport{Client: &http.Client{Timeout: 5 * time.Second}}, netsim.Vantage{}, clk, leaf)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,20 +1,20 @@
 package browser
 
 import (
-	"context"
-	"crypto"
 	"crypto/tls"
 	"crypto/x509"
-	"errors"
 	"fmt"
 	"net"
 	"sync/atomic"
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/ocsp"
+	"github.com/netmeasure/muststaple/internal/ocspserver"
 	"github.com/netmeasure/muststaple/internal/pki"
 	"github.com/netmeasure/muststaple/internal/responder"
+	"github.com/netmeasure/muststaple/internal/webserver"
 )
 
 // Table2Row is one measured row of the browser matrix.
@@ -34,15 +34,18 @@ type Table2Row struct {
 
 // Harness is the §6 test environment: a domain with a Must-Staple
 // certificate, a server that can be configured to staple or not, and an
-// instrumented OCSP responder that counts direct client lookups.
+// instrumented OCSP responder, served by the OCSP handler on a simulated
+// network, that counts direct client lookups.
 type Harness struct {
 	Clock *clock.Simulated
 	CA    *pki.CA
 	Leaf  *pki.Leaf
 
-	responder *responder.Responder
-	ocspHits  atomic.Int64
-	staple    []byte
+	// fetch reaches the harness responder: the server's prefetch and the
+	// clients' own lookups share it.
+	fetch    webserver.Fetcher
+	ocspHits atomic.Int64
+	staple   []byte
 }
 
 // NewHarness builds the environment at virtual time start.
@@ -65,27 +68,18 @@ func NewHarness(start time.Time) (*Harness, error) {
 	}
 	db := responder.NewDB()
 	db.AddIssued(leaf.Certificate.SerialNumber, leaf.Certificate.NotAfter)
-	h := &Harness{
-		Clock:     clk,
-		CA:        ca,
-		Leaf:      leaf,
-		responder: responder.New("ocsp.harness.test", ca, db, clk, responder.Profile{ThisUpdateOffset: time.Minute}),
+	n := netsim.New()
+	n.RegisterHost("ocsp.harness.test", "", ocspserver.NewHandler(responder.New("ocsp.harness.test", ca, db, clk, responder.Profile{ThisUpdateOffset: time.Minute})))
+	fetch, err := webserver.NewFetcher(n, netsim.Vantage{}, clk, leaf)
+	if err != nil {
+		return nil, err
 	}
+	h := &Harness{Clock: clk, CA: ca, Leaf: leaf, fetch: fetch}
 
 	// Pre-fetch a valid staple for the stapling-enabled experiments.
-	req, err := ocsp.NewRequest(leaf.Certificate, ca.Certificate, crypto.SHA1)
-	if err != nil {
-		return nil, err
+	if h.staple, err = fetch(); err != nil {
+		return nil, fmt.Errorf("browser: harness prefetch: %w", err)
 	}
-	reqDER, err := req.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	res, err := h.responder.Respond(context.Background(), reqDER)
-	if err != nil || res.Malformed {
-		return nil, errors.New("browser: harness responder misbehaved")
-	}
-	h.staple = res.DER
 	return h, nil
 }
 
@@ -93,30 +87,16 @@ func NewHarness(start time.Time) (*Harness, error) {
 // have made against the harness responder.
 func (h *Harness) OCSPLookups() int64 { return h.ocspHits.Load() }
 
-// fallback performs a direct OCSP lookup against the harness responder,
-// counting it.
+// fallback performs a client's own OCSP lookup against the harness
+// responder, counting it, and checks the answer as a client would.
 func (h *Harness) fallback(leaf, issuer *x509.Certificate) error {
-	req, err := ocsp.NewRequest(leaf, issuer, crypto.SHA1)
-	if err != nil {
-		return err
-	}
-	reqDER, err := req.Marshal()
-	if err != nil {
-		return err
-	}
 	h.ocspHits.Add(1)
-	res, err := h.responder.Respond(context.Background(), reqDER)
+	der, err := h.fetch()
 	if err != nil {
 		return err
 	}
-	resp, err := ocsp.ParseResponse(res.DER)
-	if err != nil {
-		return err
-	}
-	if resp.Status != ocsp.StatusSuccessful {
-		return fmt.Errorf("browser: fallback OCSP status %v", resp.Status)
-	}
-	return nil
+	_, err = ocsp.VerifiedSingle(der, leaf, issuer)
+	return err
 }
 
 // serverConfig builds the TLS server side, stapling or withholding.

@@ -129,10 +129,6 @@ func NewAlexaModel(cfg AlexaConfig) *AlexaModel {
 // NumDomains returns the modelled population size.
 func (m *AlexaModel) NumDomains() int { return m.cfg.domains() }
 
-// ScaleFactor returns how many real Alexa domains one modelled domain
-// represents.
-func (m *AlexaModel) ScaleFactor() int { return m.cfg.ScaleFactor() }
-
 // Visit streams the model in rank order through fn, stopping at the first
 // error.
 func (m *AlexaModel) Visit(fn func(AlexaDomain) error) error {

@@ -144,12 +144,7 @@ func TestTable1Figure10Golden(t *testing.T) {
 	if err := NewRunner(cfg, &sb).Run(context.Background(), "table1"); err != nil {
 		t.Fatal(err)
 	}
-	var got strings.Builder
-	for _, line := range strings.SplitAfter(sb.String(), "\n") {
-		if !strings.HasPrefix(line, "[") { // the wall-time stats line
-			got.WriteString(line)
-		}
-	}
+	got := withoutBracketLines(sb.String())
 	// The study's responders still count once the runner has released
 	// them: one signed miss per OCSP response.
 	if !strings.Contains(sb.String(), "responder cache 0.0% hits (0/436)]") {
@@ -159,8 +154,8 @@ func TestTable1Figure10Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != string(want) {
-		t.Errorf("Table 1 / Figure 10 differ from testdata/table1_fig10.golden; got:\n%s", got.String())
+	if got != string(want) {
+		t.Errorf("Table 1 / Figure 10 differ from testdata/table1_fig10.golden; got:\n%s", got)
 	}
 
 	c, err := world.BuildConsistency(cfg)
@@ -170,6 +165,18 @@ func TestTable1Figure10Golden(t *testing.T) {
 	if d := servedDigest(t, c); d != table1ServedDigest {
 		t.Errorf("served CRL/OCSP bytes digest = %s, want %s", d, table1ServedDigest)
 	}
+}
+
+// withoutBracketLines drops the `[`-prefixed lines, which carry wall
+// times, from a runner's output.
+func withoutBracketLines(out string) string {
+	var kept strings.Builder
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if !strings.HasPrefix(line, "[") {
+			kept.WriteString(line)
+		}
+	}
+	return kept.String()
 }
 
 // servedDigest hashes, for each source in order, its CRL and its OCSP

@@ -283,7 +283,7 @@ func buildExpectStapleSite(w *world.World, host, class string, vantage netsim.Va
 	if revoke {
 		info.DB.Revoke(serial, w.Config.Start.AddDate(0, -1, 0), pkixutil.ReasonKeyCompromise)
 	}
-	fetch, err := expectstaple.NetworkFetcher(w.Network, vantage, w.Clock, leaf)
+	fetch, err := webserver.NewFetcher(w.Network, vantage, w.Clock, leaf)
 	if err != nil {
 		return nil, err
 	}

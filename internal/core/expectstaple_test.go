@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -79,5 +80,34 @@ func TestExpectStapleDeterministicAcrossWorkers(t *testing.T) {
 	b := stripTimingLines(runExpectStapleOnce(t, 4))
 	if a != b {
 		t.Fatalf("output differs between 1 and 4 workers:\n--- workers=1\n%s\n--- workers=4\n%s", a, b)
+	}
+}
+
+// TestTable2Table3ExpectStapleGolden pins the output of the three
+// experiments whose stapling servers and clients fetch through
+// webserver.NewFetcher: Table 2's harness, Table 3's engines and the
+// Expect-Staple sites. The `[`-prefixed timing lines are left out of the
+// comparison; the Expect-Staple line must still count its 269 responder
+// fetches.
+func TestTable2Table3ExpectStapleGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the full-size fleet")
+	}
+	var sb strings.Builder
+	r := NewRunner(expectStapleConfig(0), &sb)
+	for _, exp := range []string{"table2", "table3", "expectstaple"} {
+		if err := r.Run(context.Background(), exp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !strings.Contains(sb.String(), "responder cache 0.0% hits (0/269)]") {
+		t.Errorf("stats line does not count the Expect-Staple sites' 269 responder fetches:\n%s", sb.String())
+	}
+	want, err := os.ReadFile("testdata/table2_table3_expectstaple.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := withoutBracketLines(sb.String()); got != string(want) {
+		t.Errorf("output differs from testdata/table2_table3_expectstaple.golden; got:\n%s", got)
 	}
 }

@@ -73,7 +73,7 @@ func newSimFixture(t *testing.T, start time.Time) *simFixture {
 		resp := responder.New(spec.ocspHost, ca, db, fx.clk, spec.profile)
 		fx.net.RegisterHost(spec.ocspHost, "", ocspserver.NewHandler(resp))
 
-		fetch, err := NetworkFetcher(fx.net, spec.vantage, fx.clk, leaf)
+		fetch, err := webserver.NewFetcher(fx.net, spec.vantage, fx.clk, leaf)
 		if err != nil {
 			t.Fatal(err)
 		}

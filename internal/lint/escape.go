@@ -90,21 +90,6 @@ func (f *EscapeFacts) In(file string, line int) []EscapeVerdict {
 	return out
 }
 
-// NoEscapeAt reports whether the compiler proved at least one site on
-// the line non-escaping and none escaping — the condition under which an
-// AST-detected conversion on that line is allocation-free.
-func (f *EscapeFacts) NoEscapeAt(file string, line int) bool {
-	vs := f.At(file, line)
-	cleared := false
-	for _, v := range vs {
-		if v.Escapes {
-			return false
-		}
-		cleared = true
-	}
-	return cleared
-}
-
 // parseEscapeOutput extracts verdicts from compiler -m output. Lines
 // look like:
 //

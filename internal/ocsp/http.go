@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -20,11 +18,6 @@ const (
 	ContentTypeRequest  = "application/ocsp-request"
 	ContentTypeResponse = "application/ocsp-response"
 )
-
-// maxResponseBytes bounds how much of an OCSP HTTP response body a client
-// will read; real responses are a few KB, and the measurement client must
-// not be blown up by a misbehaving responder streaming garbage.
-const maxResponseBytes = 1 << 20
 
 // EncodeGETPath returns the path suffix for an OCSP GET request: the
 // base64-then-URL-escaped DER request appended to the responder URL
@@ -147,52 +140,4 @@ func NewHTTPRequest(ctx context.Context, method, responderURL string, reqDER []b
 	default:
 		return nil, fmt.Errorf("ocsp: unsupported HTTP method %q", method)
 	}
-}
-
-// FetchResult is the raw outcome of one OCSP HTTP exchange, before any OCSP
-// parsing. The scanner classifies failures from this.
-type FetchResult struct {
-	HTTPStatus int
-	Body       []byte
-}
-
-// Fetch performs one OCSP exchange over client. It returns an error only
-// for transport-level failures (DNS, TCP, TLS, timeouts); HTTP-level
-// failures are reported through FetchResult.HTTPStatus so the caller can
-// distinguish the paper's failure classes.
-func Fetch(ctx context.Context, client *http.Client, method, responderURL string, req *Request) (*FetchResult, error) {
-	reqDER, err := req.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	httpReq, err := NewHTTPRequest(ctx, method, responderURL, reqDER)
-	if err != nil {
-		return nil, err
-	}
-	httpResp, err := client.Do(httpReq)
-	if err != nil {
-		return nil, err
-	}
-	defer httpResp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(httpResp.Body, maxResponseBytes))
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: read response body: %w", err)
-	}
-	return &FetchResult{HTTPStatus: httpResp.StatusCode, Body: body}, nil
-}
-
-// Get is a convenience wrapper: Fetch + ParseResponse, failing on non-200
-// status. Use Fetch directly when failure classification matters.
-func Get(ctx context.Context, client *http.Client, method, responderURL string, req *Request) (*Response, error) {
-	res, err := Fetch(ctx, client, method, responderURL, req)
-	if err != nil {
-		return nil, err
-	}
-	if res.HTTPStatus != http.StatusOK {
-		return nil, fmt.Errorf("ocsp: HTTP status %d", res.HTTPStatus)
-	}
-	if len(res.Body) == 0 {
-		return nil, errors.New("ocsp: empty response body")
-	}
-	return ParseResponse(res.Body)
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"github.com/netmeasure/muststaple/internal/netsim"
 )
 
 func TestExpectStapleHeaderRoundTrip(t *testing.T) {
@@ -106,6 +108,9 @@ func TestEngineExpectStapleHeaderValue(t *testing.T) {
 // RefreshFailing reports the outage.
 func TestStaleServingCDNServesExpired(t *testing.T) {
 	fx := newEngineFixture(t, StaleServingCDNPolicy(), 2*time.Hour)
+	// The responder is down from 1h to 8h in.
+	fx.net.AddRule(&netsim.Rule{Host: engineOCSPHost, Kind: netsim.FailTCP,
+		Windows: []netsim.Window{{From: tt0.Add(time.Hour), To: tt0.Add(8 * time.Hour)}}})
 	if err := fx.eng.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +121,8 @@ func TestStaleServingCDNServesExpired(t *testing.T) {
 		t.Fatal("RefreshFailing true while upstream healthy")
 	}
 
-	// Upstream dies; advance well past nextUpdate. Refreshes fail, the
+	// Advance into the outage, well past nextUpdate. Refreshes fail, the
 	// stale staple stays.
-	fx.fail = true
 	fx.clk.Advance(6 * time.Hour)
 	staple := fx.eng.StapleForHandshake()
 	fx.eng.WaitIdle()
@@ -132,7 +136,6 @@ func TestStaleServingCDNServesExpired(t *testing.T) {
 
 	// Upstream recovers: the next handshake triggers a refresh and the
 	// failure flag clears.
-	fx.fail = false
 	fx.clk.Advance(2 * time.Hour)
 	if fx.eng.StapleForHandshake() == nil {
 		t.Fatal("no staple after recovery")

@@ -3,13 +3,14 @@ package webserver
 import (
 	"crypto/tls"
 	"crypto/x509"
-	"errors"
 	"fmt"
 	"net"
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/ocsp"
+	"github.com/netmeasure/muststaple/internal/ocspserver"
 	"github.com/netmeasure/muststaple/internal/pki"
 	"github.com/netmeasure/muststaple/internal/responder"
 )
@@ -69,19 +70,25 @@ type ExperimentResult struct {
 	RetainsOnError bool
 }
 
-// experimentFixture wires a CA, leaf, responder, and a failable fetcher.
+// experimentFixture wires a CA and its leaf to a responder served by the
+// OCSP handler at the leaf's AIA host on a simulated network, where an
+// outage is a netsim rule.
 type experimentFixture struct {
 	clk   *clock.Simulated
+	net   *netsim.Network
 	leaf  *pki.Leaf
 	root  *x509.Certificate
-	fail  bool
 	fetch Fetcher
 }
+
+// experimentOCSPHost is the fixtures' responder host, named in each leaf's
+// AIA.
+const experimentOCSPHost = "ocsp.exp.test"
 
 func newExperimentFixture(validity time.Duration) (*experimentFixture, error) {
 	t0 := time.Date(2018, 6, 1, 0, 0, 0, 0, time.UTC)
 	clk := clock.NewSimulated(t0)
-	ca, err := pki.NewRootCA(pki.Config{Name: "Server Experiment CA", OCSPURL: "http://ocsp.exp.test"})
+	ca, err := pki.NewRootCA(pki.Config{Name: "Server Experiment CA", OCSPURL: "http://" + experimentOCSPHost})
 	if err != nil {
 		return nil, err
 	}
@@ -98,19 +105,15 @@ func newExperimentFixture(validity time.Duration) (*experimentFixture, error) {
 	// A short thisUpdate margin keeps short-validity responses fresh at
 	// issuance (the default 1-hour backdating would make a 30-minute
 	// response expired at birth).
-	resp := responder.New("ocsp.exp.test", ca, db, clk, responder.Profile{Validity: validity, ThisUpdateOffset: time.Minute})
-	inner, err := ResponderFetcher(resp, leaf)
+	resp := responder.New(experimentOCSPHost, ca, db, clk, responder.Profile{Validity: validity, ThisUpdateOffset: time.Minute})
+	n := netsim.New()
+	n.RegisterHost(experimentOCSPHost, "", ocspserver.NewHandler(resp))
+	// The server under test is the only client, so one unnamed vantage.
+	fetch, err := NewFetcher(n, netsim.Vantage{}, clk, leaf)
 	if err != nil {
 		return nil, err
 	}
-	f := &experimentFixture{clk: clk, leaf: leaf, root: ca.Certificate}
-	f.fetch = func() ([]byte, error) {
-		if f.fail {
-			return nil, errors.New("simulated responder outage")
-		}
-		return inner()
-	}
-	return f, nil
+	return &experimentFixture{clk: clk, net: n, leaf: leaf, root: ca.Certificate, fetch: fetch}, nil
 }
 
 // RunExperiments measures one policy through the four Table 3 experiments.
@@ -180,7 +183,7 @@ func RunExperiments(policy Policy) (*ExperimentResult, error) {
 		return nil, err
 	}
 	eng3.WaitIdle()
-	res.RespectsNextUpdate = !stapleIsExpired(stapleAfterExpiry, fx3.clk.Now())
+	res.RespectsNextUpdate = !stapleIsExpired(stapleAfterExpiry, fx3.leaf, fx3.clk.Now())
 
 	// Experiment 4: retain-on-error. Fresh fixture, long validity; kill
 	// the upstream, force a refresh attempt, and see whether the old
@@ -201,7 +204,7 @@ func RunExperiments(policy Policy) (*ExperimentResult, error) {
 		return nil, err
 	}
 	eng4.WaitIdle()
-	fx4.fail = true
+	fx4.net.AddRule(&netsim.Rule{Host: experimentOCSPHost, Kind: netsim.FailTCP, Windows: []netsim.Window{{From: fx4.clk.Now()}}})
 	// Advance past the refresh trigger (Apache's cache lifetime) but
 	// keep the response valid.
 	fx4.clk.Advance(90 * time.Minute)
@@ -214,17 +217,16 @@ func RunExperiments(policy Policy) (*ExperimentResult, error) {
 	return res, nil
 }
 
-// stapleIsExpired reports whether the stapled bytes parse as an OCSP
-// response whose first single response is past its nextUpdate at now.
-func stapleIsExpired(staple []byte, now time.Time) bool {
+// stapleIsExpired reports whether a client checking a stapled response
+// for leaf at now rejects it: ocsp.VerifiedSingle fails, or the response
+// it finds is outside its validity window. An unusable staple is as bad
+// as an expired one; a missing staple is neither.
+func stapleIsExpired(staple []byte, leaf *pki.Leaf, now time.Time) bool {
 	if len(staple) == 0 {
 		return false
 	}
-	resp, err := ocsp.ParseResponse(staple)
-	if err != nil || resp.Status != ocsp.StatusSuccessful || len(resp.Responses) == 0 {
-		return true // an unusable staple is as bad as an expired one
-	}
-	return !resp.Responses[0].ValidAt(now)
+	single, err := ocsp.VerifiedSingle(staple, leaf.Certificate, leaf.Issuer.Certificate)
+	return err != nil || !single.ValidAt(now)
 }
 
 // Table3 runs the full experiment matrix over the modelled policies.

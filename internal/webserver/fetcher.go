@@ -7,60 +7,54 @@ import (
 	"fmt"
 	"net/http"
 
+	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/pki"
-	"github.com/netmeasure/muststaple/internal/responder"
+	"github.com/netmeasure/muststaple/internal/scanner"
 )
 
-// HTTPFetcher builds a Fetcher that requests the leaf's status from its
-// AIA responder URL over real HTTP — what production servers do.
-func HTTPFetcher(client *http.Client, leaf *pki.Leaf) (Fetcher, error) {
+// NewFetcher builds the Fetcher a stapling server uses: each fetch POSTs
+// leaf's OCSP request to the responder its AIA names, over t, from
+// vantage at clk's current time. Over a netsim.Network the world's
+// outage rules hit the server's refreshes as they hit the scanner's
+// probes; over a scanner.RealTransport the fetch crosses real sockets.
+//
+// A transport error is returned as is and a status other than 200 is an
+// error; the body is returned as is, for the engine's policy to judge.
+func NewFetcher(t scanner.Transport, vantage netsim.Vantage, clk clock.Clock, leaf *pki.Leaf) (Fetcher, error) {
 	url := pki.OCSPURL(leaf.Certificate)
 	if url == "" {
 		return nil, errors.New("webserver: leaf has no OCSP URL")
 	}
-	return HTTPFetcherURL(client, leaf, url)
-}
-
-// HTTPFetcherURL is HTTPFetcher with an explicit responder URL, for
-// deployments where the responder is fronted elsewhere than the AIA says.
-func HTTPFetcherURL(client *http.Client, leaf *pki.Leaf, url string) (Fetcher, error) {
 	req, err := ocsp.NewRequest(leaf.Certificate, leaf.Issuer.Certificate, crypto.SHA1)
 	if err != nil {
 		return nil, err
 	}
+	der, err := req.Marshal()
+	if err != nil {
+		return nil, err
+	}
+	httpReq, err := ocsp.NewHTTPRequest(context.Background(), http.MethodPost, url, der)
+	if err != nil {
+		return nil, err
+	}
 	return func() ([]byte, error) {
-		res, err := ocsp.Fetch(context.Background(), client, http.MethodPost, url, req)
+		// The Transport contract: every fetch sends its own shallow copy
+		// of the request, with a fresh body over the same DER.
+		body, err := httpReq.GetBody()
 		if err != nil {
 			return nil, err
 		}
-		if res.HTTPStatus != http.StatusOK {
-			return nil, fmt.Errorf("webserver: responder HTTP %d", res.HTTPStatus)
+		r := httpReq.WithContext(context.Background())
+		r.Body = body
+		res, err := t.Do(vantage, clk.Now(), r)
+		if err != nil {
+			return nil, err
+		}
+		if res.Status != http.StatusOK {
+			return nil, fmt.Errorf("webserver: responder HTTP %d", res.Status)
 		}
 		return res.Body, nil
-	}, nil
-}
-
-// ResponderFetcher builds a Fetcher that calls an in-process responder
-// directly — the simulated-world path, exercising the same responder code
-// without HTTP framing.
-func ResponderFetcher(r *responder.Responder, leaf *pki.Leaf) (Fetcher, error) {
-	req, err := ocsp.NewRequest(leaf.Certificate, leaf.Issuer.Certificate, crypto.SHA1)
-	if err != nil {
-		return nil, err
-	}
-	reqDER, err := req.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	return func() ([]byte, error) {
-		res, err := r.Respond(context.Background(), reqDER)
-		if err != nil {
-			return nil, err
-		}
-		if len(res.DER) == 0 {
-			return nil, errors.New("webserver: responder returned empty body")
-		}
-		return res.DER, nil
 	}, nil
 }

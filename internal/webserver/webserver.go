@@ -299,8 +299,8 @@ func (p Policy) Staple(h Held, now time.Time, f *Fetched) bool {
 }
 
 // Fetcher obtains a fresh OCSP response DER for the server's certificate.
-// Implementations fetch over HTTP from the CA's responder; tests inject
-// failures.
+// NewFetcher builds the one that reaches the CA's responder; a wrapper
+// around it may inject failures where no netsim rule can.
 type Fetcher func() ([]byte, error)
 
 // Engine is a stapling web server instance.

@@ -3,13 +3,20 @@ package webserver
 import (
 	"bytes"
 	"errors"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/ocsp"
+	"github.com/netmeasure/muststaple/internal/ocspserver"
 	"github.com/netmeasure/muststaple/internal/pki"
 	"github.com/netmeasure/muststaple/internal/responder"
+	"github.com/netmeasure/muststaple/internal/scanner"
 )
 
 func TestTable3Matrix(t *testing.T) {
@@ -72,39 +79,47 @@ func TestTable3Matrix(t *testing.T) {
 	}
 }
 
-// engineFixture builds an engine against a live in-process responder.
+// engineFixture builds an engine whose responder is served by the OCSP
+// handler at the leaf's AIA host on a simulated network; tests take the
+// responder down with netsim rules.
 type engineFixture struct {
 	clk  *clock.Simulated
+	net  *netsim.Network
 	leaf *pki.Leaf
-	fail bool
 	eng  *Engine
 }
 
+// engineOCSPHost is the fixture's responder host, named in its leaf's AIA.
+const engineOCSPHost = "ocsp.engine.test"
+
 func newEngineFixture(t *testing.T, policy Policy, validity time.Duration) *engineFixture {
 	t.Helper()
-	t0 := time.Date(2018, 6, 1, 0, 0, 0, 0, time.UTC)
-	clk := clock.NewSimulated(t0)
-	ca, err := pki.NewRootCA(pki.Config{Name: "Engine CA", OCSPURL: "http://ocsp.engine.test"})
+	clk := clock.NewSimulated(tt0)
+	ca, err := pki.NewRootCA(pki.Config{Name: "Engine CA", OCSPURL: "http://" + engineOCSPHost})
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := ca.IssueLeaf(pki.LeafOptions{DNSNames: []string{"engine.test"}, NotBefore: t0.AddDate(0, -1, 0)})
+	leaf, err := ca.IssueLeaf(pki.LeafOptions{DNSNames: []string{"engine.test"}, NotBefore: tt0.AddDate(0, -1, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := responder.New("ocsp.engine.test", ca, responderDB(leaf), clk, responder.Profile{Validity: validity, ThisUpdateOffset: time.Second})
-	inner, err := ResponderFetcher(resp, leaf)
+	fx := &engineFixture{clk: clk, net: netsim.New(), leaf: leaf}
+	fx.serve(responder.Profile{Validity: validity, ThisUpdateOffset: time.Second})
+	fetch, err := NewFetcher(fx.net, netsim.Vantage{}, clk, leaf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := &engineFixture{clk: clk, leaf: leaf}
-	fx.eng = NewEngine(leaf, policy, func() ([]byte, error) {
-		if fx.fail {
-			return nil, errors.New("upstream down")
-		}
-		return inner()
-	}, clk)
+	fx.eng = NewEngine(leaf, policy, fetch, clk)
 	return fx
+}
+
+// serve (re-)registers the fixture's responder host with a responder that
+// knows only the leaf, as good, and signs with profile.
+func (fx *engineFixture) serve(profile responder.Profile) {
+	db := responder.NewDB()
+	db.AddIssued(fx.leaf.Certificate.SerialNumber, fx.leaf.Certificate.NotAfter)
+	r := responder.New(engineOCSPHost, fx.leaf.Issuer, db, fx.clk, profile)
+	fx.net.RegisterHost(engineOCSPHost, "", ocspserver.NewHandler(r))
 }
 
 func TestEngineStapleValidatesAgainstOCSP(t *testing.T) {
@@ -149,7 +164,7 @@ func TestNginxRateLimitServesExpired(t *testing.T) {
 	if staple == nil {
 		t.Fatal("rate-limited nginx should still staple the (expired) cache")
 	}
-	if !stapleIsExpired(staple, fx.clk.Now()) {
+	if !stapleIsExpired(staple, fx.leaf, fx.clk.Now()) {
 		t.Error("expected an expired staple under rate limiting")
 	}
 	// After the rate limit lapses, a fresh response appears.
@@ -157,7 +172,7 @@ func TestNginxRateLimitServesExpired(t *testing.T) {
 	staple = fx.eng.StapleForHandshake()
 	fx.eng.WaitIdle()
 	staple = fx.eng.StapleForHandshake()
-	if staple == nil || stapleIsExpired(staple, fx.clk.Now()) {
+	if staple == nil || stapleIsExpired(staple, fx.leaf, fx.clk.Now()) {
 		t.Error("after the rate limit, nginx should staple a fresh response")
 	}
 }
@@ -188,22 +203,17 @@ func TestCorrectPolicyRefetchesHourly(t *testing.T) {
 // its clients accept.
 func TestRetainingEngineKeepsAcceptedStaple(t *testing.T) {
 	fx := newEngineFixture(t, StaleServingCDNPolicy(), 24*time.Hour)
-	early := responder.New("ocsp.engine.test", fx.leaf.Issuer, responderDB(fx.leaf), fx.clk, responder.Profile{Validity: 24 * time.Hour, ThisUpdateOffset: -30 * time.Minute})
-	future, err := ResponderFetcher(early, fx.leaf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := fx.eng.Start(); err != nil {
 		t.Fatal(err)
 	}
 	first := fx.eng.StapleForHandshake()
-	fx.eng.Fetch = future
+	fx.serve(responder.Profile{Validity: 24 * time.Hour, ThisUpdateOffset: -30 * time.Minute})
 	fx.clk.Advance(90 * time.Minute)
 	got := fx.eng.StapleForHandshake()
 	if n := fx.eng.FetchCount(); n != 2 {
 		t.Fatalf("fetches = %d, want the hourly refresh to make 2", n)
 	}
-	if stapleIsExpired(got, fx.clk.Now()) || !bytes.Equal(got, first) {
+	if stapleIsExpired(got, fx.leaf, fx.clk.Now()) || !bytes.Equal(got, first) {
 		t.Error("the refresh replaced the accepted staple with one clients reject now")
 	}
 }
@@ -211,25 +221,9 @@ func TestRetainingEngineKeepsAcceptedStaple(t *testing.T) {
 func TestApacheStaplesUpstreamErrorResponse(t *testing.T) {
 	// §7.2: when the responder returns an OCSP error (e.g. tryLater),
 	// Apache serves the error response itself.
-	t0 := time.Date(2018, 6, 1, 0, 0, 0, 0, time.UTC)
-	clk := clock.NewSimulated(t0)
-	ca, err := pki.NewRootCA(pki.Config{Name: "TryLater CA", OCSPURL: "http://ocsp.trylater.test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf, err := ca.IssueLeaf(pki.LeafOptions{DNSNames: []string{"trylater.test"}, NotBefore: t0.AddDate(0, -1, 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := responder.NewDB()
-	db.AddIssued(leaf.Certificate.SerialNumber, leaf.Certificate.NotAfter)
-	resp := responder.New("ocsp.trylater.test", ca, db, clk, responder.Profile{ErrorStatus: ocsp.StatusTryLater})
-	fetch, err := ResponderFetcher(resp, leaf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(leaf, ApachePolicy(), fetch, clk)
-	staple := eng.StapleForHandshake() // paused first connection
+	fx := newEngineFixture(t, ApachePolicy(), 0)
+	fx.serve(responder.Profile{ErrorStatus: ocsp.StatusTryLater})
+	staple := fx.eng.StapleForHandshake() // paused first connection
 	if staple == nil {
 		t.Fatal("Apache should staple the error response bytes")
 	}
@@ -250,23 +244,61 @@ func TestEngineTLSConfigErrors(t *testing.T) {
 }
 
 func TestHTTPFetcherAgainstRealServer(t *testing.T) {
-	// End-to-end over real HTTP: responder behind httptest, fetched by
-	// HTTPFetcher, stapled by the engine, verified by the client.
-	fx := newEngineFixture(t, CorrectPolicy(), 4*time.Hour)
-	// Swap in an HTTP fetcher against a real listener.
-	srvResp := responderForLeaf(t, fx)
-	fetch, stop := httpFetcherFor(t, fx.leaf, srvResp)
-	defer stop()
-	fx.eng.Fetch = fetch
-	if err := fx.eng.Start(); err != nil {
+	// End-to-end over real HTTP: the responder behind a loopback listener
+	// that the leaf's AIA names, fetched over RealTransport, stapled by
+	// the engine, verified by the client.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	staple := fx.eng.StapleForHandshake()
+	clk := clock.NewSimulated(tt0)
+	ca, err := pki.NewRootCA(pki.Config{Name: "Loopback CA", OCSPURL: "http://" + ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := ca.IssueLeaf(pki.LeafOptions{DNSNames: []string{"loopback.test"}, NotBefore: tt0.AddDate(0, -1, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := responder.NewDB()
+	db.AddIssued(leaf.Certificate.SerialNumber, leaf.Certificate.NotAfter)
+	srv := httptest.NewUnstartedServer(ocspserver.NewHandler(responder.New("loopback", ca, db, clk, responder.Profile{Validity: 4 * time.Hour})))
+	srv.Listener.Close()
+	srv.Listener = ln
+	srv.Start()
+	defer srv.Close()
+
+	fetch, err := NewFetcher(&scanner.RealTransport{Client: srv.Client()}, netsim.Vantage{}, clk, leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(leaf, CorrectPolicy(), fetch, clk)
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	staple := eng.StapleForHandshake()
 	if staple == nil {
 		t.Fatal("no staple over real HTTP")
 	}
-	if _, err := ocsp.ParseResponse(staple); err != nil {
-		t.Fatal(err)
+	if stapleIsExpired(staple, leaf, clk.Now()) {
+		t.Error("the staple fetched over real HTTP does not verify for the leaf")
+	}
+}
+
+// TestNewFetcherRejectsHTTPErrors: a status other than 200 is an error,
+// and a transport failure comes back as the transport's own error.
+func TestNewFetcherRejectsHTTPErrors(t *testing.T) {
+	fx := newEngineFixture(t, CorrectPolicy(), 4*time.Hour)
+	fx.net.AddRule(&netsim.Rule{Host: engineOCSPHost, Kind: netsim.FailHTTP, HTTPStatus: http.StatusServiceUnavailable,
+		Windows: []netsim.Window{{To: tt0.Add(time.Hour)}}})
+	fx.net.AddRule(&netsim.Rule{Host: engineOCSPHost, Kind: netsim.FailTCP})
+	if _, err := fx.eng.Fetch(); err == nil || !strings.Contains(err.Error(), "503") {
+		t.Errorf("fetch from a responder answering 503: err = %v, want an HTTP 503 error", err)
+	}
+	fx.clk.Advance(time.Hour)
+	var nerr *netsim.Error
+	if _, err := fx.eng.Fetch(); !errors.As(err, &nerr) || nerr.Kind != netsim.FailTCP {
+		t.Errorf("fetch from an unreachable responder: err = %v, want the netsim TCP error", err)
 	}
 }
 
@@ -279,7 +311,7 @@ func TestFetcherConstructorsValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := HTTPFetcher(nil, leaf); err == nil {
-		t.Error("HTTPFetcher should reject a leaf without an OCSP URL")
+	if _, err := NewFetcher(netsim.New(), netsim.Vantage{}, clock.NewSimulated(tt0), leaf); err == nil {
+		t.Error("NewFetcher should reject a leaf without an OCSP URL")
 	}
 }
